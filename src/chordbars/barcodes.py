@@ -153,7 +153,7 @@ class BarannikovForm:
         self.unpaired = tuple(unpaired)
 
 
-def _find_low(col_of, T, j, n):
+def _find_low(T, j, n):
     for i in range(n - 1, -1, -1):
         if T[i][j]:
             return i
@@ -182,7 +182,7 @@ def canonical_form(C):
     pairs_idx = {}  # killer column -> killed row
     for j in range(n):
         while True:
-            i = _find_low(None, T, j, n)
+            i = _find_low(T, j, n)
             if i is None:
                 break
             j2 = low_owner.get(i)

@@ -130,12 +130,6 @@ class FilteredComplex:
                 raise NotSquareZero("differential does not square to zero on %r" % g.id,
                                     witness=g.id)
 
-    # construction aliases -----------------------------------------------------
-
-    @classmethod
-    def build(cls, field, window, generators, differential):
-        return cls(field, window, generators, differential)
-
     # basic queries --------------------------------------------------------------
 
     def generator(self, gid):

@@ -44,17 +44,6 @@ def matmul(A, B, field):
     return out
 
 
-def mat_vec(A, v, field):
-    out = [field.zero_raw] * len(A)
-    for i, row in enumerate(A):
-        acc = field.zero_raw
-        for a, x in zip(row, v):
-            if a and x:
-                acc = field.add(acc, field.mul(a, x))
-        out[i] = acc
-    return out
-
-
 def rref(M, field):
     """Reduced row echelon form (a copy) plus the pivot column list."""
     R = copy_matrix(M)

@@ -61,7 +61,9 @@ class PLPath:
 
     def _locate(self, t):
         # index i with points[i].t <= t <= points[i+1].t
-        assert self.t_start <= t <= self.t_end, "time %s outside path domain" % (t,)
+        if not self.t_start <= t <= self.t_end:
+            raise ValidationError("time %s outside path domain [%s, %s]"
+                                  % (t, self.t_start, self.t_end))
         lo, hi = 0, len(self.points) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -98,7 +100,9 @@ class PLPath:
         return (v1 - v0) / (t1 - t0)
 
     def restrict(self, t0, t1):
-        assert self.t_start <= t0 < t1 <= self.t_end
+        if not self.t_start <= t0 < t1 <= self.t_end:
+            raise ValidationError("cannot restrict a path on [%s, %s] to "
+                                  "[%s, %s]" % (self.t_start, self.t_end, t0, t1))
         pts = [(t0, self.value(t0))]
         for t, v in self.points:
             if t0 < t < t1:
@@ -115,8 +119,8 @@ class PLPath:
 
     def _zip_with(self, other, op):
         if isinstance(other, PLPath):
-            assert (self.t_start, self.t_end) == (other.t_start, other.t_end), \
-                "paths live on different intervals"
+            if (self.t_start, self.t_end) != (other.t_start, other.t_end):
+                raise ValidationError("paths live on different intervals")
             ts = merge_times(self.breakpoint_times(), other.breakpoint_times())
             return PLPath([(t, op(self.value(t), other.value(t))) for t in ts])
         return PLPath([(t, op(v, other)) for t, v in self.points])

@@ -265,8 +265,8 @@ def parse_timeline_item(item, where):
     if not isinstance(item, dict) or "type" not in item:
         raise ParseError("expected an object with a \"type\" key", where)
     kind = item["type"]
-    if kind not in _EVENT_KEYS:
-        raise ParseError("unknown timeline item type %r" % kind,
+    if not isinstance(kind, str) or kind not in _EVENT_KEYS:
+        raise ParseError("unknown timeline item type %r" % (kind,),
                          where + ".type")
     required, optional = _EVENT_KEYS[kind]
     _obj(item, where, required=("type",) + required, optional=optional)

@@ -389,7 +389,8 @@ def _run_segment(trace, state, seg, entering_event=None):
                     % (g1, g2))
             crossings.update(roots)
 
-    # 3. refined critical times: breakpoints of everything + crossings
+    # 3. critical times (breakpoints of everything + crossings) only drive
+    # sampling: each gap below is linear between its own breakpoints
     bp = [p.breakpoint_times() for p in paths.values()]
     bp.append(a_path.breakpoint_times())
     if b_path != INF:
@@ -399,12 +400,13 @@ def _run_segment(trace, state, seg, entering_event=None):
 
     def _edge_ok(gap_path, zero_ok_at):
         # affine pieces: > 0 on the open interior means endpoints >= 0 and
-        # not both zero; endpoint zeros only where an event justifies them
+        # not both zero; endpoint zeros only where an event justifies them;
+        # the witness is the first bad time, a piece going negative its zero
         for ta, va, tb, vb in gap_path.pieces():
             if va < 0:
                 return ta
             if vb < 0:
-                return tb
+                return ta + (tb - ta) * va / (va - vb)
             if va == 0 and vb == 0:
                 return ta
             if va == 0 and ta not in zero_ok_at:
@@ -422,16 +424,15 @@ def _run_segment(trace, state, seg, entering_event=None):
     for src, row in state.diff.items():
         for tgt in row:
             gap = paths[src] - paths[tgt]
-            refined = PLPath([(t, gap.value(t)) for t in critical])
             ok = {t1}  # tentatively: a death at t1 must claim it
             if birth_pair is not None and {src, tgt} == birth_pair:
                 ok.add(t0)
-            witness = _edge_ok(refined, ok)
+            witness = _edge_ok(gap, ok)
             if witness is not None:
                 raise ActionIncrease(
                     "differential edge %r -> %r loses strict action decrease "
                     "at t = %s" % (src, tgt, witness))
-            if refined.value(t1) == 0:
+            if gap.end_value == 0:
                 pending_gaps.add((src, tgt))
 
     # 4b. window containment (bottom is closed, top is open)
@@ -440,16 +441,13 @@ def _run_segment(trace, state, seg, entering_event=None):
     if entering_event is not None and entering_event.kind == "entry_above":
         entry_above_id = entering_event.gid
     for gid in ids:
-        low_gap = PLPath([(t, paths[gid].value(t) - a_path.value(t))
-                          for t in critical])
-        for ta, va, tb, vb in low_gap.pieces():
+        for ta, va, tb, vb in (paths[gid] - a_path).pieces():
             if va < 0 or vb < 0:
                 raise ActionOutsideWindow(
                     "generator %r dips below the window bottom in [%s, %s]"
                     % (gid, ta, tb))
         if b_path != INF:
-            top_gap = PLPath([(t, b_path.value(t) - paths[gid].value(t))
-                              for t in critical])
+            top_gap = b_path - paths[gid]
             ok = {t1}  # tentatively: an exit above at t1 must claim it
             if gid == entry_above_id:
                 ok.add(t0)
@@ -458,7 +456,7 @@ def _run_segment(trace, state, seg, entering_event=None):
                 raise ActionOutsideWindow(
                     "generator %r reaches the window top at t = %s"
                     % (gid, witness))
-            if top_gap.value(t1) == 0:
+            if top_gap.end_value == 0:
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —

@@ -1,9 +1,15 @@
 """Command-line behaviour: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chordbars
+from chordbars import schemas, simulate
 from chordbars.cli import main
 
 
@@ -150,6 +156,17 @@ def test_simulate_report(fixture_dir, tmp_path, capsys):
     assert len(text.splitlines()) > 5
 
 
+def test_simulate_demo_replay_counts(fixture_dir):
+    # pins the replay work on the shipped demo: a silent change in how many
+    # samples or crossings replay produces fails here
+    with open(fixture_dir / "demo_timeline.json", encoding="utf-8") as fh:
+        initial, items = schemas.parse_timeline(json.load(fh))
+    trace = simulate(initial, items)
+    assert len(trace.samples) == 7
+    assert [len(seg.crossings) for seg in trace.segments] == [0, 0, 1, 0, 1]
+    assert [len(seg.sample_indices) for seg in trace.segments] == [1] * 5
+
+
 def test_linearize(fixture_dir, tmp_path, capsys):
     dga = str(fixture_dir / "two_copy.dga.json")
     eps = str(fixture_dir / "two_copy.augmentation.json")
@@ -206,3 +223,33 @@ def test_usage_errors_exit_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["barcode"]) == 2
     capsys.readouterr()
+
+
+def test_optimized_mode_output_identical(fixture_dir):
+    # ``python -O`` strips asserts; the CLI must not depend on them
+    fx = str(fixture_dir)
+    commands = [
+        ["validate", "demo_complex.json"],
+        ["validate", "demo_timeline.json"],
+        ["validate", "standard_unknot.dga.json"],
+        ["barcode", "demo_complex.json", "--engine", "both",
+         "--format", "structured"],
+        ["simulate", "demo_timeline.json"],
+        ["linearize", "two_copy.dga.json", "two_copy.augmentation.json",
+         "--window", "9", "12"],
+        ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],
+        ["bound", "sigma.json", "betti.json", "--profile", "profile.csv"],
+    ]
+    env = dict(os.environ)
+    src = str(Path(chordbars.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv in commands:
+        plain, optimized = [
+            subprocess.run([sys.executable] + flags + ["-m", "chordbars"]
+                           + argv, cwd=fx, env=env, capture_output=True,
+                           text=True)
+            for flags in ([], ["-O"])]
+        assert plain.returncode == 0, (argv, plain.stderr)
+        assert (optimized.returncode, optimized.stdout) == \
+            (plain.returncode, plain.stdout), argv

@@ -34,6 +34,9 @@ def test_values_and_slopes():
     assert p.slope_before(1) == -2
     assert p.slope_after(q(1, 2)) == -2
     assert p.slope_before(q(1, 2)) == 2
+    for t in (-1, q(3, 2), 5):
+        with pytest.raises(ValidationError):
+            p.value(t)
 
 
 def test_integral_exact():
@@ -64,6 +67,8 @@ def test_algebra():
     assert (-p).min_value() == -1
     assert p.scale(3).max_value() == 3
     assert p.scale(q(1, 2)).integral(0, 1) == q(1, 4)
+    with pytest.raises(ValidationError):
+        p - PLPath.constant(2, 0, 2)
 
 
 def test_restrict():
@@ -72,6 +77,8 @@ def test_restrict():
     assert (r.t_start, r.t_end) == (q(1, 4), q(3, 4))
     assert r.value(q(1, 2)) == 1
     assert r.max_value() == 1
+    with pytest.raises(ValidationError):
+        p.restrict(q(1, 2), 2)
 
 
 def test_breakpoints():

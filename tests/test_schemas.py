@@ -134,12 +134,13 @@ def test_timeline_roundtrip_and_constant_collapse():
 
 
 def test_timeline_item_type_checked():
-    doc = {"initial": _COMPLEX_DOC,
-           "items": [{"type": "teleport", "time": "0"}]}
-    with pytest.raises(ParseError) as info:
-        parse_timeline(doc)
-    assert "unknown timeline item type 'teleport'" in str(info.value)
-    assert "timeline.items[0].type" in str(info.value)
+    for kind in ("teleport", ["handle_slide"], {"a": 1}):
+        doc = {"initial": _COMPLEX_DOC,
+               "items": [{"type": kind, "time": "0"}]}
+        with pytest.raises(ParseError) as info:
+            parse_timeline(doc)
+        assert "unknown timeline item type %r" % (kind,) in str(info.value)
+        assert "timeline.items[0].type" in str(info.value)
 
 
 def test_barcode_json_shape():

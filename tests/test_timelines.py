@@ -10,7 +10,8 @@ from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        FilteredComplex, HandleSlide, check_transitions,
                        drift_speed_audit, random_timeline, simulate,
                        vineyard_rows)
-from chordbars.errors import (ActionIncrease, EventPreconditionViolated,
+from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
+                              EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
                               ValidationError)
 
@@ -147,9 +148,44 @@ def test_unclaimed_gap_close_rejected():
 
 def test_gap_crossing_mid_segment_rejected():
     cx = _pair_complex()
-    with pytest.raises(ActionIncrease):
+    with pytest.raises(ActionIncrease, match=r"at t = 2/3$"):
         simulate(cx, [
             DriftSegment(0, 1, {"a": [(0, 1), (1, q(7, 4))],
+                                "b": q(3, 2), "c": 2}),
+        ])
+
+
+def test_window_top_witness_is_exact_crossing():
+    cx = _pair_complex(window=(0, 4))
+    with pytest.raises(ActionOutsideWindow,
+                       match=r"'c' reaches the window top at t = 2/3$"):
+        simulate(cx, [
+            DriftSegment(0, 1, {"a": 1, "b": q(3, 2),
+                                "c": [(0, 2), (1, 5)]}),
+        ])
+
+
+def test_born_pair_inverting_witness_is_birth_time():
+    cx = _pair_complex()
+    # c crosses u at t = 5/6, a critical time unrelated to the u -> v edge
+    with pytest.raises(ActionIncrease,
+                       match=r"'u' -> 'v' .* at t = 1/2$"):
+        simulate(cx, [
+            _hold(0, q(1, 2)),
+            Birth(q(1, 2), ("u", 1), ("v", 0), 3),
+            DriftSegment(q(1, 2), 1, {"a": 1, "b": q(3, 2),
+                                      "c": [(q(1, 2), 2), (1, 3)],
+                                      "u": [(q(1, 2), 3), (1, q(5, 2))],
+                                      "v": [(q(1, 2), 3), (1, q(7, 2))]}),
+        ])
+
+
+def test_window_bottom_witness_is_gap_piece():
+    cx = _pair_complex(window=(0, 4))
+    with pytest.raises(ActionOutsideWindow,
+                       match=r"'a' dips below the window bottom in \[0, 1\]$"):
+        simulate(cx, [
+            DriftSegment(0, 1, {"a": [(0, 1), (1, -1)],
                                 "b": q(3, 2), "c": 2}),
         ])
 
