@@ -10,7 +10,8 @@ from fractions import Fraction
 
 from chordbars import (F2, FP, INF, QQ, FilteredComplex, barcode_of,
                        barcode_diagram_lines, barcode_table_lines,
-                       canonical_form, extract_table, recover)
+                       canonical_form, check_canonical_form, extract_table,
+                       recover)
 
 q = Fraction
 
@@ -28,13 +29,16 @@ for field, row in [(F2, {"x1": 1, "x2": 1}),
     for line in barcode_table_lines(B):
         print("  " + line)
 
-# The canonical form itself: an action-preserving change of basis plus a
-# perfect pairing of the generators it could cancel.
+# The canonical form itself: the reduction R = D V pairs each killer with
+# the generator it cancels, and an action-preserving change of basis read
+# off R and V (one valid choice, not a unique one) puts the differential in
+# that killer/killed form; check_canonical_form verifies D G = G T.
 cx = FilteredComplex(F2, (0, INF),
                      [("x1", 0, 0), ("x2", q(1, 2), 0),
                       ("y1", 1, 1), ("y2", 2, 1)],
                      {"y1": {"x1": 1, "x2": 1}, "y2": {"x1": 1}})
 F = canonical_form(cx)
+check_canonical_form(cx, F)  # raises EngineMismatch if the witness fails
 print("\npairs (killer, killed):", sorted(F.pairs))
 print("unpaired:", sorted(F.unpaired))
 

@@ -2,10 +2,12 @@
 
 Two independent computations are provided on purpose:
 
-* :func:`canonical_form` / :func:`barcode_from_canonical` — an
-  action-preserving upper-triangular change of basis after which the
-  differential maps each basis element to zero or to a single partner
-  (killer/killed pairing), read off as bars;
+* :func:`canonical_form` / :func:`barcode_from_canonical` — the standard
+  persistence reduction R = D V pairs each killer with the generator it
+  cancels, and an action-preserving upper-triangular change of basis read
+  off R and V (one valid choice, not a unique one) makes the differential
+  map each basis element to zero or to its single partner; the pairs are
+  read off as bars, and :func:`check_canonical_form` verifies D G = G T;
 
 * :func:`barcode_definitional` — a literal rank bookkeeping over sublevel
   complexes: bars alive past a level are counted through dimensions of
@@ -137,10 +139,12 @@ class BarannikovForm:
     """Result of the pairing reduction.
 
     ``order`` lists generator ids sorted by (action, id); ``base_change`` is
-    the upper-triangular matrix G over that order (new basis vectors as
-    columns, raw field values); after the change of basis the differential
-    maps each killer to its killed partner with coefficient exactly 1 and
-    every other basis vector to 0.
+    an upper-triangular matrix G over that order (new basis vectors as
+    columns, raw field values) with a nonzero diagonal, read off R = D V;
+    after the change of basis the differential maps each killer to its
+    killed partner with coefficient exactly 1 and every other basis vector
+    to 0.  G is one valid such base change, not a unique one; the pairs are
+    unique.
     """
 
     __slots__ = ("field", "order", "base_change", "pairs", "unpaired")
@@ -153,117 +157,87 @@ class BarannikovForm:
         self.unpaired = tuple(unpaired)
 
 
-def _find_low(T, j, n):
-    for i in range(n - 1, -1, -1):
-        if T[i][j]:
-            return i
-    return None
-
-
 def canonical_form(C):
     """Action-preserving reduction of the differential to killer/killed form.
 
-    Left-to-right column reduction in action order with lowest-entry pairing;
-    every column operation is mirrored by the row operation that makes the
-    whole transformation a conjugation, so the output matrix stays the matrix
-    of the same differential in the new basis.
+    The standard persistence reduction R = D V over sparse {row: coeff}
+    columns: left to right in action order, each column is reduced by
+    earlier ones until its lowest entry is unclaimed, and V records the
+    column operations.  Column j kills the row i of its lowest entry.  The
+    base change takes R_j as the new vector of a killed i and V_m for every
+    other m; since D V_j = R_j, D R_j = 0 and D V_m = R_m = 0 otherwise, the
+    killer maps to its partner with coefficient exactly 1.
     """
     field = C.field
-    gens = C.generators  # already sorted by (action, id)
-    n = len(gens)
-    index = {g.id: i for i, g in enumerate(gens)}
-    T = linalg.zeros(n, n, field)
-    for j, g in enumerate(gens):
-        for tgt, c in C.differential_raw(g.id).items():
-            T[index[tgt]][j] = c
-    G = linalg.identity(n, field)
-
-    low_owner = {}
-    pairs_idx = {}  # killer column -> killed row
-    for j in range(n):
-        while True:
-            i = _find_low(T, j, n)
-            if i is None:
-                break
-            j2 = low_owner.get(i)
+    order = [g.id for g in C.generators]  # already sorted by (action, id)
+    index = {gid: i for i, gid in enumerate(order)}
+    R, V, pairs = [], [], []
+    killer_of = {}  # killed row -> killer column
+    for j, gid in enumerate(order):
+        r = {index[tgt]: c for tgt, c in C.differential_raw(gid).items()}
+        v = {j: field.one_raw}
+        while r:
+            i = max(r)
+            j2 = killer_of.get(i)
             if j2 is None:
-                low_owner[i] = j
-                pairs_idx[j] = i
+                killer_of[i] = j
+                pairs.append((gid, order[i]))
                 break
-            # cancel the shared low: column op col_j -= a*col_j2 ...
-            a = field.div(T[i][j], T[i][j2])
-            for r in range(i + 1):
-                if T[r][j2]:
-                    T[r][j] = field.sub(T[r][j], field.mul(a, T[r][j2]))
-                if G[r][j2]:
-                    G[r][j] = field.sub(G[r][j], field.mul(a, G[r][j2]))
-            for r in range(i + 1, n):
-                if G[r][j2]:
-                    G[r][j] = field.sub(G[r][j], field.mul(a, G[r][j2]))
-            # ... mirrored by the row op that re-expresses old basis vectors;
-            # it only touches columns m > j (strict upper-triangularity).
-            row_j = T[j]
-            row_j2 = T[j2]
-            for m in range(j + 1, n):
-                if row_j[m]:
-                    row_j2[m] = field.add(row_j2[m], field.mul(a, row_j[m]))
+            a = field.div(r[i], R[j2][i])
+            for col, src in ((r, R[j2]), (v, V[j2])):
+                for k, c in src.items():
+                    x = field.sub(col.get(k, field.zero_raw), field.mul(a, c))
+                    if x:
+                        col[k] = x
+                    else:
+                        del col[k]
+        R.append(r)
+        V.append(v)
 
-    killed = set(pairs_idx.values())
-    killers = set(pairs_idx)
-
-    # cleanup: clear entries above each pair pivot.  Support rows of killer
-    # columns are never killer indices themselves (a consequence of T^2 = 0
-    # with distinct lows), so the mirrored column ops below add zero columns
-    # and the matrix only changes through the explicit row updates.
-    for j, i in sorted(pairs_idx.items(), key=lambda kv: -kv[1]):
-        pivot = T[i][j]
-        assert pivot
-        for h in range(i - 1, -1, -1):
-            if not T[h][j]:
-                continue
-            assert h not in killers, "pivot-row support hit a killer column"
-            d = field.div(T[h][j], pivot)
-            # conjugation: basis vector at i absorbs d * (vector at h)
-            for r in range(h + 1):
-                if G[r][h]:
-                    G[r][i] = field.add(G[r][i], field.mul(d, G[r][h]))
-            Th, Ti = T[h], T[i]
-            for m in range(n):
-                if Ti[m]:
-                    Th[m] = field.sub(Th[m], field.mul(d, Ti[m]))
-            assert not T[h][j]
-
-    # normalize pivots to 1 by rescaling the killed basis vectors
-    one = field.one_raw
-    for j, i in pairs_idx.items():
-        pivot = T[i][j]
-        if pivot != one:
-            inv = field.inv(pivot)
-            for r in range(i + 1):
-                if G[r][i]:
-                    G[r][i] = field.mul(pivot, G[r][i])
-            Ti = T[i]
-            for m in range(n):
-                if Ti[m]:
-                    Ti[m] = field.mul(inv, Ti[m])
-
-    if __debug__:
-        # final shape: exactly one unit entry per pair, nothing else
-        for j in range(n):
-            for i in range(n):
-                expect = one if pairs_idx.get(j) == i else field.zero_raw
-                assert T[i][j] == expect, "reduction left a stray entry"
-        # conjugation witness: D G = G T exactly
-        D = linalg.zeros(n, n, field)
-        for j, g in enumerate(gens):
-            for tgt, c in C.differential_raw(g.id).items():
-                D[index[tgt]][j] = c
-        assert linalg.matmul(D, G, field) == linalg.matmul(G, T, field)
-
-    order = [g.id for g in gens]
-    pairs = [(order[j], order[i]) for j, i in sorted(pairs_idx.items())]
-    unpaired = [order[m] for m in range(n) if m not in killers and m not in killed]
+    n = len(order)
+    G = linalg.zeros(n, n, field)
+    for m in range(n):
+        for k, c in (R[killer_of[m]] if m in killer_of else V[m]).items():
+            G[k][m] = c
+    unpaired = [order[m] for m in range(n) if not R[m] and m not in killer_of]
     return BarannikovForm(field, order, G, pairs, unpaired)
+
+
+def check_canonical_form(C, F):
+    """Raise EngineMismatch unless F is a killer/killed normal form of C.
+
+    Checks that F pairs or leaves unpaired each generator of C exactly once,
+    that G = ``F.base_change`` is upper-triangular with a nonzero diagonal
+    (so action-preserving and invertible), and the conjugation D G = G T
+    column by column: D g_m, applied sparsely through ``differential_raw``,
+    is g_i when m kills i and 0 otherwise.  The error names the generator.
+    """
+    field, G, order = F.field, F.base_change, F.order
+    n = len(order)
+    if list(order) != [g.id for g in C.generators]:
+        raise EngineMismatch("canonical form order %r is not the complex's"
+                             % (order,))
+    index = {gid: i for i, gid in enumerate(order)}
+    covered = [g for pair in F.pairs for g in pair] + list(F.unpaired)
+    if sorted(index.get(g, -1) for g in covered) != list(range(n)):
+        raise EngineMismatch("canonical form does not pair or leave unpaired "
+                             "each generator exactly once")
+    partner = {index[k]: index[d] for k, d in F.pairs}
+    for m, gid in enumerate(order):
+        if not G[m][m] or any(G[r][m] for r in range(m + 1, n)):
+            raise EngineMismatch("base change column of %r is not upper-"
+                                 "triangular with a nonzero diagonal" % (gid,))
+        image = {}
+        for r in range(m + 1):
+            if G[r][m]:
+                for tgt, c in C.differential_raw(order[r]).items():
+                    k = index[tgt]
+                    image[k] = field.add(image.get(k, field.zero_raw),
+                                         field.mul(G[r][m], c))
+        p = partner.get(m)
+        want = {} if p is None else {r: G[r][p] for r in range(n) if G[r][p]}
+        if {k: x for k, x in image.items() if x} != want:
+            raise EngineMismatch("base change breaks D G = G T at generator %r" % (gid,))
 
 
 def barcode_from_canonical(F, C):
@@ -360,7 +334,9 @@ def barcode_of(C, engine="canonical"):
     if engine == "definitional":
         return barcode_definitional(C)
     if engine == "both":
-        b1 = barcode_from_canonical(canonical_form(C), C)
+        F = canonical_form(C)
+        check_canonical_form(C, F)
+        b1 = barcode_from_canonical(F, C)
         b2 = barcode_definitional(C)
         if b1 != b2:
             raise EngineMismatch(

@@ -16,10 +16,10 @@ from fractions import Fraction
 
 from .complexes import INF, FilteredComplex, as_action
 from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
-                     DuplicateId, ForeignGenerator, MixedOutputViolation,
-                     NotChainMap, NotSquareZero, OrderingViolated,
-                     PureChordOfForbiddenLength, SearchBudgetExceeded,
-                     ValidationError, WindowTooWide)
+                     DuplicateId, FieldMismatch, ForeignGenerator,
+                     MixedOutputViolation, NotChainMap, NotSquareZero,
+                     OrderingViolated, PureChordOfForbiddenLength,
+                     SearchBudgetExceeded, ValidationError, WindowTooWide)
 from . import linalg
 
 
@@ -107,8 +107,13 @@ class AlgebraElement:
         else:
             out.pop(word, None)
 
+    def _same_field(self, other):
+        if other.field is not self.field:
+            raise FieldMismatch("element over %r combined with one over %r"
+                                % (other.field, self.field))
+
     def __add__(self, other):
-        assert self.field is other.field
+        self._same_field(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
             self._accumulate(out, w, c)
@@ -127,7 +132,7 @@ class AlgebraElement:
         return e
 
     def __mul__(self, other):
-        assert self.field is other.field
+        self._same_field(other)
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -184,7 +189,9 @@ class ChordDGA:
 
     def _coerce_element(self, value):
         if isinstance(value, AlgebraElement):
-            assert value.field is self.field
+            if value.field is not self.field:
+                raise FieldMismatch("element over %r in a DGA over %r"
+                                    % (value.field, self.field))
             return value
         if isinstance(value, dict):
             return AlgebraElement(self.field, value)

@@ -25,11 +25,14 @@ from .piecewise import PLPath, merge_times
 
 
 def _as_path(value, t0, t1):
-    """Accept a PLPath, a constant, or a list of (t, v) pairs."""
+    """Accept a PLPath, a constant, or a list of (t, v) pairs.
+
+    Breakpoints are coerced to exact actions, those of a given PLPath too.
+    """
     if value is None:
         return None
     if isinstance(value, PLPath):
-        return value
+        value = value.points
     if isinstance(value, (list, tuple)):
         return PLPath([(as_action(t), as_action(v)) for t, v in value])
     return PLPath.constant(as_action(value), t0, t1)

@@ -1,15 +1,20 @@
 """Barcodes: canonical pairing, the independent definitional engine, table
 recovery, and counting identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chordbars
 from chordbars import (F2, FP, INF, QQ, Bar, FilteredComplex, barcode_of,
-                       barcode_table_lines, canonical_form, endpoints_at,
-                       extract_table, persisting_count, random_complex,
-                       recover)
+                       barcode_table_lines, canonical_form,
+                       check_canonical_form, endpoints_at, extract_table,
+                       persisting_count, random_complex, recover)
 from chordbars.barcodes import barcode_csv_rows, barcode_diagram_lines
 from chordbars.errors import EngineMismatch, InconsistentTable
 
@@ -69,6 +74,7 @@ def test_base_change_is_action_preserving():
         rng = random.Random(seed)
         cx = random_complex(rng, rng.choice(FIELDS), max_generators=12)
         form = canonical_form(cx)
+        check_canonical_form(cx, form)
         gens = {qq.id: qq for qq in cx.generators}
         acts = [gens[gid].action for gid in form.order]
         G = form.base_change
@@ -76,6 +82,59 @@ def test_base_change_is_action_preserving():
             for j in range(len(form.order)):
                 if G[i][j]:
                     assert acts[i] <= acts[j]
+
+
+def test_check_canonical_form_rejects_scaled_killer():
+    for field in (FP(5), QQ):
+        cx = _crossing_fixture(field, {"x1": 1, "x2": 1}, {"x1": 1})
+        form = canonical_form(cx)
+        check_canonical_form(cx, form)
+        m = form.order.index("y1")
+        for row in form.base_change:  # scale the killer column by 2
+            row[m] = field.mul(row[m], field.coerce(2))
+        with pytest.raises(EngineMismatch, match="'y1'"):
+            check_canonical_form(cx, form)
+    cx = FilteredComplex(QQ, (0, INF), [("c", 2, 1)], {})
+    form = canonical_form(cx)
+    form.unpaired = ()
+    with pytest.raises(EngineMismatch, match="exactly once"):
+        check_canonical_form(cx, form)
+    # a singular base change satisfies D G = G T trivially
+    form = canonical_form(cx)
+    form.base_change[0][0] = QQ.zero_raw
+    with pytest.raises(EngineMismatch, match="'c'"):
+        check_canonical_form(cx, form)
+
+
+def test_engine_both_checks_the_form_under_optimize():
+    # the witness is an explicit check, not an assert: ``-O`` keeps it
+    script = """
+import chordbars.barcodes as bc
+from chordbars import QQ, INF, FilteredComplex
+from chordbars.errors import EngineMismatch
+real = bc.canonical_form
+def broken(C):
+    form = real(C)
+    for row in form.base_change:  # double the killer column of y
+        row[1] *= 2
+    return form
+bc.canonical_form = broken
+cx = FilteredComplex(QQ, (0, INF), [("x", 0, 0), ("y", 1, 1)], {"y": {"x": 1}})
+try:
+    bc.barcode_of(cx, engine="both")
+except EngineMismatch as exc:
+    print("EngineMismatch:", exc)
+"""
+    env = dict(os.environ)
+    src = str(Path(chordbars.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable] + flags + ["-c", script],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (flags, run.stderr)
+        assert run.stdout.startswith("EngineMismatch:"), (flags, run.stdout)
+        assert "'y'" in run.stdout
 
 
 def test_window_top_is_not_a_bar_end():

@@ -14,9 +14,10 @@ from chordbars import (INF, QQ, AlgebraElement, Augmentation, Chord,
                        random_two_component_dga, stabilized_unknot_shape,
                        standard_unknot_shape, sub_dga, two_copy_template,
                        validate_dga)
-from chordbars.errors import (AugmentationInvalid, NotChainMap,
-                              OrderingViolated, SearchBudgetExceeded,
-                              ValidationError, WindowTooWide)
+from chordbars.errors import (AugmentationInvalid, FieldMismatch,
+                              NotChainMap, OrderingViolated,
+                              SearchBudgetExceeded, ValidationError,
+                              WindowTooWide)
 from chordbars.fields import FP
 
 from support import bars_as_tuples, linearized_rows_oracle
@@ -52,6 +53,17 @@ def test_leibniz_property(data):
     rhs = (D.diff_word(w1) * AlgebraElement.word(F5, w2)
            + (AlgebraElement.word(F5, w1) * D.diff_word(w2)).scaled(sign))
     assert lhs == rhs
+
+
+def test_mixed_fields_rejected():
+    a_q = AlgebraElement(QQ, {("a",): 1})
+    a_2 = AlgebraElement(F2, {("a",): 1})
+    with pytest.raises(FieldMismatch):
+        a_q + a_2
+    with pytest.raises(FieldMismatch):
+        a_q * a_2
+    with pytest.raises(FieldMismatch):
+        ChordDGA(QQ, [Chord("a", 1, 0), Chord("x", 2, 1)], {"x": a_2})
 
 
 def test_linearization_direct_row():

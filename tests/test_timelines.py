@@ -7,9 +7,9 @@ import pytest
 
 from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        EntryAbove, EntryBelow, ExitAbove, ExitBelow,
-                       FilteredComplex, HandleSlide, check_transitions,
-                       drift_speed_audit, random_timeline, simulate,
-                       vineyard_rows)
+                       FilteredComplex, HandleSlide, PLPath,
+                       check_transitions, drift_speed_audit, random_timeline,
+                       simulate, vineyard_rows)
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
@@ -43,6 +43,19 @@ def test_pure_drift_moves_endpoints():
     finite = [r for r in rows if r[3] != INF]
     assert finite[0][2] == 1 and finite[-1][2] == q(5, 4)
     assert all(len(r) == 5 for r in rows)
+
+
+def test_int_breakpoint_paths_stay_exact():
+    # a PLPath with int breakpoints is coerced like a list of pairs, so
+    # sample times and actions stay exact rationals
+    cx = FilteredComplex(F2, (0, INF), [("p", 1, 0), ("r", 2, 0)], {})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"p": PLPath([(0, 1), (1, 3)]),
+                            "r": PLPath([(0, 2), (1, 2)])}),
+    ])
+    assert check_transitions(trace).ok
+    assert [s.t for s in trace.samples] == [0, q(1, 4), q(3, 4), 1]
+    assert all(type(s.t) is Fraction for s in trace.samples)
 
 
 def test_slide_death_birth_script():
