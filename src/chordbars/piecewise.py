@@ -17,7 +17,11 @@ class PLPath:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = tuple((t, v) for t, v in points)
+        # ints become Fractions so slopes, zeros and interpolation stay
+        # exact; floats stay floats for the float mode of ``bounds``
+        pts = tuple((Fraction(t) if isinstance(t, int) else t,
+                     Fraction(v) if isinstance(v, int) else v)
+                    for t, v in points)
         if len(pts) < 2:
             raise ValidationError("a path needs at least two breakpoints")
         for (t0, _), (t1, _) in zip(pts, pts[1:]):
@@ -82,9 +86,46 @@ class PLPath:
             return v1
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
+    def values_at(self, ts):
+        """Values at the ascending times ``ts``, in one sweep of the pieces.
+
+        Equal to ``[self.value(t) for t in ts]``; each piece's rise and run
+        are computed once, however many of the times fall inside it.  A time
+        outside the domain, or before the piece of an earlier time, raises
+        :class:`ValidationError`.
+        """
+        pts = self.points
+        last = len(pts) - 1
+        i = 1
+        t0, v0 = pts[0]
+        t1, v1 = pts[1]
+        rise = None
+        out = []
+        for t in ts:
+            while t > t1 and i < last:
+                i += 1
+                t0, v0 = t1, v1
+                t1, v1 = pts[i]
+                rise = None
+            if t == t1:
+                out.append(v1)
+            elif t0 < t < t1:
+                if rise is None:
+                    rise, run = v1 - v0, t1 - t0
+                out.append(v0 + rise * (t - t0) / run)
+            elif t == t0:
+                out.append(v0)
+            else:
+                raise ValidationError(
+                    "time %s outside path domain [%s, %s] or out of order"
+                    % (t, self.t_start, self.t_end))
+        return out
+
     def slope_after(self, t):
         """One-sided derivative just to the right of t."""
-        assert t < self.t_end
+        if not t < self.t_end:
+            raise ValidationError("no slope after the path end %s (t = %s)"
+                                  % (self.t_end, t))
         i = self._locate(t)
         if t == self.points[i + 1][0]:
             i += 1
@@ -92,7 +133,10 @@ class PLPath:
         return (v1 - v0) / (t1 - t0)
 
     def slope_before(self, t):
-        assert t > self.t_start
+        """One-sided derivative just to the left of t."""
+        if not t > self.t_start:
+            raise ValidationError("no slope before the path start %s (t = %s)"
+                                  % (self.t_start, t))
         i = self._locate(t)
         if t == self.points[i][0]:
             i -= 1
@@ -118,12 +162,30 @@ class PLPath:
     # pointwise arithmetic ----------------------------------------------------
 
     def _zip_with(self, other, op):
-        if isinstance(other, PLPath):
-            if (self.t_start, self.t_end) != (other.t_start, other.t_end):
-                raise ValidationError("paths live on different intervals")
-            ts = merge_times(self.breakpoint_times(), other.breakpoint_times())
-            return PLPath([(t, op(self.value(t), other.value(t))) for t in ts])
-        return PLPath([(t, op(v, other)) for t, v in self.points])
+        if not isinstance(other, PLPath):
+            return PLPath([(t, op(v, other)) for t, v in self.points])
+        p, q = self.points, other.points
+        if p[0][0] != q[0][0] or p[-1][0] != q[-1][0]:
+            raise ValidationError("paths live on different intervals")
+        # one merge of both breakpoint lists; a path is interpolated only at
+        # the other's times, on the piece ending at its own next breakpoint
+        out = [(p[0][0], op(p[0][1], q[0][1]))]
+        i = j = 1
+        while i < len(p):
+            (tp, vp), (tq, vq) = p[i], q[j]
+            if tp == tq:
+                out.append((tp, op(vp, vq)))
+                i += 1
+                j += 1
+            elif tp < tq:
+                t0, v0 = q[j - 1]
+                out.append((tp, op(vp, v0 + (vq - v0) * (tp - t0) / (tq - t0))))
+                i += 1
+            else:
+                t0, v0 = p[i - 1]
+                out.append((tq, op(v0 + (vp - v0) * (tq - t0) / (tp - t0), vq)))
+                j += 1
+        return PLPath(out)
 
     def __add__(self, other):
         return self._zip_with(other, lambda x, y: x + y)

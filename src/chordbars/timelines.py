@@ -360,12 +360,12 @@ def _run_segment(trace, state, seg, entering_event=None):
         raise ValidationError("segment paths mismatch state (missing %s, extra %s)"
                               % (missing, extra))
     for gid, p in seg.actions.items():
-        if p.value(t0) != state.actions[gid]:
+        if p.start_value != state.actions[gid]:
             raise ValidationError(
                 "path of %r starts at %s but the generator sits at %s (t=%s)"
-                % (gid, p.value(t0), state.actions[gid], t0))
+                % (gid, p.start_value, state.actions[gid], t0))
     a_path = seg.window_a or PLPath.constant(state.a, t0, t1)
-    if a_path.value(t0) != state.a:
+    if a_path.start_value != state.a:
         raise ValidationError("window bottom jumps at t=%s" % t0)
     if seg.window_b is None:
         b_path = INF if state.b == INF else PLPath.constant(state.b, t0, t1)
@@ -374,17 +374,23 @@ def _run_segment(trace, state, seg, entering_event=None):
     if b_path == INF:
         if state.b != INF:
             raise ValidationError("window top jumps to infinity at t=%s" % t0)
-    elif state.b == INF or b_path.value(t0) != state.b:
+    elif state.b == INF or b_path.start_value != state.b:
         raise ValidationError("window top jumps at t=%s" % t0)
 
     ids = sorted(seg.actions)
     paths = seg.actions
 
     # 2. exact crossing detection (pairwise); coincidence on an interval is
-    # never generic
+    # never generic.  Paths with disjoint value ranges never meet, so their
+    # difference is never built; pairs keep their sorted-id order.
     crossings = set()
+    ranges = {gid: (p.min_value(), p.max_value()) for gid, p in paths.items()}
     for i, g1 in enumerate(ids):
+        lo1, hi1 = ranges[g1]
         for g2 in ids[i + 1:]:
+            lo2, hi2 = ranges[g2]
+            if hi1 < lo2 or hi2 < lo1:
+                continue
             roots, flats = (paths[g1] - paths[g2]).zeros()
             if flats:
                 raise NonGenericCrossing(
@@ -463,12 +469,16 @@ def _run_segment(trace, state, seg, entering_event=None):
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
-    # in particular just after an event at t0 and just before one at t1
+    # in particular just after an event at t0 and just before one at t1;
+    # each path is evaluated at all midpoints in one sweep
+    mids = [(ta + tb) / 2 for ta, tb in zip(critical, critical[1:])]
+    columns = [paths[gid].values_at(mids) for gid in ids]
+    a_vals = a_path.values_at(mids)
+    b_vals = [INF] * len(mids) if b_path == INF else b_path.values_at(mids)
     sample_indices = []
-    for i in range(len(critical) - 1):
-        t = (critical[i] + critical[i + 1]) / 2
-        actions = {gid: paths[gid].value(t) for gid in ids}
-        win = (a_path.value(t), INF if b_path == INF else b_path.value(t))
+    for k, t in enumerate(mids):
+        actions = {gid: col[k] for gid, col in zip(ids, columns)}
+        win = (a_vals[k], b_vals[k])
         sample_indices.append(trace.add_sample(t, state.complex(actions, win)))
 
     trace.segments.append(SegmentTrace(seg, paths, a_path, b_path,
@@ -476,9 +486,9 @@ def _run_segment(trace, state, seg, entering_event=None):
                                        sample_indices))
 
     # 6. advance the state to t1
-    state.actions = {gid: paths[gid].value(t1) for gid in ids}
-    state.a = a_path.value(t1)
-    state.b = INF if b_path == INF else b_path.value(t1)
+    state.actions = {gid: paths[gid].end_value for gid in ids}
+    state.a = a_path.end_value
+    state.b = INF if b_path == INF else b_path.end_value
     state.pending_gap_zero = pending_gaps
     state.pending_top_zero = pending_top
 
@@ -856,11 +866,16 @@ def check_transitions(trace):
     # --- continuity along each segment -----------------------------------
     for st in trace.segments:
         idxs = st.sample_indices
+        cs = st.crossings
+        # every path once, at all of the segment's (sorted) crossings
+        columns = [(gid, p.values_at(cs)) for gid, p in st.paths.items()]
+        j = 0
         for k in range(len(idxs) - 1):
             s1 = trace.samples[idxs[k]]
             s2 = trace.samples[idxs[k + 1]]
-            between = [c for c in st.crossings if s1.t < c < s2.t]
-            if not between:
+            while j < len(cs) and cs[j] <= s1.t:
+                j += 1
+            if j == len(cs) or not cs[j] < s2.t:
                 ok = s1.pairs == s2.pairs
                 entries.append(CheckEntry(
                     "continuity", s2.t, ok,
@@ -868,8 +883,8 @@ def check_transitions(trace):
                 continue
             # consecutive midpoint samples are separated by exactly one
             # critical time; a crossing between them must match by value
-            c = between[0]
-            acts = st.actions_at(c)
+            c = cs[j]
+            acts = {gid: col[j] for gid, col in columns}
             left = _pairing_bars_at(s1.pairs, acts, st.degrees)
             right = _pairing_bars_at(s2.pairs, acts, st.degrees)
             ok = left == right

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -253,3 +254,85 @@ def test_optimized_mode_output_identical(fixture_dir):
         assert plain.returncode == 0, (argv, plain.stderr)
         assert (optimized.returncode, optimized.stdout) == \
             (plain.returncode, plain.stdout), argv
+
+
+_JUNK = (None, True, 1.5, "", "1/0", "inf", [], {}, 10 ** 30)
+
+
+def _mutate(rng, doc):
+    """One random edit: drop a key, pop a list item, or swap a node (the
+    whole document included) for a junk value or a copy of another node."""
+    slots = []
+
+    def walk(node):
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            slots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    if not slots or rng.random() < 0.02:
+        return rng.choice(_JUNK)
+    container, key = rng.choice(slots)
+    r = rng.random()
+    if r < 0.3:
+        del container[key]
+    elif r < 0.6:
+        donor, donor_key = rng.choice(slots)
+        container[key] = json.loads(json.dumps(donor[donor_key]))
+    else:
+        container[key] = rng.choice(_JUNK)
+    return doc
+
+
+def _csv_text(rows):
+    if not isinstance(rows, list):
+        return str(rows)
+    return "".join((",".join(map(str, r)) if isinstance(r, list) else str(r))
+                   + "\n" for r in rows)
+
+
+def test_exit_contract_under_mutated_fixtures(fixture_dir, capsys):
+    # every mutated input ends in exit 0, 1 or 2; nothing escapes main();
+    # the CSV profile is mutated as a list of rows of cells
+    fx = str(fixture_dir)
+    mutated = str(fixture_dir / "mutated")
+    cases = [
+        ("demo_complex.json", ["validate", mutated]),
+        ("demo_timeline.json", ["validate", mutated]),
+        ("standard_unknot.dga.json", ["validate", mutated]),
+        ("demo_complex.json", ["barcode", mutated, "--engine", "both"]),
+        ("demo_timeline.json", ["simulate", mutated]),
+        ("two_copy.dga.json", ["linearize", mutated,
+                               fx + "/two_copy.augmentation.json",
+                               "--window", "9", "12"]),
+        ("two_copy.augmentation.json", ["linearize",
+                                        fx + "/two_copy.dga.json", mutated,
+                                        "--window", "9", "12"]),
+        ("sigma.json", ["bound", mutated, fx + "/betti.json",
+                        "--oscillation", "49/10"]),
+        ("betti.json", ["bound", fx + "/sigma.json", mutated,
+                        "--profile", fx + "/profile.csv"]),
+        ("profile.csv", ["bound", fx + "/sigma.json", fx + "/betti.json",
+                         "--profile", mutated]),
+    ]
+    rng = random.Random(20261018)
+    for name, argv in cases:
+        text = (fixture_dir / name).read_text()
+        is_csv = name.endswith(".csv")
+        original = ([line.split(",") for line in text.splitlines()]
+                    if is_csv else json.loads(text))
+        for _ in range(200):
+            doc = json.loads(json.dumps(original))
+            for _ in range(rng.randint(1, 3)):
+                doc = _mutate(rng, doc)
+            text = _csv_text(doc) if is_csv else json.dumps(doc)
+            with open(mutated, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail("%s on %s raised %r" % (argv[0], text, exc))
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv[0], text, code)

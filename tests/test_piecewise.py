@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordbars import PLPath
+from chordbars.piecewise import merge_times
 from chordbars.errors import ValidationError
 
 q = Fraction
@@ -37,6 +38,22 @@ def test_values_and_slopes():
     for t in (-1, q(3, 2), 5):
         with pytest.raises(ValidationError):
             p.value(t)
+    # one-sided slopes need a piece on that side, also under python -O
+    with pytest.raises(ValidationError):
+        PLPath([(0, 0), (1, 1), (2, 5)]).slope_before(0)
+    with pytest.raises(ValidationError):
+        PLPath([(0, 0), (1, 1)]).slope_after(1)
+
+
+def test_int_breakpoints_stay_exact():
+    p = PLPath([(0, 1), (1, 3)])
+    slope = p.slope_after(0)
+    assert slope == 2 and type(slope) is Fraction
+    roots, flats = (p - PLPath([(0, 2), (1, 2)])).zeros()
+    assert roots == [q(1, 2)] and type(roots[0]) is Fraction
+    assert flats == []
+    # floats stay floats (the float mode of bounds)
+    assert type(PLPath([(0, 1.5), (1, 2)]).value(q(1, 2))) is float
 
 
 def test_integral_exact():
@@ -114,8 +131,27 @@ def test_sum_pointwise(p1, p2):
     hi = min(p1.t_end, p2.t_end)
     if not lo < hi:
         return
-    s = p1.restrict(lo, hi) + p2.restrict(lo, hi)
-    for t in s.breakpoint_times():
+    r1, r2 = p1.restrict(lo, hi), p2.restrict(lo, hi)
+    s, d = r1 + r2, r1 - r2
+    ts = merge_times(r1.breakpoint_times(), r2.breakpoint_times())
+    assert s.breakpoint_times() == ts and d.breakpoint_times() == ts
+    for t in ts:
         assert s.value(t) == p1.value(t) + p2.value(t)
-    assert s.min_value() >= p1.restrict(lo, hi).min_value() \
-        + p2.restrict(lo, hi).min_value()
+        assert d.value(t) == p1.value(t) - p2.value(t)
+    assert s.min_value() >= r1.min_value() + r2.min_value()
+
+
+@settings(max_examples=100)
+@given(paths(), st.data())
+def test_values_at_matches_value(p, data):
+    inner = data.draw(st.lists(
+        st.fractions(p.t_start, p.t_end, max_denominator=16), max_size=8))
+    ts = sorted(inner + p.breakpoint_times() + [p.t_start, p.t_end])
+    assert p.values_at(ts) == [p.value(t) for t in ts]
+    assert p.values_at([]) == []
+    outside = data.draw(st.sampled_from([p.t_start - 1, p.t_end + q(1, 3)]))
+    with pytest.raises(ValidationError):
+        p.values_at(sorted(ts + [outside]))
+    if len(p.points) > 2:  # a time before the current piece
+        with pytest.raises(ValidationError):
+            p.values_at([p.t_end, p.t_start])

@@ -45,6 +45,18 @@ def test_pure_drift_moves_endpoints():
     assert all(len(r) == 5 for r in rows)
 
 
+def test_touching_ranges_still_cross():
+    # p peaks at 2 exactly when r bottoms out at 2: the value ranges only
+    # touch, so the pair must not be pruned from crossing detection
+    cx = FilteredComplex(F2, (0, INF), [("p", 1, 0), ("r", 3, 0)], {})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"p": [(0, 1), (q(1, 2), 2), (1, 1)],
+                            "r": [(0, 3), (q(1, 2), 2), (1, 3)]}),
+    ])
+    assert trace.segments[0].crossings == [q(1, 2)]
+    assert check_transitions(trace).ok
+
+
 def test_int_breakpoint_paths_stay_exact():
     # a PLPath with int breakpoints is coerced like a list of pairs, so
     # sample times and actions stay exact rationals
