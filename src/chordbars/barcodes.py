@@ -97,9 +97,6 @@ class Barcode:
     def __repr__(self):
         return "Barcode(%s)" % (list(self.bars),)
 
-    def in_degree(self, d):
-        return Barcode(b for b in self.bars if b.degree == d)
-
     def degrees(self):
         return sorted({b.degree for b in self.bars if b.degree is not None})
 
@@ -118,9 +115,6 @@ class Barcode:
     def endpoints_at(self, l):
         """Number of bar endpoints (starts plus finite ends) equal to l."""
         return sum((b.start == l) + (b.end == l) for b in self.bars)
-
-    def longer_than(self, threshold):
-        return [b for b in self.bars if b.length >= threshold]
 
 
 def persisting_count(B, level, start_below=None):
@@ -183,14 +177,9 @@ def canonical_form(C):
                 killer_of[i] = j
                 pairs.append((gid, order[i]))
                 break
-            a = field.div(r[i], R[j2][i])
-            for col, src in ((r, R[j2]), (v, V[j2])):
-                for k, c in src.items():
-                    x = field.sub(col.get(k, field.zero_raw), field.mul(a, c))
-                    if x:
-                        col[k] = x
-                    else:
-                        del col[k]
+            a = field.neg(field.div(r[i], R[j2][i]))
+            field.add_scaled(r, R[j2], a)
+            field.add_scaled(v, V[j2], a)
         R.append(r)
         V.append(v)
 
@@ -230,13 +219,11 @@ def check_canonical_form(C, F):
         image = {}
         for r in range(m + 1):
             if G[r][m]:
-                for tgt, c in C.differential_raw(order[r]).items():
-                    k = index[tgt]
-                    image[k] = field.add(image.get(k, field.zero_raw),
-                                         field.mul(G[r][m], c))
+                field.add_scaled(image, C.differential_raw(order[r]), G[r][m])
         p = partner.get(m)
-        want = {} if p is None else {r: G[r][p] for r in range(n) if G[r][p]}
-        if {k: x for k, x in image.items() if x} != want:
+        want = {} if p is None else {order[r]: G[r][p]
+                                     for r in range(n) if G[r][p]}
+        if image != want:
             raise EngineMismatch("base change breaks D G = G T at generator %r" % (gid,))
 
 
@@ -246,7 +233,6 @@ def barcode_from_canonical(F, C):
     for killer, killed in F.pairs:
         gk = C.generator(killer)
         gd = C.generator(killed)
-        assert gd.action < gk.action
         bars.append(Bar(gd.action, gk.action, gd.degree))
     for gid in F.unpaired:
         g = C.generator(gid)
@@ -274,7 +260,7 @@ def barcode_definitional(C):
         n_d = len(cols_d)
         if n_d == 0:
             continue
-        assert [g.id for g in rows_up] == [g.id for g in cols_d]
+        assert rows_up == cols_d  # invariant: both are C's degree-d generators
         start_levels = sorted({g.action for g in cols_d})
         crit = sorted({g.action for g in cols_d} | {g.action for g in cols_up})
         k = len(crit)
@@ -318,7 +304,7 @@ def barcode_definitional(C):
             s_idx = crit.index(s)
             for e_idx in range(s_idx + 1, k):
                 died = A[e_idx - 1] - A[e_idx]
-                assert died >= 0
+                assert died >= 0  # invariant: bars born at s alive past e fall as e grows
                 for _ in range(died):
                     bars.append(Bar(s, crit[e_idx], d))
             for _ in range(A[k - 1]):

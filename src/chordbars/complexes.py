@@ -20,6 +20,16 @@ INF = math.inf
 NEG_INF = -math.inf
 
 
+def boundary_raw(field, diff, chain):
+    """Boundary of a raw sparse chain under a {source: {target: raw}} map."""
+    out = {}
+    for gid, c in chain.items():
+        row = diff.get(gid)
+        if row:
+            field.add_scaled(out, row, c)
+    return out
+
+
 def as_action(value, allow_inf=False):
     """Coerce an exact action value (int, str, Fraction; optionally inf)."""
     if value in (INF, "inf") and allow_inf:
@@ -125,7 +135,7 @@ class FilteredComplex:
 
         # exact square-zero check
         for g in self.generators:
-            sq = self._boundary_raw(self._diff.get(g.id, {}))
+            sq = boundary_raw(field, diff, diff.get(g.id, {}))
             if sq:
                 raise NotSquareZero("differential does not square to zero on %r" % g.id,
                                     witness=g.id)
@@ -137,9 +147,6 @@ class FilteredComplex:
         if g is None:
             raise ForeignGenerator("unknown generator id %r" % (gid,))
         return g
-
-    def has_generator(self, gid):
-        return gid in self._by_id
 
     def __len__(self):
         return len(self.generators)
@@ -157,7 +164,7 @@ class FilteredComplex:
     def boundary(self, x):
         """Boundary of a chain (sparse {id: Scalar} in, same out)."""
         raw = self._coerce_chain(x)
-        out = self._boundary_raw(raw)
+        out = boundary_raw(self.field, self._diff, raw)
         return {gid: Scalar(self.field, c) for gid, c in out.items()}
 
     def _coerce_chain(self, x):
@@ -169,18 +176,6 @@ class FilteredComplex:
             if c:
                 raw[gid] = c
         return raw
-
-    def _boundary_raw(self, raw_chain):
-        field = self.field
-        out = {}
-        for gid, c in raw_chain.items():
-            for tgt, d in self._diff.get(gid, {}).items():
-                acc = field.add(out.get(tgt, field.zero_raw), field.mul(c, d))
-                if acc:
-                    out[tgt] = acc
-                else:
-                    out.pop(tgt, None)
-        return out
 
     def action_of(self, x):
         """Max generator action over nonzero coefficients; -inf for zero."""
@@ -265,15 +260,36 @@ class FilteredComplex:
                 % (self.field.tag, a, "inf" if b == INF else b, len(self.generators)))
 
 
+def random_differential(rng, field, gens, p):
+    """Seeded random differential on generators sorted by (action, id).
+
+    In that order, each generator with probability ``p`` bounds a random
+    combination of one to three kernel vectors of the already-built
+    boundary restricted to strictly lower generators one degree down, so
+    ∂² = 0 holds by construction (no rejection loop).
+    """
+    diff = {}
+    for i, g in enumerate(gens):
+        allowed = [h for h in gens[:i]
+                   if h.degree == g.degree - 1 and h.action < g.action]
+        if allowed and rng.random() < p:
+            kernel = linalg.kernel([diff.get(h.id, {}) for h in allowed], field)
+            if kernel:
+                picks = rng.sample(kernel, k=min(len(kernel), rng.randint(1, 3)))
+                combo = [field.zero_raw] * len(allowed)
+                for v in picks:
+                    c = field.random_unit_raw(rng)
+                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, v)]
+                row = {h.id: c for h, c in zip(allowed, combo) if c}
+                if row:
+                    diff[g.id] = row
+    return diff
+
+
 def random_complex(rng, field, max_generators=20, max_degree=3,
                    window=(0, 16), grid_step=Fraction(1, 4), allow_inf_top=True):
-    """Seeded random valid complex.
-
-    Actions are sampled on a rational grid; generators are processed in
-    action order and each differential is drawn from the exact kernel of the
-    already-built boundary restricted to strictly-lower generators one degree
-    down, so ∂² = 0 holds by construction (no rejection loop).
-    """
+    """Seeded random valid complex: actions on a rational grid, differential
+    from :func:`random_differential`."""
     a = Fraction(window[0])
     b_val = Fraction(window[1])
     n = rng.randint(1, max_generators)
@@ -284,33 +300,6 @@ def random_complex(rng, field, max_generators=20, max_degree=3,
         degree = rng.randint(0, max_degree)
         gens.append(Generator("g%02d" % i, action, degree))
     gens.sort(key=lambda g: g.sort_key)
-
-    diff = {}
-    # boundary rows of already-processed generators, per degree, as raw dicts
-    processed = []
-    for g in gens:
-        allowed = [h for h in processed
-                   if h.degree == g.degree - 1 and h.action < g.action]
-        if allowed and rng.random() < 0.8:
-            # matrix of ∂ restricted to the allowed targets (their own targets
-            # live two degrees down among processed generators)
-            targets2 = sorted({tid for h in allowed for tid in diff.get(h.id, ())})
-            t2_index = {tid: i for i, tid in enumerate(targets2)}
-            M = linalg.zeros(len(targets2), len(allowed), field)
-            for j, h in enumerate(allowed):
-                for tid, c in diff.get(h.id, {}).items():
-                    M[t2_index[tid]][j] = c
-            kernel = linalg.nullspace(M, field, ncols=len(allowed))
-            if kernel:
-                picks = rng.sample(kernel, k=min(len(kernel), rng.randint(1, 3)))
-                combo = [field.zero_raw] * len(allowed)
-                for v in picks:
-                    c = field.random_unit_raw(rng)
-                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, v)]
-                row = {h.id: c for h, c in zip(allowed, combo) if c}
-                if row:
-                    diff[g.id] = row
-        processed.append(g)
-
+    diff = random_differential(rng, field, gens, 0.8)
     top = INF if (allow_inf_top and rng.random() < 0.3) else b_val
     return FilteredComplex(field, (a, top), gens, diff)

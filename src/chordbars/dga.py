@@ -20,7 +20,6 @@ from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
                      MixedOutputViolation, NotChainMap, NotSquareZero,
                      OrderingViolated, PureChordOfForbiddenLength,
                      SearchBudgetExceeded, ValidationError, WindowTooWide)
-from . import linalg
 
 
 class Chord:
@@ -81,6 +80,13 @@ class AlgebraElement:
         return cls(field)
 
     @classmethod
+    def _of_raw(cls, field, terms):
+        """Wrap raw {word: coeff} terms that hold no zero, without copying."""
+        e = cls(field)
+        e.terms = terms
+        return e
+
+    @classmethod
     def unit(cls, field, coeff=1):
         return cls(field, {(): coeff})
 
@@ -100,13 +106,6 @@ class AlgebraElement:
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def _accumulate(self, out, word, coeff):
-        acc = self.field.add(out.get(word, self.field.zero_raw), coeff)
-        if acc:
-            out[word] = acc
-        else:
-            out.pop(word, None)
-
     def _same_field(self, other):
         if other.field is not self.field:
             raise FieldMismatch("element over %r combined with one over %r"
@@ -115,11 +114,8 @@ class AlgebraElement:
     def __add__(self, other):
         self._same_field(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            self._accumulate(out, w, c)
-        e = AlgebraElement(self.field)
-        e.terms = out
-        return e
+        self.field.add_scaled(out, other.terms, self.field.one_raw)
+        return AlgebraElement._of_raw(self.field, out)
 
     def __sub__(self, other):
         return self + other.scaled(self.field.neg(self.field.one_raw))
@@ -135,11 +131,9 @@ class AlgebraElement:
         self._same_field(other)
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                self._accumulate(out, w1 + w2, self.field.mul(c1, c2))
-        e = AlgebraElement(self.field)
-        e.terms = out
-        return e
+            self.field.add_scaled(
+                out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
+        return AlgebraElement._of_raw(self.field, out)
 
     def __repr__(self):
         if not self.terms:
@@ -222,9 +216,6 @@ class ChordDGA:
         return [c for c in self.chords if c.kind == "pure"
                 and (component is None or c.component == component)]
 
-    def mixed_chords(self):
-        return [c for c in self.chords if c.kind == "mixed"]
-
     def forward_mixed(self):
         return [c for c in self.chords if c.is_forward_mixed]
 
@@ -248,28 +239,29 @@ class ChordDGA:
     def diff_of(self, label):
         return self.differential.get(label, AlgebraElement.zero(self.field))
 
-    def diff_word(self, word):
-        """Leibniz expansion with Koszul signs over the word's letters."""
+    def _add_diff_word(self, out, word, coeff):
+        """out += coeff·∂(word), the Leibniz expansion with Koszul signs over
+        the word's letters, accumulated into raw terms."""
         field = self.field
-        out = AlgebraElement.zero(field)
         prefix_degree = 0
         for i, label in enumerate(word):
-            d = self.diff_of(label)
+            d = self.differential.get(label)
             if d:
-                sign = field.one_raw if prefix_degree % 2 == 0 \
-                    else field.neg(field.one_raw)
-                terms = {}
-                for w, c in d.terms.items():
-                    terms[word[:i] + w + word[i + 1:]] = field.mul(c, sign)
-                out = out + AlgebraElement(field, terms)
+                c = coeff if prefix_degree % 2 == 0 else field.neg(coeff)
+                field.add_scaled(out, {word[:i] + w + word[i + 1:]: x
+                                       for w, x in d.terms.items()}, c)
             prefix_degree += self.chord(label).degree
-        return out
+
+    def diff_word(self, word):
+        out = {}
+        self._add_diff_word(out, word, self.field.one_raw)
+        return AlgebraElement._of_raw(self.field, out)
 
     def diff(self, elem):
-        out = AlgebraElement.zero(self.field)
-        for w, c in elem.terms.items():
-            out = out + self.diff_word(w).scaled(c)
-        return out
+        out = {}
+        for w, c in self._coerce_element(elem).terms.items():
+            self._add_diff_word(out, w, c)
+        return AlgebraElement._of_raw(self.field, out)
 
     def require_valid(self):
         if self._report is None:
@@ -509,8 +501,10 @@ class DGAMorphism:
 
     def compose(self, inner):
         """self ∘ inner (inner runs first)."""
-        assert inner.target is self.source or \
-            set(inner.target.labels()) == set(self.source.labels())
+        if inner.target is not self.source and \
+                set(inner.target.labels()) != set(self.source.labels()):
+            raise ValidationError("cannot compose: the inner morphism's target "
+                                  "chords are not this morphism's source chords")
         images = {lab: self.apply(inner.images[lab]) for lab in inner.images}
         return DGAMorphism(inner.source, self.target, images)
 
@@ -532,12 +526,22 @@ def _check_bijection(D_minus, D_plus):
         raise ValidationError("chord sets are not in bijection by label")
 
 
+def _check_length_bound(phi, slack=0):
+    """ValidationError unless Φ raises no chord's length by more than slack."""
+    for c in phi.source.chords:
+        n = phi.target.element_length(phi.images[c.label])
+        if n > c.length + slack:
+            raise ValidationError("image of %r has length %s, above %s + %s"
+                                  % (c.label, n, c.length, slack))
+
+
 def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
     """Φ fixes every generator except ``a``, which gains unit·word.
 
     Requires ℓ(a) ≥ total length of the word on both sides, and the result
     must intertwine the two differentials exactly (NotChainMap otherwise —
-    that signals inconsistent input data, not a bug here).
+    that signals inconsistent input data, not a bug here) and map no chord
+    to a longer element (ValidationError otherwise).
     """
     _check_bijection(D_minus, D_plus)
     word = tuple(word)
@@ -558,9 +562,7 @@ def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
         raise NotChainMap(
             "slide images do not intertwine the differentials (witness %r: "
             "%r vs %r)" % defect)
-    if __debug__:
-        for c in D_minus.chords:
-            assert D_plus.element_length(phi.images[c.label]) <= c.length
+    _check_length_bound(phi)
     return phi
 
 
@@ -579,7 +581,9 @@ def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
     have length between ℓ(b) and ℓ(a); ``ordering`` lists the chords longer
     than a in ascending length.  The map is the base correction (b picks up
     ∂a − b on the plus side) composed with one correction per listed chord,
-    each substituting the first b-letter of its boundary by a.
+    each substituting the first b-letter of its boundary by a.  No image
+    may exceed its chord's length by more than ℓ(a) − ℓ(b) (ValidationError
+    otherwise).
     """
     _check_bijection(D_minus, D_plus)
     a_label = a_plus if isinstance(a_plus, str) else a_plus.label
@@ -630,10 +634,7 @@ def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
         raise NotChainMap(
             "birth images do not intertwine the differentials (witness %r: "
             "%r vs %r)" % defect)
-    if __debug__:
-        slack = la - lb
-        for c in D_minus.chords:
-            assert D_plus.element_length(phi.images[c.label]) <= c.length + slack
+    _check_length_bound(phi, la - lb)
     return phi
 
 
@@ -673,7 +674,6 @@ def partial_linearization(D, eps, window, l=INF):
 
     gens = [c for c in D.forward_mixed() if a <= c.length and
             (b == INF or c.length < b)]
-    kept = {c.label for c in gens}
     diff = {}
     for m in gens:
         row = {}
@@ -689,7 +689,7 @@ def partial_linearization(D, eps, window, l=INF):
                     "word %s of d(%s) has a single mixed letter oriented "
                     "backwards" % ("*".join(word), m.label))
             in_window = a <= target.length and (b == INF or target.length < b)
-            c = coeff
+            c = field.one_raw  # product of the pure letters' values
             for j, lab in enumerate(word):
                 if j == i:
                     continue
@@ -707,16 +707,9 @@ def partial_linearization(D, eps, window, l=INF):
                 c = field.mul(c, eps.value_raw(lab))
                 if not c:
                     break
-            if not c or not in_window:
-                continue
-            prev = row.get(target.label, field.zero_raw)
-            acc = field.add(prev, c)
-            if acc:
-                row[target.label] = acc
-            else:
-                row.pop(target.label, None)
+            if c and in_window:
+                field.add_scaled(row, {target.label: coeff}, c)
         if row:
-            assert set(row) <= kept
             diff[m.label] = row
     return FilteredComplex(field, (a, b),
                            [(c.label, c.length, c.degree) for c in gens],

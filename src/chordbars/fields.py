@@ -8,6 +8,11 @@ Everything is exact; floats never appear.
 The hot loops in the linear algebra kernels work on raw values through the
 ``Field`` methods and only wrap results into :class:`Scalar` at API
 boundaries, which keeps the object churn out of the inner loops.
+
+Sparse chains are ``{key: raw}`` dicts that never store a zero: boundaries
+of filtered complexes, words of chord algebras, reduction columns.
+:meth:`Field.add_scaled` (chain += c·other) is the one place such a chain
+is accumulated; every module routes its sparse sums through it.
 """
 
 from fractions import Fraction
@@ -142,6 +147,20 @@ class Field:
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
+
+    def add_scaled(self, chain, other, c):
+        """chain += c·other in place over sparse {key: raw} maps; a key
+        whose coefficient cancels is removed, so no zero is ever stored."""
+        p = self.char
+        zero = self.zero_raw
+        for k, x in other.items():
+            y = chain.get(k, zero) + c * x
+            if p:
+                y %= p
+            if y:
+                chain[k] = y
+            else:
+                chain.pop(k, None)
 
     # scalar wrapping ----------------------------------------------------------
 

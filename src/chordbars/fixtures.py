@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .complexes import INF, FilteredComplex, Generator
+from .complexes import INF, FilteredComplex, Generator, random_differential
 from .dga import AlgebraElement, Chord, ChordDGA
 from .errors import ValidationError
 
@@ -120,32 +120,8 @@ def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4,
     for i, action in enumerate(cluster_actions(top_count, top_lo)):
         gens.append(Generator("hi%02d" % i, action, rng.randint(0, 3)))
     gens.sort(key=lambda g: g.sort_key)
-
-    diff = {}
-    processed = []
-    for g in gens:
-        allowed = [h for h in processed
-                   if h.degree == g.degree - 1 and h.action < g.action]
-        if allowed and rng.random() < 0.85:
-            targets2 = sorted({t for h in allowed for t in diff.get(h.id, ())})
-            t2_index = {t: i for i, t in enumerate(targets2)}
-            M = [[field.zero_raw] * len(allowed) for _ in targets2]
-            for j, h in enumerate(allowed):
-                for t, c in diff.get(h.id, {}).items():
-                    M[t2_index[t]][j] = c
-            kernel = linalg.nullspace(M, field, ncols=len(allowed))
-            if kernel:
-                combo = [field.zero_raw] * len(allowed)
-                for v in rng.sample(kernel, k=min(len(kernel),
-                                                  rng.randint(1, 3))):
-                    c = field.random_unit_raw(rng)
-                    combo = [field.add(x, field.mul(c, y))
-                             for x, y in zip(combo, v)]
-                row = {h.id: c for h, c in zip(allowed, combo) if c}
-                if row:
-                    diff[g.id] = row
-        processed.append(g)
-    return FilteredComplex(field, (0, INF), gens, diff)
+    return FilteredComplex(field, (0, INF), gens,
+                           random_differential(rng, field, gens, 0.85))
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +172,14 @@ def _kernel_sample(rng, D, candidates):
     """A random element of the exact kernel of the differential on the span
     of the candidate words (possibly zero)."""
     field = D.field
-    images = [D.diff_word(w) for w in candidates]
-    support = sorted({w for img in images for w in img.terms},
-                     key=lambda w: (len(w), w))
-    index = {w: i for i, w in enumerate(support)}
-    M = [[field.zero_raw] * len(candidates) for _ in support]
-    for j, img in enumerate(images):
-        for w, c in img.terms.items():
-            M[index[w]][j] = c
-    basis = linalg.nullspace(M, field, ncols=len(candidates))
+    basis = linalg.kernel([D.diff_word(w).terms for w in candidates], field)
     if not basis or rng.random() < 0.15:
         return AlgebraElement.zero(field)
     picks = rng.sample(basis, k=min(len(basis), rng.randint(1, 2)))
     terms = {}
     for vec in picks:
-        coeff = field.random_unit_raw(rng)
-        for j, v in enumerate(vec):
-            if v:
-                prev = terms.get(candidates[j], field.zero_raw)
-                terms[candidates[j]] = field.add(prev, field.mul(v, coeff))
+        field.add_scaled(terms, dict(zip(candidates, vec)),
+                         field.random_unit_raw(rng))
     return AlgebraElement(field, terms)
 
 

@@ -3,9 +3,13 @@
 Matrices are plain lists of row lists holding *raw* field values (see
 ``fields``).  Sizes here are tiny (tens of generators), so clarity beats
 asymptotics; everything is straight Gaussian elimination, kept exact.
+
+:func:`kernel` is the one place a kernel of sparse columns (boundary rows,
+chord-word images) is computed; callers never build the dense matrix
+themselves.  Sparse sums live in :meth:`fields.Field.add_scaled`.
 """
 
-from .errors import NotInvertible
+from .errors import ValidationError
 
 
 def zeros(nrows, ncols, field):
@@ -13,21 +17,10 @@ def zeros(nrows, ncols, field):
     return [[z] * ncols for _ in range(nrows)]
 
 
-def identity(n, field):
-    M = zeros(n, n, field)
-    one = field.one_raw
-    for i in range(n):
-        M[i][i] = one
-    return M
-
-
-def copy_matrix(M):
-    return [row[:] for row in M]
-
-
 def matmul(A, B, field):
     n, k = len(A), len(B)
-    assert all(len(row) == k for row in A), "inner dimensions disagree"
+    if any(len(row) != k for row in A):
+        raise ValidationError("matmul: inner dimensions disagree")
     m = len(B[0]) if B else 0
     out = zeros(n, m, field)
     for i in range(n):
@@ -46,7 +39,7 @@ def matmul(A, B, field):
 
 def rref(M, field):
     """Reduced row echelon form (a copy) plus the pivot column list."""
-    R = copy_matrix(M)
+    R = [row[:] for row in M]
     nrows = len(R)
     ncols = len(R[0]) if nrows else 0
     pivots = []
@@ -107,16 +100,23 @@ def nullspace(M, field, ncols=None):
     return basis
 
 
-def inverse(M, field):
-    n = len(M)
-    assert all(len(row) == n for row in M), "inverse of a non-square matrix"
-    # Gauss-Jordan on [M | I]
-    aug = [row[:] + [field.one_raw if i == j else field.zero_raw for j in range(n)]
-           for i, row in enumerate(M)]
-    R, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return [row[n:] for row in R]
+def kernel(columns, field):
+    """Kernel basis of the matrix whose columns are sparse {row: raw} maps.
+
+    Rows are numbered in order of first appearance; the reduced row echelon
+    form does not depend on row order, so the basis equals that of
+    :func:`nullspace` on the dense matrix with any row order.  Vectors are
+    dense, one entry per column.
+    """
+    index = {}
+    for col in columns:
+        for k in col:
+            index.setdefault(k, len(index))
+    M = zeros(len(index), len(columns), field)
+    for j, col in enumerate(columns):
+        for k, c in col.items():
+            M[index[k]][j] = c
+    return nullspace(M, field, ncols=len(columns))
 
 
 class RankAccumulator:
@@ -161,21 +161,6 @@ class RankAccumulator:
             coef = v[j]
             v = [field.sub(x, field.mul(coef, y)) if y else x
                  for x, y in zip(v, row)]
-            assert not v[j]
+            assert not v[j]  # invariant: stored rows lead with 1 at j
             j += 1
         return False
-
-    def contains(self, vec):
-        """Membership test for the current span (does not mutate)."""
-        field = self.field
-        v = list(vec)
-        for j in range(len(v)):
-            if not v[j]:
-                continue
-            row = self.rows.get(j)
-            if row is None:
-                return False
-            coef = v[j]
-            v = [field.sub(x, field.mul(coef, y)) if y else x
-                 for x, y in zip(v, row)]
-        return True

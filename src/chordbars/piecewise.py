@@ -34,10 +34,6 @@ class PLPath:
     def constant(cls, value, t0, t1):
         return cls(((t0, value), (t1, value)))
 
-    @classmethod
-    def linear(cls, t0, v0, t1, v1):
-        return cls(((t0, v0), (t1, v1)))
-
     @property
     def t_start(self):
         return self.points[0][0]
@@ -256,10 +252,3 @@ def merge_times(*lists):
     for ts in lists:
         seen.update(ts)
     return sorted(seen)
-
-
-def as_fraction(x):
-    """Exact conversion for schema values; floats are rejected on purpose."""
-    if isinstance(x, float):
-        raise ValidationError("floats are not allowed in exact contexts: %r" % (x,))
-    return Fraction(x)

@@ -217,11 +217,6 @@ def parse_augmentation(obj, field, where="augmentation"):
         raise ParseError(str(exc), where) from None
 
 
-def serialize_augmentation(eps):
-    return {label: eps.field.format(v)
-            for label, v in sorted(eps.values.items())}
-
-
 # ---------------------------------------------------------------------------
 # timelines
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ of the canonical pairing, which is constant on crossing-free stretches.
 
 from collections import Counter
 
+from . import linalg
 from .barcodes import Bar, Barcode, canonical_form
-from .complexes import INF, FilteredComplex, as_action
+from .complexes import INF, FilteredComplex, as_action, boundary_raw
 from .errors import (ActionIncrease, ActionOutsideWindow,
                      EventPreconditionViolated, NonGenericCrossing,
                      SimultaneousBifurcations, ValidationError)
@@ -170,15 +171,11 @@ class Sample:
 
 
 class SegmentTrace:
-    __slots__ = ("segment", "paths", "a_path", "b_path", "degrees",
-                 "crossings", "sample_indices")
+    __slots__ = ("segment", "paths", "degrees", "crossings", "sample_indices")
 
-    def __init__(self, segment, paths, a_path, b_path, degrees, crossings,
-                 sample_indices):
+    def __init__(self, segment, paths, degrees, crossings, sample_indices):
         self.segment = segment
         self.paths = paths
-        self.a_path = a_path
-        self.b_path = b_path  # PLPath or INF
         self.degrees = degrees
         self.crossings = crossings
         self.sample_indices = sample_indices
@@ -481,9 +478,8 @@ def _run_segment(trace, state, seg, entering_event=None):
         win = (a_vals[k], b_vals[k])
         sample_indices.append(trace.add_sample(t, state.complex(actions, win)))
 
-    trace.segments.append(SegmentTrace(seg, paths, a_path, b_path,
-                                       dict(state.degrees), sorted(crossings),
-                                       sample_indices))
+    trace.segments.append(SegmentTrace(seg, paths, dict(state.degrees),
+                                       sorted(crossings), sample_indices))
 
     # 6. advance the state to t1
     state.actions = {gid: paths[gid].end_value for gid in ids}
@@ -554,34 +550,14 @@ def _apply_event(trace, state, ev):
                 w[gid] = cc
         # conjugate ∂ by e_target -> e_target + w: the target's boundary
         # gains ∂w, every source hitting the target loses (coefficient)·w
-        dw = {}
-        for gid, c in w.items():
-            for tgt, d in state.diff.get(gid, {}).items():
-                acc = field.add(dw.get(tgt, field.zero_raw), field.mul(c, d))
-                if acc:
-                    dw[tgt] = acc
-                else:
-                    dw.pop(tgt, None)
+        dw = boundary_raw(field, state.diff, w)
         new_diff = {}
         for src in state.degrees:
             row = dict(state.diff.get(src, {}))
             if src == ev.target:
-                for tgt, c in dw.items():
-                    acc = field.add(row.get(tgt, field.zero_raw), c)
-                    if acc:
-                        row[tgt] = acc
-                    else:
-                        row.pop(tgt, None)
-            else:
-                ct = row.get(ev.target)
-                if ct:
-                    for gid, c in w.items():
-                        acc = field.sub(row.get(gid, field.zero_raw),
-                                        field.mul(ct, c))
-                        if acc:
-                            row[gid] = acc
-                        else:
-                            row.pop(gid, None)
+                field.add_scaled(row, dw, field.one_raw)
+            elif row.get(ev.target):
+                field.add_scaled(row, w, field.neg(row[ev.target]))
             if row:
                 new_diff[src] = row
         state.diff = new_diff
@@ -650,7 +626,7 @@ def _apply_event(trace, state, ev):
         _check_no_tie(state, tau)
         # a generator on the (closed) bottom edge is automatically a cycle:
         # a target would need strictly smaller action than the window allows
-        assert not state.diff.get(g)
+        assert not state.diff.get(g)  # invariant: replay keeps targets in [a, action(g))
         state.degrees.pop(g)
         state.actions.pop(g)
         state.diff.pop(g, None)
@@ -736,14 +712,7 @@ def _apply_event(trace, state, ev):
             cc = field.coerce(c)
             if cc:
                 boundary[y] = cc
-        acc = {}
-        for y, c in boundary.items():
-            for tgt, d in state.diff.get(y, {}).items():
-                v = field.add(acc.get(tgt, field.zero_raw), field.mul(c, d))
-                if v:
-                    acc[tgt] = v
-                else:
-                    acc.pop(tgt, None)
+        acc = boundary_raw(field, state.diff, boundary)
         if acc:
             raise EventPreconditionViolated(
                 "entry boundary is not a cycle (witness %r)" % sorted(acc)[0])
@@ -1232,7 +1201,6 @@ def drift_speed_audit(timeline, oscillation_rate):
 
 def _random_family_start(rng, field, n, window):
     """Random complex with pairwise-distinct quarter-integer actions."""
-    from . import linalg
     from fractions import Fraction
 
     a, b = window
@@ -1251,21 +1219,8 @@ def _random_family_start(rng, field, n, window):
         if not allowed or rng.random() < 0.25:
             continue
         # the new row must be a cycle of the part already built
-        span = sorted({t for g in allowed for t in rows_built.get(g, {})})
-        idx = {g: k for k, g in enumerate(span)}
-        M = [[field.zero_raw] * len(allowed) for _ in span]
-        for c, g in enumerate(allowed):
-            for tgt, v in rows_built.get(g, {}).items():
-                M[idx[tgt]][c] = v
-        basis = linalg.nullspace(M, field, ncols=len(allowed))
-        if not basis:
-            continue
-        vec = [field.zero_raw] * len(allowed)
-        for bvec in basis:
-            if rng.random() < 0.6:
-                c = field.random_raw(rng)
-                vec = [field.add(v, field.mul(c, w)) for v, w in zip(vec, bvec)]
-        row = {allowed[k]: v for k, v in enumerate(vec) if v}
+        basis = linalg.kernel([rows_built.get(g, {}) for g in allowed], field)
+        row = _random_combo(rng, field, allowed, basis, 0.6)
         if row:
             rows_built[gid] = row
     return FilteredComplex(field, window, gens, rows_built)
@@ -1347,37 +1302,29 @@ def _resolve_forced(rng, state, last_ev):
 
 def _cycle_space(state, degree):
     """Basis of cycles among the current generators of the given degree."""
-    from . import linalg
-
     cols = sorted(g for g, d in state.degrees.items() if d == degree)
     if not cols:
         return cols, []
-    span = sorted({t for g in cols for t in state.diff.get(g, {})})
-    idx = {g: k for k, g in enumerate(span)}
-    M = [[state.field.zero_raw] * len(cols) for _ in span]
-    for c, g in enumerate(cols):
-        for tgt, v in state.diff.get(g, {}).items():
-            M[idx[tgt]][c] = v
-    return cols, linalg.nullspace(M, state.field, ncols=len(cols))
+    return cols, linalg.kernel([state.diff.get(g, {}) for g in cols],
+                               state.field)
 
 
 def _coupling_space(state, degree):
     """Basis of admissible entry couplings one degree above ``degree``."""
-    from . import linalg
-
     cols = sorted(g for g, d in state.degrees.items() if d == degree + 1)
     if not cols:
         return cols, []
-    ups = [g for g, d in state.degrees.items() if d == degree + 2]
-    M = [[state.diff.get(w, {}).get(z, state.field.zero_raw) for z in cols]
-         for w in ups]
-    return cols, linalg.nullspace(M, state.field, ncols=len(cols))
+    ups = [row for w, row in state.diff.items()
+           if state.degrees.get(w) == degree + 2]
+    return cols, linalg.kernel([{k: row[z] for k, row in enumerate(ups)
+                                 if z in row} for z in cols], state.field)
 
 
-def _random_combo(rng, field, cols, basis):
+def _random_combo(rng, field, cols, basis, p):
+    """A random combination of the basis, each vector kept with probability p."""
     vec = [field.zero_raw] * len(cols)
     for bvec in basis:
-        if rng.random() < 0.5:
+        if rng.random() < p:
             c = field.random_raw(rng)
             vec = [field.add(v, field.mul(c, w)) for v, w in zip(vec, bvec)]
     return {cols[k]: v for k, v in enumerate(vec) if v}
@@ -1476,7 +1423,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                         continue
                     d = rng.randrange(0, 4)
                     cols, basis = _coupling_space(state, d)
-                    couplings = _random_combo(rng, field, cols, basis)
+                    couplings = _random_combo(rng, field, cols, basis, 0.5)
                     targ = _random_targets(rng, state, forced, ())
                     seg = _linear_segment(state, t, t1, targ)
                     ev = EntryBelow(t1, new_id(), d, couplings)
@@ -1498,7 +1445,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                         continue
                     d = rng.randrange(0, 4)
                     cols, basis = _cycle_space(state, d - 1)
-                    boundary = _random_combo(rng, field, cols, basis)
+                    boundary = _random_combo(rng, field, cols, basis, 0.5)
                     targ = _random_targets(rng, state, forced, ())
                     seg = _linear_segment(state, t, t1, targ)
                     ev = EntryAbove(t1, new_id(), d, boundary)

@@ -9,7 +9,8 @@ substitution) so that agreement is evidence, not tautology.
 from fractions import Fraction
 
 from chordbars import INF
-from chordbars.linalg import rank
+from chordbars.errors import NotInvertible
+from chordbars.linalg import rank, rref, zeros
 
 VERDICTS = []
 
@@ -130,6 +131,29 @@ def linearized_rows_oracle(D, eps, window, l=INF):
         if trimmed:
             rows[label] = trimmed
     return rows
+
+
+# ---------------------------------------------------------------------------
+# dense matrices for the conjugation check
+# ---------------------------------------------------------------------------
+
+def identity(n, field):
+    M = zeros(n, n, field)
+    for i in range(n):
+        M[i][i] = field.one_raw
+    return M
+
+
+def inverse(M, field):
+    """Gauss-Jordan on [M | I]."""
+    n = len(M)
+    assert all(len(row) == n for row in M), "inverse of a non-square matrix"
+    aug = [row[:] + [field.one_raw if i == j else field.zero_raw for j in range(n)]
+           for i, row in enumerate(M)]
+    R, pivots = rref(aug, field)
+    if pivots[:n] != list(range(n)):
+        raise NotInvertible("matrix is singular")
+    return [row[n:] for row in R]
 
 
 # ---------------------------------------------------------------------------

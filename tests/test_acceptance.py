@@ -22,9 +22,9 @@ from chordbars import (F2, FP, INF, QQ, Augmentation, AlgebraElement,
                        theorem_bound, two_cluster_complex, validate_dga)
 from chordbars.barcodes import barcode_definitional
 from chordbars.errors import SearchBudgetExceeded, WindowTooWide
-from chordbars.linalg import identity, inverse, matmul, zeros
+from chordbars.linalg import matmul, zeros
 
-from support import bars_as_tuples, rank_phi, record
+from support import bars_as_tuples, identity, inverse, rank_phi, record
 
 q = Fraction
 F5 = FP(5)

@@ -123,3 +123,37 @@ def test_canonical_residues():
         x, y = F.random_raw(rng), F.random_raw(rng)
         for v in (F.add(x, y), F.sub(x, y), F.mul(x, y), F.neg(x)):
             assert 0 <= v < 11
+
+
+@pytest.mark.parametrize("field, x, y", [
+    (F2, 1, 1),                                # x + x over F2
+    (FP(5), 2, 3),                             # 2 + 3 over F5
+    (QQ, Fraction(1, 2), Fraction(-1, 2)),     # 1/2 - 1/2 over Q
+])
+def test_add_scaled_drops_cancelled_keys(field, x, y):
+    one = field.one_raw
+    chain = {"a": field.coerce(x), "b": one}
+    field.add_scaled(chain, {"a": field.coerce(y), "c": one}, one)
+    assert chain == {"b": one, "c": one}
+    # a zero scale or zero entries never store a zero
+    field.add_scaled(chain, {"d": one}, field.zero_raw)
+    field.add_scaled(chain, {"e": field.zero_raw}, one)
+    assert chain == {"b": one, "c": one}
+
+
+@given(st.sampled_from(FIELDS), st.data())
+def test_add_scaled_is_sparse_axpy(field, data):
+    keys = st.sampled_from("abcd")
+    raw = st.integers(-6, 6).map(field.coerce)
+    chain = {k: v for k, v in data.draw(st.dictionaries(keys, raw)).items() if v}
+    other = data.draw(st.dictionaries(keys, raw))
+    c = data.draw(raw)
+    want = {}
+    for k in "abcd":
+        v = field.add(chain.get(k, field.zero_raw),
+                      field.mul(c, other.get(k, field.zero_raw)))
+        if v:
+            want[k] = v
+    field.add_scaled(chain, other, c)
+    assert chain == want
+    assert all(chain.values())

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chordbars import F2, FP, QQ
-from chordbars.linalg import nullspace, rank, rref, zeros
+from chordbars.errors import ValidationError
+from chordbars.linalg import kernel, matmul, nullspace, rank, rref, zeros
 
 FIELDS = [F2, FP(5), QQ]
 
@@ -83,6 +85,36 @@ def test_rref_idempotent(fm):
     R2, pivots2 = rref(R, F)
     assert R == R2 and pivots == pivots2
     assert rank(M, F) == len(pivots)
+
+
+@settings(max_examples=120)
+@given(matrices(), st.randoms(use_true_random=False))
+def test_kernel_of_sparse_columns_matches_nullspace(fm, rnd):
+    F, M = fm
+    ncols = len(M[0])
+    # sparse columns keyed by row label, labels inserted in shuffled order
+    labels = ["r%d" % i for i in range(len(M))]
+    order = list(range(len(M)))
+    rnd.shuffle(order)
+    columns = [{labels[i]: M[i][j] for i in order if M[i][j]}
+               for j in range(ncols)]
+    want = nullspace(M, F, ncols=ncols)
+    assert kernel(columns, F) == want
+    rows = sorted({k for col in columns for k in col})
+    dense = [[col.get(r, F.zero_raw) for col in columns] for r in rows]
+    assert nullspace(dense, F, ncols=ncols) == want
+
+
+def test_kernel_edge_cases():
+    # all-zero columns: the kernel is everything
+    assert kernel([{}, {}], QQ) == [[1, 0], [0, 1]]
+    assert kernel([], F2) == []
+    assert kernel([{"x": 1}, {"x": 1}], F2) == [[1, 1]]
+
+
+def test_matmul_shape_is_a_typed_error():
+    with pytest.raises(ValidationError):
+        matmul([[1, 0]], [[1, 0]], QQ)
 
 
 def test_fraction_exactness():
