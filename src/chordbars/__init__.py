@@ -14,8 +14,8 @@ from .complexes import (INF, NEG_INF, FilteredComplex, Generator,
 from .barcodes import (Bar, Barcode, BarannikovForm, barcode_definitional,
                        barcode_diagram_lines, barcode_from_canonical,
                        barcode_of, barcode_table_lines, canonical_form,
-                       check_canonical_form, endpoints_at, extract_table,
-                       format_action, persisting_count, recover)
+                       check_canonical_form, extract_table, format_action,
+                       recover)
 from .piecewise import PLPath
 from .timelines import (AuditReport, Birth, Death, DriftSegment, EntryAbove,
                         EntryBelow, ExitAbove, ExitBelow, FamilyTrace,
@@ -40,7 +40,7 @@ __all__ = [
     "Bar", "Barcode", "BarannikovForm", "canonical_form",
     "check_canonical_form", "barcode_from_canonical", "barcode_definitional",
     "barcode_of", "barcode_table_lines", "barcode_diagram_lines", "format_action",
-    "persisting_count", "endpoints_at", "extract_table", "recover",
+    "extract_table", "recover",
     "PLPath",
     "DriftSegment", "HandleSlide", "Birth", "Death", "ExitBelow",
     "ExitAbove", "EntryBelow", "EntryAbove", "FamilyTrace",

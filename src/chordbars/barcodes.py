@@ -23,7 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .complexes import INF, FilteredComplex
+from .complexes import INF, FilteredComplex, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
 from .linalg import RankAccumulator
 
@@ -34,11 +34,8 @@ class Bar:
     __slots__ = ("start", "end", "degree")
 
     def __init__(self, start, end, degree=None):
-        if isinstance(start, float):
-            raise ValidationError("bar start must be finite exact, got %r" % (start,))
-        start = Fraction(start)
-        if end != INF:
-            end = Fraction(end)
+        start = as_action(start)
+        end = as_action(end, allow_inf=True)
         if not start < end:
             raise ValidationError("bar needs start < end, got [%s, %s)" % (start, end))
         self.start = start
@@ -117,14 +114,6 @@ class Barcode:
         return sum((b.start == l) + (b.end == l) for b in self.bars)
 
 
-def persisting_count(B, level, start_below=None):
-    return B.persisting_count(level, start_below)
-
-
-def endpoints_at(B, l):
-    return B.endpoints_at(l)
-
-
 # ---------------------------------------------------------------------------
 # canonical pairing form
 # ---------------------------------------------------------------------------
@@ -151,6 +140,28 @@ class BarannikovForm:
         self.unpaired = tuple(unpaired)
 
 
+def _reduce(field, order, rows):
+    """R = D V over ids sorted by (action, id), ``rows[j]`` the raw boundary
+    of ``order[j]``; returns R, V and {killed index: killer index}."""
+    index = {gid: i for i, gid in enumerate(order)}
+    R, V, killer_of = [], [], {}
+    for j, row in enumerate(rows):
+        r = {index[tgt]: c for tgt, c in row.items()}
+        v = {j: field.one_raw}
+        while r:
+            i = max(r)
+            j2 = killer_of.get(i)
+            if j2 is None:
+                killer_of[i] = j
+                break
+            a = field.neg(field.div(r[i], R[j2][i]))
+            field.add_scaled(r, R[j2], a)
+            field.add_scaled(v, V[j2], a)
+        R.append(r)
+        V.append(v)
+    return R, V, killer_of
+
+
 def canonical_form(C):
     """Action-preserving reduction of the differential to killer/killed form.
 
@@ -164,30 +175,14 @@ def canonical_form(C):
     """
     field = C.field
     order = [g.id for g in C.generators]  # already sorted by (action, id)
-    index = {gid: i for i, gid in enumerate(order)}
-    R, V, pairs = [], [], []
-    killer_of = {}  # killed row -> killer column
-    for j, gid in enumerate(order):
-        r = {index[tgt]: c for tgt, c in C.differential_raw(gid).items()}
-        v = {j: field.one_raw}
-        while r:
-            i = max(r)
-            j2 = killer_of.get(i)
-            if j2 is None:
-                killer_of[i] = j
-                pairs.append((gid, order[i]))
-                break
-            a = field.neg(field.div(r[i], R[j2][i]))
-            field.add_scaled(r, R[j2], a)
-            field.add_scaled(v, V[j2], a)
-        R.append(r)
-        V.append(v)
-
+    R, V, killer_of = _reduce(field, order,
+                              [C.differential_raw(gid) for gid in order])
     n = len(order)
     G = linalg.zeros(n, n, field)
     for m in range(n):
         for k, c in (R[killer_of[m]] if m in killer_of else V[m]).items():
             G[k][m] = c
+    pairs = [(order[j], order[i]) for i, j in killer_of.items()]
     unpaired = [order[m] for m in range(n) if not R[m] and m not in killer_of]
     return BarannikovForm(field, order, G, pairs, unpaired)
 
@@ -363,7 +358,7 @@ def recover(critical_values, table):
     Inverse of :func:`extract_table`; the output is degree-agnostic (bars
     carry degree None).  Monotonicity violations raise InconsistentTable.
     """
-    crit = [Fraction(c) if not isinstance(c, Fraction) else c for c in critical_values]
+    crit = [as_action(c) for c in critical_values]
     if sorted(crit) != crit or len(set(crit)) != len(crit):
         raise InconsistentTable("critical values must be strictly increasing")
     k = len(crit)

@@ -32,6 +32,8 @@ def boundary_raw(field, diff, chain):
 
 def as_action(value, allow_inf=False):
     """Coerce an exact action value (int, str, Fraction; optionally inf)."""
+    if type(value) is Fraction:
+        return value
     if value in (INF, "inf") and allow_inf:
         return INF
     if isinstance(value, (float, bool)):
@@ -40,6 +42,13 @@ def as_action(value, allow_inf=False):
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("cannot read action value %r" % (value,))
+
+
+def as_degree(value):
+    """Check an integer degree; a bool or any other type is rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError("degree must be an integer, got %r" % (value,))
+    return value
 
 
 class Generator:
@@ -52,7 +61,7 @@ class Generator:
             raise ValidationError("generator id must be a nonempty string, got %r" % (id,))
         self.id = id
         self.action = as_action(action)
-        self.degree = int(degree)
+        self.degree = as_degree(degree)
 
     @property
     def sort_key(self):

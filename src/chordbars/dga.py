@@ -14,7 +14,7 @@ arithmetic; nothing here ever touches floats.
 import itertools
 from fractions import Fraction
 
-from .complexes import INF, FilteredComplex, as_action
+from .complexes import INF, FilteredComplex, as_action, as_degree
 from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
                      DuplicateId, FieldMismatch, ForeignGenerator,
                      MixedOutputViolation, NotChainMap, NotSquareZero,
@@ -33,7 +33,7 @@ class Chord:
         self.length = as_action(length)
         if not self.length > 0:
             raise ValidationError("chord %r needs positive length" % label)
-        self.degree = int(degree)
+        self.degree = as_degree(degree)
         ends = (int(ends[0]), int(ends[1]))
         if not set(ends) <= {0, 1}:
             raise ValidationError("chord %r has components outside {0, 1}" % label)
@@ -192,11 +192,9 @@ class ChordDGA:
         # list of (coeff, word) pairs
         terms = {}
         for coeff, word in value:
-            w = tuple(word)
-            c = self.field.coerce(coeff)
-            prev = terms.get(w, self.field.zero_raw)
-            terms[w] = self.field.add(prev, c)
-        return AlgebraElement(self.field, terms)
+            self.field.add_scaled(terms, {tuple(word): self.field.coerce(coeff)},
+                                  self.field.one_raw)
+        return AlgebraElement._of_raw(self.field, terms)
 
     # -- lookups -----------------------------------------------------------
 
@@ -622,9 +620,8 @@ def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
         for w, c in D_plus.diff_of(lab).terms.items():
             w2 = _replace_first(w, b_label, a_label)
             if w2 is not None:
-                prev = terms.get(w2, field.zero_raw)
-                terms[w2] = field.add(prev, c)
-        corr = AlgebraElement(field, terms)
+                field.add_scaled(terms, {w2: c}, field.one_raw)
+        corr = AlgebraElement._of_raw(field, terms)
         img = AlgebraElement.word(field, (lab,)) + corr
         g = DGAMorphism(D_plus, D_plus, {lab: img})
         # note: g's source label set equals phi's target's, compose is legal

@@ -87,24 +87,22 @@ def two_copy_template(field, separation, base_chords, morse_chords=(),
 # two separated action clusters forcing a long bar
 # ---------------------------------------------------------------------------
 
-def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4,
-                        base=1, spread=Fraction(1, 4)):
+def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4):
     """Random valid complex whose generators sit in two action clusters
     separated by ``gap``.
 
-    The bottom cluster lies inside [base, base + spread], the top inside
-    [base + gap + spread, base + gap + 2·spread], so any bar with one foot
-    in each cluster — or one infinite foot — has length ≥ gap.  With an odd
-    bottom count, in-cluster bars (which consume two bottom generators each)
-    always leave one generator over, forcing at least one bar of length
-    ≥ gap no matter which valid differential is sampled.
+    The bottom cluster lies inside [1, 5/4], the top inside [gap + 5/4,
+    gap + 3/2], so any bar with one foot in each cluster — or one infinite
+    foot — has length ≥ gap.  With an odd bottom count, in-cluster bars
+    (which consume two bottom generators each) always leave one generator
+    over, forcing at least one bar of length ≥ gap no matter which valid
+    differential is sampled.
     """
     if bottom_count % 2 == 0:
         raise ValidationError("the parity argument needs an odd bottom count")
     gap = Fraction(gap)
-    base = Fraction(base)
-    spread = Fraction(spread)
-    if not (gap > 0 and base > 0 and spread > 0 and spread < gap):
+    base, spread = 1, Fraction(1, 4)
+    if not spread < gap:
         raise ValidationError("cluster geometry must satisfy 0 < spread < gap")
 
     def cluster_actions(count, lo):
@@ -128,7 +126,7 @@ def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4,
 # random two-component algebras
 # ---------------------------------------------------------------------------
 
-def _admissible_words(D, chord, max_pure_letters=2, max_letters=3):
+def _admissible_words(D, chord):
     """Words eligible as boundary terms of ``chord``: degree one below,
     total length strictly below, and — for a mixed chord — containing
     exactly one shorter forward-mixed letter with pure letters on the
@@ -139,7 +137,7 @@ def _admissible_words(D, chord, max_pure_letters=2, max_letters=3):
     if chord.kind == "pure":
         pool = [c for c in D.pure_chords(chord.component)
                 if c.length < budget]
-        for n in range(1, max_letters + 1):
+        for n in range(1, 4):
             for combo in itertools.product(pool, repeat=n):
                 if sum(c.length for c in combo) >= budget:
                     continue
@@ -152,12 +150,12 @@ def _admissible_words(D, chord, max_pure_letters=2, max_letters=3):
         pool1 = D.pure_chords(1)
         for mid in mids:
             rest = budget - mid.length
-            for n0 in range(max_pure_letters + 1):
+            for n0 in range(3):  # at most two pure letters around mid
                 for left in itertools.product(pool0, repeat=n0):
                     llen = sum(c.length for c in left)
                     if llen >= rest:
                         continue
-                    for n1 in range(max_pure_letters + 1 - n0):
+                    for n1 in range(3 - n0):
                         for right in itertools.product(pool1, repeat=n1):
                             if llen + sum(c.length for c in right) >= rest:
                                 continue

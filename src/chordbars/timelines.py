@@ -5,8 +5,9 @@ piecewise-linear motion of generator actions and window edges, differential
 frozen) and singular events (handle slide, birth/death of a canceling pair,
 exit/entry of a generator through a window edge).  :func:`simulate` replays
 it exactly — rational breakpoints, rational crossing times — validating every
-reachable complex, and produces a trace of sampled complexes, barcodes and
-canonical pairings.  :func:`check_transitions` then verifies that each event
+reachable complex, and produces a trace of samples: each holds its time,
+generator actions, window and canonical id-pairing, and builds its complex
+and barcode on access.  :func:`check_transitions` then verifies that each event
 changed the barcode in exactly the expected way and that nothing jumps
 between events; :func:`drift_speed_audit` checks the declared speed laws.
 
@@ -15,10 +16,11 @@ of the canonical pairing, which is constant on crossing-free stretches.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 from . import linalg
-from .barcodes import Bar, Barcode, canonical_form
-from .complexes import INF, FilteredComplex, as_action, boundary_raw
+from .barcodes import Bar, Barcode, _reduce
+from .complexes import INF, FilteredComplex, as_action, as_degree, boundary_raw
 from .errors import (ActionIncrease, ActionOutsideWindow,
                      EventPreconditionViolated, NonGenericCrossing,
                      SimultaneousBifurcations, ValidationError)
@@ -46,6 +48,8 @@ class DriftSegment:
     constant) or paths; ``window_b=INF`` keeps an infinite top explicitly.
     """
 
+    kind = "drift"
+
     def __init__(self, t0, t1, actions, window_a=None, window_b=None):
         self.t0 = as_action(t0)
         self.t1 = as_action(t1)
@@ -63,10 +67,6 @@ class DriftSegment:
         for p in (self.window_a, self.window_b):
             if isinstance(p, PLPath) and (p.t_start, p.t_end) != (self.t0, self.t1):
                 raise ValidationError("window path does not span the segment")
-
-    @property
-    def kind(self):
-        return "drift"
 
 
 class SingularEvent:
@@ -95,8 +95,8 @@ class Birth(SingularEvent):
 
     def __init__(self, time, x, y, common_action):
         super().__init__(time)
-        self.x_id, self.x_degree = x
-        self.y_id, self.y_degree = y
+        (self.x_id, x_degree), (self.y_id, y_degree) = x, y
+        self.x_degree, self.y_degree = as_degree(x_degree), as_degree(y_degree)
         self.common_action = as_action(common_action)
 
 
@@ -140,7 +140,7 @@ class EntryBelow(SingularEvent):
     def __init__(self, time, gid, degree, couplings=None):
         super().__init__(time)
         self.gid = gid
-        self.degree = int(degree)
+        self.degree = as_degree(degree)
         self.couplings = dict(couplings or {})
 
 
@@ -152,7 +152,7 @@ class EntryAbove(SingularEvent):
     def __init__(self, time, gid, degree, boundary=None):
         super().__init__(time)
         self.gid = gid
-        self.degree = int(degree)
+        self.degree = as_degree(degree)
         self.boundary = dict(boundary or {})
 
 
@@ -161,27 +161,50 @@ class EntryAbove(SingularEvent):
 # ---------------------------------------------------------------------------
 
 class Sample:
-    __slots__ = ("t", "complex", "barcode", "pairs")
+    """Time, actions, window and id-pairing of one replay sample; ``frame``
+    is the (field, degrees, differential) its segment shares."""
 
-    def __init__(self, t, complex, barcode, pairs):
+    __slots__ = ("t", "actions", "window", "pairs", "frame")
+
+    def __init__(self, t, actions, window, pairs, frame):
         self.t = t
-        self.complex = complex
-        self.barcode = barcode
+        self.actions = actions
+        self.window = window
         self.pairs = pairs  # frozenset of (start_id, end_id or None)
+        self.frame = frame
+
+    @property
+    def complex(self):
+        return _complex_at(self.frame, self.actions, self.window)
+
+    @property
+    def barcode(self):
+        acts, degrees = self.actions, self.frame[1]
+        return Barcode(Bar(acts[s], INF if e is None else acts[e], degrees[s])
+                       for s, e in self.pairs)
+
+
+def _complex_at(frame, actions, window):
+    field, degrees, diff = frame
+    return FilteredComplex(field, window, [(gid, actions[gid], d)
+                                           for gid, d in degrees.items()], diff)
 
 
 class SegmentTrace:
-    __slots__ = ("segment", "paths", "degrees", "crossings", "sample_indices")
+    """A segment's samples, crossings, and every generator's action at each
+    critical time (``values[gid][k]`` at ``critical[k]``)."""
 
-    def __init__(self, segment, paths, degrees, crossings, sample_indices):
-        self.segment = segment
-        self.paths = paths
+    __slots__ = ("degrees", "crossings", "sample_indices", "critical", "values")
+
+    def __init__(self, degrees, crossings, sample_indices, critical, values):
         self.degrees = degrees
         self.crossings = crossings
         self.sample_indices = sample_indices
+        self.critical = critical
+        self.values = values
 
-    def actions_at(self, t):
-        return {gid: p.value(t) for gid, p in self.paths.items()}
+    def critical_actions(self, k):
+        return {gid: vals[k] for gid, vals in self.values.items()}
 
 
 class EventRecord:
@@ -197,7 +220,7 @@ class EventRecord:
         self.window = window
         self.pre_degrees = pre_degrees
         self.post_degrees = post_degrees
-        self.pre_sample = None
+        self.pre_sample = None  # set by simulate
         self.post_sample = None
 
 
@@ -210,18 +233,15 @@ class FamilyTrace:
         self.segments = []
         self.events = []
 
-    def add_sample(self, t, cx):
-        form = canonical_form(cx)
-        pairs = frozenset({(killed, killer) for killer, killed in form.pairs}
-                          | {(gid, None) for gid in form.unpaired})
-        bars = []
-        for s, e in pairs:
-            g = cx.generator(s)
-            bars.append(Bar(g.action,
-                            INF if e is None else cx.generator(e).action,
-                            g.degree))
-        self.samples.append(Sample(t, cx, Barcode(bars), pairs))
-        return len(self.samples) - 1
+    def add_sample(self, t, actions, window, frame):
+        field, _degrees, diff = frame
+        order = sorted(actions, key=lambda gid: (actions[gid], gid))
+        R, _V, killer_of = _reduce(field, order,
+                                   [diff.get(gid, {}) for gid in order])
+        pairs = frozenset([(order[i], order[j]) for i, j in killer_of.items()]
+                          + [(order[m], None) for m, r in enumerate(R)
+                             if not r and m not in killer_of])
+        self.samples.append(Sample(t, actions, window, pairs, frame))
 
 
 def _pairing_bars_at(pairs, actions, degrees):
@@ -258,14 +278,16 @@ class _State:
         self.pending_gap_zero = set()
         self.pending_top_zero = set()
 
-    def complex(self, actions=None, window=None):
-        acts = self.actions if actions is None else actions
-        win = (self.a, self.b) if window is None else window
-        gens = [(gid, acts[gid], d) for gid, d in self.degrees.items()]
-        return FilteredComplex(self.field, win, gens, self.diff)
+    def frame(self):
+        """(field, degrees, differential), copied: events edit rows in place."""
+        return (self.field, dict(self.degrees),
+                {src: dict(row) for src, row in self.diff.items()})
+
+    def add_sample(self, trace, t, frame):
+        trace.add_sample(t, dict(self.actions), (self.a, self.b), frame)
 
 
-def simulate(initial, timeline, start_time=None):
+def simulate(initial, timeline):
     """Replay a timeline exactly; returns a :class:`FamilyTrace`.
 
     Raises SimultaneousBifurcations / EventPreconditionViolated /
@@ -280,8 +302,7 @@ def simulate(initial, timeline, start_time=None):
 
     items = list(timeline)
     if not items:
-        t0 = as_action(0) if start_time is None else as_action(start_time)
-        trace.add_sample(t0, state.complex())
+        state.add_sample(trace, as_action(0), state.frame())
         return trace
     if not isinstance(items[0], DriftSegment):
         raise ValidationError("a timeline must start with a drift segment")
@@ -292,11 +313,13 @@ def simulate(initial, timeline, start_time=None):
         if isinstance(item, DriftSegment):
             if cursor is None:
                 cursor = item.t0
-                trace.add_sample(cursor, state.complex())
+                state.add_sample(trace, cursor, state.frame())
             elif item.t0 != cursor:
                 raise ValidationError(
                     "segment %d starts at %s but the family is at %s"
                     % (idx, item.t0, cursor))
+            if last_event is not None:
+                trace.events[-1].post_sample = len(trace.samples)
             _run_segment(trace, state, item, entering_event=last_event)
             cursor = item.t1
             last_event = None
@@ -309,6 +332,7 @@ def simulate(initial, timeline, start_time=None):
                 raise SimultaneousBifurcations(
                     "two singular events at t = %s" % item.time)
             _apply_event(trace, state, item)
+            trace.events[-1].pre_sample = len(trace.samples) - 1
             last_event = item
         else:
             raise ValidationError(
@@ -325,25 +349,15 @@ def simulate(initial, timeline, start_time=None):
         raise ActionOutsideWindow(
             "generator %r sits on the window top at the end of the timeline"
             % sorted(state.pending_top_zero)[0])
-    final = state.complex()
-    if not trace.samples or trace.samples[-1].t != cursor:
-        trace.add_sample(cursor, final)
-
-    # resolve pre/post sample indices for the event records
-    for rec in trace.events:
-        tau = rec.event.time
-        pre = post = None
-        for i, s in enumerate(trace.samples):
-            if s.t < tau:
-                pre = i
-            elif s.t > tau and post is None:
-                post = i
-        rec.pre_sample = pre
-        rec.post_sample = post
-        if pre is None or post is None:
-            raise ValidationError(
-                "event at t = %s lacks a sample on one side; surround "
-                "singular events with drift segments" % tau)
+    if last_event is not None or not state.a < state.b:
+        # only here can the final complex be invalid, so only here is it
+        # built: a birth or an entry above at the end leaves it degenerate,
+        # and with no generator left nothing else keeps the window nonempty
+        _complex_at(state.frame(), state.actions, (state.a, state.b))
+        raise ValidationError(
+            "event at t = %s lacks a sample on one side; surround "
+            "singular events with drift segments" % cursor)
+    state.add_sample(trace, cursor, trace.samples[-1].frame)
     return trace
 
 
@@ -396,7 +410,8 @@ def _run_segment(trace, state, seg, entering_event=None):
             crossings.update(roots)
 
     # 3. critical times (breakpoints of everything + crossings) only drive
-    # sampling: each gap below is linear between its own breakpoints
+    # sampling and the crossing checks: each gap below is linear between its
+    # own breakpoints
     bp = [p.breakpoint_times() for p in paths.values()]
     bp.append(a_path.breakpoint_times())
     if b_path != INF:
@@ -466,23 +481,33 @@ def _run_segment(trace, state, seg, entering_event=None):
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
-    # in particular just after an event at t0 and just before one at t1;
-    # each path is evaluated at all midpoints in one sweep
-    mids = [(ta + tb) / 2 for ta, tb in zip(critical, critical[1:])]
-    columns = [paths[gid].values_at(mids) for gid in ids]
-    a_vals = a_path.values_at(mids)
-    b_vals = [INF] * len(mids) if b_path == INF else b_path.values_at(mids)
-    sample_indices = []
-    for k, t in enumerate(mids):
-        actions = {gid: col[k] for gid, col in zip(ids, columns)}
-        win = (a_vals[k], b_vals[k])
-        sample_indices.append(trace.add_sample(t, state.complex(actions, win)))
+    # in particular just after an event at t0 and just before one at t1.
+    # Every breakpoint is a critical time, so each path is affine between
+    # critical times and its midpoint value is the mean of its end values.
+    def mid(vals):
+        return [(x + y) / 2 for x, y in zip(vals, vals[1:])]
 
-    trace.segments.append(SegmentTrace(seg, paths, dict(state.degrees),
-                                       sorted(crossings), sample_indices))
+    values = {gid: paths[gid].values_at(critical) for gid in ids}
+    mids = {gid: mid(vals) for gid, vals in values.items()}
+    times = mid(critical)
+    acts = [{gid: col[k] for gid, col in mids.items()} for k in range(len(times))]
+    tops = ([INF] * len(times) if b_path == INF
+            else mid(b_path.values_at(critical)))
+    wins = list(zip(mid(a_path.values_at(critical)), tops))
+    frame = state.frame()
+    _complex_at(frame, acts[0], wins[0])  # ids, degrees and ∂², once
+    for a, b in wins:  # the gap checks cover this unless no generator is left
+        if not a < b:
+            raise ValidationError("empty window [%s, %s)" % (a, b))
+    first = len(trace.samples)
+    for t, act, win in zip(times, acts, wins):
+        trace.add_sample(t, act, win, frame)
+    trace.segments.append(SegmentTrace(
+        frame[1], sorted(crossings), list(range(first, len(trace.samples))),
+        critical, values))
 
     # 6. advance the state to t1
-    state.actions = {gid: paths[gid].end_value for gid in ids}
+    state.actions = {gid: vals[-1] for gid, vals in values.items()}
     state.a = a_path.end_value
     state.b = INF if b_path == INF else b_path.end_value
     state.pending_gap_zero = pending_gaps
@@ -824,6 +849,19 @@ def _expected_pairs(rec, pre_pairs):
     raise ValidationError("unknown event kind %r" % kind)
 
 
+def _step_entry(s1, s2, t, acts, degrees):
+    """Check two consecutive samples: across a crossing at t (``acts`` the
+    actions there) the bar values must match, elsewhere the pairing stays."""
+    if acts is None:
+        ok = s1.pairs == s2.pairs
+        return CheckEntry("continuity", t, ok,
+                          "" if ok else "pairing changed without a crossing")
+    ok = (_pairing_bars_at(s1.pairs, acts, degrees)
+          == _pairing_bars_at(s2.pairs, acts, degrees))
+    return CheckEntry("crossing", t, ok, "" if ok else
+                      "bar endpoint values jump across the crossing")
+
+
 def check_transitions(trace):
     """Verify barcode continuity along segments and the jump rule at events.
 
@@ -834,53 +872,28 @@ def check_transitions(trace):
 
     # --- continuity along each segment -----------------------------------
     for st in trace.segments:
-        idxs = st.sample_indices
-        cs = st.crossings
-        # every path once, at all of the segment's (sorted) crossings
-        columns = [(gid, p.values_at(cs)) for gid, p in st.paths.items()]
-        j = 0
-        for k in range(len(idxs) - 1):
-            s1 = trace.samples[idxs[k]]
-            s2 = trace.samples[idxs[k + 1]]
-            while j < len(cs) and cs[j] <= s1.t:
-                j += 1
-            if j == len(cs) or not cs[j] < s2.t:
-                ok = s1.pairs == s2.pairs
-                entries.append(CheckEntry(
-                    "continuity", s2.t, ok,
-                    "" if ok else "pairing changed without a crossing"))
-                continue
-            # consecutive midpoint samples are separated by exactly one
-            # critical time; a crossing between them must match by value
-            c = cs[j]
-            acts = {gid: col[j] for gid, col in columns}
-            left = _pairing_bars_at(s1.pairs, acts, st.degrees)
-            right = _pairing_bars_at(s2.pairs, acts, st.degrees)
-            ok = left == right
-            entries.append(CheckEntry(
-                "crossing", c, ok,
-                "" if ok else "bar endpoint values jump across the crossing"))
+        crossings = set(st.crossings)
+        for k in range(1, len(st.sample_indices)):
+            s1, s2 = (trace.samples[i] for i in st.sample_indices[k - 1:k + 1])
+            # consecutive samples are separated by exactly critical[k]
+            c = st.critical[k]
+            entries.append(
+                _step_entry(s1, s2, c, st.critical_actions(k), st.degrees)
+                if c in crossings else _step_entry(s1, s2, s2.t, None, None))
 
     # --- continuity across event-free segment boundaries ------------------
+    # (simulate makes paths continuous there, so the actions agree at T)
     event_times = {rec.event.time for rec in trace.events}
     for st_a, st_b in zip(trace.segments, trace.segments[1:]):
-        T = st_a.segment.t1
-        if T != st_b.segment.t0 or T in event_times:
+        T = st_a.critical[-1]
+        if T != st_b.critical[0] or T in event_times:
             continue
         s1 = trace.samples[st_a.sample_indices[-1]]
         s2 = trace.samples[st_b.sample_indices[0]]
-        if T in st_a.crossings or T in st_b.crossings:
-            left = _pairing_bars_at(s1.pairs, st_a.actions_at(T), st_a.degrees)
-            right = _pairing_bars_at(s2.pairs, st_b.actions_at(T), st_b.degrees)
-            ok = left == right
-            entries.append(CheckEntry(
-                "crossing", T, ok,
-                "" if ok else "bar endpoint values jump across the crossing"))
-        else:
-            ok = s1.pairs == s2.pairs
-            entries.append(CheckEntry(
-                "continuity", T, ok,
-                "" if ok else "pairing changed without a crossing"))
+        crossing = T in st_a.crossings or T in st_b.crossings
+        entries.append(_step_entry(
+            s1, s2, T, st_a.critical_actions(-1) if crossing else None,
+            st_a.degrees))
 
     # --- the jump rule at each event --------------------------------------
     for rec in trace.events:
@@ -893,11 +906,7 @@ def check_transitions(trace):
                 ev.kind, ev.time, False,
                 "pre-event pairing lacks the bar the event should act on"))
             continue
-        match = None
-        for pairs, desc in candidates:
-            if post.pairs == pairs:
-                match = desc
-                break
+        match = next((d for p, d in candidates if post.pairs == p), None)
         if match is None:
             entries.append(CheckEntry(
                 ev.kind, ev.time, False,
@@ -1015,12 +1024,11 @@ def vineyard_rows(trace):
         elif sample.pairs != prev_pairs:
             id_map = _remap_across(prev_pairs, sample.pairs, id_map, counter)
         prev_pairs = sample.pairs
-        cx = sample.complex
+        acts, degrees = sample.actions, sample.frame[1]
         for p in sorted(sample.pairs, key=lambda q: id_map[q]):
             s, e = p
-            g = cx.generator(s)
-            end = INF if e is None else cx.generator(e).action
-            rows.append((sample.t, id_map[p], g.action, end, g.degree))
+            rows.append((sample.t, id_map[p], acts[s],
+                         INF if e is None else acts[e], degrees[s]))
     return rows
 
 
@@ -1201,8 +1209,6 @@ def drift_speed_audit(timeline, oscillation_rate):
 
 def _random_family_start(rng, field, n, window):
     """Random complex with pairwise-distinct quarter-integer actions."""
-    from fractions import Fraction
-
     a, b = window
     top = Fraction(16) if b == INF else b
     slots = [Fraction(k, 4) for k in range(int(a * 4) + 1, int(top * 4))]
@@ -1226,12 +1232,9 @@ def _random_family_start(rng, field, n, window):
     return FilteredComplex(field, window, gens, rows_built)
 
 
-def _random_targets(rng, state, forced, forbidden, equal_ok=frozenset(),
-                    tries=200):
+def _random_targets(rng, state, forced, forbidden, equal_ok=frozenset()):
     """End-of-segment action values: distinct, strictly inside the window,
     respecting every differential edge (forced edge/death values exempt)."""
-    from fractions import Fraction
-
     a, b = state.a, state.b
     if b == INF:
         top = max([v for v in state.actions.values()] + [Fraction(8)]) + 8
@@ -1239,7 +1242,7 @@ def _random_targets(rng, state, forced, forbidden, equal_ok=frozenset(),
         top = b
     slots = [Fraction(k, 4) for k in range(int(a * 4) + 1, int(top * 4))]
     ids = sorted(state.actions)
-    for _ in range(tries):
+    for _ in range(200):
         targ = dict(forced)
         used = set(targ.values()) | set(forbidden)
         ok = True
@@ -1274,8 +1277,6 @@ def _linear_segment(state, t, t1, targets):
 
 def _resolve_forced(rng, state, last_ev):
     """Moves the previous event imposes on the very next segment."""
-    from fractions import Fraction
-
     forced = {}
     if last_ev is None:
         return forced
@@ -1331,8 +1332,6 @@ def _random_combo(rng, field, cols, basis, p):
 
 
 def _random_timeline_once(rng, field, max_gen, max_ev):
-    from fractions import Fraction
-
     finite_top = rng.random() < 0.8
     window = (Fraction(0), Fraction(16) if finite_top else INF)
     initial = _random_family_start(rng, field, rng.randrange(3, 8), window)

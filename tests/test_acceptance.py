@@ -17,7 +17,7 @@ from chordbars import (F2, FP, INF, QQ, Augmentation, AlgebraElement,
                        constant_width_schedule, extract_table,
                        find_augmentations, handle_slide_morphism,
                        long_bar_witness, oscillation, partial_linearization,
-                       persisting_count, random_complex, random_timeline,
+                       random_complex, random_timeline,
                        random_two_component_dga, recover, simulate,
                        theorem_bound, two_cluster_complex, validate_dga)
 from chordbars.barcodes import barcode_definitional
@@ -140,7 +140,7 @@ def test_invariance_and_rank_identity():
         probes = [levels[0] - 1] + [v + q(1, 8) for v in levels]
         pairs = [(c, s) for c in probes[:3] for s in probes if s >= c]
         for c, s in pairs[:6]:
-            if persisting_count(B, s, start_below=c) != \
+            if B.persisting_count(s, start_below=c) != \
                     rank_phi(cx, c, s + q(1, 16)):
                 rank_failures += 1
     record("barcode invariance under triangular conjugation (200 cases)",

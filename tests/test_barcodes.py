@@ -13,10 +13,11 @@ import pytest
 import chordbars
 from chordbars import (F2, FP, INF, QQ, Bar, FilteredComplex, barcode_of,
                        barcode_table_lines, canonical_form,
-                       check_canonical_form, endpoints_at, extract_table,
-                       persisting_count, random_complex, recover)
+                       check_canonical_form, extract_table, random_complex,
+                       recover)
 from chordbars.barcodes import barcode_csv_rows, barcode_diagram_lines
-from chordbars.errors import EngineMismatch, InconsistentTable
+from chordbars.errors import (EngineMismatch, InconsistentTable,
+                              ValidationError)
 
 from support import bars_as_tuples, rank_phi
 
@@ -170,6 +171,22 @@ def test_recover_rejects_inconsistent_tables():
         recover([0, 1], [[0, 1], [0, 0]])  # resurrection
 
 
+def test_bars_and_tables_stay_exact():
+    # ends and critical values go through as_action: no float ever turns
+    # into a binary fraction, and unreadable values are typed errors
+    assert Bar(0, q(1, 10)).end == q(1, 10)
+    assert Bar("1/3", 1).start == q(1, 3)
+    assert Bar(0, "inf").is_infinite and Bar(0, INF).is_infinite
+    for start, end in [(0, 0.1), (0.5, 1), ("x", 1), (0, "x"), (True, 2),
+                       (0, "1/0"), ("inf", INF)]:
+        with pytest.raises(ValidationError):
+            Bar(start, end)
+    assert recover(["1/10", 1], [[1, 0], [0, 1]]).bars[0].start == q(1, 10)
+    for crit in ([0.1, 1], ["x", 1], [0, "inf"]):
+        with pytest.raises(ValidationError):
+            recover(crit, [[1, 0], [0, 1]])
+
+
 def test_table_roundtrip_random():
     for seed in range(60):
         rng = random.Random(1000 + seed)
@@ -191,15 +208,15 @@ def test_engine_agreement_random():
 def test_persisting_and_endpoint_counts():
     cx = _crossing_fixture(F2, {"x1": 1, "x2": 1}, {"x1": 1})
     B = barcode_of(cx)  # bars [0, 2) and [1/2, 1)
-    assert persisting_count(B, q(3, 4)) == 2
-    assert persisting_count(B, q(3, 2)) == 1
-    assert persisting_count(B, q(3, 4), start_below=q(1, 4)) == 1
-    assert persisting_count(B, 0) == 1       # [0, 2) contains its start
-    assert persisting_count(B, 1) == 1       # [1/2, 1) is half-open
-    assert endpoints_at(B, 1) == 1
-    assert endpoints_at(B, 0) == 1
-    assert endpoints_at(B, q(1, 2)) == 1
-    assert endpoints_at(B, 7) == 0
+    assert B.persisting_count(q(3, 4)) == 2
+    assert B.persisting_count(q(3, 2)) == 1
+    assert B.persisting_count(q(3, 4), start_below=q(1, 4)) == 1
+    assert B.persisting_count(0) == 1       # [0, 2) contains its start
+    assert B.persisting_count(1) == 1       # [1/2, 1) is half-open
+    assert B.endpoints_at(1) == 1
+    assert B.endpoints_at(0) == 1
+    assert B.endpoints_at(q(1, 2)) == 1
+    assert B.endpoints_at(7) == 0
 
 
 def test_persisting_count_matches_rank_oracle():
@@ -218,7 +235,7 @@ def test_persisting_count_matches_rank_oracle():
                     continue
                 # bars with start < c alive at s: rank of the induced map
                 expected = rank_phi(cx, c, s + q(1, 16))
-                got = persisting_count(B, s, start_below=c)
+                got = B.persisting_count(s, start_below=c)
                 assert got == expected, (seed, c, s)
 
 

@@ -236,6 +236,7 @@ def test_optimized_mode_output_identical(fixture_dir):
         ["barcode", "demo_complex.json", "--engine", "both",
          "--format", "structured"],
         ["simulate", "demo_timeline.json"],
+        ["simulate", "demo_timeline.json", "--vineyard", "vine.csv"],
         ["linearize", "two_copy.dga.json", "two_copy.augmentation.json",
          "--window", "9", "12"],
         ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],
@@ -245,15 +246,21 @@ def test_optimized_mode_output_identical(fixture_dir):
     src = str(Path(chordbars.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    vine = fixture_dir / "vine.csv"
     for argv in commands:
-        plain, optimized = [
-            subprocess.run([sys.executable] + flags + ["-m", "chordbars"]
-                           + argv, cwd=fx, env=env, capture_output=True,
-                           text=True)
-            for flags in ([], ["-O"])]
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable] + flags
+                                  + ["-m", "chordbars"] + argv, cwd=fx,
+                                  env=env, capture_output=True, text=True)
+            # the vineyard CSV is compared byte for byte too
+            runs.append((proc, vine.read_bytes() if "--vineyard" in argv
+                         else None))
+        (plain, plain_csv), (optimized, optimized_csv) = runs
         assert plain.returncode == 0, (argv, plain.stderr)
-        assert (optimized.returncode, optimized.stdout) == \
-            (plain.returncode, plain.stdout), argv
+        assert (optimized.returncode, optimized.stdout, optimized_csv) == \
+            (plain.returncode, plain.stdout, plain_csv), argv
+    assert vine.read_text().startswith("t,bar_id,start,end\n")
 
 
 _JUNK = (None, True, 1.5, "", "1/0", "inf", [], {}, 10 ** 30)

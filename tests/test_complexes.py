@@ -7,7 +7,7 @@ import pytest
 
 from chordbars import (F2, INF, QQ, FilteredComplex, FP, Generator,
                        random_complex)
-from chordbars.complexes import as_action
+from chordbars.complexes import as_action, as_degree
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               DegreeMismatch, DuplicateId, ForeignGenerator,
                               NotSquareZero, ValidationError)
@@ -33,6 +33,16 @@ def test_as_action():
         as_action("inf")
     with pytest.raises(ValidationError):
         as_action(True)
+
+
+def test_degrees_are_integers():
+    assert as_degree(2) == 2 and as_degree(-1) == -1
+    assert Generator("a", 1, 0).degree == 0
+    for bad in (True, False, 1.5, 1.0, "1", "z", None, q(1)):
+        with pytest.raises(ValidationError):
+            as_degree(bad)
+        with pytest.raises(ValidationError):
+            Generator("a", 1, bad)
 
 
 def test_generators_sorted_and_window():

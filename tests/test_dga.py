@@ -27,6 +27,23 @@ F5 = FP(5)
 q = Fraction
 
 
+def test_chord_degrees_are_integers():
+    assert Chord("c", 1, -2).degree == -2
+    for bad in (1.5, "z", "1", True, None):
+        with pytest.raises(ValidationError):
+            Chord("c", 1, bad)
+
+
+def test_list_boundaries_sum_repeated_words():
+    # the (coeff, word) list form adds repeated words and drops a sum of zero
+    chords = [Chord("a", 1, 0), Chord("b", 2, 0), Chord("c", 3, 1)]
+    D = ChordDGA(F5, chords, {"c": [(2, ["a"]), (1, ["b"]), (3, ["a"]),
+                                    (4, ["b"])]})
+    assert "c" not in D.differential
+    D = ChordDGA(F5, chords, {"c": [(2, ["a"]), (3, ["b"]), (2, ["a"])]})
+    assert D.diff_of("c").terms == {("a",): 4, ("b",): 3}
+
+
 def test_koszul_sign_in_leibniz_rule():
     D = ChordDGA(QQ, [Chord("u", 1, 0), Chord("v", 2, 0),
                       Chord("x", 4, 1), Chord("y", 5, 1)],

@@ -1,0 +1,105 @@
+"""Segment replay on the first 100 acceptance timelines.
+
+A replay sample carries its time, generator actions, window, id-pairing and
+a frame shared by its segment; its complex and barcode are built on
+access.  The oracle rebuilds both at every sample and recomputes the pairing
+from scratch.  The digests pin the ``check_transitions`` entries and the
+vineyard CSV; they were recorded before samples stopped carrying complexes.
+
+Run ``PYTHONPATH=src python tests/test_replay.py`` to print the current
+digests.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from chordbars import (F2, FP, QQ, DriftSegment, barcode_of, canonical_form,
+                       check_transitions, random_timeline, simulate,
+                       vineyard_rows)
+from chordbars.schemas import vineyard_csv
+
+FIELDS = [F2, FP(5), QQ]
+COUNT = 100
+
+
+def _replays():
+    # the seeds and fields of the acceptance set (tests/test_acceptance.py)
+    for i in range(COUNT):
+        rng = random.Random(30_000 + i)
+        initial, items = random_timeline(rng, FIELDS[i % 3],
+                                         max_generators=12, max_events=10)
+        yield items, simulate(initial, items)
+
+
+@pytest.fixture(scope="module")
+def replays():
+    return list(_replays())
+
+
+def replay_digests(traces):
+    entries, csv = hashlib.sha256(), hashlib.sha256()
+    for trace in traces:
+        for e in check_transitions(trace).entries:
+            entries.update(repr((e.kind, str(e.time), e.ok,
+                                 e.detail)).encode())
+        csv.update(vineyard_csv(vineyard_rows(trace)).encode())
+    return entries.hexdigest(), csv.hexdigest()
+
+
+PINNED = (
+    "5aa075882553a7d62fce2637eba8a7da79e2f49c31018eb8c9056335ae0ce3b9",
+    "95ef3edb4a2278d08de3f4ab887cebcf1ecaca9544a9a4b8bef83575efc2419e",
+)
+
+
+def test_replay_outputs_are_pinned(replays):
+    assert replay_digests(trace for _items, trace in replays) == PINNED
+
+
+def test_samples_rebuild_complex_pairing_and_barcode(replays):
+    for _items, trace in replays:
+        for s in trace.samples:
+            cx = s.complex
+            assert cx.window == s.window
+            assert {g.id: g.action for g in cx.generators} == s.actions
+            form = canonical_form(cx)
+            assert s.pairs == frozenset(
+                {(killed, killer) for killer, killed in form.pairs}
+                | {(gid, None) for gid in form.unpaired})
+            assert barcode_of(cx) == s.barcode
+
+
+def test_midpoint_actions_are_path_values(replays):
+    # every breakpoint is a critical time, so the mean of the values at two
+    # consecutive critical times is the path's value at their midpoint
+    for items, trace in replays:
+        drifts = [it for it in items if isinstance(it, DriftSegment)]
+        assert len(drifts) == len(trace.segments)
+        for seg, st in zip(drifts, trace.segments):
+            assert (st.critical[0], st.critical[-1]) == (seg.t0, seg.t1)
+            assert set(st.crossings) <= set(st.critical)
+            assert len(st.critical) == len(st.sample_indices) + 1
+            for gid, path in seg.actions.items():
+                assert st.values[gid] == [path.value(t) for t in st.critical]
+            for k, i in enumerate(st.sample_indices):
+                s = trace.samples[i]
+                assert s.t == (st.critical[k] + st.critical[k + 1]) / 2
+                assert s.actions == {gid: p.value(s.t)
+                                     for gid, p in seg.actions.items()}
+
+
+def test_event_records_name_the_neighbouring_samples(replays):
+    for _items, trace in replays:
+        times = [s.t for s in trace.samples]
+        for rec in trace.events:
+            tau = rec.event.time
+            assert rec.pre_sample == max(i for i, t in enumerate(times)
+                                         if t < tau)
+            assert rec.post_sample == min(i for i, t in enumerate(times)
+                                          if t > tau)
+
+
+if __name__ == "__main__":
+    print(replay_digests(trace for _items, trace in _replays()))

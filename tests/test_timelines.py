@@ -132,6 +132,46 @@ def _hold(t0, t1):
     return DriftSegment(t0, t1, {"a": 1, "b": q(3, 2), "c": 2})
 
 
+def test_event_degrees_are_integers():
+    for bad in (2.5, "1", "z", True):
+        with pytest.raises(ValidationError):
+            EntryBelow(0, "g", bad)
+        with pytest.raises(ValidationError):
+            EntryAbove(0, "g", bad)
+        with pytest.raises(ValidationError):
+            Birth(0, ("x", bad), ("y", 0), 1)
+        with pytest.raises(ValidationError):
+            Birth(0, ("x", 1), ("y", bad), 1)
+    assert EntryBelow(0, "g", 2).degree == 2
+
+
+def test_timeline_ending_in_an_event_rejected():
+    with pytest.raises(ValidationError,
+                       match="event at t = 1/2 lacks a sample on one side"):
+        simulate(_pair_complex(), [_hold(0, q(1, 2)),
+                                   HandleSlide(q(1, 2), "c", {"b": 1})])
+    # a final birth or entry above leaves a degenerate complex behind
+    with pytest.raises(ActionIncrease, match="strict decrease required"):
+        simulate(_pair_complex(), [_hold(0, q(1, 2)),
+                                   Birth(q(1, 2), ("x", 1), ("y", 0), 3)])
+    with pytest.raises(ActionOutsideWindow, match="outside"):
+        simulate(_pair_complex(window=(0, 4)), [
+            _hold(0, q(1, 2)), EntryAbove(q(1, 2), "v", 0)])
+
+
+def test_empty_window_rejected_without_generators():
+    # with no generator left nothing else bounds the window: an empty one
+    # is rejected at a sample and at the end, a touch between samples is not
+    empty = FilteredComplex(F2, (0, 4), [], {})
+    for top in ([(0, 4), (1, -4)], [(0, 4), (1, 0)]):
+        with pytest.raises(ValidationError, match=r"empty window \[0, 0\)"):
+            simulate(empty, [DriftSegment(0, 1, {}, window_b=top)])
+    trace = simulate(empty, [DriftSegment(0, 1, {}, window_b=[
+        (0, 4), (q(1, 2), 0), (1, 4)])])
+    assert [s.window for s in trace.samples] == [
+        (0, 4), (0, 2), (0, 2), (0, 4)]
+
+
 def test_simultaneous_events_rejected():
     cx = _pair_complex()
     with pytest.raises(SimultaneousBifurcations):
