@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from operator import attrgetter
 
 from .barcodes import format_action
 from .bounds import OscillationProfile
@@ -236,18 +237,6 @@ def _path_spec(value, where):
     return _action(value, where)
 
 
-_EVENT_KEYS = {
-    "drift": (("t0", "t1", "actions"), ("window_a", "window_b")),
-    "handle_slide": (("time", "target", "addend"), ("unit",)),
-    "birth": (("time", "x", "y", "common_action"), ()),
-    "death": (("time", "x", "y"), ()),
-    "exit_below": (("time", "id"), ()),
-    "exit_above": (("time", "id"), ()),
-    "entry_below": (("time", "id", "degree"), ("couplings",)),
-    "entry_above": (("time", "id", "degree"), ("boundary",)),
-}
-
-
 def _scalar_map(obj, where):
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
@@ -255,17 +244,59 @@ def _scalar_map(obj, where):
             for gid, v in obj.items()}
 
 
+def _scalar_map_json(values):
+    return {gid: str(c) for gid, c in sorted(values.items())}
+
+
+def _endpoint(value, where):
+    """A birth endpoint [id, degree]; a wrong length is reported at the
+    item's path."""
+    pair = _list(value, where)
+    if len(pair) != 2:
+        raise ParseError("birth endpoints are [id, degree]",
+                         where.rpartition(".")[0])
+    return _str(pair[0], where + "[0]"), _int(pair[1], where + "[1]")
+
+
+def _field(key, attrs, parse, fmt=None, *default):
+    """One JSON field of an event item: its key, the event attribute(s) it
+    holds, how it parses and formats, and its default if it is optional."""
+    return (key, attrgetter(*attrs.split()), parse, fmt or (lambda v: v)) \
+        + default
+
+
+_GID = _field("id", "gid", _str)
+_DEGREE = _field("degree", "degree", _int)
+
+# every event item has a "type" and a "time"; this lists the rest, in the
+# order of the class's constructor arguments
+_EVENT_ITEMS = {
+    "handle_slide": (HandleSlide, (
+        _field("target", "target", _str),
+        _field("addend", "addend", _scalar_map, _scalar_map_json),
+        _field("unit", "unit", _scalar_str, str, 1))),
+    "birth": (Birth, (
+        _field("x", "x_id x_degree", _endpoint, list),
+        _field("y", "y_id y_degree", _endpoint, list),
+        _field("common_action", "common_action", _action, format_action))),
+    "death": (Death, (_field("x", "x_id", _str), _field("y", "y_id", _str))),
+    "exit_below": (ExitBelow, (_GID,)),
+    "exit_above": (ExitAbove, (_GID,)),
+    "entry_below": (EntryBelow, (_GID, _DEGREE, _field(
+        "couplings", "couplings", _scalar_map, _scalar_map_json, {}))),
+    "entry_above": (EntryAbove, (_GID, _DEGREE, _field(
+        "boundary", "boundary", _scalar_map, _scalar_map_json, {}))),
+}
+
+
 def parse_timeline_item(item, where):
     item = dict(item) if isinstance(item, dict) else item
     if not isinstance(item, dict) or "type" not in item:
         raise ParseError("expected an object with a \"type\" key", where)
     kind = item["type"]
-    if not isinstance(kind, str) or kind not in _EVENT_KEYS:
-        raise ParseError("unknown timeline item type %r" % (kind,),
-                         where + ".type")
-    required, optional = _EVENT_KEYS[kind]
-    _obj(item, where, required=("type",) + required, optional=optional)
     if kind == "drift":
+        _obj(item, where, required=("type", "t0", "t1", "actions"),
+             optional=("window_a", "window_b"))
         actions = item["actions"]
         if not isinstance(actions, dict):
             raise ParseError("expected an object", where + ".actions")
@@ -280,37 +311,16 @@ def parse_timeline_item(item, where):
             None if wa is None else _path_spec(wa, where + ".window_a"),
             None if wb is None else (
                 INF if wb == "inf" else _path_spec(wb, where + ".window_b")))
-    time = _action(item["time"], where + ".time")
-    if kind == "handle_slide":
-        return HandleSlide(time, _str(item["target"], where + ".target"),
-                           _scalar_map(item["addend"], where + ".addend"),
-                           unit=_scalar_str(item.get("unit", 1),
-                                            where + ".unit"))
-    if kind == "birth":
-        x = _list(item["x"], where + ".x")
-        y = _list(item["y"], where + ".y")
-        if len(x) != 2 or len(y) != 2:
-            raise ParseError("birth endpoints are [id, degree]", where)
-        return Birth(time,
-                     (_str(x[0], where + ".x[0]"), _int(x[1], where + ".x[1]")),
-                     (_str(y[0], where + ".y[0]"), _int(y[1], where + ".y[1]")),
-                     _action(item["common_action"], where + ".common_action"))
-    if kind == "death":
-        return Death(time, _str(item["x"], where + ".x"),
-                     _str(item["y"], where + ".y"))
-    if kind == "exit_below":
-        return ExitBelow(time, _str(item["id"], where + ".id"))
-    if kind == "exit_above":
-        return ExitAbove(time, _str(item["id"], where + ".id"))
-    if kind == "entry_below":
-        return EntryBelow(time, _str(item["id"], where + ".id"),
-                          _int(item["degree"], where + ".degree"),
-                          _scalar_map(item.get("couplings", {}),
-                                      where + ".couplings"))
-    return EntryAbove(time, _str(item["id"], where + ".id"),
-                      _int(item["degree"], where + ".degree"),
-                      _scalar_map(item.get("boundary", {}),
-                                  where + ".boundary"))
+    if not isinstance(kind, str) or kind not in _EVENT_ITEMS:
+        raise ParseError("unknown timeline item type %r" % (kind,),
+                         where + ".type")
+    cls, fields = _EVENT_ITEMS[kind]
+    _obj(item, where, required=("type", "time") + tuple(
+        f[0] for f in fields if len(f) == 4),
+        optional=[f[0] for f in fields if len(f) == 5])
+    return cls(_action(item["time"], where + ".time"),
+               *(parse(item.get(key, *default), "%s.%s" % (where, key))
+                 for key, _get, parse, _fmt, *default in fields))
 
 
 def parse_timeline(obj, where="timeline"):
@@ -344,32 +354,10 @@ def serialize_timeline_item(item):
                                _serialize_path(item.window_b, item.t0, item.t1))
         return out
     out = {"type": item.kind, "time": format_action(item.time)}
-    if isinstance(item, HandleSlide):
-        out["target"] = item.target
-        out["addend"] = {gid: str(c) for gid, c in sorted(item.addend.items())}
-        if item.unit != 1:
-            out["unit"] = str(item.unit)
-    elif isinstance(item, Birth):
-        out["x"] = [item.x_id, item.x_degree]
-        out["y"] = [item.y_id, item.y_degree]
-        out["common_action"] = format_action(item.common_action)
-    elif isinstance(item, Death):
-        out["x"] = item.x_id
-        out["y"] = item.y_id
-    elif isinstance(item, (ExitBelow, ExitAbove)):
-        out["id"] = item.gid
-    elif isinstance(item, EntryBelow):
-        out["id"] = item.gid
-        out["degree"] = item.degree
-        if item.couplings:
-            out["couplings"] = {gid: str(c)
-                                for gid, c in sorted(item.couplings.items())}
-    elif isinstance(item, EntryAbove):
-        out["id"] = item.gid
-        out["degree"] = item.degree
-        if item.boundary:
-            out["boundary"] = {gid: str(c)
-                               for gid, c in sorted(item.boundary.items())}
+    for key, get, _parse, fmt, *default in _EVENT_ITEMS[item.kind][1]:
+        value = get(item)
+        if not default or value != default[0]:
+            out[key] = fmt(value)
     return out
 
 

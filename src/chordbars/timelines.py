@@ -70,10 +70,26 @@ class DriftSegment:
 
 
 class SingularEvent:
+    """A bifurcation at one time.  A new kind is one subclass plus one row in
+    the :mod:`chordbars.schemas` item table.  ``apply(state)`` checks its
+    preconditions and edits the family state; ``admissible(pairs)`` lists
+    the admissible (post-event pairing, description) pairs, none if the bar
+    it acts on is missing; ``check_values(rec, pre_pairs, post_pairs)``
+    returns what is wrong with the actions at the event time, or None.
+    The next segment may start with a zero gap on ``zero_edges`` and
+    ``zero_tops`` (differential edges, generators on the window top).
+    ``edge`` is the window edge (0 bottom, 1 top) an exit or entry crosses.
+    """
+
     kind = "event"
+    zero_edges = zero_tops = ()
+    edge = None
 
     def __init__(self, time):
         self.time = as_action(time)
+
+    def apply(self, state):
+        raise ValidationError("unknown event kind %r" % self.kind)
 
 
 class HandleSlide(SingularEvent):
@@ -87,6 +103,58 @@ class HandleSlide(SingularEvent):
         self.addend = dict(addend)
         self.unit = unit
 
+    def apply(self, state):
+        field, tau = state.field, self.time
+        _require_resolved(state, self)
+        _check_no_tie(state, tau)
+        if self.target not in state.degrees:
+            raise EventPreconditionViolated("slide target %r not present"
+                                            % self.target)
+        unit = field.coerce(self.unit)
+        if not unit:
+            raise EventPreconditionViolated("slide unit must be nonzero")
+        w = {}
+        for gid, c in self.addend.items():
+            if gid == self.target:
+                raise EventPreconditionViolated(
+                    "slide addend may not contain the target")
+            if gid not in state.degrees:
+                raise EventPreconditionViolated(
+                    "slide addend id %r not present" % gid)
+            if state.degrees[gid] != state.degrees[self.target]:
+                raise EventPreconditionViolated(
+                    "slide addend %r has degree %d, target has %d"
+                    % (gid, state.degrees[gid], state.degrees[self.target]))
+            if state.actions[gid] > state.actions[self.target]:
+                raise EventPreconditionViolated(
+                    "slide addend %r has larger action than the target at t = %s"
+                    % (gid, tau))
+            cc = field.mul(field.coerce(c), unit)
+            if cc:
+                w[gid] = cc
+        # conjugate ∂ by e_target -> e_target + w: the target's boundary
+        # gains ∂w, every source hitting the target loses (coefficient)·w
+        dw = boundary_raw(field, state.diff, w)
+        new_diff = {}
+        for src in state.degrees:
+            row = dict(state.diff.get(src, {}))
+            if src == self.target:
+                field.add_scaled(row, dw, field.one_raw)
+            elif row.get(self.target):
+                field.add_scaled(row, w, field.neg(row[self.target]))
+            if row:
+                new_diff[src] = row
+        state.diff = new_diff
+
+    def admissible(self, pairs):
+        return [(frozenset(pairs), "pairing unchanged")]
+
+    def check_values(self, rec, pre_pairs, post_pairs):
+        if (_pairing_bars_at(pre_pairs, rec.pre_actions, rec.pre_degrees)
+                != _pairing_bars_at(post_pairs, rec.post_actions,
+                                    rec.post_degrees)):
+            return "bar values at the slide time changed"
+
 
 class Birth(SingularEvent):
     """Adjoin a canceling pair x, y with ∂x = y at a common action."""
@@ -98,6 +166,42 @@ class Birth(SingularEvent):
         (self.x_id, x_degree), (self.y_id, y_degree) = x, y
         self.x_degree, self.y_degree = as_degree(x_degree), as_degree(y_degree)
         self.common_action = as_action(common_action)
+        self.zero_edges = ((self.x_id, self.y_id),)
+
+    def apply(self, state):
+        _require_resolved(state, self)
+        _check_no_tie(state, self.time)
+        for gid in (self.x_id, self.y_id):
+            if gid in state.degrees:
+                raise EventPreconditionViolated("birth id %r already in use" % gid)
+        if self.x_id == self.y_id:
+            raise EventPreconditionViolated("birth pair needs two distinct ids")
+        if self.x_degree != self.y_degree + 1:
+            raise EventPreconditionViolated(
+                "birth pair degrees must differ by one (x one above y)")
+        if not (state.a <= self.common_action
+                and (state.b == INF or self.common_action < state.b)):
+            raise EventPreconditionViolated(
+                "birth action %s outside window [%s, %s) at t = %s"
+                % (self.common_action, state.a, state.b, self.time))
+        if any(act == self.common_action for act in state.actions.values()):
+            raise NonGenericCrossing(
+                "birth at action %s collides with an existing generator"
+                % self.common_action)
+        state.degrees[self.x_id] = self.x_degree
+        state.degrees[self.y_id] = self.y_degree
+        state.actions[self.x_id] = self.common_action
+        state.actions[self.y_id] = self.common_action
+        state.diff[self.x_id] = {self.y_id: state.field.one_raw}
+
+    def admissible(self, pairs):
+        return [(frozenset(pairs | {(self.y_id, self.x_id)}),
+                 "one bar added at the common action")]
+
+    def check_values(self, rec, pre_pairs, post_pairs):
+        if not (rec.post_actions[self.x_id] == self.common_action
+                and rec.post_actions[self.y_id] == self.common_action):
+            return "born pair is not at the common action"
 
 
 class Death(SingularEvent):
@@ -110,24 +214,138 @@ class Death(SingularEvent):
         self.x_id = x
         self.y_id = y
 
+    def apply(self, state):
+        x, y = self.x_id, self.y_id
+        if x not in state.degrees or y not in state.degrees:
+            raise EventPreconditionViolated("death pair (%r, %r) not present"
+                                            % (x, y))
+        _require_resolved(state, self, gaps_ok={(x, y)})
+        row = state.diff.get(x, {})
+        if set(row) != {y} or not row[y]:
+            raise EventPreconditionViolated(
+                "death requires ∂%s = unit·%s exactly, got targets %s"
+                % (x, y, sorted(row)))
+        for src, r in state.diff.items():
+            if src != x and (x in r or y in r):
+                raise EventPreconditionViolated(
+                    "death pair is not split: %r appears in the boundary of %r"
+                    % (x if x in r else y, src))
+        if state.actions[x] != state.actions[y]:
+            raise EventPreconditionViolated(
+                "death pair actions differ at t = %s: %s vs %s"
+                % (self.time, state.actions[x], state.actions[y]))
+        _check_no_tie(state, self.time, exempt=frozenset({x, y}))
+        for gid in (x, y):
+            state.degrees.pop(gid)
+            state.actions.pop(gid)
+            state.diff.pop(gid, None)
 
-class ExitBelow(SingularEvent):
+    def admissible(self, pairs):
+        if (self.y_id, self.x_id) not in pairs:
+            return []
+        return [(frozenset(pairs - {(self.y_id, self.x_id)}),
+                 "the collided bar removed")]
+
+    def check_values(self, rec, pre_pairs, post_pairs):
+        if rec.pre_actions[self.x_id] != rec.pre_actions[self.y_id]:
+            return "dying pair actions differ at the event time"
+
+
+class _WindowEdgeEvent(SingularEvent):
+    """A generator leaving (``exits``) or entering the window through
+    ``edge``; its action sits on that edge before an exit, after an entry."""
+
+    exits = True
+
+    def __init__(self, time, gid):
+        super().__init__(time)
+        self.gid = gid
+
+    def check_values(self, rec, pre_pairs, post_pairs):
+        acts = rec.pre_actions if self.exits else rec.post_actions
+        if acts[self.gid] != rec.window[self.edge]:
+            return ("the generator is not on the %s edge"
+                    % ("bottom", "top")[self.edge])
+
+
+class ExitBelow(_WindowEdgeEvent):
     kind = "exit_below"
+    edge = 0
 
-    def __init__(self, time, gid):
-        super().__init__(time)
-        self.gid = gid
+    def apply(self, state):
+        g = self.gid
+        if g not in state.degrees:
+            raise EventPreconditionViolated("exiting generator %r not present" % g)
+        _require_resolved(state, self)
+        if state.actions[g] != state.a:
+            raise EventPreconditionViolated(
+                "exit below requires action(%s) = window bottom %s at t = %s, "
+                "got %s" % (g, state.a, self.time, state.actions[g]))
+        _check_no_tie(state, self.time)
+        # a generator on the (closed) bottom edge is automatically a cycle:
+        # a target would need strictly smaller action than the window allows
+        assert not state.diff.get(g)  # invariant: replay keeps targets in [a, action(g))
+        state.degrees.pop(g)
+        state.actions.pop(g)
+        state.diff.pop(g, None)
+        for src in list(state.diff):
+            row = state.diff[src]
+            if g in row:
+                row.pop(g)  # quotient: terms below the window are dropped
+                if not row:
+                    state.diff.pop(src)
+
+    def admissible(self, pairs):
+        mine = [(s, e) for (s, e) in pairs if s == self.gid]
+        if len(mine) != 1:
+            return []
+        s, e = mine[0]
+        rest = pairs - {(s, e)}
+        if e is None:
+            return [(frozenset(rest), "the exiting infinite bar removed")]
+        return [(frozenset(rest | {(e, None)}),
+                 "finite bar from the bottom replaced by an infinite one")]
 
 
-class ExitAbove(SingularEvent):
+class ExitAbove(_WindowEdgeEvent):
     kind = "exit_above"
+    edge = 1
 
-    def __init__(self, time, gid):
-        super().__init__(time)
-        self.gid = gid
+    def apply(self, state):
+        g = self.gid
+        if state.b == INF:
+            raise EventPreconditionViolated("exit above needs a finite window top")
+        if g not in state.degrees:
+            raise EventPreconditionViolated("exiting generator %r not present" % g)
+        _require_resolved(state, self, top_ok={g})
+        if state.actions[g] != state.b:
+            raise EventPreconditionViolated(
+                "exit above requires action(%s) = window top %s at t = %s, "
+                "got %s" % (g, state.b, self.time, state.actions[g]))
+        _check_no_tie(state, self.time)
+        for src, row in state.diff.items():
+            if g in row:
+                raise EventPreconditionViolated(
+                    "%r cannot exit above: it appears in the boundary of %r"
+                    % (g, src))
+        state.degrees.pop(g)
+        state.actions.pop(g)
+        state.diff.pop(g, None)
+
+    def admissible(self, pairs):
+        g = self.gid
+        ends = [(s, e) for (s, e) in pairs if e == g]
+        if ends:
+            s, e = ends[0]
+            return [(frozenset((pairs - {(s, e)}) | {(s, None)}),
+                     "bar ending at the top becomes infinite")]
+        if (g, None) in pairs:
+            return [(frozenset(pairs - {(g, None)}),
+                     "the exiting infinite bar removed")]
+        return []
 
 
-class EntryBelow(SingularEvent):
+class EntryBelow(_WindowEdgeEvent):
     """Generator enters at the bottom edge.
 
     ``couplings`` maps existing generator ids (one degree up) to the
@@ -136,24 +354,110 @@ class EntryBelow(SingularEvent):
     """
 
     kind = "entry_below"
+    edge = 0
+    exits = False
 
     def __init__(self, time, gid, degree, couplings=None):
-        super().__init__(time)
-        self.gid = gid
+        super().__init__(time, gid)
         self.degree = as_degree(degree)
         self.couplings = dict(couplings or {})
 
+    def apply(self, state):
+        g, field = self.gid, state.field
+        if g in state.degrees:
+            raise EventPreconditionViolated("entering id %r already in use" % g)
+        _require_resolved(state, self)
+        _check_no_tie(state, self.time)
+        couplings = {}
+        for z, c in self.couplings.items():
+            if z not in state.degrees:
+                raise EventPreconditionViolated("coupling id %r not present" % z)
+            if state.degrees[z] != self.degree + 1:
+                raise EventPreconditionViolated(
+                    "coupling %r must be one degree above the newcomer" % z)
+            cc = field.coerce(c)
+            if cc:
+                couplings[z] = cc
+        # ∂² stays zero iff the coupling row annihilates the image two up
+        for w, row in state.diff.items():
+            if state.degrees.get(w) != self.degree + 2:
+                continue
+            acc = field.zero_raw
+            for z, c in couplings.items():
+                if z in row:
+                    acc = field.add(acc, field.mul(row[z], c))
+            if acc:
+                raise EventPreconditionViolated(
+                    "couplings break ∂² = 0 (witness %r)" % w)
+        if any(act == state.a for act in state.actions.values()):
+            raise NonGenericCrossing(
+                "entry at the bottom collides with a generator at action %s"
+                % state.a)
+        state.degrees[g] = self.degree
+        state.actions[g] = state.a
+        for z, c in couplings.items():
+            state.diff.setdefault(z, {})[g] = c
 
-class EntryAbove(SingularEvent):
+    def admissible(self, pairs):
+        g = self.gid
+        out = [(frozenset(pairs | {(g, None)}),
+                "a fresh infinite bar starts at the bottom")]
+        for (s, e) in pairs:
+            if e is None:
+                out.append((frozenset((pairs - {(s, None)}) | {(g, s)}),
+                            "an infinite bar now starts at the bottom (killed by %r)" % s))
+        return out
+
+
+class EntryAbove(_WindowEdgeEvent):
     """Generator enters at the top edge carrying its own boundary chain."""
 
     kind = "entry_above"
+    edge = 1
+    exits = False
 
     def __init__(self, time, gid, degree, boundary=None):
-        super().__init__(time)
-        self.gid = gid
+        super().__init__(time, gid)
         self.degree = as_degree(degree)
         self.boundary = dict(boundary or {})
+        self.zero_tops = (self.gid,)
+
+    def apply(self, state):
+        g, field = self.gid, state.field
+        if state.b == INF:
+            raise EventPreconditionViolated("entry above needs a finite window top")
+        if g in state.degrees:
+            raise EventPreconditionViolated("entering id %r already in use" % g)
+        _require_resolved(state, self)
+        _check_no_tie(state, self.time)
+        boundary = {}
+        for y, c in self.boundary.items():
+            if y not in state.degrees:
+                raise EventPreconditionViolated("boundary id %r not present" % y)
+            if state.degrees[y] != self.degree - 1:
+                raise EventPreconditionViolated(
+                    "boundary of the newcomer must live one degree down")
+            cc = field.coerce(c)
+            if cc:
+                boundary[y] = cc
+        acc = boundary_raw(field, state.diff, boundary)
+        if acc:
+            raise EventPreconditionViolated(
+                "entry boundary is not a cycle (witness %r)" % sorted(acc)[0])
+        state.degrees[g] = self.degree
+        state.actions[g] = state.b
+        if boundary:
+            state.diff[g] = boundary
+
+    def admissible(self, pairs):
+        g = self.gid
+        out = [(frozenset(pairs | {(g, None)}),
+                "a fresh infinite bar starts at the top")]
+        for (s, e) in pairs:
+            if e is None:
+                out.append((frozenset((pairs - {(s, None)}) | {(s, g)}),
+                            "an infinite bar is now cut off at the top"))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +740,9 @@ def _run_segment(trace, state, seg, entering_event=None):
                 return tb
         return None
 
-    birth_pair = None
-    if entering_event is not None and entering_event.kind == "birth":
-        birth_pair = {entering_event.x_id, entering_event.y_id}
+    # gaps the entering event leaves at zero (a birth's edge, an entry on top)
+    zero_edges = entering_event.zero_edges if entering_event else ()
+    zero_tops = entering_event.zero_tops if entering_event else ()
 
     # 4a. strict action decrease along every differential edge
     pending_gaps = set()
@@ -446,7 +750,7 @@ def _run_segment(trace, state, seg, entering_event=None):
         for tgt in row:
             gap = paths[src] - paths[tgt]
             ok = {t1}  # tentatively: a death at t1 must claim it
-            if birth_pair is not None and {src, tgt} == birth_pair:
+            if (src, tgt) in zero_edges:
                 ok.add(t0)
             witness = _edge_ok(gap, ok)
             if witness is not None:
@@ -458,9 +762,6 @@ def _run_segment(trace, state, seg, entering_event=None):
 
     # 4b. window containment (bottom is closed, top is open)
     pending_top = set()
-    entry_above_id = None
-    if entering_event is not None and entering_event.kind == "entry_above":
-        entry_above_id = entering_event.gid
     for gid in ids:
         for ta, va, tb, vb in (paths[gid] - a_path).pieces():
             if va < 0 or vb < 0:
@@ -470,7 +771,7 @@ def _run_segment(trace, state, seg, entering_event=None):
         if b_path != INF:
             top_gap = b_path - paths[gid]
             ok = {t1}  # tentatively: an exit above at t1 must claim it
-            if gid == entry_above_id:
+            if gid in zero_tops:
                 ok.add(t0)
             witness = _edge_ok(top_gap, ok)
             if witness is not None:
@@ -540,215 +841,9 @@ def _require_resolved(state, ev, gaps_ok=frozenset(), top_ok=frozenset()):
 
 
 def _apply_event(trace, state, ev):
-    field = state.field
-    tau = ev.time
     pre_actions = dict(state.actions)
     pre_degrees = dict(state.degrees)
-
-    if ev.kind == "handle_slide":
-        _require_resolved(state, ev)
-        _check_no_tie(state, tau)
-        if ev.target not in state.degrees:
-            raise EventPreconditionViolated("slide target %r not present"
-                                            % ev.target)
-        unit = field.coerce(ev.unit)
-        if not unit:
-            raise EventPreconditionViolated("slide unit must be nonzero")
-        w = {}
-        for gid, c in ev.addend.items():
-            if gid == ev.target:
-                raise EventPreconditionViolated(
-                    "slide addend may not contain the target")
-            if gid not in state.degrees:
-                raise EventPreconditionViolated(
-                    "slide addend id %r not present" % gid)
-            if state.degrees[gid] != state.degrees[ev.target]:
-                raise EventPreconditionViolated(
-                    "slide addend %r has degree %d, target has %d"
-                    % (gid, state.degrees[gid], state.degrees[ev.target]))
-            if state.actions[gid] > state.actions[ev.target]:
-                raise EventPreconditionViolated(
-                    "slide addend %r has larger action than the target at t = %s"
-                    % (gid, tau))
-            cc = field.mul(field.coerce(c), unit)
-            if cc:
-                w[gid] = cc
-        # conjugate ∂ by e_target -> e_target + w: the target's boundary
-        # gains ∂w, every source hitting the target loses (coefficient)·w
-        dw = boundary_raw(field, state.diff, w)
-        new_diff = {}
-        for src in state.degrees:
-            row = dict(state.diff.get(src, {}))
-            if src == ev.target:
-                field.add_scaled(row, dw, field.one_raw)
-            elif row.get(ev.target):
-                field.add_scaled(row, w, field.neg(row[ev.target]))
-            if row:
-                new_diff[src] = row
-        state.diff = new_diff
-
-    elif ev.kind == "birth":
-        _require_resolved(state, ev)
-        _check_no_tie(state, tau)
-        for gid in (ev.x_id, ev.y_id):
-            if gid in state.degrees:
-                raise EventPreconditionViolated("birth id %r already in use" % gid)
-        if ev.x_id == ev.y_id:
-            raise EventPreconditionViolated("birth pair needs two distinct ids")
-        if ev.x_degree != ev.y_degree + 1:
-            raise EventPreconditionViolated(
-                "birth pair degrees must differ by one (x one above y)")
-        if not (state.a <= ev.common_action
-                and (state.b == INF or ev.common_action < state.b)):
-            raise EventPreconditionViolated(
-                "birth action %s outside window [%s, %s) at t = %s"
-                % (ev.common_action, state.a, state.b, tau))
-        if any(act == ev.common_action for act in state.actions.values()):
-            raise NonGenericCrossing(
-                "birth at action %s collides with an existing generator"
-                % ev.common_action)
-        state.degrees[ev.x_id] = ev.x_degree
-        state.degrees[ev.y_id] = ev.y_degree
-        state.actions[ev.x_id] = ev.common_action
-        state.actions[ev.y_id] = ev.common_action
-        state.diff[ev.x_id] = {ev.y_id: field.one_raw}
-
-    elif ev.kind == "death":
-        x, y = ev.x_id, ev.y_id
-        if x not in state.degrees or y not in state.degrees:
-            raise EventPreconditionViolated("death pair (%r, %r) not present"
-                                            % (x, y))
-        _require_resolved(state, ev, gaps_ok={(x, y)})
-        row = state.diff.get(x, {})
-        if set(row) != {y} or not row[y]:
-            raise EventPreconditionViolated(
-                "death requires ∂%s = unit·%s exactly, got targets %s"
-                % (x, y, sorted(row)))
-        for src, r in state.diff.items():
-            if src != x and (x in r or y in r):
-                raise EventPreconditionViolated(
-                    "death pair is not split: %r appears in the boundary of %r"
-                    % (x if x in r else y, src))
-        if state.actions[x] != state.actions[y]:
-            raise EventPreconditionViolated(
-                "death pair actions differ at t = %s: %s vs %s"
-                % (tau, state.actions[x], state.actions[y]))
-        _check_no_tie(state, tau, exempt=frozenset({x, y}))
-        for gid in (x, y):
-            state.degrees.pop(gid)
-            state.actions.pop(gid)
-            state.diff.pop(gid, None)
-
-    elif ev.kind == "exit_below":
-        g = ev.gid
-        if g not in state.degrees:
-            raise EventPreconditionViolated("exiting generator %r not present" % g)
-        _require_resolved(state, ev)
-        if state.actions[g] != state.a:
-            raise EventPreconditionViolated(
-                "exit below requires action(%s) = window bottom %s at t = %s, "
-                "got %s" % (g, state.a, tau, state.actions[g]))
-        _check_no_tie(state, tau)
-        # a generator on the (closed) bottom edge is automatically a cycle:
-        # a target would need strictly smaller action than the window allows
-        assert not state.diff.get(g)  # invariant: replay keeps targets in [a, action(g))
-        state.degrees.pop(g)
-        state.actions.pop(g)
-        state.diff.pop(g, None)
-        for src in list(state.diff):
-            row = state.diff[src]
-            if g in row:
-                row.pop(g)  # quotient: terms below the window are dropped
-                if not row:
-                    state.diff.pop(src)
-
-    elif ev.kind == "entry_below":
-        g = ev.gid
-        if g in state.degrees:
-            raise EventPreconditionViolated("entering id %r already in use" % g)
-        _require_resolved(state, ev)
-        _check_no_tie(state, tau)
-        couplings = {}
-        for z, c in ev.couplings.items():
-            if z not in state.degrees:
-                raise EventPreconditionViolated("coupling id %r not present" % z)
-            if state.degrees[z] != ev.degree + 1:
-                raise EventPreconditionViolated(
-                    "coupling %r must be one degree above the newcomer" % z)
-            cc = field.coerce(c)
-            if cc:
-                couplings[z] = cc
-        # ∂² stays zero iff the coupling row annihilates the image two up
-        for w, row in state.diff.items():
-            if state.degrees.get(w) != ev.degree + 2:
-                continue
-            acc = field.zero_raw
-            for z, c in couplings.items():
-                if z in row:
-                    acc = field.add(acc, field.mul(row[z], c))
-            if acc:
-                raise EventPreconditionViolated(
-                    "couplings break ∂² = 0 (witness %r)" % w)
-        if any(act == state.a for act in state.actions.values()):
-            raise NonGenericCrossing(
-                "entry at the bottom collides with a generator at action %s"
-                % state.a)
-        state.degrees[g] = ev.degree
-        state.actions[g] = state.a
-        for z, c in couplings.items():
-            state.diff.setdefault(z, {})[g] = c
-
-    elif ev.kind == "exit_above":
-        g = ev.gid
-        if state.b == INF:
-            raise EventPreconditionViolated("exit above needs a finite window top")
-        if g not in state.degrees:
-            raise EventPreconditionViolated("exiting generator %r not present" % g)
-        _require_resolved(state, ev, top_ok={g})
-        if state.actions[g] != state.b:
-            raise EventPreconditionViolated(
-                "exit above requires action(%s) = window top %s at t = %s, "
-                "got %s" % (g, state.b, tau, state.actions[g]))
-        _check_no_tie(state, tau)
-        for src, row in state.diff.items():
-            if g in row:
-                raise EventPreconditionViolated(
-                    "%r cannot exit above: it appears in the boundary of %r"
-                    % (g, src))
-        state.degrees.pop(g)
-        state.actions.pop(g)
-        state.diff.pop(g, None)
-
-    elif ev.kind == "entry_above":
-        g = ev.gid
-        if state.b == INF:
-            raise EventPreconditionViolated("entry above needs a finite window top")
-        if g in state.degrees:
-            raise EventPreconditionViolated("entering id %r already in use" % g)
-        _require_resolved(state, ev)
-        _check_no_tie(state, tau)
-        boundary = {}
-        for y, c in ev.boundary.items():
-            if y not in state.degrees:
-                raise EventPreconditionViolated("boundary id %r not present" % y)
-            if state.degrees[y] != ev.degree - 1:
-                raise EventPreconditionViolated(
-                    "boundary of the newcomer must live one degree down")
-            cc = field.coerce(c)
-            if cc:
-                boundary[y] = cc
-        acc = boundary_raw(field, state.diff, boundary)
-        if acc:
-            raise EventPreconditionViolated(
-                "entry boundary is not a cycle (witness %r)" % sorted(acc)[0])
-        state.degrees[g] = ev.degree
-        state.actions[g] = state.b
-        if boundary:
-            state.diff[g] = boundary
-
-    else:
-        raise ValidationError("unknown event kind %r" % ev.kind)
-
+    ev.apply(state)
     state.pending_gap_zero = set()
     state.pending_top_zero = set()
     trace.events.append(EventRecord(
@@ -787,77 +882,16 @@ class TransitionReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _expected_pairs(rec, pre_pairs):
-    """The set of admissible post-event id-pairings, by event kind.
-
-    Returns a list of (frozenset, description) candidates; the actual
-    post-pairing must equal one of them.
-    """
-    ev = rec.event
-    kind = ev.kind
-    pairs = set(pre_pairs)
-    if kind == "handle_slide":
-        return [(frozenset(pairs), "pairing unchanged")]
-    if kind == "birth":
-        return [(frozenset(pairs | {(ev.y_id, ev.x_id)}),
-                 "one bar added at the common action")]
-    if kind == "death":
-        if (ev.y_id, ev.x_id) not in pairs:
-            return []
-        return [(frozenset(pairs - {(ev.y_id, ev.x_id)}),
-                 "the collided bar removed")]
-    if kind == "exit_below":
-        g = ev.gid
-        mine = [(s, e) for (s, e) in pairs if s == g]
-        if len(mine) != 1:
-            return []
-        s, e = mine[0]
-        rest = pairs - {(s, e)}
-        if e is None:
-            return [(frozenset(rest), "the exiting infinite bar removed")]
-        return [(frozenset(rest | {(e, None)}),
-                 "finite bar from the bottom replaced by an infinite one")]
-    if kind == "exit_above":
-        g = ev.gid
-        ends = [(s, e) for (s, e) in pairs if e == g]
-        if ends:
-            s, e = ends[0]
-            return [(frozenset((pairs - {(s, e)}) | {(s, None)}),
-                     "bar ending at the top becomes infinite")]
-        if (g, None) in pairs:
-            return [(frozenset(pairs - {(g, None)}),
-                     "the exiting infinite bar removed")]
-        return []
-    if kind == "entry_below":
-        g = ev.gid
-        out = [(frozenset(pairs | {(g, None)}),
-                "a fresh infinite bar starts at the bottom")]
-        for (s, e) in pairs:
-            if e is None:
-                out.append((frozenset((pairs - {(s, None)}) | {(g, s)}),
-                            "an infinite bar now starts at the bottom (killed by %r)" % s))
-        return out
-    if kind == "entry_above":
-        g = ev.gid
-        out = [(frozenset(pairs | {(g, None)}),
-                "a fresh infinite bar starts at the top")]
-        for (s, e) in pairs:
-            if e is None:
-                out.append((frozenset((pairs - {(s, None)}) | {(s, g)}),
-                            "an infinite bar is now cut off at the top"))
-        return out
-    raise ValidationError("unknown event kind %r" % kind)
-
-
 def _step_entry(s1, s2, t, acts, degrees):
     """Check two consecutive samples: across a crossing at t (``acts`` the
-    actions there) the bar values must match, elsewhere the pairing stays."""
+    actions there) the bar values must match, elsewhere the pairing stays.
+    Pairs both samples share give the same bars, so only the others count."""
     if acts is None:
         ok = s1.pairs == s2.pairs
         return CheckEntry("continuity", t, ok,
                           "" if ok else "pairing changed without a crossing")
-    ok = (_pairing_bars_at(s1.pairs, acts, degrees)
-          == _pairing_bars_at(s2.pairs, acts, degrees))
+    ok = (_pairing_bars_at(s1.pairs - s2.pairs, acts, degrees)
+          == _pairing_bars_at(s2.pairs - s1.pairs, acts, degrees))
     return CheckEntry("crossing", t, ok, "" if ok else
                       "bar endpoint values jump across the crossing")
 
@@ -870,6 +904,16 @@ def check_transitions(trace):
     """
     entries = []
 
+    def end_entry(st, k, s1, s2):
+        # the family's first and last sample sit on its ends, in no
+        # segment's samples: across a crossing there, check them too
+        if st.critical[k] in st.crossings:
+            entries.append(_step_entry(s1, s2, st.critical[k],
+                                       st.critical_actions(k), st.degrees))
+
+    if trace.segments:
+        end_entry(trace.segments[0], 0, trace.samples[0], trace.samples[1])
+
     # --- continuity along each segment -----------------------------------
     for st in trace.segments:
         crossings = set(st.crossings)
@@ -880,6 +924,9 @@ def check_transitions(trace):
             entries.append(
                 _step_entry(s1, s2, c, st.critical_actions(k), st.degrees)
                 if c in crossings else _step_entry(s1, s2, s2.t, None, None))
+
+    if trace.segments:
+        end_entry(trace.segments[-1], -1, trace.samples[-2], trace.samples[-1])
 
     # --- continuity across event-free segment boundaries ------------------
     # (simulate makes paths continuous there, so the actions agree at T)
@@ -900,7 +947,7 @@ def check_transitions(trace):
         ev = rec.event
         pre = trace.samples[rec.pre_sample]
         post = trace.samples[rec.post_sample]
-        candidates = _expected_pairs(rec, pre.pairs)
+        candidates = ev.admissible(pre.pairs)
         if not candidates:
             entries.append(CheckEntry(
                 ev.kind, ev.time, False,
@@ -913,41 +960,10 @@ def check_transitions(trace):
                 "post-event pairing is not an admissible transform "
                 "(expected one of: %s)" % "; ".join(d for _, d in candidates)))
             continue
-        detail = match
 
         # value-level checks at the event time itself
-        ok = True
-        if ev.kind == "handle_slide":
-            bars_pre = _pairing_bars_at(pre.pairs, rec.pre_actions,
-                                        rec.pre_degrees)
-            bars_post = _pairing_bars_at(post.pairs, rec.post_actions,
-                                         rec.post_degrees)
-            ok = bars_pre == bars_post
-            if not ok:
-                detail = "bar values at the slide time changed"
-        elif ev.kind == "birth":
-            ok = (rec.post_actions[ev.x_id] == ev.common_action
-                  and rec.post_actions[ev.y_id] == ev.common_action)
-            if not ok:
-                detail = "born pair is not at the common action"
-        elif ev.kind == "death":
-            ok = rec.pre_actions[ev.x_id] == rec.pre_actions[ev.y_id]
-            if not ok:
-                detail = "dying pair actions differ at the event time"
-        elif ev.kind in ("exit_below", "entry_below"):
-            a = rec.window[0]
-            gid = ev.gid
-            acts = rec.pre_actions if ev.kind == "exit_below" else rec.post_actions
-            ok = acts[gid] == a
-            if not ok:
-                detail = "the generator is not on the bottom edge"
-        elif ev.kind in ("exit_above", "entry_above"):
-            b = rec.window[1]
-            gid = ev.gid
-            acts = rec.pre_actions if ev.kind == "exit_above" else rec.post_actions
-            ok = acts[gid] == b
-            if not ok:
-                detail = "the generator is not on the top edge"
+        failure = ev.check_values(rec, pre.pairs, post.pairs)
+        ok, detail = failure is None, failure or match
 
         # locality: every untouched bar keeps its endpoint values at τ
         if ok:
@@ -1173,33 +1189,27 @@ def drift_speed_audit(timeline, oscillation_rate):
 
     # entry feasibility: the edge crossed must be escapable at the declared rate
     for ev in events:
-        if ev.kind not in ("entry_below", "entry_above"):
+        if ev.edge is None or ev.exits:
             continue
         before = [s for s in segments if s.t1 == ev.time]
         if not before:
             continue
         seg = before[-1]
         rate = oscillation_rate.value(ev.time)
-        if ev.kind == "entry_below":
-            ap = seg.window_a
-            slope = ap.slope_before(ev.time) if isinstance(ap, PLPath) else as_action(0)
-            # an outside trajectory (|speed| < rate, or motionless) must be
-            # able to overtake the bottom edge from below
-            ok = slope < rate or slope < 0
-            detail = ("" if ok else
-                      "bottom edge rises at %s, at least the rate %s: nothing "
-                      "below the window can catch it" % (slope, rate))
-            entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
-                                      detail))
-        else:
-            bp = seg.window_b
-            slope = bp.slope_before(ev.time) if isinstance(bp, PLPath) else as_action(0)
-            ok = -slope < rate or slope > 0
-            detail = ("" if ok else
-                      "top edge falls at %s, at least the rate %s: nothing "
-                      "above the window can catch it" % (-slope, rate))
-            entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
-                                      detail))
+        edge = (seg.window_a, seg.window_b)[ev.edge]
+        slope = (edge.slope_before(ev.time) if isinstance(edge, PLPath)
+                 else as_action(0))
+        # an outside trajectory (|speed| < rate, or motionless) must be able
+        # to overtake the edge, which moves into the window at ``inward``
+        inward = -slope if ev.edge else slope
+        ok = inward < rate or inward < 0
+        side, moves, outside = (("bottom", "rises", "below"),
+                                ("top", "falls", "above"))[ev.edge]
+        detail = ("" if ok else
+                  "%s edge %s at %s, at least the rate %s: nothing %s the "
+                  "window can catch it" % (side, moves, inward, rate, outside))
+        entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
+                                  detail))
     return AuditReport(entries)
 
 

@@ -143,6 +143,73 @@ def test_timeline_item_type_checked():
         assert "timeline.items[0].type" in str(info.value)
 
 
+_ALL_ITEMS_DOC = {
+    "initial": _COMPLEX_DOC,
+    "items": [
+        {"type": "drift", "t0": "0", "t1": "1", "actions": {"a": "1"}},
+        {"type": "drift", "t0": "1", "t1": "2", "actions": {"a": "1"},
+         "window_a": [["1", "0"], ["2", "1/2"]],
+         "window_b": [["1", "8"], ["2", "6"]]},
+        {"type": "drift", "t0": "2", "t1": "3", "actions": {"a": "1"},
+         "window_a": "0", "window_b": "inf"},
+        {"type": "handle_slide", "time": "1", "target": "c",
+         "addend": {"b": "1"}},
+        {"type": "handle_slide", "time": "1", "target": "c",
+         "addend": {"b": "1"}, "unit": "2"},
+        {"type": "birth", "time": "1", "x": ["u", 1], "y": ["v", 0],
+         "common_action": "5/2"},
+        {"type": "death", "time": "1", "x": "b", "y": "a"},
+        {"type": "exit_below", "time": "1", "id": "a"},
+        {"type": "exit_above", "time": "1", "id": "c"},
+        {"type": "entry_below", "time": "1", "id": "w", "degree": 0},
+        {"type": "entry_below", "time": "1", "id": "w", "degree": 0,
+         "couplings": {"b": "1", "c": "-2"}},
+        {"type": "entry_above", "time": "1", "id": "z", "degree": 1},
+        {"type": "entry_above", "time": "1", "id": "z", "degree": 1,
+         "boundary": {"a": "3/2"}},
+    ],
+}
+
+
+def test_every_item_kind_roundtrips():
+    # each optional field both present and absent; no benchmark document
+    # uses a slide unit or a window path
+    initial, items = parse_timeline(_ALL_ITEMS_DOC)
+    assert [type(it).__name__ for it in items] == [
+        "DriftSegment", "DriftSegment", "DriftSegment", "HandleSlide",
+        "HandleSlide", "Birth", "Death", "ExitBelow", "ExitAbove",
+        "EntryBelow", "EntryBelow", "EntryAbove", "EntryAbove"]
+    assert items[2].window_b == INF and items[4].unit == "2"
+    assert serialize_timeline(initial, items) == _ALL_ITEMS_DOC
+
+
+@pytest.mark.parametrize("index, key, value, message, where", [
+    (0, "t1", 1.5, "numbers must be integers or rational strings", ".t1"),
+    (3, "target", 3, "expected a string", ".target"),
+    (4, "unit", True, "scalars must be integers or rational strings",
+     ".unit"),
+    (5, "x", ["u", "1"], "expected an integer", ".x[1]"),
+    (5, "y", ["v"], "birth endpoints are [id, degree]", ""),
+    (6, "y", ["a"], "expected a string", ".y"),
+    (7, "id", 7, "expected a string", ".id"),
+    (8, "time", 0.5, "numbers must be integers or rational strings",
+     ".time"),
+    (9, "degree", "0", "expected an integer", ".degree"),
+    (10, "couplings", ["b"], "expected an object", ".couplings"),
+    (12, "boundary", {"a": 1.5},
+     "scalars must be integers or rational strings", ".boundary['a']"),
+])
+def test_item_field_errors_carry_json_paths(index, key, value, message,
+                                            where):
+    doc = {"initial": _COMPLEX_DOC,
+           "items": [dict(it) for it in _ALL_ITEMS_DOC["items"]]}
+    doc["items"][index][key] = value
+    with pytest.raises(ParseError) as info:
+        parse_timeline(doc)
+    assert str(info.value) == "%s (at timeline.items[%d]%s)" % (
+        message, index, where)
+
+
 def test_barcode_json_shape():
     B = barcode_of(parse_complex(_COMPLEX_DOC))
     assert barcode_json(B) == [

@@ -14,6 +14,7 @@ from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
                               ValidationError)
+from chordbars.timelines import SingularEvent
 
 q = Fraction
 
@@ -308,6 +309,40 @@ def test_tampered_trace_fails_checker():
     assert any(e.kind == "handle_slide" and not e.ok for e in report.entries)
 
 
+def test_bare_event_rejected():
+    cx = _pair_complex()
+    with pytest.raises(ValidationError) as info:
+        simulate(cx, [_hold(0, q(1, 2)), SingularEvent(q(1, 2)),
+                      _hold(q(1, 2), 1)])
+    assert "unknown event kind 'event'" in str(info.value)
+
+
+def test_family_ends_on_a_crossing_are_checked():
+    # g1 and g2 tie at the family's first and last time, so the first and
+    # the last sample pair them differently from their neighbouring midpoint
+    cx = FilteredComplex(F2, (0, INF),
+                         [("x", 0, 0), ("y", 1, 0), ("g1", 2, 1), ("g2", 2, 1)],
+                         {"g1": {"x": 1, "y": 1}, "g2": {"y": 1}})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"x": 0, "y": 1, "g1": [(0, 2), (1, 4)], "g2": 2}),
+        DriftSegment(1, 2, {"x": 0, "y": 1, "g1": [(1, 4), (2, 2)], "g2": 2}),
+    ])
+    first, mid, last = (trace.samples[i] for i in (0, 1, -1))
+    assert first.pairs == {("x", "g2"), ("y", "g1")}
+    assert mid.pairs == {("x", "g1"), ("y", "g2")}
+    assert last.pairs == first.pairs
+    report = check_transitions(trace)
+    assert [repr(e) for e in report.entries] == [
+        "CheckEntry(crossing @ t=0: ok)", "CheckEntry(crossing @ t=2: ok)",
+        "CheckEntry(continuity @ t=1: ok)"]
+    wrong = frozenset({("x", None), ("y", None), ("g1", None), ("g2", None)})
+    for sample, t in ((first, 0), (last, 2)):
+        sample.pairs, kept = wrong, sample.pairs
+        failures = check_transitions(trace).failures()
+        assert [(e.kind, e.time) for e in failures] == [("crossing", t)]
+        sample.pairs = kept
+
+
 def test_vineyard_rows_shape_and_ids():
     cx = _pair_complex()
     trace = simulate(cx, [
@@ -335,6 +370,23 @@ def test_drift_speed_audit():
     assert flagged and flagged[0].subject == "a"
     with pytest.raises(ValidationError):
         drift_speed_audit(items, -1)
+
+
+def test_entry_feasibility_audit():
+    # the bottom edge rises and the top edge falls at slope 1: at rate 1
+    # nothing outside the window can catch either, at rate 2 both can be
+    seg = DriftSegment(0, 1, {"a": 8}, window_a=[(0, 0), (1, 1)],
+                       window_b=[(0, 20), (1, 19)])
+    for ev, message in (
+            (EntryBelow(1, "w", 0), "bottom edge rises at 1, at least the "
+             "rate 1: nothing below the window can catch it"),
+            (EntryAbove(1, "v", 1), "top edge falls at 1, at least the "
+             "rate 1: nothing above the window can catch it")):
+        for rate, detail in ((1, message), (2, "")):
+            entries = [e for e in drift_speed_audit([seg, ev], rate).entries
+                       if e.kind == "entry-feasible"]
+            assert [(e.subject, e.span, e.ok, e.detail) for e in entries] == [
+                (ev.gid, 1, not detail, detail)]
 
 
 def test_random_timelines_all_pass():
