@@ -94,13 +94,6 @@ class Barcode:
     def __repr__(self):
         return "Barcode(%s)" % (list(self.bars),)
 
-    def degrees(self):
-        return sorted({b.degree for b in self.bars if b.degree is not None})
-
-    def intervals(self):
-        """Degree-stripped multiset, for degree-agnostic comparisons."""
-        return Counter((b.start, b.end) for b in self.bars)
-
     def persisting_count(self, level, start_below=None):
         """Bars containing `level`, optionally restricted to start < start_below."""
         n = 0

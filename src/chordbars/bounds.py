@@ -29,27 +29,29 @@ class OscillationProfile:
     Samples must start at t = 0, end at t = 1, strictly increase in t, and
     satisfy max ≥ min throughout.  If any coordinate arrives as a float the
     profile runs in float mode: values are converted exactly, but inequality
-    checks gain ``tolerance`` slack (default 1e-9).
+    checks gain ``tolerance`` slack (1e-9).  Every coordinate must be a
+    finite number.
     """
 
     __slots__ = ("hi", "lo", "float_mode", "tolerance")
 
-    def __init__(self, samples, tolerance=None):
+    def __init__(self, samples):
         rows = list(samples)
         if not rows:
             raise ValidationError("profile needs at least one sample")
         self.float_mode = any(isinstance(x, float) for row in rows for x in row)
-        if tolerance is not None:
-            self.float_mode = True
-        self.tolerance = Fraction(tolerance) if tolerance is not None \
-            else (_DEFAULT_TOLERANCE if self.float_mode else Fraction(0))
+        self.tolerance = _DEFAULT_TOLERANCE if self.float_mode else Fraction(0)
         times = []
         his = []
         los = []
-        for t, hi, lo in rows:
-            times.append(Fraction(t))
-            his.append(Fraction(hi))
-            los.append(Fraction(lo))
+        try:
+            for t, hi, lo in rows:
+                times.append(Fraction(t))
+                his.append(Fraction(hi))
+                los.append(Fraction(lo))
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise ValidationError("profile samples must be (t, max, min) "
+                                  "triples of finite numbers") from None
         if times != sorted(set(times)):
             raise NonMonotoneTime("sample times must strictly increase")
         if times[0] != 0 or times[-1] != 1:
@@ -155,10 +157,6 @@ class SigmaProfile:
                                         len(vals) - 1 - k,
                                         vals[len(vals) - 1 - k]))
         self.values = tuple(vals)
-
-    @property
-    def dimension(self):
-        return len(self.values) - 1
 
     def __getitem__(self, k):
         return self.values[k]
@@ -273,5 +271,4 @@ def theorem_bound(sigma, betti, l, osc):
 def long_bar_witness(barcode, threshold):
     """Bars of length ≥ threshold (infinite bars always qualify)."""
     A = as_action(threshold)
-    return [bar for bar in barcode.bars
-            if bar.end == INF or bar.end - bar.start >= A]
+    return [bar for bar in barcode.bars if bar.length >= A]

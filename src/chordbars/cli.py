@@ -256,8 +256,9 @@ def cmd_fixtures(args, out):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _add_format_args(p, formats=("table", "structured", "csv", "diagram")):
-    p.add_argument("--format", choices=formats, default="table",
+def _add_format_args(p):
+    p.add_argument("--format", default="table",
+                   choices=("table", "structured", "csv", "diagram"),
                    help="output format (default: table)")
     p.add_argument("--width", type=int, default=48,
                    help="column width of the diagram format")

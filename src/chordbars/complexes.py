@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (ActionIncrease, ActionOutsideWindow, DegreeMismatch,
-                     DuplicateId, ForeignGenerator, LevelOutsideWindow,
-                     NotSquareZero, ValidationError, WindowNotNested)
+                     DuplicateId, ForeignGenerator, NotSquareZero,
+                     ValidationError)
 from .fields import Field, Scalar
 
 INF = math.inf
@@ -172,11 +172,6 @@ class FilteredComplex:
 
     def boundary(self, x):
         """Boundary of a chain (sparse {id: Scalar} in, same out)."""
-        raw = self._coerce_chain(x)
-        out = boundary_raw(self.field, self._diff, raw)
-        return {gid: Scalar(self.field, c) for gid, c in out.items()}
-
-    def _coerce_chain(self, x):
         raw = {}
         for gid, coeff in x.items():
             if gid not in self._by_id:
@@ -184,48 +179,8 @@ class FilteredComplex:
             c = self.field.coerce(coeff)
             if c:
                 raw[gid] = c
-        return raw
-
-    def action_of(self, x):
-        """Max generator action over nonzero coefficients; -inf for zero."""
-        raw = self._coerce_chain(x)
-        if not raw:
-            return NEG_INF
-        return max(self._by_id[gid].action for gid in raw)
-
-    # window operations ------------------------------------------------------------
-
-    def sublevel(self, c):
-        """Subcomplex spanned by generators with action < c (window kept)."""
-        a, b = self.window
-        c = as_action(c, allow_inf=True)
-        if not (a <= c and c <= b):
-            raise LevelOutsideWindow("level %s outside window [%s, %s)" % (c, a, b))
-        keep = {g.id for g in self.generators if g.action < c}
-        gens = [g for g in self.generators if g.id in keep]
-        # closed under the differential because targets have smaller action
-        diff = {gid: dict(row) for gid, row in self._diff.items() if gid in keep}
-        return FilteredComplex(self.field, self.window, gens, diff)
-
-    def restrict_window(self, a2, b2):
-        """Quotient-and-subcomplex for a nested window [a2, b2)."""
-        a, b = self.window
-        a2 = as_action(a2)
-        b2 = as_action(b2, allow_inf=True)
-        if not (a <= a2 and b2 <= b and a2 < b2):
-            raise WindowNotNested("window [%s, %s) is not nested in [%s, %s)"
-                                  % (a2, b2, a, b))
-        keep = {g.id for g in self.generators if a2 <= g.action and g.action < b2}
-        gens = [g for g in self.generators if g.id in keep]
-        diff = {}
-        for gid, row in self._diff.items():
-            if gid not in keep:
-                continue
-            # terms below the new bottom are killed by the quotient
-            new_row = {tgt: c for tgt, c in row.items() if tgt in keep}
-            if new_row:
-                diff[gid] = new_row
-        return FilteredComplex(self.field, (a2, b2), gens, diff)
+        out = boundary_raw(self.field, self._diff, raw)
+        return {gid: Scalar(self.field, c) for gid, c in out.items()}
 
     # linear algebra views ------------------------------------------------------------
 
@@ -252,16 +207,6 @@ class FilteredComplex:
         Mup, _, cols_up = self.boundary_matrix(degree + 1)
         rank_up = linalg.rank(Mup, self.field) if Mup and cols_up else 0
         return (n_d - rank_d) - rank_up
-
-    # comparisons -----------------------------------------------------------------------
-
-    def same_as(self, other):
-        """Structural equality: field, window, generators and differential."""
-        return (isinstance(other, FilteredComplex)
-                and self.field is other.field
-                and self.window == other.window
-                and self.generators == other.generators
-                and self._diff == other._diff)
 
     def __repr__(self):
         a, b = self.window
@@ -295,20 +240,21 @@ def random_differential(rng, field, gens, p):
     return diff
 
 
-def random_complex(rng, field, max_generators=20, max_degree=3,
-                   window=(0, 16), grid_step=Fraction(1, 4), allow_inf_top=True):
-    """Seeded random valid complex: actions on a rational grid, differential
-    from :func:`random_differential`."""
+def random_complex(rng, field, max_generators=20, window=(0, 16)):
+    """Seeded random valid complex: actions on a quarter-step grid, degrees
+    0..3, differential from :func:`random_differential`, top edge +infinity
+    with probability 0.3."""
     a = Fraction(window[0])
     b_val = Fraction(window[1])
     n = rng.randint(1, max_generators)
-    slots = int((b_val - a) / grid_step)
+    step = Fraction(1, 4)
+    slots = int((b_val - a) / step)
     gens = []
     for i in range(n):
-        action = a + grid_step * rng.randrange(slots)
-        degree = rng.randint(0, max_degree)
+        action = a + step * rng.randrange(slots)
+        degree = rng.randint(0, 3)
         gens.append(Generator("g%02d" % i, action, degree))
     gens.sort(key=lambda g: g.sort_key)
     diff = random_differential(rng, field, gens, 0.8)
-    top = INF if (allow_inf_top and rng.random() < 0.3) else b_val
+    top = INF if rng.random() < 0.3 else b_val
     return FilteredComplex(field, (a, top), gens, diff)

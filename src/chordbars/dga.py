@@ -102,10 +102,6 @@ class AlgebraElement:
             return NotImplemented
         return self.field is other.field and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def _same_field(self, other):
         if other.field is not self.field:
             raise FieldMismatch("element over %r combined with one over %r"
@@ -425,8 +421,8 @@ def check_augmentation(D, eps):
     return DGAReport(entries)
 
 
-def find_augmentations(D, degree0_chords=None, candidates=None, budget=100000):
-    """Exhaustive augmentation search over a declared generating set.
+def find_augmentations(D, candidates=None, budget=100000):
+    """Exhaustive augmentation search over the degree-0 pure chords.
 
     Over a finite field the whole value space is enumerated; over the
     rationals a finite candidate set must be supplied.  ``budget`` caps the
@@ -434,16 +430,7 @@ def find_augmentations(D, degree0_chords=None, candidates=None, budget=100000):
     """
     D.require_valid()
     field = D.field
-    if degree0_chords is None:
-        domain = [c.label for c in D.pure_chords() if c.degree == 0]
-    else:
-        domain = [lab if isinstance(lab, str) else lab.label
-                  for lab in degree0_chords]
-        for lab in domain:
-            if D.chord(lab).degree != 0:
-                raise ValidationError(
-                    "%r has degree %d, an augmentation must vanish there"
-                    % (lab, D.chord(lab).degree))
+    domain = [c.label for c in D.pure_chords() if c.degree == 0]
     if candidates is None:
         try:
             values = list(field.elements())

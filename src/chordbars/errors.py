@@ -72,14 +72,6 @@ class NotSquareZero(ValidationError):
         super().__init__(message)
 
 
-class WindowNotNested(ValidationError):
-    """restrict_window target is not contained in the current window."""
-
-
-class LevelOutsideWindow(ValidationError):
-    pass
-
-
 # -- barcode level ------------------------------------------------------------
 
 class InconsistentTable(ValidationError):

@@ -73,8 +73,9 @@ class Field:
         t = tag.strip()
         if t in ("Q", "QQ"):
             return cls(0)
-        if t.startswith("F") and t[1:].isdigit():
-            return cls(int(t[1:]))
+        p = t[1:]
+        if t[:1] == "F" and p.isascii() and p.isdigit() and p[0] != "0":
+            return cls(int(p))
         raise ParseError("unrecognized field tag %r" % (tag,))
 
     @property

@@ -17,13 +17,13 @@ from .dga import AlgebraElement, Chord, ChordDGA
 from .errors import ValidationError
 
 
-def standard_unknot_shape(field, length=1):
-    """A single degree-1 pure chord with vanishing boundary.
+def standard_unknot_shape(field):
+    """A single degree-1 pure chord of length 1 with vanishing boundary.
 
     The zero assignment is an augmentation, so every sub-level of the
     algebra admits one.
     """
-    return ChordDGA(field, [Chord("c", length, 1, (0, 0))], {})
+    return ChordDGA(field, [Chord("c", 1, 1, (0, 0))], {})
 
 
 def stabilized_unknot_shape(field, l1=1, l2=2, l0=4):
@@ -181,16 +181,17 @@ def _kernel_sample(rng, D, candidates):
     return AlgebraElement(field, terms)
 
 
-def random_two_component_dga(rng, field, max_pure=3, max_mixed=4,
-                             max_candidates=24):
-    """A valid two-component chord algebra with nontrivial boundaries.
+def random_two_component_dga(rng, field):
+    """A valid two-component chord algebra with nontrivial boundaries: one
+    to three pure chords per component, three or four mixed chords, each
+    boundary drawn from at most 24 admissible words.
 
     No boundary ever contains the unit word, so the zero assignment is
     always an augmentation; richer ones can be found by exhaustive search.
     """
-    n0 = rng.randint(1, max_pure)
-    n1 = rng.randint(1, max_pure)
-    nm = rng.randint(3, max(3, max_mixed))
+    n0 = rng.randint(1, 3)
+    n1 = rng.randint(1, 3)
+    nm = rng.randint(3, 4)
     grid = [Fraction(k, 4) for k in range(1, 40)]
     lengths = rng.sample(grid, n0 + n1 + nm)
     specs = []
@@ -212,8 +213,8 @@ def random_two_component_dga(rng, field, max_pure=3, max_mixed=4,
         chord = Chord(name, length, degree, ends)
         state = ChordDGA(field, chords, rows)
         candidates = _admissible_words(state, chord)
-        if len(candidates) > max_candidates:
-            candidates = rng.sample(candidates, max_candidates)
+        if len(candidates) > 24:
+            candidates = rng.sample(candidates, 24)
             candidates.sort(key=lambda w: (len(w), w))
         elem = _kernel_sample(rng, state, candidates)
         chords.append(chord)

@@ -392,7 +392,7 @@ def parse_profile_csv(text, source="<profile>"):
     """Oscillation profile from CSV rows t,max,min (header optional).
 
     Float literals are accepted here — sampled user data — and switch the
-    profile into float mode with its default tolerance.
+    profile into float mode with its 1e-9 tolerance.
     """
     rows = []
     for lineno, record in enumerate(csv.reader(io.StringIO(text)), start=1):
@@ -404,6 +404,8 @@ def parse_profile_csv(text, source="<profile>"):
         try:
             vals = [float(x) if "." in x or "e" in x.lower() else Fraction(x)
                     for x in (s.strip() for s in record)]
+            if INF in vals or -INF in vals:
+                raise ValueError("%s overflows to infinity" % ",".join(record))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError("bad number: %s" % exc,
                              "%s line %d" % (source, lineno)) from None

@@ -512,13 +512,12 @@ class SegmentTrace:
 
 
 class EventRecord:
-    __slots__ = ("event", "index", "pre_actions", "post_actions", "window",
+    __slots__ = ("event", "pre_actions", "post_actions", "window",
                  "pre_degrees", "post_degrees", "pre_sample", "post_sample")
 
-    def __init__(self, event, index, pre_actions, post_actions, window,
+    def __init__(self, event, pre_actions, post_actions, window,
                  pre_degrees, post_degrees):
         self.event = event
-        self.index = index
         self.pre_actions = pre_actions
         self.post_actions = post_actions
         self.window = window
@@ -847,7 +846,7 @@ def _apply_event(trace, state, ev):
     state.pending_gap_zero = set()
     state.pending_top_zero = set()
     trace.events.append(EventRecord(
-        ev, len(trace.events), pre_actions, dict(state.actions),
+        ev, pre_actions, dict(state.actions),
         (state.a, state.b), pre_degrees, dict(state.degrees)))
 
 
@@ -1346,7 +1345,6 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
     window = (Fraction(0), Fraction(16) if finite_top else INF)
     initial = _random_family_start(rng, field, rng.randrange(3, 8), window)
     state = _State(initial)
-    scratch = FamilyTrace(field)
     items = []
     t = Fraction(0)
     fresh = [0]
@@ -1470,11 +1468,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
         items.append(seg)
         state.actions = {gid: p.value(t1) for gid, p in seg.actions.items()}
         if ev is not None:
-            if ev.kind == "death":
-                state.pending_gap_zero = {(ev.x_id, ev.y_id)}
-            elif ev.kind == "exit_above":
-                state.pending_top_zero = {ev.gid}
-            _apply_event(scratch, state, ev)
+            ev.apply(state)
             items.append(ev)
         t = t1
         last_ev = ev

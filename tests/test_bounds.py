@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from chordbars import (BettiProfile, INF, OscillationProfile, PLPath,
-                       SigmaProfile, barcode_of, chord_drift,
+from chordbars import (Bar, Barcode, BettiProfile, INF, OscillationProfile,
+                       PLPath, SigmaProfile, barcode_of, chord_drift,
                        constant_width_schedule, long_bar_witness,
                        oscillation, theorem_bound, two_cluster_complex)
 from chordbars.errors import (NonMonotoneTime, RatesExceedProfile,
@@ -35,6 +35,11 @@ def test_oscillation_rejections():
         OscillationProfile([(0, 1, 0), (1, -1, 0)])
     with pytest.raises(NonMonotoneTime):
         OscillationProfile([(0, 1, 0), (q(1, 2), 1, 0)])
+    for bad in (float("inf"), float("-inf"), float("nan"), "inf", None):
+        for rows in ([(0, bad, 0), (1, 1, 0)], [(0, 1, bad), (1, 1, 0)],
+                     [(bad, 1, 0), (1, 1, 0)]):
+            with pytest.raises(ValidationError):
+                OscillationProfile(rows)
 
 
 def test_chord_drift_saturates_the_envelope():
@@ -67,6 +72,15 @@ def test_chord_drift_random_rates_within_oscillation():
 
         d, _ = chord_drift(_PROFILE, rnd_rate(), rnd_rate())
         assert abs(d) <= cap
+
+
+def test_long_bar_witness_threshold_is_inclusive():
+    # an infinite bar, two of length exactly 5/2, one just below, one short
+    long_bars = [Bar(7, INF, 0), Bar(1, q(7, 2), 0), Bar(0, q(5, 2), 1)]
+    B = Barcode(long_bars + [Bar(q(1, 2), 3 - q(1, 10 ** 9), 1),
+                             Bar(2, 3, 0)])
+    assert long_bar_witness(B, "5/2") == list(Barcode(long_bars))
+    assert long_bar_witness(B, 10) == [Bar(7, INF, 0)]
 
 
 def test_float_mode_profile():

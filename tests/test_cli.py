@@ -219,6 +219,17 @@ def test_bound(fixture_dir, capsys):
     assert out.splitlines()[0] == "count: 2"
 
 
+def test_bound_non_finite_profile_exits_two(fixture_dir, tmp_path, capsys):
+    prof = tmp_path / "p.csv"
+    for cell in ("1e400", "nan", "inf"):
+        prof.write_text("t,max,min\n0,%s,0\n1,2,0\n" % cell)
+        code, out, err = _run(capsys, [
+            "bound", str(fixture_dir / "sigma.json"),
+            str(fixture_dir / "betti.json"), "--profile", str(prof)])
+        assert code == 2 and out == ""
+        assert "bad number" in err and "p.csv line 2" in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2

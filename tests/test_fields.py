@@ -30,6 +30,11 @@ def test_parse_rejections():
         Field.parse("F-3")
     with pytest.raises(ParseError):
         Field.parse(7)
+    # an F tag is ASCII digits with no leading zero: no Q behind "F0",
+    # no F2 behind "F02", no F3 behind an Arabic-Indic three
+    for tag in ("F0", "F00", "F02", "F\u0663", "F\u00b2"):
+        with pytest.raises(ParseError):
+            Field.parse(tag)
     with pytest.raises(BadCharacteristic):
         Field.parse("F9")
     with pytest.raises(BadCharacteristic):

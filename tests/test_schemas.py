@@ -248,6 +248,12 @@ def test_profile_csv_errors():
     with pytest.raises(ParseError) as info:
         parse_profile_csv("0,two,0\n", source="p.csv")
     assert "bad number" in str(info.value) and "line 1" in str(info.value)
+    for cell in ("1e400", "-1e400", "1.5e999"):  # floats that overflow
+        with pytest.raises(ParseError) as info:
+            parse_profile_csv("t,max,min\n0,%s,0\n1,2,0\n" % cell,
+                              source="p.csv")
+        assert "bad number" in str(info.value)
+        assert "p.csv line 2" in str(info.value)
 
 
 def test_rational_array():
