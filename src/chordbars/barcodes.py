@@ -385,6 +385,8 @@ def recover(critical_values, table):
 # ---------------------------------------------------------------------------
 
 def format_action(v):
+    if type(v) is Fraction:
+        return str(v)
     return "inf" if v == INF else str(v)
 
 

@@ -2,11 +2,15 @@
 
 A :class:`PLPath` is a continuous piecewise-linear function given by its
 breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
-sums, integrals, zero-crossings) is exact; the same code runs on floats for
-the measured-profile mode of the displacement layer.
+sums, integrals, zero-crossings) is exact; floats serve the measured-profile
+mode of the displacement layer.  Evaluation and sums of exact paths run on
+integer numerators and denominators, with one ``Fraction`` per value;
+floats keep the plain interpolation expression.
 """
 
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 
 from .errors import NonMonotoneTime, ValidationError
 
@@ -85,18 +89,44 @@ class PLPath:
     def values_at(self, ts):
         """Values at the ascending times ``ts``, in one sweep of the pieces.
 
-        Equal to ``[self.value(t) for t in ts]``; each piece's rise and run
-        are computed once, however many of the times fall inside it.  A time
-        outside the domain, or before the piece of an earlier time, raises
-        :class:`ValidationError`.
+        Equal to ``[self.value(t) for t in ts]``.  On an exact path at
+        ``Fraction`` times, each time is located by integer
+        cross-multiplication, each piece's line is computed once as ints
+        and each interior value is one ``Fraction``.  Otherwise each piece's
+        rise and run are computed once and each value has the expression
+        of ``value()``.  A time outside the domain, or before the piece of
+        an earlier time, raises :class:`ValidationError`.
         """
         pts = self.points
         last = len(pts) - 1
         i = 1
+        out = []
+        if _exact(pts) and all(type(t) is Fraction for t in ts):
+            rs = _ratios(pts)
+            (a0, b0), (a1, b1) = rs[0][0], rs[1][0]
+            line = None
+            for t in ts:
+                n, d = t.as_integer_ratio()
+                while n * b1 > a1 * d and i < last:
+                    i += 1
+                    a0, b0 = a1, b1
+                    a1, b1 = rs[i][0]
+                    line = None
+                if n * b1 == a1 * d:
+                    out.append(pts[i][1])
+                elif a0 * d < n * b0 and n * b1 < a1 * d:
+                    if line is None:
+                        line = _line(rs[i - 1], rs[i])
+                    A, B, D = line
+                    out.append(Fraction(A * n + B * d, D * d))
+                elif n * b0 == a0 * d:
+                    out.append(pts[i - 1][1])
+                else:
+                    raise self._out_of_order(t)
+            return out
         t0, v0 = pts[0]
         t1, v1 = pts[1]
         rise = None
-        out = []
         for t in ts:
             while t > t1 and i < last:
                 i += 1
@@ -112,10 +142,13 @@ class PLPath:
             elif t == t0:
                 out.append(v0)
             else:
-                raise ValidationError(
-                    "time %s outside path domain [%s, %s] or out of order"
-                    % (t, self.t_start, self.t_end))
+                raise self._out_of_order(t)
         return out
+
+    def _out_of_order(self, t):
+        return ValidationError(
+            "time %s outside path domain [%s, %s] or out of order"
+            % (t, self.t_start, self.t_end))
 
     def slope_after(self, t):
         """One-sided derivative just to the right of t."""
@@ -157,12 +190,16 @@ class PLPath:
 
     # pointwise arithmetic ----------------------------------------------------
 
-    def _zip_with(self, other, op):
+    def _zip_with(self, other, sign):
+        # the pointwise sum (sign 1) or difference (sign -1)
+        op = add if sign > 0 else sub
         if not isinstance(other, PLPath):
             return PLPath([(t, op(v, other)) for t, v in self.points])
         p, q = self.points, other.points
         if p[0][0] != q[0][0] or p[-1][0] != q[-1][0]:
             raise ValidationError("paths live on different intervals")
+        if _exact(p) and _exact(q):
+            return PLPath(_merge_exact(p, q, sign))
         # one merge of both breakpoint lists; a path is interpolated only at
         # the other's times, on the piece ending at its own next breakpoint
         out = [(p[0][0], op(p[0][1], q[0][1]))]
@@ -184,10 +221,10 @@ class PLPath:
         return PLPath(out)
 
     def __add__(self, other):
-        return self._zip_with(other, lambda x, y: x + y)
+        return self._zip_with(other, 1)
 
     def __sub__(self, other):
-        return self._zip_with(other, lambda x, y: x - y)
+        return self._zip_with(other, -1)
 
     def __neg__(self):
         return PLPath([(t, -v) for t, v in self.points])
@@ -234,6 +271,63 @@ class PLPath:
             if not out or out[-1] != r:
                 out.append(r)
         return out, _merge_intervals(flats)
+
+
+def _exact(points):
+    """Whether every coordinate is a ``Fraction``, so the int kernels apply."""
+    return all(type(t) is Fraction and type(v) is Fraction for t, v in points)
+
+
+def _ratios(points):
+    """Each breakpoint as ((time numerator, denominator), (value ...))."""
+    return [(t.as_integer_ratio(), v.as_integer_ratio()) for t, v in points]
+
+
+def _line(lo, hi):
+    """The piece from ``lo`` to ``hi`` (two :func:`_ratios` entries) as ints.
+
+    Returns (A, B, D), with no common factor and D > 0: at t = n/d the
+    piece's value is (A·n + B·d) / (D·d).
+    """
+    (a0, b0), (c0, d0) = lo
+    (a1, b1), (c1, d1) = hi
+    A = (c1 * d0 - c0 * d1) * b0 * b1
+    B = c0 * d1 * a1 * b0 - c1 * d0 * a0 * b1
+    D = d0 * d1 * (a1 * b0 - a0 * b1)
+    g = gcd(A, B, D)
+    return A // g, B // g, D // g
+
+
+def _merge_exact(p, q, sign):
+    """Breakpoints of p + sign·q for exact breakpoint lists on one interval.
+
+    The merge of ``PLPath._zip_with`` on ints: times are compared by
+    cross-multiplication and keep their objects, and each value is one
+    ``Fraction``.
+    """
+    P, Q = _ratios(p), _ratios(q)
+
+    def combine(x, y, z, w):  # x/y + sign·z/w
+        return Fraction(x * w + sign * z * y, y * w)
+
+    out = [(p[0][0], combine(*P[0][1], *Q[0][1]))]
+    i = j = 1
+    while i < len(p):
+        (n, d), (x, y) = P[i]
+        (m, e), (z, w) = Q[j]
+        if n * e == m * d:
+            out.append((p[i][0], combine(x, y, z, w)))
+            i += 1
+            j += 1
+        elif n * e < m * d:
+            A, B, D = _line(Q[j - 1], Q[j])
+            out.append((p[i][0], combine(x, y, A * n + B * d, D * d)))
+            i += 1
+        else:
+            A, B, D = _line(P[i - 1], P[i])
+            out.append((q[j][0], combine(A * m + B * e, D * e, z, w)))
+            j += 1
+    return out
 
 
 def _merge_intervals(ivs):

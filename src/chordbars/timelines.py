@@ -15,6 +15,7 @@ The identity of a bar over time is the pair (start generator, end generator)
 of the canonical pairing, which is constant on crossing-free stretches.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -538,7 +539,12 @@ class FamilyTrace:
 
     def add_sample(self, t, actions, window, frame):
         field, _degrees, diff = frame
-        order = sorted(actions, key=lambda gid: (actions[gid], gid))
+        # (action, id) order on ints: every action over the lcm of the
+        # denominators, ties broken by id
+        ratios = [(gid, a.as_integer_ratio()) for gid, a in actions.items()]
+        lcm = math.lcm(*[d for _, (_, d) in ratios])
+        order = [gid for _, gid in sorted([(n * (lcm // d), gid)
+                                           for gid, (n, d) in ratios])]
         R, _V, killer_of = _reduce(field, order,
                                    [diff.get(gid, {}) for gid in order])
         pairs = frozenset([(order[i], order[j]) for i, j in killer_of.items()]
@@ -785,7 +791,9 @@ def _run_segment(trace, state, seg, entering_event=None):
     # Every breakpoint is a critical time, so each path is affine between
     # critical times and its midpoint value is the mean of its end values.
     def mid(vals):
-        return [(x + y) / 2 for x, y in zip(vals, vals[1:])]
+        rs = [v.as_integer_ratio() for v in vals]
+        return [Fraction(a * e + b * d, 2 * d * e)
+                for (a, d), (b, e) in zip(rs, rs[1:])]
 
     values = {gid: paths[gid].values_at(critical) for gid in ids}
     mids = {gid: mid(vals) for gid, vals in values.items()}

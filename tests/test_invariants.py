@@ -29,6 +29,24 @@ def test_every_assert_is_a_commented_invariant():
     assert not bare, "asserts without an '# invariant:' comment: %s" % bare
 
 
+# Fraction internals that may change between Python versions; the exact
+# kernels read ``as_integer_ratio()`` and build results with ``Fraction(n, d)``
+_PRIVATE_FRACTION = {"_numerator", "_denominator", "_normalize",
+                     "_from_coprime_ints"}
+
+
+def test_no_private_fraction_api():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text, str(path))):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in _PRIVATE_FRACTION:  # x._numerator, getattr(x, "...")
+                reads.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert not reads, "private Fraction API used: %s" % reads
+
+
 _SCRIPT = """
 from fractions import Fraction
 from chordbars import (F2, Chord, ChordDGA, DGAMorphism, OscillationProfile,

@@ -1,6 +1,7 @@
 """Piecewise-linear paths: exact values, calculus, and algebra."""
 
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,3 +156,128 @@ def test_values_at_matches_value(p, data):
     if len(p.points) > 2:  # a time before the current piece
         with pytest.raises(ValidationError):
             p.values_at([p.t_end, p.t_start])
+
+
+# Large denominators, crossing times and float coordinates.  Each result is
+# compared with the textbook expression v0 + (v1 - v0)·(t - t0)/(t1 - t0),
+# evaluated here on the piece holding t (a breakpoint gives its own value);
+# floats must match it bit for bit, so results are compared by type and repr.
+
+BIG = 10 ** 9
+big_times = st.lists(st.fractions(-4, 4, max_denominator=BIG),
+                     min_size=2, max_size=6, unique=True).map(sorted)
+big_values = st.fractions(-3, 3, max_denominator=BIG)
+float_times = st.lists(st.floats(-4, 4), min_size=2, max_size=6,
+                       unique=True).map(sorted)
+float_values = st.floats(-3, 3)
+
+
+def _textbook(points, t):
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        if t == t0:
+            return v0
+        if t0 < t < t1:
+            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    assert t == points[-1][0]
+    return points[-1][1]
+
+
+def _bits(xs):
+    return [(type(x), repr(x)) for x in xs]
+
+
+@st.composite
+def big_path_pair(draw):
+    """Two exact paths on one interval, with denominators up to 10**9."""
+    ts1, ts2 = draw(big_times), draw(big_times)
+    lo, hi = ts1[0], ts1[-1]
+    ts2 = sorted({lo, hi} | {t for t in ts2 if lo < t < hi})
+    return (PLPath([(t, draw(big_values)) for t in ts1]),
+            PLPath([(t, draw(big_values)) for t in ts2]))
+
+
+@st.composite
+def inexact_path_pair(draw):
+    """Two paths on one interval: all-float, or Fraction times with float
+    values (a profile CSV row such as ``0,1.5,0.5``)."""
+    if draw(st.booleans()):
+        ts1, ts2, vals = draw(float_times), draw(float_times), float_values
+    else:
+        ts1, ts2, vals = draw(big_times), draw(big_times), float_values
+    lo, hi = ts1[0], ts1[-1]
+    ts2 = sorted({lo, hi} | {t for t in ts2 if lo < t < hi})
+    return (PLPath([(t, draw(vals)) for t in ts1]),
+            PLPath([(t, draw(vals)) for t in ts2]))
+
+
+def _check_values(p, ts):
+    expected = [_textbook(p.points, t) for t in ts]
+    assert _bits(p.values_at(ts)) == _bits(expected)
+    assert _bits([p.value(t) for t in ts]) == _bits(expected)
+
+
+def _check_sum_difference(p1, p2):
+    ts = merge_times(p1.breakpoint_times(), p2.breakpoint_times())
+    for got, op in ((p1 + p2, add), (p1 - p2, sub)):
+        expected = [op(_textbook(p1.points, t), _textbook(p2.points, t))
+                    for t in ts]
+        assert got.breakpoint_times() == ts
+        assert _bits(v for _, v in got.points) == _bits(expected)
+        # the merge keeps the given time objects
+        assert all(any(t is s for s, _ in p1.points + p2.points)
+                   for t in got.breakpoint_times())
+
+
+@settings(max_examples=150)
+@given(big_path_pair(), st.data())
+def test_big_denominators_match_textbook(pair, data):
+    p1, p2 = pair
+    _check_sum_difference(p1, p2)
+    inner = data.draw(st.lists(
+        st.fractions(p1.t_start, p1.t_end, max_denominator=BIG),
+        max_size=8))
+    # the crossing times replay samples at: exact roots of the difference
+    roots, flats = (p1 - p2).zeros()
+    for r in roots:
+        assert type(r) is Fraction and p1.value(r) == p2.value(r)
+    for a, b in flats:
+        assert p1.value(a) == p2.value(a) and p1.value(b) == p2.value(b)
+    ts = sorted(inner + roots + p1.breakpoint_times() + p2.breakpoint_times())
+    _check_values(p1, ts)
+    _check_values(p2, ts)
+    assert all(type(v) is Fraction for v in p1.values_at(ts))
+    # every sign change of the difference has a root on its piece
+    d = p1 - p2
+    for t0, v0, t1, v1 in d.pieces():
+        if v0 * v1 < 0:
+            assert any(t0 < r < t1 for r in roots)
+
+
+@settings(max_examples=150)
+@given(inexact_path_pair(), st.data())
+def test_float_paths_match_textbook_bit_for_bit(pair, data):
+    p1, p2 = pair
+    _check_sum_difference(p1, p2)
+    lo, hi = p1.t_start, p1.t_end
+    if type(lo) is float:
+        inner = data.draw(st.lists(st.floats(lo, hi), max_size=8))
+    else:
+        inner = data.draw(st.lists(
+            st.fractions(lo, hi, max_denominator=BIG), max_size=8))
+    ts = sorted(inner + p1.breakpoint_times() + p2.breakpoint_times())
+    _check_values(p1, ts)
+    _check_values(p2, ts)
+    assert all(type(v) is float for v in p1.values_at(ts))
+    roots, _flats = (p1 - p2).zeros()
+    assert roots == sorted(set(roots))
+
+
+def test_exact_path_at_int_and_float_times():
+    # only Fraction times take the integer kernel; other times keep the
+    # plain expression and its result type
+    p = PLPath([(0, 1), (2, 2)])
+    assert _bits(p.values_at([0, 1, 2])) == \
+        _bits([q(1), q(3, 2), q(2)])
+    assert _bits(p.values_at([0.5])) == _bits([_textbook(p.points, 0.5)])
+    with pytest.raises(ValidationError):
+        PLPath([(0, 1), (1, 0), (2, 2)]).values_at([q(3, 2), q(1, 2)])

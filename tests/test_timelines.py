@@ -8,7 +8,7 @@ import pytest
 from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        EntryAbove, EntryBelow, ExitAbove, ExitBelow,
                        FilteredComplex, HandleSlide, PLPath,
-                       check_transitions, drift_speed_audit, random_timeline,
+                       canonical_form, check_transitions, drift_speed_audit, random_timeline,
                        simulate, vineyard_rows)
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               EventPreconditionViolated,
@@ -341,6 +341,34 @@ def test_family_ends_on_a_crossing_are_checked():
         failures = check_transitions(trace).failures()
         assert [(e.kind, e.time) for e in failures] == [("crossing", t)]
         sample.pairs = kept
+
+
+def test_tied_actions_pair_in_id_order():
+    # x and y share action 1 at t = 0; the sample order is (action, id),
+    # so y comes last and its lowest entry makes g kill y, not x
+    cx = FilteredComplex(F2, (0, INF), [("x", 1, 0), ("y", 1, 0), ("g", 2, 1)],
+                         {"g": {"x": 1, "y": 1}})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"x": 1, "y": [(0, 1), (1, q(1, 2))], "g": 2}),
+    ])
+    assert trace.samples[0].t == 0
+    assert trace.samples[0].pairs == {("x", None), ("y", "g")}
+    assert trace.samples[-1].pairs == {("x", "g"), ("y", None)}
+
+
+def _canonical_pairs(cx):
+    F = canonical_form(cx)
+    return frozenset([(killed, killer) for killer, killed in F.pairs]
+                     + [(gid, None) for gid in F.unpaired])
+
+
+def test_sample_pairs_match_canonical_form():
+    for seed in range(20):
+        rng = random.Random(seed)
+        field = rng.choice([F2, FP(5), QQ])
+        trace = simulate(*random_timeline(rng, field))
+        for k, sample in enumerate(trace.samples):
+            assert sample.pairs == _canonical_pairs(sample.complex), (seed, k)
 
 
 def test_vineyard_rows_shape_and_ids():
