@@ -8,6 +8,7 @@ serialization sentinel, it never enters field arithmetic).
 """
 
 import math
+import re
 from fractions import Fraction
 
 from . import linalg
@@ -18,6 +19,9 @@ from .fields import Field, Scalar
 
 INF = math.inf
 NEG_INF = -math.inf
+# plain action strings (a nonzero denominator) are read with int(); every
+# other string goes to Fraction's parser, which decides what else is read
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def boundary_raw(field, diff, chain):
@@ -39,6 +43,9 @@ def as_action(value, allow_inf=False):
     if isinstance(value, (float, bool)):
         raise ValidationError("action values must be exact rationals, got %r" % (value,))
     try:
+        m = type(value) is str and _PLAIN.fullmatch(value)
+        if m:
+            return Fraction(int(m[1]), int(m[2] or 1))
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("cannot read action value %r" % (value,))

@@ -3,9 +3,11 @@
 A :class:`PLPath` is a continuous piecewise-linear function given by its
 breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
 sums, integrals, zero-crossings) is exact; floats serve the measured-profile
-mode of the displacement layer.  Evaluation and sums of exact paths run on
+mode of the displacement layer.  ``values_at`` evaluates an exact path on
 integer numerators and denominators, with one ``Fraction`` per value;
-floats keep the plain interpolation expression.
+segment replay evaluates every path this way and decides the rest on
+ints.  Sums, differences and zeros keep the textbook expressions;
+they serve ``bounds``, the drift speed audit and the tests.
 """
 
 from fractions import Fraction
@@ -190,16 +192,13 @@ class PLPath:
 
     # pointwise arithmetic ----------------------------------------------------
 
-    def _zip_with(self, other, sign):
-        # the pointwise sum (sign 1) or difference (sign -1)
-        op = add if sign > 0 else sub
+    def _zip_with(self, other, op):
+        # the pointwise sum (op add) or difference (op sub)
         if not isinstance(other, PLPath):
             return PLPath([(t, op(v, other)) for t, v in self.points])
         p, q = self.points, other.points
         if p[0][0] != q[0][0] or p[-1][0] != q[-1][0]:
             raise ValidationError("paths live on different intervals")
-        if _exact(p) and _exact(q):
-            return PLPath(_merge_exact(p, q, sign))
         # one merge of both breakpoint lists; a path is interpolated only at
         # the other's times, on the piece ending at its own next breakpoint
         out = [(p[0][0], op(p[0][1], q[0][1]))]
@@ -221,10 +220,10 @@ class PLPath:
         return PLPath(out)
 
     def __add__(self, other):
-        return self._zip_with(other, 1)
+        return self._zip_with(other, add)
 
     def __sub__(self, other):
-        return self._zip_with(other, -1)
+        return self._zip_with(other, sub)
 
     def __neg__(self):
         return PLPath([(t, -v) for t, v in self.points])
@@ -298,38 +297,6 @@ def _line(lo, hi):
     return A // g, B // g, D // g
 
 
-def _merge_exact(p, q, sign):
-    """Breakpoints of p + sign·q for exact breakpoint lists on one interval.
-
-    The merge of ``PLPath._zip_with`` on ints: times are compared by
-    cross-multiplication and keep their objects, and each value is one
-    ``Fraction``.
-    """
-    P, Q = _ratios(p), _ratios(q)
-
-    def combine(x, y, z, w):  # x/y + sign·z/w
-        return Fraction(x * w + sign * z * y, y * w)
-
-    out = [(p[0][0], combine(*P[0][1], *Q[0][1]))]
-    i = j = 1
-    while i < len(p):
-        (n, d), (x, y) = P[i]
-        (m, e), (z, w) = Q[j]
-        if n * e == m * d:
-            out.append((p[i][0], combine(x, y, z, w)))
-            i += 1
-            j += 1
-        elif n * e < m * d:
-            A, B, D = _line(Q[j - 1], Q[j])
-            out.append((p[i][0], combine(x, y, A * n + B * d, D * d)))
-            i += 1
-        else:
-            A, B, D = _line(P[i - 1], P[i])
-            out.append((q[j][0], combine(A * m + B * e, D * e, z, w)))
-            j += 1
-    return out
-
-
 def _merge_intervals(ivs):
     merged = []
     for a, b in sorted(ivs):
@@ -342,7 +309,4 @@ def _merge_intervals(ivs):
 
 def merge_times(*lists):
     """Sorted union of breakpoint-time lists."""
-    seen = set()
-    for ts in lists:
-        seen.update(ts)
-    return sorted(seen)
+    return sorted(set().union(*lists))

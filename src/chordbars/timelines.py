@@ -18,6 +18,7 @@ of the canonical pairing, which is constant on crossing-free stretches.
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter, sub
 
 from . import linalg
 from .barcodes import Bar, Barcode, _reduce
@@ -699,50 +700,78 @@ def _run_segment(trace, state, seg, entering_event=None):
 
     ids = sorted(seg.actions)
     paths = seg.actions
+    edges = [a_path] if b_path == INF else [a_path, b_path]
+    cols = [paths[gid] for gid in ids] + edges
 
-    # 2. exact crossing detection (pairwise); coincidence on an interval is
-    # never generic.  Paths with disjoint value ranges never meet, so their
-    # difference is never built; pairs keep their sorted-id order.
-    crossings = set()
-    ranges = {gid: (p.min_value(), p.max_value()) for gid, p in paths.items()}
+    # 2. one grid per segment: the breakpoints of every path and window
+    # edge.  Each is evaluated there once, and at grid time k every value is
+    # put over the lcm L[k] of their denominators: paths, pair differences
+    # and gaps become int arrays, affine between grid times.  The verdicts
+    # below read only these ints; a Fraction is built only for a crossing
+    # time or a witness.
+    grid = merge_times(*[p.breakpoint_times() for p in cols])
+    on_grid = [p.values_at(grid) for p in cols]
+    L = [math.lcm(*[v.denominator for v in vs]) for vs in zip(*on_grid)]
+    ints = [[v.numerator * (m // v.denominator) for v, m in zip(vs, L)]
+            for vs in on_grid]
+    at = dict(zip(ids, ints))
+    last = len(grid) - 1
+
+    def root(k, x0, x1):
+        # the zero on [grid[k], grid[k+1]] of the affine function with
+        # values x0 / L[k] and x1 / L[k+1] at its ends (which differ)
+        (a, b), (c, e) = map(Fraction.as_integer_ratio, grid[k:k + 2])
+        y0, y1 = x0 * L[k + 1], x1 * L[k]
+        return Fraction(c * b * y0 - a * e * y1, b * e * (y0 - y1))
+
+    # 3. exact crossings, pair by pair in sorted-id order: a zero at a grid
+    # time or a sign change inside a grid interval; two zeros in a row mean
+    # coincidence on an interval, which is never generic
+    ties, inner = set(), set()  # grid indices; (grid interval, time) inside
     for i, g1 in enumerate(ids):
-        lo1, hi1 = ranges[g1]
+        x1 = at[g1]
         for g2 in ids[i + 1:]:
-            lo2, hi2 = ranges[g2]
-            if hi1 < lo2 or hi2 < lo1:
+            d = list(map(sub, x1, at[g2]))
+            if min(d) > 0 or max(d) < 0:
                 continue
-            roots, flats = (paths[g1] - paths[g2]).zeros()
-            if flats:
-                raise NonGenericCrossing(
-                    "trajectories of %r and %r coincide on an interval"
-                    % (g1, g2))
-            crossings.update(roots)
+            for k, x in enumerate(d):
+                if x == 0:
+                    if k < last and d[k + 1] == 0:
+                        raise NonGenericCrossing(
+                            "trajectories of %r and %r coincide on an "
+                            "interval" % (g1, g2))
+                    ties.add(k)
+                elif k < last and (x < 0 < d[k + 1] or d[k + 1] < 0 < x):
+                    inner.add((k, root(k, x, d[k + 1])))
 
-    # 3. critical times (breakpoints of everything + crossings) only drive
-    # sampling and the crossing checks: each gap below is linear between its
-    # own breakpoints
-    bp = [p.breakpoint_times() for p in paths.values()]
-    bp.append(a_path.breakpoint_times())
-    if b_path != INF:
-        bp.append(b_path.breakpoint_times())
-    bp.append(sorted(crossings))
-    critical = merge_times(*bp)
+    # critical times (the grid plus the inner crossings) only drive sampling
+    # and the crossing checks.  ``take`` puts grid values, then values at the
+    # inner crossings, in time order: (k, 1) sorts after grid time (k, 0).
+    inside = sorted(inner)
+    keys = [(k, 0) for k in range(len(grid))] + [(k, 1) for k, _ in inside]
+    take = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
+    inside = [c for _, c in inside]
+    critical = list(take(grid + inside))
+    crossings = [t for (k, kind), t in zip(take(keys), critical)
+                 if kind or k in ties]
+    full = [list(take(vs + p.values_at(inside)))
+            for p, vs in zip(cols, on_grid)]
 
-    def _edge_ok(gap_path, zero_ok_at):
-        # affine pieces: > 0 on the open interior means endpoints >= 0 and
-        # not both zero; endpoint zeros only where an event justifies them;
-        # the witness is the first bad time, a piece going negative its zero
-        for ta, va, tb, vb in gap_path.pieces():
+    def first_bad(gap, zero_at_start):
+        # the first time the gap is not > 0 (a piece going negative: its
+        # zero); a zero is allowed at t1, where the next event must claim
+        # it, and at t0 if the entering event left it.  The gap is affine on
+        # its own pieces, so the grid's finer ones give the same witness.
+        if min(gap) > 0:
+            return None
+        for k in range(last):
+            va, vb = gap[k], gap[k + 1]
             if va < 0:
-                return ta
+                return grid[k]
             if vb < 0:
-                return ta + (tb - ta) * va / (va - vb)
-            if va == 0 and vb == 0:
-                return ta
-            if va == 0 and ta not in zero_ok_at:
-                return ta
-            if vb == 0 and tb not in zero_ok_at:
-                return tb
+                return root(k, va, vb)
+            if va == 0 and (k or vb == 0 or not zero_at_start):
+                return grid[k]
         return None
 
     # gaps the entering event leaves at zero (a birth's edge, an entry on top)
@@ -753,37 +782,38 @@ def _run_segment(trace, state, seg, entering_event=None):
     pending_gaps = set()
     for src, row in state.diff.items():
         for tgt in row:
-            gap = paths[src] - paths[tgt]
-            ok = {t1}  # tentatively: a death at t1 must claim it
-            if (src, tgt) in zero_edges:
-                ok.add(t0)
-            witness = _edge_ok(gap, ok)
+            gap = list(map(sub, at[src], at[tgt]))
+            witness = first_bad(gap, (src, tgt) in zero_edges)
             if witness is not None:
                 raise ActionIncrease(
                     "differential edge %r -> %r loses strict action decrease "
                     "at t = %s" % (src, tgt, witness))
-            if gap.end_value == 0:
+            if gap[-1] == 0:
                 pending_gaps.add((src, tgt))
 
     # 4b. window containment (bottom is closed, top is open)
     pending_top = set()
+    bottom, top = ints[len(ids)], ints[-1]  # top is read only if b is finite
     for gid in ids:
-        for ta, va, tb, vb in (paths[gid] - a_path).pieces():
-            if va < 0 or vb < 0:
-                raise ActionOutsideWindow(
-                    "generator %r dips below the window bottom in [%s, %s]"
-                    % (gid, ta, tb))
+        low = list(map(sub, at[gid], bottom))
+        if min(low) < 0:
+            # the message names the piece of the gap's own breakpoints that
+            # holds its first negative grid value
+            k = next(k for k, x in enumerate(low) if x < 0)
+            own = merge_times(paths[gid].breakpoint_times(),
+                              a_path.breakpoint_times())
+            i = max(1, next(i for i, t in enumerate(own) if t >= grid[k]))
+            raise ActionOutsideWindow(
+                "generator %r dips below the window bottom in [%s, %s]"
+                % (gid, own[i - 1], own[i]))
         if b_path != INF:
-            top_gap = b_path - paths[gid]
-            ok = {t1}  # tentatively: an exit above at t1 must claim it
-            if gid in zero_tops:
-                ok.add(t0)
-            witness = _edge_ok(top_gap, ok)
+            top_gap = list(map(sub, top, at[gid]))
+            witness = first_bad(top_gap, gid in zero_tops)
             if witness is not None:
                 raise ActionOutsideWindow(
                     "generator %r reaches the window top at t = %s"
                     % (gid, witness))
-            if top_gap.end_value == 0:
+            if top_gap[-1] == 0:
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
@@ -795,13 +825,12 @@ def _run_segment(trace, state, seg, entering_event=None):
         return [Fraction(a * e + b * d, 2 * d * e)
                 for (a, d), (b, e) in zip(rs, rs[1:])]
 
-    values = {gid: paths[gid].values_at(critical) for gid in ids}
+    values = dict(zip(ids, full))
     mids = {gid: mid(vals) for gid, vals in values.items()}
     times = mid(critical)
     acts = [{gid: col[k] for gid, col in mids.items()} for k in range(len(times))]
-    tops = ([INF] * len(times) if b_path == INF
-            else mid(b_path.values_at(critical)))
-    wins = list(zip(mid(a_path.values_at(critical)), tops))
+    tops = [INF] * len(times) if b_path == INF else mid(full[-1])
+    wins = list(zip(mid(full[len(ids)]), tops))
     frame = state.frame()
     _complex_at(frame, acts[0], wins[0])  # ids, degrees and ∂², once
     for a, b in wins:  # the gap checks cover this unless no generator is left
@@ -811,7 +840,7 @@ def _run_segment(trace, state, seg, entering_event=None):
     for t, act, win in zip(times, acts, wins):
         trace.add_sample(t, act, win, frame)
     trace.segments.append(SegmentTrace(
-        frame[1], sorted(crossings), list(range(first, len(trace.samples))),
+        frame[1], crossings, list(range(first, len(trace.samples))),
         critical, values))
 
     # 6. advance the state to t1

@@ -5,12 +5,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import chordbars
-from chordbars import schemas, simulate
+from chordbars import QQ, DriftSegment, FilteredComplex, schemas, simulate
 from chordbars.cli import main
 
 
@@ -237,9 +238,31 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def _crossing_family(path, seed=11, n=8, knots=6):
+    """Write a one-drift timeline in which n degree-0 generators zigzag
+    through one another (many crossings) inside a window with sloped edges,
+    below a degree-1 generator whose boundary is one of them."""
+    rng = random.Random(seed)
+    ts = [Fraction(k, knots) for k in range(knots + 1)]
+    paths = {"z%d" % i: [(t, Fraction(rng.randint(10, 90),
+                                      rng.choice([7, 11, 13]))) for t in ts]
+             for i in range(n)}
+    paths["h"] = [(0, 20), (1, 25)]
+    initial = FilteredComplex(
+        QQ, (0, 40), [(gid, p[0][1], 1 if gid == "h" else 0)
+                      for gid, p in paths.items()], {"h": {"z0": 1}})
+    seg = DriftSegment(0, 1, paths,
+                       window_a=[(0, 0), (Fraction(1, 2), 1), (1, 0)],
+                       window_b=[(0, 40), (1, 30)])
+    path.write_text(schemas.dumps(schemas.serialize_timeline(initial, [seg])))
+    return simulate(initial, [seg])
+
+
 def test_optimized_mode_output_identical(fixture_dir):
     # ``python -O`` strips asserts; the CLI must not depend on them
     fx = str(fixture_dir)
+    trace = _crossing_family(fixture_dir / "crossings.json")
+    assert len(trace.segments[0].crossings) >= 50
     commands = [
         ["validate", "demo_complex.json"],
         ["validate", "demo_timeline.json"],
@@ -248,6 +271,7 @@ def test_optimized_mode_output_identical(fixture_dir):
          "--format", "structured"],
         ["simulate", "demo_timeline.json"],
         ["simulate", "demo_timeline.json", "--vineyard", "vine.csv"],
+        ["simulate", "crossings.json", "--vineyard", "vine.csv"],
         ["linearize", "two_copy.dga.json", "two_copy.augmentation.json",
          "--window", "9", "12"],
         ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],

@@ -35,6 +35,24 @@ def test_as_action():
         as_action(True)
 
 
+# strings off the plain form -?digits[/digits] that as_action reads with
+# int(), and plain ones at its edges: each reads as Fraction(text) does, or
+# fails with the one message as_action gives for every unreadable value
+@pytest.mark.parametrize("text", [
+    " 1/2", "+1", "1_0", "1.5", "1e3", "\u0663", "1/0", "1/-2", "1/00",
+    "-0", "007/010", "1234567890123456789012345678901", "9" * 5000])
+def test_as_action_reads_strings_as_fraction_does(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValidationError) as info:
+            as_action(text)
+        assert str(info.value) == "cannot read action value %r" % (text,)
+    else:
+        got = as_action(text)
+        assert type(got) is Fraction and got == want
+
+
 def test_degrees_are_integers():
     assert as_degree(2) == 2 and as_degree(-1) == -1
     assert Generator("a", 1, 0).degree == 0

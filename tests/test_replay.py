@@ -58,6 +58,19 @@ def test_replay_outputs_are_pinned(replays):
     assert replay_digests(trace for _items, trace in replays) == PINNED
 
 
+def test_replay_counts_are_pinned(replays):
+    # samples, critical times, crossings, segments and events over the 100
+    # timelines, recorded before segment replay moved to one integer grid
+    traces = [trace for _items, trace in replays]
+    segments = [st for trace in traces for st in trace.segments]
+    assert (sum(len(trace.samples) for trace in traces),
+            sum(len(st.critical) for st in segments),
+            sum(len(st.crossings) for st in segments),
+            len(segments),
+            sum(len(trace.events) for trace in traces)) == \
+        (3841, 4351, 3051, 710, 529)
+
+
 def test_samples_rebuild_complex_pairing_and_barcode(replays):
     for _items, trace in replays:
         for s in trace.samples:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        EntryAbove, EntryBelow, ExitAbove, ExitBelow,
@@ -11,7 +12,7 @@ from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        canonical_form, check_transitions, drift_speed_audit, random_timeline,
                        simulate, vineyard_rows)
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
-                              EventPreconditionViolated,
+                              ChordbarsError, EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
                               ValidationError)
 from chordbars.timelines import SingularEvent
@@ -425,3 +426,164 @@ def test_random_timelines_all_pass():
         trace = simulate(initial, items)
         report = check_transitions(trace)
         assert report.ok, (seed, field.tag, report.failures())
+
+
+# ---------------------------------------------------------------------------
+# segment replay against plain PLPath arithmetic
+# ---------------------------------------------------------------------------
+
+def _segment_reference(seg, diff, zero_edges, zero_tops, a, b):
+    """What simulating ``seg`` last must give, from public PLPath arithmetic:
+    (error class, message), or (None, crossing times).  Every pair
+    difference and every gap is built as a path and read on its own pieces;
+    the window edges are ``a`` and ``b`` (a path or INF)."""
+    t0, t1, paths = seg.t0, seg.t1, seg.actions
+    ids = sorted(paths)
+    crossings = set()
+    for i, g1 in enumerate(ids):
+        for g2 in ids[i + 1:]:
+            roots, flats = (paths[g1] - paths[g2]).zeros()
+            if flats:
+                return NonGenericCrossing, (
+                    "trajectories of %r and %r coincide on an interval"
+                    % (g1, g2))
+            crossings.update(roots)
+
+    def first_bad(gap, zero_at_start):
+        ok = {t1, t0} if zero_at_start else {t1}
+        for ta, va, tb, vb in gap.pieces():
+            if va < 0:
+                return ta
+            if vb < 0:
+                return ta + (tb - ta) * va / (va - vb)
+            if va == 0 and (vb == 0 or ta not in ok):
+                return ta
+            if vb == 0 and tb not in ok:
+                return tb
+        return None
+
+    pending_gaps, pending_tops = [], []
+    for src, row in diff.items():
+        for tgt in row:
+            gap = paths[src] - paths[tgt]
+            bad = first_bad(gap, (src, tgt) in zero_edges)
+            if bad is not None:
+                return ActionIncrease, (
+                    "differential edge %r -> %r loses strict action "
+                    "decrease at t = %s" % (src, tgt, bad))
+            if gap.end_value == 0:
+                pending_gaps.append((src, tgt))
+    for gid in ids:
+        for ta, va, tb, vb in (paths[gid] - a).pieces():
+            if va < 0 or vb < 0:
+                return ActionOutsideWindow, (
+                    "generator %r dips below the window bottom in [%s, %s]"
+                    % (gid, ta, tb))
+        if b != INF:
+            gap = b - paths[gid]
+            bad = first_bad(gap, gid in zero_tops)
+            if bad is not None:
+                return ActionOutsideWindow, (
+                    "generator %r reaches the window top at t = %s"
+                    % (gid, bad))
+            if gap.end_value == 0:
+                pending_tops.append(gid)
+    # the segment ends the timeline: a zero gap left at its end is rejected
+    if pending_gaps:
+        return ActionIncrease, (
+            "differential edge %r -> %r loses strict action decrease at the "
+            "end of the timeline" % min(pending_gaps))
+    if pending_tops:
+        return ActionOutsideWindow, (
+            "generator %r sits on the window top at the end of the timeline"
+            % min(pending_tops))
+    return None, sorted(crossings)
+
+
+QUARTERS = st.integers(0, 24).map(lambda k: q(k, 4))
+KNOTS = st.lists(st.sampled_from([q(1, 4), q(1, 3), q(1, 2), q(2, 3),
+                                  q(3, 4)]), unique=True).map(sorted)
+
+
+@st.composite
+def segment_families(draw):
+    """A family whose last segment is random: 2-6 generators on shared and
+    unshared knots with tied values, touching ranges and coincident pieces,
+    sloped window edges or an infinite top, entered from a plain start, a
+    birth (a zero edge gap at its start) or an entry above (a zero top
+    gap).  Returns (initial, items, the differential on that segment)."""
+    n = draw(st.integers(2, 6))
+    ids = ["g%d" % i for i in range(n)]
+    starts = dict(zip(ids, draw(st.lists(QUARTERS, min_size=n, max_size=n))))
+    degrees = {gid: draw(st.integers(0, 1)) for gid in ids}
+    event = draw(st.sampled_from([None, "birth", "entry_above"]))
+    top = 7 if event == "entry_above" else draw(st.sampled_from([7, INF]))
+    if event:  # the hold before the event must be generic
+        assume(len(set(starts.values())) == n)
+    diff = {}
+    for s in ids:
+        for t in ids:
+            if (degrees[s], degrees[t]) == (1, 0) and starts[s] > starts[t] \
+                    and draw(st.booleans()):
+                diff.setdefault(s, {})[t] = 1
+    initial = FilteredComplex(F2, (0, top), [(gid, starts[gid], degrees[gid])
+                                             for gid in ids], diff)
+    # the rows in the order replay checks them
+    seg_diff = {g.id: dict(initial.differential_raw(g.id))
+                for g in initial.generators if initial.differential_raw(g.id)}
+    t0 = 1 if event else 0
+
+    def path(start, ends=QUARTERS):
+        pts = [(t0, start)] + [(t0 + k, draw(QUARTERS)) for k in draw(KNOTS)]
+        return pts + [(t0 + 1, draw(ends))]
+
+    paths = {}
+    for gid in ids:
+        paths[gid] = path(starts[gid])
+        if gid != "g0" and draw(st.integers(0, 5)) == 0:
+            # follow another path from its first knot on
+            twin = paths[draw(st.sampled_from(sorted(paths)))]
+            if len(twin) > 2:
+                paths[gid] = paths[gid][:1] + twin[1:]
+    items = [DriftSegment(0, 1, dict(starts))] if event else []
+    if event == "birth":
+        c = draw(QUARTERS)
+        assume(c not in starts.values())
+        items.append(Birth(1, ("x", 1), ("y", 0), c))
+        seg_diff["x"] = {"y": 1}
+        # x mostly stays above y, on y's knots
+        paths["y"] = path(c)
+        shifts = st.sampled_from([1, q(1, 2), 0])
+        paths["x"] = [(t, v + draw(shifts) if t > t0 else v)
+                      for t, v in paths["y"]]
+    elif event == "entry_above":
+        items.append(EntryAbove(1, "e", draw(st.integers(0, 1))))
+        paths["e"] = path(q(top))
+    window_a = None
+    if draw(st.booleans()):
+        window_a = path(q(0), st.sampled_from([-1, 0, q(1, 2)]))
+    window_b = None
+    if top != INF and draw(st.booleans()):
+        window_b = path(q(top), st.sampled_from([8, 7, q(13, 2), 6, 5]))
+    items.append(DriftSegment(t0, t0 + 1, paths, window_a=window_a,
+                              window_b=window_b))
+    return initial, items, seg_diff
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_families())
+def test_segment_replay_matches_path_arithmetic(family):
+    initial, items, diff = family
+    seg, event = items[-1], (items[-2] if len(items) > 1 else None)
+    a = seg.window_a or PLPath.constant(q(0), seg.t0, seg.t1)
+    b = seg.window_b or (INF if initial.window[1] == INF
+                         else PLPath.constant(q(7), seg.t0, seg.t1))
+    kind, want = _segment_reference(
+        seg, diff, event.zero_edges if event else (),
+        event.zero_tops if event else (), a, b)
+    try:
+        trace = simulate(initial, items)
+    except ChordbarsError as exc:
+        assert (type(exc), str(exc)) == (kind, want)
+    else:
+        assert kind is None and trace.segments[-1].crossings == want
