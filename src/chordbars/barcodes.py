@@ -10,8 +10,10 @@ Two independent computations are provided on purpose:
   read off as bars, and :func:`check_canonical_form` verifies D G = G T;
 
 * :func:`barcode_definitional` — a literal rank bookkeeping over sublevel
-  complexes: bars alive past a level are counted through dimensions of
-  (cycles-below + boundaries-below) spans.  With exact rationals the
+  complexes: the classes born at or below s and alive past e number
+  dim Z≤s − rank ∂[:, ≤e] + rank ∂[rows > s, ≤e] (Edelsbrunner & Harer,
+  *Computational Topology*, ch. VII), and the bars are read back from
+  their differences by :func:`recover`.  With exact rationals the
   "sufficiently small epsilon" of one-sided limits is realized by
   half-the-minimal-gap probes, which the ``<=`` comparisons below encode.
 
@@ -235,69 +237,54 @@ def barcode_from_canonical(F, C):
 def barcode_definitional(C):
     """Barcode straight from sublevel rank bookkeeping (independent oracle).
 
-    Per degree d: W(s, e) = number of degree-d classes born at or below s and
-    still alive just past e equals dim(Z_{<=s} + B_{<=e}) - dim B_{<=e}; the
-    bar multiset is recovered from second differences of W.  ``<=`` on a
-    rational grid realizes the probes at level + (minimal gap)/2.
+    Per degree d, W(s, e) = number of degree-d classes born at or below s
+    and still alive just past e = dim Z_{<=s} - dim(B_{<=e} ∩ C_{<=s}).
+    With ∂ the boundary from degree d + 1, B_{<=e} ∩ C_{<=s} is the kernel
+    of projecting B_{<=e} onto the rows above s, so
+
+        W(s, e) = dim Z_{<=s} - rank ∂[:, <=e] + rank ∂[rows > s, <=e].
+
+    Differences of W over consecutive start levels count the bars born
+    exactly at s and alive past each e; :func:`recover` reads the bars back
+    from that table.  ``<=`` on a rational grid realizes the probes at
+    level + (minimal gap)/2.
     """
     field = C.field
     bars = []
     for d in C.degrees():
         Md, _, cols_d = C.boundary_matrix(d)
         Mup, rows_up, cols_up = C.boundary_matrix(d + 1)
-        n_d = len(cols_d)
-        if n_d == 0:
-            continue
         assert rows_up == cols_d  # invariant: both are C's degree-d generators
-        start_levels = sorted({g.action for g in cols_d})
         crit = sorted({g.action for g in cols_d} | {g.action for g in cols_up})
         k = len(crit)
-
         # boundary columns (vectors over the degree-d basis) in action order
-        up_cols = [[Mup[r][j] for r in range(n_d)] for j in range(len(cols_up))]
-        up_actions = [g.action for g in cols_up]
+        up_cols = [[row[j] for row in Mup] for j in range(len(cols_up))]
 
-        # dim B_{<=e} for every critical level e
-        dimB = []
-        accB = RankAccumulator(field)
-        p = 0
-        for e in crit:
-            while p < len(up_cols) and up_actions[p] <= e:
-                accB.add(up_cols[p])
-                p += 1
-            dimB.append(accB.rank)
-
-        W_prev = [0] * k
-        col_actions = [g.action for g in cols_d]
-        for s in start_levels:
-            m = 0
-            while m < n_d and col_actions[m] <= s:
-                m += 1
-            sub = [row[:m] for row in Md]
-            kernel = linalg.nullspace(sub, field, ncols=m)
-            acc = RankAccumulator(field)
-            zero_tail = [field.zero_raw] * (n_d - m)
-            for v in kernel:
-                acc.add(v + zero_tail)
-            W_row = []
-            p = 0
-            for e_idx, e in enumerate(crit):
-                while p < len(up_cols) and up_actions[p] <= e:
-                    acc.add(up_cols[p])
+        def ranks_from_row(m):
+            """rank ∂[rows >= m, <= e] for every critical level e."""
+            acc, ranks, p = RankAccumulator(field), [], 0
+            for e in crit:
+                while p < len(up_cols) and cols_up[p].action <= e:
+                    acc.add(up_cols[p][m:])
                     p += 1
-                W_row.append(acc.rank - dimB[e_idx])
+                ranks.append(acc.rank)
+            return ranks
 
-            # A(e) = bars starting exactly at s, alive past crit[e]
-            A = [w - wp for w, wp in zip(W_row, W_prev)]
-            s_idx = crit.index(s)
-            for e_idx in range(s_idx + 1, k):
-                died = A[e_idx - 1] - A[e_idx]
-                assert died >= 0  # invariant: bars born at s alive past e fall as e grows
-                for _ in range(died):
-                    bars.append(Bar(s, crit[e_idx], d))
-            for _ in range(A[k - 1]):
-                bars.append(Bar(s, INF, d))
-            W_prev = W_row
+        dimB = ranks_from_row(0)
+        accZ, m, W_prev = RankAccumulator(field), 0, [0] * k
+        table = [[0] * k for _ in range(k)]
+        for j, s in enumerate(crit):
+            if m == len(cols_d) or cols_d[m].action != s:
+                continue  # no degree-d generator starts at s
+            while m < len(cols_d) and cols_d[m].action == s:
+                accZ.add([row[m] for row in Md])
+                m += 1
+            W = [m - accZ.rank - b + r
+                 for b, r in zip(dimB, ranks_from_row(m))]
+            # row j: bars born exactly at s, alive past crit[e] for e >= s
+            table[j][j:] = [w - wp for w, wp in zip(W[j:], W_prev[j:])]
+            W_prev = W
+        bars.extend(Bar(b.start, b.end, d) for b in recover(crit, table))
     return Barcode(bars)
 
 

@@ -122,19 +122,17 @@ def kernel(columns, field):
 class RankAccumulator:
     """Incremental rank of a growing list of vectors.
 
-    Rows are kept reduced and keyed by leading index, so feeding the same
-    span in any order costs one elimination pass per vector.  This is the
-    workhorse of the definitional barcode oracle, which needs ranks of many
-    nested spans.
+    Rows are kept reduced and keyed by leading index, so each vector costs
+    one elimination pass and the rank after every prefix of the stream is
+    read off for free.  The definitional barcode oracle feeds one column
+    stream per projection of a boundary matrix, in action order.
     """
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field, vectors=()):
+    def __init__(self, field):
         self.field = field
         self.rows = {}  # leading index -> row with leading coefficient 1
-        for v in vectors:
-            self.add(v)
 
     @property
     def rank(self):

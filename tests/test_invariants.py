@@ -1,9 +1,13 @@
-"""Input-reachable checks raise typed errors, the same under ``python -O``.
+"""Invariants of the code base itself.
 
+Input-reachable checks raise typed errors, the same under ``python -O``.
 An ``assert`` vanishes under ``-O``, so any condition user input can reach
 must be an explicit check raising a :class:`ChordbarsError`.  The asserts
 left in the package guard true internal invariants, and each says why on
 its own line with an ``# invariant:`` comment.
+
+The definitional barcode engine shares no code with the reduction engine,
+and the pytest configuration still reports a failing hypothesis example.
 """
 
 import ast
@@ -45,6 +49,51 @@ def test_no_private_fraction_api():
             if name in _PRIVATE_FRACTION:  # x._numerator, getattr(x, "...")
                 reads.append("%s:%d %s" % (path.name, node.lineno, name))
     assert not reads, "private Fraction API used: %s" % reads
+
+
+# the reduction engine and its checks; the oracle must reach none of them
+_REDUCTION_NAMES = {"_reduce", "canonical_form", "check_canonical_form",
+                    "barcode_from_canonical", "nullspace"}
+
+
+def test_definitional_engine_is_independent():
+    path = PACKAGE / "barcodes.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "barcode_definitional"]
+    named = set()
+    for node in ast.walk(fn):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if name in _REDUCTION_NAMES:
+            named.add("%d %s" % (node.lineno, name))
+    assert not named, "barcode_definitional names %s" % sorted(named)
+
+
+_FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_hypothesis_failure_is_reported(tmp_path):
+    # warnings are errors, and one raised while hypothesis explains a
+    # failure would end the run in INTERNALERROR without the example
+    (tmp_path / "test_fails.py").write_text(_FAILING_HYPOTHESIS_TEST)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c",
+         str(Path(__file__).resolve().parents[1] / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out, out
+    assert "INTERNALERROR" not in out, out
 
 
 _SCRIPT = """

@@ -1,4 +1,5 @@
-"""Exact elimination: rref, rank, nullspace over all three fields."""
+"""Exact elimination: rref, rank, nullspace and the incremental rank over
+all three fields."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from chordbars import F2, FP, QQ
 from chordbars.errors import ValidationError
-from chordbars.linalg import kernel, matmul, nullspace, rank, rref, zeros
+from chordbars.linalg import (RankAccumulator, kernel, matmul, nullspace, rank,
+                              rref, zeros)
 
 FIELDS = [F2, FP(5), QQ]
 
@@ -110,6 +112,31 @@ def test_kernel_edge_cases():
     assert kernel([{}, {}], QQ) == [[1, 0], [0, 1]]
     assert kernel([], F2) == []
     assert kernel([{"x": 1}, {"x": 1}], F2) == [[1, 1]]
+
+
+@st.composite
+def vector_streams(draw):
+    """Vectors of one length (possibly 0), some of them all zero."""
+    F = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(0, 5))
+    vec = st.lists(st.integers(-3, 3).map(F.coerce), min_size=n, max_size=n)
+    vecs = draw(st.lists(st.one_of(st.just([F.zero_raw] * n), vec),
+                         max_size=7))
+    return F, vecs
+
+
+@settings(max_examples=150)
+@given(vector_streams(), st.data())
+def test_rank_accumulator_matches_rank(fv, data):
+    F, vecs = fv
+    for stream in (vecs, data.draw(st.permutations(vecs))):
+        acc = RankAccumulator(F)
+        for i, v in enumerate(stream):
+            fed = list(v)
+            grew = acc.add(v)
+            assert v == fed  # the caller's vector is left alone
+            assert acc.rank == rank(stream[:i + 1], F)
+            assert grew == (acc.rank > rank(stream[:i], F))
 
 
 def test_matmul_shape_is_a_typed_error():
