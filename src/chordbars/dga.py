@@ -11,7 +11,6 @@ passage to a filtered complex of mixed chords — works with exact field
 arithmetic; nothing here ever touches floats.
 """
 
-import itertools
 from fractions import Fraction
 
 from .complexes import INF, FilteredComplex, as_action, as_degree
@@ -283,7 +282,7 @@ class ReportEntry:
 class DGAReport:
     _EXC = {"square": NotSquareZero, "degree": DegreeMismatch,
             "length": ActionIncrease, "mixed-output": MixedOutputViolation,
-            "graded": AugmentationInvalid, "unital": AugmentationInvalid,
+            "graded": AugmentationInvalid,
             "vanishes-on-mixed": AugmentationInvalid,
             "kills-boundaries": AugmentationInvalid}
 
@@ -372,6 +371,13 @@ class Augmentation:
             if c:
                 self.values[str(label)] = c
 
+    @classmethod
+    def _of_raw(cls, field, values):
+        """Wrap raw {label: value} pairs that hold no zero, without coercing."""
+        e = cls(field)
+        e.values = values
+        return e
+
     def value_raw(self, label):
         return self.values.get(label, self.field.zero_raw)
 
@@ -421,12 +427,36 @@ def check_augmentation(D, eps):
     return DGAReport(entries)
 
 
+def _vanish(equations, vals, p):
+    """Whether every compiled ε(∂c) is zero under the values in ``vals``
+    (p is the characteristic; 0 means Q)."""
+    for terms in equations:
+        total = 0
+        for coeff, ix in terms:
+            for i in ix:
+                coeff *= vals[i]
+            total += coeff
+        if total % p if p else total:
+            return False
+    return True
+
+
 def find_augmentations(D, candidates=None, budget=100000):
     """Exhaustive augmentation search over the degree-0 pure chords.
 
     Over a finite field the whole value space is enumerated; over the
     rationals a finite candidate set must be supplied.  ``budget`` caps the
-    number of assignments tried (SearchBudgetExceeded beyond it).
+    number of assignments in that product (SearchBudgetExceeded beyond it),
+    tested before the search starts.
+
+    Each ∂c is compiled once into (coeff, index-tuple) terms over the domain;
+    a word with a letter outside the domain vanishes under every candidate
+    and is dropped.  The equation ε(∂c) = 0 is filed under the domain index
+    of its last letter, and one with no letter left is decided up front.  A
+    depth-first search assigns the domain in order, checks the equations
+    filed at depth k as soon as value k is set, and abandons the branch at
+    the first nonzero.  Domain order yields the hits in
+    ``itertools.product`` order, duplicate candidates included.
     """
     D.require_valid()
     field = D.field
@@ -443,11 +473,38 @@ def find_augmentations(D, candidates=None, budget=100000):
     if total > budget:
         raise SearchBudgetExceeded(
             "%d assignments exceed the budget of %d" % (total, budget))
+    index = {label: i for i, label in enumerate(domain)}
+    filed = [[] for _ in domain]
+    constant = []
+    for elem in D.differential.values():
+        terms = [(coeff, tuple(index[x] for x in word))
+                 for word, coeff in elem.terms.items()
+                 if all(x in index for x in word)]
+        if terms:
+            last = max(max(ix, default=-1) for _, ix in terms)
+            (filed[last] if last >= 0 else constant).append(terms)
+    p = field.char
+    if not _vanish(constant, (), p):
+        return []
+    if not domain:
+        return [Augmentation(field)]
     found = []
-    for combo in itertools.product(values, repeat=len(domain)):
-        eps = Augmentation(field, dict(zip(domain, combo)))
-        if check_augmentation(D, eps).ok:
-            found.append(eps)
+    vals = [None] * len(domain)
+    stack = [iter(values)]
+    while stack:
+        k = len(stack) - 1
+        for v in stack[k]:
+            vals[k] = v
+            if _vanish(filed[k], vals, p):
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 < len(domain):
+            stack.append(iter(values))
+        else:
+            found.append(Augmentation._of_raw(
+                field, {label: v for label, v in zip(domain, vals) if v}))
     return found
 
 
@@ -649,7 +706,14 @@ def partial_linearization(D, eps, window, l=INF):
                 "window width %s exceeds the augmentation reach %s"
                 % ("inf" if b == INF else b - a, l))
 
-    # the augmentation must be lawful on the pure chords it will be used on
+    # the augmentation must be lawful on the pure chords it will be used on;
+    # a degree-0 chord of D at or beyond the reach is not one of them
+    beyond = [c for c in D.chords if c.label in eps.values
+              and c.degree == 0 and not c.length < l]
+    if beyond:
+        raise AugmentationInvalid(
+            "nonzero on %r of length %s, not below the augmentation reach %s"
+            % (beyond[0].label, beyond[0].length, l))
     rep = check_augmentation(sub_dga(D, l), eps)
     if not rep.ok:
         first = rep.failures()[0]

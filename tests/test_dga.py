@@ -1,5 +1,7 @@
 """Chord algebras: differentials, augmentations, morphisms, linearization."""
 
+import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -135,13 +137,136 @@ def test_augmentation_search():
 
 def test_augmentation_search_budget_and_rationals():
     wide = ChordDGA(F5, [Chord("p%d" % i, i + 1, 0) for i in range(6)], {})
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as info:
         find_augmentations(wide, budget=3)
+    assert str(info.value) == "15625 assignments exceed the budget of 3"
     assert len(find_augmentations(wide, budget=20000)) == 5 ** 6
     with pytest.raises(ValidationError):
         find_augmentations(stabilized_unknot_shape(QQ))
     assert find_augmentations(stabilized_unknot_shape(QQ),
                               candidates=[0, 1]) == []
+
+
+def _raw_values(epss):
+    """Each augmentation's values with their raw types, in list order."""
+    return [sorted((label, type(v).__name__, v) for label, v in e.values.items())
+            for e in epss]
+
+
+def _assert_search_is_product_filter(D, candidates):
+    """find_augmentations equals the brute-force filter of the product."""
+    field = D.field
+    domain = [c.label for c in D.pure_chords() if c.degree == 0]
+    values = (list(field.elements()) if candidates is None
+              else [field.coerce(v) for v in candidates])
+    want = [eps for eps in (Augmentation(field, dict(zip(domain, combo)))
+                            for combo in itertools.product(values,
+                                                           repeat=len(domain)))
+            if check_augmentation(D, eps).ok]
+    got = find_augmentations(D, candidates=candidates, budget=10 ** 6)
+    assert got == want
+    assert _raw_values(got) == _raw_values(want)
+    return got
+
+
+def _search_dga(field, n_domain, rows):
+    """Domain p0..p{n-1}; letters outside it: the mixed degree-0 chord m and
+    the pure chords z (degree 1) and y (degree -1); each row is the boundary
+    of one degree-1 pure chord, none of whose letters has a boundary."""
+    chords = [Chord("p%d" % i, i + 1, 0) for i in range(n_domain)]
+    chords += [Chord("m", 1, 0, (0, 1)), Chord("z", 2, 1), Chord("y", 3, -1)]
+    chords += [Chord("c%d" % j, 100 + j, 1) for j in range(len(rows))]
+    return ChordDGA(field, chords,
+                    {"c%d" % j: row for j, row in enumerate(rows)})
+
+
+@st.composite
+def _search_cases(draw):
+    field = draw(st.sampled_from([F2, FP(3), QQ]))
+    n_domain = draw(st.integers(0, 4))
+    tokens = [("p%d" % i,) for i in range(n_domain)]
+    tokens += [("m",), ("z", "y"), ("y", "z")]
+    word = st.lists(st.sampled_from(tokens), max_size=3).map(
+        lambda ts: tuple(x for t in ts for x in t))
+    coeffs = [1, -1, 2, 3] + ([Fraction(1, 2)] if field is QQ else [])
+    rows = draw(st.lists(st.dictionaries(word, st.sampled_from(coeffs),
+                                         min_size=1, max_size=4),
+                         max_size=3))
+    values = [0, 1, -1, 2, "1", "2/2", "0"]
+    candidates = draw(st.lists(st.sampled_from(values), max_size=4))
+    if field.char and draw(st.booleans()):
+        candidates = None
+    return _search_dga(field, n_domain, rows), candidates
+
+
+@given(_search_cases())
+@settings(max_examples=200, deadline=None)
+def test_augmentation_search_matches_product_filter(case):
+    _assert_search_is_product_filter(*case)
+
+
+@pytest.mark.parametrize("field, n_domain, rows, candidates, count", [
+    # duplicates, equal after coercion, and 0: every one of them is tried
+    (QQ, 2, [{("p0", "p1"): 1, ("p1",): -1}], [1, "1", "2/2", 0], 13),
+    (FP(3), 3, [{("p2", "p0"): 1, (): -1}], [1, 4, 2, "2/2"], 40),
+    # a constant term, and words through letters outside the domain
+    (F2, 2, [{(): 1, ("p1",): 1, ("m", "p0"): 1, ("z", "y"): 1}], None, 2),
+    (QQ, 1, [{("p0", "z", "y"): 1}, {("y", "z"): 1}], [0, 1, -1], 3),
+    # an unsatisfiable constant equation, with and without a domain
+    (FP(3), 2, [{(): 2}], None, 0),
+    (QQ, 0, [{(): 1, ("m",): 1}], [0, 1], 0),
+    # an empty domain: the zero augmentation alone
+    (F2, 0, [{("m", "z", "y"): 1}], None, 1),
+    (QQ, 0, [], [], 1),
+    # an empty candidate list over a nonempty domain
+    (QQ, 2, [], [], 0),
+])
+def test_augmentation_search_edge_cases(field, n_domain, rows, candidates,
+                                        count):
+    D = _search_dga(field, n_domain, rows)
+    assert len(_assert_search_is_product_filter(D, candidates)) == count
+
+
+def test_augmentation_search_deep_domain():
+    # one candidate passes the budget at any depth (1**n = 1)
+    n = 3000
+    chords = [Chord("p%d" % i, i + 1, 0) for i in range(n)]
+    D = ChordDGA(F5, chords + [Chord("c", 2 * n, 1)],
+                 {"c": {("p0", "p%d" % (n - 1)): 1, ("p1",): -1}})
+    assert find_augmentations(D, candidates=[1]) == [
+        Augmentation(F5, {c.label: 1 for c in chords})]
+
+
+def test_augmentation_search_leaves_no_cycles():
+    # reference cycles would leave each search's lists to the collector
+    D = _search_dga(QQ, 4, [{("p0", "p3"): 1, ("p2",): -1},
+                            {("p1", "p1"): 1, ("p0",): -1, ("m",): 1}])
+    D.require_valid()
+    gc.collect()
+    gc.disable()
+    try:
+        found = find_augmentations(D, candidates=[0, 1, -1, 2])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(found) == 12
+
+
+def test_linearization_names_letters_beyond_the_reach():
+    D = ChordDGA(QQ, [Chord("p", 5, 0), Chord("w", 1, 1), Chord("v", 7, 1),
+                      Chord("m1", 1, 0, (0, 1)), Chord("m2", 2, 1, (0, 1))],
+                 {"m2": {("m1",): 1}})
+    with pytest.raises(AugmentationInvalid) as info:
+        partial_linearization(D, Augmentation(QQ, {"p": 1}), (0, 2), l=3)
+    assert str(info.value) == ("nonzero on 'p' of length 5, not below the "
+                               "augmentation reach 3")
+    # labels that are not degree-0 chords of D keep the graded message
+    for label in ("w", "v", "zz"):
+        with pytest.raises(AugmentationInvalid) as info:
+            partial_linearization(D, Augmentation(QQ, {label: 1}), (0, 2),
+                                  l=3)
+        assert str(info.value) == ("nonzero on %r which is not a degree-0 "
+                                   "chord (graded on None)" % label)
 
 
 def test_augmentation_graded_rule():
