@@ -256,11 +256,24 @@ def cmd_fixtures(args, out):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
+def _width(text):
+    """A diagram width of at least 2; a narrower one draws every bar from
+    column 0."""
+    try:
+        width = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r"
+                                         % text) from None
+    if width < 2:
+        raise argparse.ArgumentTypeError("must be at least 2, got %d" % width)
+    return width
+
+
 def _add_format_args(p):
     p.add_argument("--format", default="table",
                    choices=("table", "structured", "csv", "diagram"),
                    help="output format (default: table)")
-    p.add_argument("--width", type=int, default=48,
+    p.add_argument("--width", type=_width, default=48,
                    help="column width of the diagram format")
     p.add_argument("--stamp", action="store_true",
                    help="add a provenance header to human-readable output")

@@ -58,15 +58,21 @@ def as_degree(value):
     return value
 
 
+def as_id(value):
+    """Check a generator id: a nonempty string."""
+    if not isinstance(value, str) or not value:
+        raise ValidationError("generator id must be a nonempty string, got %r"
+                              % (value,))
+    return value
+
+
 class Generator:
     """A basis element: opaque id, exact action, integer degree."""
 
     __slots__ = ("id", "action", "degree")
 
     def __init__(self, id, action, degree):
-        if not isinstance(id, str) or not id:
-            raise ValidationError("generator id must be a nonempty string, got %r" % (id,))
-        self.id = id
+        self.id = as_id(id)
         self.action = as_action(action)
         self.degree = as_degree(degree)
 

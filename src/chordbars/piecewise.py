@@ -2,17 +2,16 @@
 
 A :class:`PLPath` is a continuous piecewise-linear function given by its
 breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
-sums, integrals, zero-crossings) is exact; floats serve the measured-profile
-mode of the displacement layer.  ``values_at`` evaluates an exact path on
-integer numerators and denominators, with one ``Fraction`` per value;
-segment replay evaluates every path this way and decides the rest on
-ints.  Sums, differences and zeros keep the textbook expressions;
-they serve ``bounds``, the drift speed audit and the tests.
+differences, integrals, zero-crossings) is exact; floats serve the
+measured-profile mode of the displacement layer.  ``values_at`` evaluates an
+exact path on integer numerators and denominators, with one ``Fraction`` per
+value; segment replay and the drift speed audit read every path through it.
+Differences, integrals and zeros keep the textbook expressions; they serve
+``bounds`` and the tests.
 """
 
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
 
 from .errors import NonMonotoneTime, ValidationError
 
@@ -152,28 +151,6 @@ class PLPath:
             "time %s outside path domain [%s, %s] or out of order"
             % (t, self.t_start, self.t_end))
 
-    def slope_after(self, t):
-        """One-sided derivative just to the right of t."""
-        if not t < self.t_end:
-            raise ValidationError("no slope after the path end %s (t = %s)"
-                                  % (self.t_end, t))
-        i = self._locate(t)
-        if t == self.points[i + 1][0]:
-            i += 1
-        (t0, v0), (t1, v1) = self.points[i], self.points[i + 1]
-        return (v1 - v0) / (t1 - t0)
-
-    def slope_before(self, t):
-        """One-sided derivative just to the left of t."""
-        if not t > self.t_start:
-            raise ValidationError("no slope before the path start %s (t = %s)"
-                                  % (self.t_start, t))
-        i = self._locate(t)
-        if t == self.points[i][0]:
-            i -= 1
-        (t0, v0), (t1, v1) = self.points[i], self.points[i + 1]
-        return (v1 - v0) / (t1 - t0)
-
     def restrict(self, t0, t1):
         if not self.t_start <= t0 < t1 <= self.t_end:
             raise ValidationError("cannot restrict a path on [%s, %s] to "
@@ -192,50 +169,35 @@ class PLPath:
 
     # pointwise arithmetic ----------------------------------------------------
 
-    def _zip_with(self, other, op):
-        # the pointwise sum (op add) or difference (op sub)
+    def __sub__(self, other):
+        """The pointwise difference of two paths on one interval."""
         if not isinstance(other, PLPath):
-            return PLPath([(t, op(v, other)) for t, v in self.points])
+            return NotImplemented
         p, q = self.points, other.points
         if p[0][0] != q[0][0] or p[-1][0] != q[-1][0]:
             raise ValidationError("paths live on different intervals")
         # one merge of both breakpoint lists; a path is interpolated only at
         # the other's times, on the piece ending at its own next breakpoint
-        out = [(p[0][0], op(p[0][1], q[0][1]))]
+        out = [(p[0][0], p[0][1] - q[0][1])]
         i = j = 1
         while i < len(p):
             (tp, vp), (tq, vq) = p[i], q[j]
             if tp == tq:
-                out.append((tp, op(vp, vq)))
+                out.append((tp, vp - vq))
                 i += 1
                 j += 1
             elif tp < tq:
                 t0, v0 = q[j - 1]
-                out.append((tp, op(vp, v0 + (vq - v0) * (tp - t0) / (tq - t0))))
+                out.append((tp, vp - (v0 + (vq - v0) * (tp - t0) / (tq - t0))))
                 i += 1
             else:
                 t0, v0 = p[i - 1]
-                out.append((tq, op(v0 + (vp - v0) * (tq - t0) / (tp - t0), vq)))
+                out.append((tq, v0 + (vp - v0) * (tq - t0) / (tp - t0) - vq))
                 j += 1
         return PLPath(out)
 
-    def __add__(self, other):
-        return self._zip_with(other, add)
-
-    def __sub__(self, other):
-        return self._zip_with(other, sub)
-
-    def __neg__(self):
-        return PLPath([(t, -v) for t, v in self.points])
-
-    def scale(self, c):
-        return PLPath([(t, c * v) for t, v in self.points])
-
     def min_value(self):
         return min(v for _, v in self.points)
-
-    def max_value(self):
-        return max(v for _, v in self.points)
 
     def integral(self, t0=None, t1=None):
         """Exact trapezoid integral over [t0, t1] (defaults: whole domain)."""

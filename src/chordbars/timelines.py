@@ -22,7 +22,8 @@ from operator import itemgetter, sub
 
 from . import linalg
 from .barcodes import Bar, Barcode, _reduce
-from .complexes import INF, FilteredComplex, as_action, as_degree, boundary_raw
+from .complexes import (INF, FilteredComplex, as_action, as_degree, as_id,
+                        boundary_raw)
 from .errors import (ActionIncrease, ActionOutsideWindow,
                      EventPreconditionViolated, NonGenericCrossing,
                      SimultaneousBifurcations, ValidationError)
@@ -165,7 +166,8 @@ class Birth(SingularEvent):
 
     def __init__(self, time, x, y, common_action):
         super().__init__(time)
-        (self.x_id, x_degree), (self.y_id, y_degree) = x, y
+        (x_id, x_degree), (y_id, y_degree) = x, y
+        self.x_id, self.y_id = as_id(x_id), as_id(y_id)
         self.x_degree, self.y_degree = as_degree(x_degree), as_degree(y_degree)
         self.common_action = as_action(common_action)
         self.zero_edges = ((self.x_id, self.y_id),)
@@ -360,7 +362,7 @@ class EntryBelow(_WindowEdgeEvent):
     exits = False
 
     def __init__(self, time, gid, degree, couplings=None):
-        super().__init__(time, gid)
+        super().__init__(time, as_id(gid))
         self.degree = as_degree(degree)
         self.couplings = dict(couplings or {})
 
@@ -419,7 +421,7 @@ class EntryAbove(_WindowEdgeEvent):
     exits = False
 
     def __init__(self, time, gid, degree, boundary=None):
-        super().__init__(time, gid)
+        super().__init__(time, as_id(gid))
         self.degree = as_degree(degree)
         self.boundary = dict(boundary or {})
         self.zero_tops = (self.gid,)
@@ -831,8 +833,9 @@ def _run_segment(trace, state, seg, entering_event=None):
     acts = [{gid: col[k] for gid, col in mids.items()} for k in range(len(times))]
     tops = [INF] * len(times) if b_path == INF else mid(full[-1])
     wins = list(zip(mid(full[len(ids)]), tops))
+    # ids, degrees and ∂² need no complex here: the initial one was
+    # validated, and each event's ``apply`` checks what it changes
     frame = state.frame()
-    _complex_at(frame, acts[0], wins[0])  # ids, degrees and ∂², once
     for a, b in wins:  # the gap checks cover this unless no generator is left
         if not a < b:
             raise ValidationError("empty window [%s, %s)" % (a, b))
@@ -1128,6 +1131,11 @@ def drift_speed_audit(timeline, oscillation_rate):
         rate — opening fast is fine.
     Entry events are flagged when the window edge they cross moves so fast
     that no admissible trajectory could reach it from outside.
+
+    Each segment is read once: every action path, window edge and the rate
+    are evaluated on one cut (the segment's ends and every breakpoint in
+    it), and a piece's slope is a difference of those values.  A pair's gap
+    is split where it changes sign, at its exact root.
     """
     segments = [it for it in timeline if isinstance(it, DriftSegment)]
     events = [it for it in timeline if isinstance(it, SingularEvent)]
@@ -1135,115 +1143,97 @@ def drift_speed_audit(timeline, oscillation_rate):
         return AuditReport([])
     span0 = min(s.t0 for s in segments)
     span1 = max(s.t1 for s in segments)
-    if not isinstance(oscillation_rate, PLPath):
-        oscillation_rate = PLPath.constant(as_action(oscillation_rate),
-                                           span0, span1)
-    if oscillation_rate.t_start > span0 or oscillation_rate.t_end < span1:
+    rate = oscillation_rate
+    if not isinstance(rate, PLPath):
+        rate = PLPath.constant(as_action(rate), span0, span1)
+    if rate.t_start > span0 or rate.t_end < span1:
         raise ValidationError("oscillation rate path does not cover the timeline")
-    if oscillation_rate.min_value() < 0:
+    if rate.min_value() < 0:
         raise ValidationError("oscillation rate must be nonnegative")
+    if any(type(t) is not Fraction for t in rate.breakpoint_times()):
+        # a float time next to an exact one can make a zero-length piece
+        raise ValidationError("oscillation rate breakpoint times must be exact")
 
     entries = []
+    end_slopes = {}  # segment end -> (bottom, top) slope on its last piece
     for seg in segments:
+        span = (seg.t0, seg.t1)
         ids = sorted(seg.actions)
-        paths = seg.actions
-        a_path = seg.window_a
-        b_path = seg.window_b
-        cuts = [p.breakpoint_times() for p in paths.values()]
-        cuts.append([t for t in oscillation_rate.breakpoint_times()
-                     if seg.t0 <= t <= seg.t1])
-        for p in (a_path, b_path):
-            if isinstance(p, PLPath):
-                cuts.append(p.breakpoint_times())
-        cuts.append([seg.t0, seg.t1])
-        times = merge_times(*cuts)
-        pieces = list(zip(times, times[1:]))
+        edges = [p if isinstance(p, PLPath) else None
+                 for p in (seg.window_a, seg.window_b)]
+        cut = merge_times(
+            *[p.breakpoint_times() for p in seg.actions.values()],
+            [t for t in rate.breakpoint_times() if seg.t0 <= t <= seg.t1],
+            *[p.breakpoint_times() for p in edges if p], span)
+        runs = list(map(sub, cut[1:], cut))
+        vals = {gid: p.values_at(cut) for gid, p in seg.actions.items()}
+        a, b = [p and p.values_at(cut) for p in edges]
+        r = rate.values_at(cut)
+        low = list(map(min, r, r[1:]))  # the rate's minimum on each piece
+
+        def slopes(vs):
+            return [(v1 - v0) / run for v0, v1, run in zip(vs, vs[1:], runs)]
 
         for gid in ids:
-            bad = None
-            for ta, tb in pieces:
-                slope = paths[gid].slope_after(ta)
-                if slope == 0:
-                    continue
-                rate_min = min(oscillation_rate.value(ta),
-                               oscillation_rate.value(tb))
-                if not (abs(slope) < rate_min):
-                    bad = (ta, tb, slope, rate_min)
-                    break
-            entries.append(AuditEntry(
-                "generator-speed", gid, (seg.t0, seg.t1), bad is None,
-                "" if bad is None else
-                "|slope| = %s is not strictly below the rate %s on [%s, %s]"
-                % (abs(bad[2]), bad[3], bad[0], bad[1])))
+            bad = next(("|slope| = %s is not strictly below the rate %s on "
+                        "[%s, %s]" % (abs(s), low[k], cut[k], cut[k + 1])
+                        for k, s in enumerate(slopes(vals[gid]))
+                        if s and not abs(s) < low[k]), None)
+            entries.append(AuditEntry("generator-speed", gid, span,
+                                      bad is None, bad or ""))
 
-        if isinstance(b_path, PLPath):
-            ap = a_path or PLPath.constant(as_action(0), seg.t0, seg.t1)
+        if b is not None:
             # audit only declares on pieces where the size actually changes
-            bad = None
-            for ta, tb in pieces:
-                size_slope = (b_path.slope_after(ta)
-                              - (ap.slope_after(ta) if isinstance(ap, PLPath) else 0))
-                if size_slope == 0:
-                    continue
-                r0, r1 = oscillation_rate.value(ta), oscillation_rate.value(tb)
-                if not (r0 == r1 and size_slope == -r0):
-                    bad = (ta, tb, size_slope, r0)
-                    break
-            entries.append(AuditEntry(
-                "window-shrink", None, (seg.t0, seg.t1), bad is None,
-                "" if bad is None else
-                "window size drifts at %s instead of -rate (%s) on [%s, %s]"
-                % (bad[2], bad[3], bad[0], bad[1])))
+            size = b if a is None else list(map(sub, b, a))
+            bad = next(("window size drifts at %s instead of -rate (%s) on "
+                        "[%s, %s]" % (s, r[k], cut[k], cut[k + 1])
+                        for k, s in enumerate(slopes(size))
+                        if s and not (r[k] == r[k + 1] and s == -r[k])), None)
+            entries.append(AuditEntry("window-shrink", None, span,
+                                      bad is None, bad or ""))
 
-        bad = None
-        for i, g1 in enumerate(ids):
-            for g2 in ids[i + 1:]:
-                diff = paths[g1] - paths[g2]
-                roots, _flats = diff.zeros()
-                cut = merge_times(times, roots)
-                for ta, tb in zip(cut, cut[1:]):
-                    va, vb = diff.value(ta), diff.value(tb)
-                    if va == 0 and vb == 0:
-                        continue
-                    slope = (vb - va) / (tb - ta)
-                    # the (unsigned) gap |g1 - g2| closes at this speed:
-                    closing = -slope if (va > 0 or (va == 0 and vb > 0)) else slope
-                    rate_min = min(oscillation_rate.value(ta),
-                                   oscillation_rate.value(tb))
-                    if closing > rate_min:
-                        bad = (g1, g2, ta, tb, closing, rate_min)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        entries.append(AuditEntry(
-            "pair-gap", None, (seg.t0, seg.t1), bad is None,
-            "" if bad is None else
-            "gap between %r and %r closes at speed %s > rate %s on [%s, %s]"
-            % (bad[0], bad[1], bad[4], bad[5], bad[2], bad[3])))
+        def gap_flag(g1, g2):
+            # |g1 - g2| closes at -slope where g1 - g2 > 0 just after a cut
+            # time and at slope where it is < 0; past a root inside a piece
+            # it opens, so such a piece is checked up to its root
+            d = list(map(sub, vals[g1], vals[g2]))
+            for k, slope in enumerate(slopes(d)):
+                x0, x1 = d[k], d[k + 1]
+                tb, rate_min = cut[k + 1], low[k]
+                if x0 < 0 < x1 or x1 < 0 < x0:
+                    tb = cut[k] + runs[k] * x0 / (x0 - x1)
+                    rate_min = min(r[k], rate.value(tb))
+                closing = -slope if x0 > 0 or (x0 == 0 and x1 > 0) else slope
+                if closing > rate_min:
+                    return ("gap between %r and %r closes at speed %s > rate "
+                            "%s on [%s, %s]" % (g1, g2, closing, rate_min,
+                                                cut[k], tb))
+            return None
 
-    # entry feasibility: the edge crossed must be escapable at the declared rate
+        bad = next(filter(None, (gap_flag(g1, g2) for i, g1 in enumerate(ids)
+                                 for g2 in ids[i + 1:])), None)
+        entries.append(AuditEntry("pair-gap", None, span, bad is None,
+                                  bad or ""))
+        end_slopes[seg.t1] = [Fraction(0) if e is None
+                              else (e[-1] - e[-2]) / runs[-1] for e in (a, b)]
+
+    # entry feasibility: the edge crossed must be escapable at the declared
+    # rate; of several segments ending at the event, the last one counts
     for ev in events:
-        if ev.edge is None or ev.exits:
+        if ev.edge is None or ev.exits or ev.time not in end_slopes:
             continue
-        before = [s for s in segments if s.t1 == ev.time]
-        if not before:
-            continue
-        seg = before[-1]
-        rate = oscillation_rate.value(ev.time)
-        edge = (seg.window_a, seg.window_b)[ev.edge]
-        slope = (edge.slope_before(ev.time) if isinstance(edge, PLPath)
-                 else as_action(0))
+        rate_at = rate.value(ev.time)
+        slope = end_slopes[ev.time][ev.edge]
         # an outside trajectory (|speed| < rate, or motionless) must be able
         # to overtake the edge, which moves into the window at ``inward``
         inward = -slope if ev.edge else slope
-        ok = inward < rate or inward < 0
+        ok = inward < rate_at or inward < 0
         side, moves, outside = (("bottom", "rises", "below"),
                                 ("top", "falls", "above"))[ev.edge]
         detail = ("" if ok else
                   "%s edge %s at %s, at least the rate %s: nothing %s the "
-                  "window can catch it" % (side, moves, inward, rate, outside))
+                  "window can catch it" % (side, moves, inward, rate_at,
+                                           outside))
         entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
                                   detail))
     return AuditReport(entries)

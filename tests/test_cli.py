@@ -235,6 +235,11 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["barcode"]) == 2
+    # a diagram needs a column for each bar end
+    for width in ("1", "0", "-3", "x"):
+        assert main(["barcode", "c.json", "--format", "diagram",
+                     "--width", width]) == 2
+        assert "argument --width" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -7,10 +7,13 @@ left in the package guard true internal invariants, and each says why on
 its own line with an ``# invariant:`` comment.
 
 The definitional barcode engine shares no code with the reduction engine,
-and the pytest configuration still reports a failing hypothesis example.
+the pytest configuration still reports a failing hypothesis example, and
+every library function the benchmark hooks still exists.
 """
 
 import ast
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +97,30 @@ def test_hypothesis_failure_is_reported(tmp_path):
     assert run.returncode == 1, out
     assert "Falsifying example" in out, out
     assert "INTERNALERROR" not in out, out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, ROOT / "bench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark names library functions by attribute when it is
+    # imported; deleting one (say PLPath.zeros) must fail here too
+    layers, ops = _bench_module("layers"), _bench_module("ops")
+    codes = [code for group in layers.COUNTED.values() for code in group]
+    codes += list(layers.TIMED.values()) + [layers._CHECK, layers._SEARCH]
+    ours = [c for c in codes if Path(c.co_filename).name != "fractions.py"]
+    assert ours and all(Path(c.co_filename).resolve().parent == PACKAGE
+                        for c in ours)
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert all(callable(ops.OPERATIONS[w["name"]]) for w in workloads)
 
 
 _SCRIPT = """

@@ -84,6 +84,20 @@ def test_samples_rebuild_complex_pairing_and_barcode(replays):
             assert barcode_of(cx) == s.barcode
 
 
+def test_segment_frames_are_valid_complexes(replays):
+    # replay builds no complex per segment: the initial complex was
+    # validated, and each event checks the ids, degrees and ∂² it changes.
+    # So each segment's first sample builds, and the frame's differential
+    # is already the complex's own (coerced, no zero entry, no empty row).
+    for _items, trace in replays:
+        for st in trace.segments:
+            s = trace.samples[st.sample_indices[0]]
+            cx = s.complex
+            assert s.frame[2] == {g.id: cx.differential_raw(g.id)
+                                  for g in cx.generators
+                                  if cx.differential_raw(g.id)}
+
+
 def test_midpoint_actions_are_path_values(replays):
     # every breakpoint is a critical time, so the mean of the values at two
     # consecutive critical times is the path's value at their midpoint

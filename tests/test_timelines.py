@@ -145,6 +145,15 @@ def test_event_degrees_are_integers():
         with pytest.raises(ValidationError):
             Birth(0, ("x", 1), ("y", bad), 1)
     assert EntryBelow(0, "g", 2).degree == 2
+    # a new id is a nonempty string, as a Generator's: replay sorts ids
+    for bad in (5, None, ""):
+        for make in (lambda: EntryBelow(0, bad, 0),
+                     lambda: EntryAbove(0, bad, 0),
+                     lambda: Birth(0, (bad, 1), ("y", 0), 1),
+                     lambda: Birth(0, ("x", 1), (bad, 0), 1)):
+            with pytest.raises(ValidationError, match="generator id must be "
+                               "a nonempty string, got %r" % (bad,)):
+                make()
 
 
 def test_timeline_ending_in_an_event_rejected():
@@ -399,6 +408,9 @@ def test_drift_speed_audit():
     assert flagged and flagged[0].subject == "a"
     with pytest.raises(ValidationError):
         drift_speed_audit(items, -1)
+    # a float rate time next to the exact segment times
+    with pytest.raises(ValidationError, match="breakpoint times must be exact"):
+        drift_speed_audit(items, PLPath([(0, 2), (0.1, 2.0), (1, 2)]))
 
 
 def test_entry_feasibility_audit():
@@ -587,3 +599,141 @@ def test_segment_replay_matches_path_arithmetic(family):
         assert (type(exc), str(exc)) == (kind, want)
     else:
         assert kind is None and trace.segments[-1].crossings == want
+
+
+# ---------------------------------------------------------------------------
+# speed audit against plain PLPath arithmetic
+# ---------------------------------------------------------------------------
+
+def _knots(path):
+    return {t for t0, _, t1, _ in path.pieces() for t in (t0, t1)}
+
+
+def _slope(path, ta, tb):
+    return (path.value(tb) - path.value(ta)) / (tb - ta)
+
+
+def _audit_reference(items, rate):
+    """What ``drift_speed_audit`` must give, from public PLPath arithmetic:
+    its (kind, subject, span, ok, detail) entries.  Every value and slope is
+    read with ``value`` on the pieces between consecutive breakpoints of the
+    segment's paths, window edges and rate; a pair's gap is a path
+    difference, cut at its ``zeros`` as well."""
+    segments = [it for it in items if isinstance(it, DriftSegment)]
+    if not isinstance(rate, PLPath):
+        rate = PLPath.constant(q(rate), min(s.t0 for s in segments),
+                               max(s.t1 for s in segments))
+
+    def low(ta, tb):
+        return min(rate.value(ta), rate.value(tb))
+
+    out = []
+    for seg in segments:
+        span, paths, ids = (seg.t0, seg.t1), seg.actions, sorted(seg.actions)
+        edges = [p for p in (seg.window_a, seg.window_b)
+                 if isinstance(p, PLPath)]
+        cut = sorted(set().union(*map(_knots, [*paths.values(), *edges]),
+                                 {t for t in _knots(rate)
+                                  if seg.t0 <= t <= seg.t1}))
+        pieces = list(zip(cut, cut[1:]))
+        for gid in ids:
+            bad = [(abs(s), low(ta, tb), ta, tb) for ta, tb in pieces
+                   for s in [_slope(paths[gid], ta, tb)]
+                   if s != 0 and not abs(s) < low(ta, tb)]
+            out.append(("generator-speed", gid, span, not bad, bad and (
+                "|slope| = %s is not strictly below the rate %s on [%s, %s]"
+                % bad[0])))
+        if isinstance(seg.window_b, PLPath):
+            size = seg.window_b - (seg.window_a or PLPath.constant(
+                q(0), seg.t0, seg.t1))
+            bad = [(s, rate.value(ta), ta, tb) for ta, tb in pieces
+                   for s in [_slope(size, ta, tb)] if s != 0
+                   and not rate.value(ta) == rate.value(tb) == -s]
+            out.append(("window-shrink", None, span, not bad, bad and (
+                "window size drifts at %s instead of -rate (%s) on [%s, %s]"
+                % bad[0])))
+        bad = []
+        for i, g1 in enumerate(ids):
+            for g2 in ids[i + 1:]:
+                gap = paths[g1] - paths[g2]
+                ts = sorted(set(cut) | set(gap.zeros()[0]))
+                for ta, tb in zip(ts, ts[1:]):
+                    va, vb = gap.value(ta), gap.value(tb)
+                    if va == vb == 0:
+                        continue
+                    s = _slope(gap, ta, tb)
+                    closing = -s if va > 0 or (va == 0 and vb > 0) else s
+                    if closing > low(ta, tb):
+                        bad.append((g1, g2, closing, low(ta, tb), ta, tb))
+        out.append(("pair-gap", None, span, not bad, bad and (
+            "gap between %r and %r closes at speed %s > rate %s on [%s, %s]"
+            % bad[0])))
+    for ev in items:
+        if not isinstance(ev, SingularEvent):
+            continue
+        ends = [s for s in segments if s.t1 == ev.time]
+        if ev.edge is None or ev.exits or not ends:
+            continue
+        edge = (ends[-1].window_a, ends[-1].window_b)[ev.edge]
+        slope = q(0)
+        if isinstance(edge, PLPath):
+            ta, _, tb, _ = list(edge.pieces())[-1]
+            slope = _slope(edge, ta, tb)
+        inward, r = -slope if ev.edge else slope, rate.value(ev.time)
+        ok = inward < r or inward < 0
+        side, moves, outside = (("bottom", "rises", "below"),
+                                ("top", "falls", "above"))[ev.edge]
+        out.append(("entry-feasible", ev.gid, ev.time, ok, "" if ok else
+                    "%s edge %s at %s, at least the rate %s: nothing %s the "
+                    "window can catch it" % (side, moves, inward, r, outside)))
+    return [entry[:4] + (entry[4] or "",) for entry in out]
+
+
+@st.composite
+def audit_timelines(draw):
+    """1-3 unit segments of 1-4 generators (shared knots, tied values and
+    paths that follow one another), window edges that are paths, constants
+    or an infinite top, a second segment ending with some, and window entry
+    and exit events between them.  The rate is a constant, an exact path or
+    a path of float values, its breakpoints inside the segments."""
+    ids = ["g%d" % i for i in range(draw(st.integers(1, 4)))]
+    n_segs = draw(st.integers(1, 3))
+    items = []
+    for k in range(n_segs):
+        def path(ends=QUARTERS):
+            return ([(k, draw(QUARTERS))] + [(k + t, draw(QUARTERS))
+                                             for t in draw(KNOTS)]
+                    + [(k + 1, draw(ends))])
+
+        for _copy in range(draw(st.sampled_from([1, 1, 1, 2]))):
+            paths = {gid: path() for gid in ids}
+            if len(ids) > 1 and draw(st.booleans()):  # a tie or a shadow
+                g1, g2 = draw(st.permutations(ids))[:2]
+                shift = draw(st.sampled_from([0, 0, q(1, 2)]))
+                paths[g2] = [(t, v + shift) for t, v in paths[g1]]
+            items.append(DriftSegment(
+                k, k + 1, paths,
+                window_a=draw(st.sampled_from([None, path(), q(1, 4)])),
+                window_b=draw(st.sampled_from([None, INF, path(), 7]))))
+        for _event in range(draw(st.integers(0, 2))):
+            items.append(draw(st.sampled_from([
+                EntryBelow(k + 1, "new", 0), EntryAbove(k + 1, "new", 1),
+                ExitBelow(k + 1, ids[0]), ExitAbove(k + 1, ids[0])])))
+    kind = draw(st.sampled_from(["constant", "exact", "float"]))
+    if kind == "constant":
+        return items, draw(st.sampled_from([0, 1, q(3, 2), 6, 40]))
+    ts = draw(st.lists(st.fractions(0, n_segs, max_denominator=6),
+                       unique=True, max_size=5))
+    ts = sorted(set(ts) | {q(0), q(n_segs)})
+    value = (st.fractions(0, 40, max_denominator=4) if kind == "exact"
+             else st.floats(0, 40))
+    return items, PLPath([(t, draw(value)) for t in ts])
+
+
+@settings(max_examples=300, deadline=None)
+@given(audit_timelines())
+def test_drift_speed_audit_matches_path_arithmetic(case):
+    items, rate = case
+    got = [(e.kind, e.subject, e.span, e.ok, e.detail)
+           for e in drift_speed_audit(items, rate).entries]
+    assert got == _audit_reference(items, rate)
