@@ -8,9 +8,8 @@ displacement layer turns length/homology profiles into lower bounds.
 
 from . import errors
 from .errors import ChordbarsError, ParseError, ValidationError
-from .fields import F2, FP, QQ, Field, Scalar
-from .complexes import (INF, NEG_INF, FilteredComplex, Generator,
-                        random_complex)
+from .fields import F2, FP, QQ, Field
+from .complexes import INF, FilteredComplex, Generator, random_complex
 from .barcodes import (Bar, Barcode, BarannikovForm, barcode_definitional,
                        barcode_diagram_lines, barcode_from_canonical,
                        barcode_of, barcode_table_lines, canonical_form,
@@ -35,8 +34,8 @@ from .bounds import (BettiProfile, BoundReport, OscillationProfile,
 
 __all__ = [
     "errors", "ChordbarsError", "ParseError", "ValidationError",
-    "F2", "FP", "QQ", "Field", "Scalar",
-    "INF", "NEG_INF", "FilteredComplex", "Generator", "random_complex",
+    "F2", "FP", "QQ", "Field",
+    "INF", "FilteredComplex", "Generator", "random_complex",
     "Bar", "Barcode", "BarannikovForm", "canonical_form",
     "check_canonical_form", "barcode_from_canonical", "barcode_definitional",
     "barcode_of", "barcode_table_lines", "barcode_diagram_lines", "format_action",

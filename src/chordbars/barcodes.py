@@ -385,7 +385,12 @@ def barcode_table_lines(B):
 
 
 def barcode_diagram_lines(B, width=48):
-    """Plain-text bar diagram, one row per bar, columns scaled to width."""
+    """Plain-text bar diagram, one row per bar, columns scaled to width.
+
+    A width below 2 leaves no column to scale to and is refused."""
+    if width < 2:
+        raise ValidationError("diagram width must be at least 2, got %r"
+                              % (width,))
     if not B.bars:
         return ["(empty barcode)"]
     starts = [b.start for b in B.bars]

@@ -257,8 +257,8 @@ def cmd_fixtures(args, out):
 # ---------------------------------------------------------------------------
 
 def _width(text):
-    """A diagram width of at least 2; a narrower one draws every bar from
-    column 0."""
+    """A diagram width of at least 2, checked at parse time so that a
+    narrower one is a usage error."""
     try:
         width = int(text)
     except ValueError:

@@ -15,10 +15,9 @@ from . import linalg
 from .errors import (ActionIncrease, ActionOutsideWindow, DegreeMismatch,
                      DuplicateId, ForeignGenerator, NotSquareZero,
                      ValidationError)
-from .fields import Field, Scalar
+from .fields import Field
 
 INF = math.inf
-NEG_INF = -math.inf
 # plain action strings (a nonzero denominator) are read with int(); every
 # other string goes to Fraction's parser, which decides what else is read
 _PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
@@ -94,8 +93,9 @@ class Generator:
 class FilteredComplex:
     """Immutable validated filtered complex over an exact field.
 
-    ``differential`` maps a generator id to its boundary chain; chains are
-    sparse {id: Scalar} maps with no zero entries.  Construction performs the
+    ``differential`` maps a generator id to its boundary chain, a sparse
+    {id: coefficient} map; coefficients (int, str or Fraction) are stored as
+    raw field values and zeros are dropped.  Construction performs the
     full invariant check (square-zero, strict action decrease, degree -1,
     window containment) and raises a specific error with a witness.
     """
@@ -183,18 +183,6 @@ class FilteredComplex:
         """Raw sparse boundary row of one generator ({} if zero)."""
         return dict(self._diff.get(gid, ()))
 
-    def boundary(self, x):
-        """Boundary of a chain (sparse {id: Scalar} in, same out)."""
-        raw = {}
-        for gid, coeff in x.items():
-            if gid not in self._by_id:
-                raise ForeignGenerator("chain references unknown id %r" % (gid,))
-            c = self.field.coerce(coeff)
-            if c:
-                raw[gid] = c
-        out = boundary_raw(self.field, self._diff, raw)
-        return {gid: Scalar(self.field, c) for gid, c in out.items()}
-
     # linear algebra views ------------------------------------------------------------
 
     def boundary_matrix(self, degree):
@@ -211,15 +199,6 @@ class FilteredComplex:
             for tgt, c in self._diff.get(g.id, {}).items():
                 M[row_index[tgt]][j] = c
         return M, rows, cols
-
-    def homology_rank(self, degree):
-        """dim ker ∂|_degree − rank ∂|_(degree+1), by exact elimination."""
-        Md, _, cols = self.boundary_matrix(degree)
-        n_d = len(cols)
-        rank_d = linalg.rank(Md, self.field) if Md and n_d else 0
-        Mup, _, cols_up = self.boundary_matrix(degree + 1)
-        rank_up = linalg.rank(Mup, self.field) if Mup and cols_up else 0
-        return (n_d - rank_d) - rank_up
 
     def __repr__(self):
         a, b = self.window

@@ -714,11 +714,7 @@ def partial_linearization(D, eps, window, l=INF):
         raise AugmentationInvalid(
             "nonzero on %r of length %s, not below the augmentation reach %s"
             % (beyond[0].label, beyond[0].length, l))
-    rep = check_augmentation(sub_dga(D, l), eps)
-    if not rep.ok:
-        first = rep.failures()[0]
-        raise AugmentationInvalid("%s (%s on %r)"
-                                  % (first.detail, first.check, first.label))
+    check_augmentation(sub_dga(D, l), eps).raise_first()
 
     gens = [c for c in D.forward_mixed() if a <= c.length and
             (b == INF or c.length < b)]

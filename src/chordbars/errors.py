@@ -28,10 +28,10 @@ class ValidationError(ChordbarsError):
     """Well-formed input that violates a mathematical invariant."""
 
 
-# -- field / scalar level ---------------------------------------------------
+# -- field level ---------------------------------------------------------
 
 class FieldMismatch(ValidationError):
-    """Two scalars from different coefficient fields were combined."""
+    """Values over different coefficient fields were combined."""
 
 
 class NotInvertible(ValidationError):

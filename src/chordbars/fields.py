@@ -1,13 +1,11 @@
 """Exact coefficient arithmetic over F2, F_p and Q.
 
-Scalars are tiny wrappers around a raw value: an ``int`` in ``[0, p)`` for
-prime fields (canonical residue) and a ``fractions.Fraction`` (always in
-lowest terms, that class keeps the invariant for us) for the rationals.
+A field element is a raw value and nothing else: an ``int`` in ``[0, p)``
+for prime fields (canonical residue) and a ``fractions.Fraction`` (always
+in lowest terms, that class keeps the invariant for us) for the rationals.
+A :class:`Field` carries no elements; its methods do the arithmetic on raw
+values and :meth:`Field.coerce` turns input (int, str, Fraction) into one.
 Everything is exact; floats never appear.
-
-The hot loops in the linear algebra kernels work on raw values through the
-``Field`` methods and only wrap results into :class:`Scalar` at API
-boundaries, which keeps the object churn out of the inner loops.
 
 Sparse chains are ``{key: raw}`` dicts that never store a zero: boundaries
 of filtered complexes, words of chord algebras, reduction columns.
@@ -17,7 +15,7 @@ is accumulated; every module routes its sparse sums through it.
 
 from fractions import Fraction
 
-from .errors import BadCharacteristic, FieldMismatch, NotInvertible, ParseError
+from .errors import BadCharacteristic, NotInvertible, ParseError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -92,11 +90,7 @@ class Field:
     # Raw values: int residue in [0, char) for F_p, Fraction for Q.
 
     def coerce(self, value):
-        """Normalize value (int, str, Fraction or Scalar) to a raw value."""
-        if isinstance(value, Scalar):
-            if value.field is not self:
-                raise FieldMismatch("scalar from %r used in %r" % (value.field, self))
-            return value.value
+        """Normalize value (int, str or Fraction) to a raw value."""
         if isinstance(value, bool):
             raise ParseError("booleans are not scalars")
         if isinstance(value, str):
@@ -163,19 +157,6 @@ class Field:
             else:
                 chain.pop(k, None)
 
-    # scalar wrapping ----------------------------------------------------------
-
-    def scalar(self, value):
-        return Scalar(self, self.coerce(value))
-
-    @property
-    def zero(self):
-        return Scalar(self, self.zero_raw)
-
-    @property
-    def one(self):
-        return Scalar(self, self.one_raw)
-
     # sampling / enumeration -----------------------------------------------------
 
     def elements(self):
@@ -195,75 +176,6 @@ class Field:
             x = self.random_raw(rng)
             if x:
                 return x
-
-
-class Scalar:
-    """An element of a specific :class:`Field`; immutable, hashable."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def _raw(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise FieldMismatch("cannot mix %s and %s scalars"
-                                    % (self.field.tag, other.field.tag))
-            return other.value
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._raw(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._raw(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._raw(other), self.value))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._raw(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._raw(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field, self.field.div(self._raw(other), self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def inverse(self):
-        return Scalar(self.field, self.field.inv(self.value))
-
-    def __bool__(self):
-        return bool(self.value)
-
-    @property
-    def is_zero(self):
-        return not self.value
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field is other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.char, self.value))
-
-    def __repr__(self):
-        return "%s(%s)" % (self.field.tag, self.value)
-
-    def __str__(self):
-        return self.field.format(self.value)
 
 
 # the two workhorses, prebuilt

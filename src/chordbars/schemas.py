@@ -62,6 +62,15 @@ def _str(value, where):
     return value
 
 
+def _id(value, where):
+    """The id of a new generator (in a complex, a birth or an entry): a
+    nonempty string.  Ids that name an existing generator are checked
+    against the complex they act on."""
+    if _str(value, where) == "":
+        raise ParseError("expected a nonempty string", where)
+    return value
+
+
 def _int(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", where)
@@ -106,7 +115,7 @@ def parse_complex(obj, where="complex"):
     for i, g in enumerate(_list(obj["generators"], where + ".generators")):
         gw = "%s.generators[%d]" % (where, i)
         g = _obj(g, gw, required=("id", "action", "degree"))
-        gens.append((_str(g["id"], gw + ".id"),
+        gens.append((_id(g["id"], gw + ".id"),
                      _action(g["action"], gw + ".action"),
                      _int(g["degree"], gw + ".degree")))
     diff = {}
@@ -255,7 +264,7 @@ def _endpoint(value, where):
     if len(pair) != 2:
         raise ParseError("birth endpoints are [id, degree]",
                          where.rpartition(".")[0])
-    return _str(pair[0], where + "[0]"), _int(pair[1], where + "[1]")
+    return _id(pair[0], where + "[0]"), _int(pair[1], where + "[1]")
 
 
 def _field(key, attrs, parse, fmt=None, *default):
@@ -266,6 +275,7 @@ def _field(key, attrs, parse, fmt=None, *default):
 
 
 _GID = _field("id", "gid", _str)
+_NEW_GID = _field("id", "gid", _id)
 _DEGREE = _field("degree", "degree", _int)
 
 # every event item has a "type" and a "time"; this lists the rest, in the
@@ -282,9 +292,9 @@ _EVENT_ITEMS = {
     "death": (Death, (_field("x", "x_id", _str), _field("y", "y_id", _str))),
     "exit_below": (ExitBelow, (_GID,)),
     "exit_above": (ExitAbove, (_GID,)),
-    "entry_below": (EntryBelow, (_GID, _DEGREE, _field(
+    "entry_below": (EntryBelow, (_NEW_GID, _DEGREE, _field(
         "couplings", "couplings", _scalar_map, _scalar_map_json, {}))),
-    "entry_above": (EntryAbove, (_GID, _DEGREE, _field(
+    "entry_above": (EntryAbove, (_NEW_GID, _DEGREE, _field(
         "boundary", "boundary", _scalar_map, _scalar_map_json, {}))),
 }
 

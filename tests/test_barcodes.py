@@ -258,3 +258,14 @@ def test_render_formats():
     assert barcode_diagram_lines(
         barcode_of(FilteredComplex(F2, (0, 1), [], {}))) == [
         "(empty barcode)"]
+
+
+def test_diagram_refuses_widths_below_two():
+    # a width below 2 would draw every bar from column 0
+    B = barcode_of(_crossing_fixture(F2, {"x1": 1, "x2": 1}, {"x1": 1}))
+    assert barcode_diagram_lines(B, width=2)[1].endswith("=|")
+    for width in (1, 0, -3):
+        with pytest.raises(ValidationError) as info:
+            barcode_diagram_lines(B, width=width)
+        assert str(info.value) == ("diagram width must be at least 2, got %d"
+                                   % width)

@@ -7,7 +7,7 @@ import pytest
 
 from chordbars import (F2, INF, QQ, FilteredComplex, FP, Generator,
                        random_complex)
-from chordbars.complexes import as_action, as_degree
+from chordbars.complexes import as_action, as_degree, boundary_raw
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               DegreeMismatch, DuplicateId, ForeignGenerator,
                               NotSquareZero, ValidationError)
@@ -113,10 +113,11 @@ def test_boundary_of_chain():
     cx = FilteredComplex(FP(5), (0, INF),
                          [("x1", 1, 0), ("x2", 2, 0), ("y", 3, 1)],
                          {"y": {"x1": 2, "x2": 3}})
-    out = cx.boundary({"y": 2})
-    assert {k: v.value for k, v in out.items()} == {"x1": 4, "x2": 1}
+    diff = {g.id: cx.differential_raw(g.id) for g in cx.generators}
+    out = boundary_raw(cx.field, diff, {"y": 2})
+    assert out == {"x1": 4, "x2": 1}
     # boundary of a boundary dies
-    assert cx.boundary({k: v.value for k, v in out.items()}) == {}
+    assert boundary_raw(cx.field, diff, out) == {}
 
 
 def test_boundary_matrix_shape():
@@ -127,8 +128,6 @@ def test_boundary_matrix_shape():
     assert [g.id for g in rows] == ["x1", "x2"]
     assert [g.id for g in cols] == ["y"]
     assert M == [[q(1, 2)], [q(-1)]]
-    assert cx.homology_rank(0) == 1
-    assert cx.homology_rank(1) == 0
 
 
 def test_random_complex_always_valid():

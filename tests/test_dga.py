@@ -269,6 +269,14 @@ def test_linearization_names_letters_beyond_the_reach():
                                    "chord (graded on None)" % label)
 
 
+def test_linearization_names_the_boundary_the_augmentation_misses():
+    D = ChordDGA(QQ, [Chord("b", 1, 0), Chord("a", 2, 1),
+                      Chord("m", 1, 0, (0, 1))], {"a": {("b",): 2}})
+    with pytest.raises(AugmentationInvalid) as info:
+        partial_linearization(D, Augmentation(QQ, {"b": 1}), (0, 2))
+    assert str(info.value) == "eps(d(a)) = 2 (kills-boundaries on 'a')"
+
+
 def test_augmentation_graded_rule():
     D3 = ChordDGA(QQ, [Chord("w", 1, 1, (0, 0)), Chord("m", 2, 0, (0, 1))], {})
     with pytest.raises(AugmentationInvalid):

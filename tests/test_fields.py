@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chordbars import F2, FP, QQ, Field, Scalar
-from chordbars.errors import (BadCharacteristic, FieldMismatch, NotInvertible,
-                              ParseError)
+from chordbars import F2, FP, QQ, Field
+from chordbars.errors import BadCharacteristic, NotInvertible, ParseError
 
 FIELDS = [F2, FP(5), QQ]
 
@@ -80,20 +79,6 @@ def test_elements_enumeration():
     assert list(F2.elements()) == [0, 1]
     with pytest.raises(ValueError):
         QQ.elements()
-
-
-def test_scalar_ops_and_mismatch():
-    a = FP(5).scalar(3)
-    b = FP(5).scalar(4)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (a / b).value == FP(5).div(3, 4)
-    assert (-a).value == 2
-    assert a.inverse().value == 2
-    assert bool(FP(5).zero) is False and FP(5).zero.is_zero
-    with pytest.raises(FieldMismatch):
-        a + QQ.scalar(1)
 
 
 @given(st.sampled_from(FIELDS), st.integers(-30, 30), st.integers(-30, 30),

@@ -7,8 +7,9 @@ left in the package guard true internal invariants, and each says why on
 its own line with an ``# invariant:`` comment.
 
 The definitional barcode engine shares no code with the reduction engine,
-the pytest configuration still reports a failing hypothesis example, and
-every library function the benchmark hooks still exists.
+the pytest configuration still reports a failing hypothesis example,
+every library function the benchmark hooks still exists, and every
+exported name is there to import.
 """
 
 import ast
@@ -121,6 +122,13 @@ def test_benchmark_hooks_resolve():
                         for c in ours)
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert all(callable(ops.OPERATIONS[w["name"]]) for w in workloads)
+
+
+def test_every_export_exists():
+    # an export deleted from the package but left in __all__ breaks
+    # ``from chordbars import *``
+    missing = [n for n in chordbars.__all__ if not hasattr(chordbars, n)]
+    assert not missing, "names in __all__ that the package lacks: %s" % missing
 
 
 _SCRIPT = """

@@ -66,6 +66,11 @@ def test_shape_errors_carry_json_paths():
     with pytest.raises(ParseError) as info:
         parse_complex(bad_window)
     assert "complex.window" in str(info.value)
+    doc["generators"][1] = {"id": "", "action": "2", "degree": 1}
+    with pytest.raises(ParseError) as info:
+        parse_complex(doc)
+    assert str(info.value) == ("expected a nonempty string "
+                               "(at complex.generators[1].id)")
 
 
 def test_duplicate_differential_target_rejected():
@@ -198,6 +203,11 @@ def test_every_item_kind_roundtrips():
     (10, "couplings", ["b"], "expected an object", ".couplings"),
     (12, "boundary", {"a": 1.5},
      "scalars must be integers or rational strings", ".boundary['a']"),
+    # ids of new generators must be nonempty
+    (5, "x", ["", 1], "expected a nonempty string", ".x[0]"),
+    (5, "y", ["", 0], "expected a nonempty string", ".y[0]"),
+    (9, "id", "", "expected a nonempty string", ".id"),
+    (11, "id", "", "expected a nonempty string", ".id"),
 ])
 def test_item_field_errors_carry_json_paths(index, key, value, message,
                                             where):
