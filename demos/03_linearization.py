@@ -9,7 +9,7 @@ than the augmentation's reach.
 
 from fractions import Fraction
 
-from chordbars import (INF, QQ, Augmentation, Chord, ChordDGA, barcode_of,
+from chordbars import (QQ, Augmentation, Chord, ChordDGA, barcode_of,
                        barcode_table_lines, find_augmentations,
                        partial_linearization, two_copy_template,
                        validate_dga)

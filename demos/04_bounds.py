@@ -10,7 +10,7 @@ parity mechanism that forces one bar across a gap.
 import random
 from fractions import Fraction
 
-from chordbars import (BettiProfile, INF, OscillationProfile, PLPath,
+from chordbars import (BettiProfile, INF, OscillationProfile,
                        SigmaProfile, barcode_of, chord_drift,
                        constant_width_schedule, long_bar_witness,
                        oscillation, theorem_bound, two_cluster_complex)

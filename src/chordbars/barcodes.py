@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .complexes import INF, FilteredComplex, as_action
+from .complexes import INF, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
 from .linalg import RankAccumulator
 

@@ -17,8 +17,8 @@ from .complexes import INF, FilteredComplex, as_action, as_degree
 from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
                      DuplicateId, FieldMismatch, ForeignGenerator,
                      MixedOutputViolation, NotChainMap, NotSquareZero,
-                     OrderingViolated, PureChordOfForbiddenLength,
-                     SearchBudgetExceeded, ValidationError, WindowTooWide)
+                     OrderingViolated, SearchBudgetExceeded,
+                     ValidationError, WindowTooWide)
 
 
 class Chord:
@@ -257,10 +257,7 @@ class ChordDGA:
         return AlgebraElement._of_raw(self.field, out)
 
     def require_valid(self):
-        if self._report is None:
-            self._report = validate_dga(self)
-        if not self._report.ok:
-            self._report.raise_first()
+        validate_dga(self).raise_first()
         return self
 
 
@@ -307,7 +304,10 @@ def validate_dga(D):
     """Semantic checks with witnesses: per generator, every word of its
     boundary must drop degree by one and length strictly; mixed generators
     may only bound through words containing a mixed letter; and the square
-    of the differential must vanish."""
+    of the differential must vanish.  The report is built once and kept on
+    D; later calls return it."""
+    if D._report is not None:
+        return D._report
     entries = []
     for c in D.chords:
         elem = D.diff_of(c.label)
@@ -336,14 +336,16 @@ def validate_dga(D):
         entries.append(ReportEntry(
             "square", c.label, not sq,
             "" if not sq else "d(d(%s)) = %r" % (c.label, sq)))
-    return DGAReport(entries)
+    D._report = DGAReport(entries)
+    return D._report
 
 
 def sub_dga(D, l):
     """Sub-DGA on chords of length strictly below l (l may be INF).
 
     Strict length decrease of the differential makes the span automatically
-    closed, so rows carry over unchanged.
+    closed, so rows carry over unchanged, and so do a validated D's report
+    entries: each reads only its chord's row and the rows of its letters.
     """
     if l == INF:
         return D
@@ -351,7 +353,11 @@ def sub_dga(D, l):
     keep = [c for c in D.chords if c.length < l]
     labels = {c.label for c in keep}
     diff = {lab: e for lab, e in D.differential.items() if lab in labels}
-    return ChordDGA(D.field, keep, diff)
+    sub = ChordDGA(D.field, keep, diff)
+    if D._report is not None:
+        sub._report = DGAReport(e for e in D._report.entries
+                                if e.label in labels)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +387,20 @@ class Augmentation:
     def value_raw(self, label):
         return self.values.get(label, self.field.zero_raw)
 
-    def of_element(self, D, elem):
-        """Multiplicative extension: the unit maps to 1, letters multiply."""
+    def of_word(self, word, coeff):
+        """coeff times the product of the letters' values."""
         field = self.field
-        total = field.zero_raw
+        for label in word:
+            coeff = field.mul(coeff, self.value_raw(label))
+            if not coeff:
+                break
+        return coeff
+
+    def of_element(self, elem):
+        """Multiplicative extension: the unit maps to 1, letters multiply."""
+        total = self.field.zero_raw
         for word, coeff in elem.terms.items():
-            v = coeff
-            for label in word:
-                v = field.mul(v, self.value_raw(label))
-                if not v:
-                    break
-            total = field.add(total, v)
+            total = self.field.add(total, self.of_word(word, coeff))
         return total
 
     def __eq__(self, other):
@@ -407,6 +416,11 @@ class Augmentation:
 
 def check_augmentation(D, eps):
     """Report on the augmentation laws over D's full chord set."""
+    return _augmentation_report(D, eps, D.chords)
+
+
+def _augmentation_report(D, eps, chords):
+    """check_augmentation with the boundary law on ``chords`` only."""
     entries = []
     bad = [lab for lab in eps.values
            if not D.has_chord(lab) or D.chord(lab).degree != 0]
@@ -418,8 +432,8 @@ def check_augmentation(D, eps):
     entries.append(ReportEntry(
         "vanishes-on-mixed", None, not badm,
         "" if not badm else "nonzero on mixed chord %r" % badm[0]))
-    for c in D.chords:
-        v = eps.of_element(D, D.diff_of(c.label))
+    for c in chords:
+        v = eps.of_element(D.diff_of(c.label))
         entries.append(ReportEntry(
             "kills-boundaries", c.label, not v,
             "" if not v else
@@ -538,9 +552,6 @@ class DGAMorphism:
             out = out + acc
         return out
 
-    def apply_generator(self, label):
-        return self.images[label]
-
     def compose(self, inner):
         """self ∘ inner (inner runs first)."""
         if inner.target is not self.source and \
@@ -558,9 +569,6 @@ class DGAMorphism:
             if lhs != rhs:
                 return c.label, lhs, rhs
         return None
-
-    def is_chain_map(self):
-        return self.chain_map_defect() is None
 
 
 def _check_bijection(D_minus, D_plus):
@@ -714,7 +722,8 @@ def partial_linearization(D, eps, window, l=INF):
         raise AugmentationInvalid(
             "nonzero on %r of length %s, not below the augmentation reach %s"
             % (beyond[0].label, beyond[0].length, l))
-    check_augmentation(sub_dga(D, l), eps).raise_first()
+    below = [c for c in D.chords if c.length < l]
+    _augmentation_report(D, eps, below).raise_first()
 
     gens = [c for c in D.forward_mixed() if a <= c.length and
             (b == INF or c.length < b)]
@@ -732,27 +741,13 @@ def partial_linearization(D, eps, window, l=INF):
                 raise MixedOutputViolation(
                     "word %s of d(%s) has a single mixed letter oriented "
                     "backwards" % ("*".join(word), m.label))
-            in_window = a <= target.length and (b == INF or target.length < b)
-            c = field.one_raw  # product of the pure letters' values
-            for j, lab in enumerate(word):
-                if j == i:
-                    continue
-                p = D.chord(lab)
-                if l != INF and not p.length < l:
-                    # cannot happen for an in-window target: the pure letter
-                    # alone eats the whole window width, pushing the mixed
-                    # letter below a — kept as a hard guard all the same
-                    if in_window:
-                        raise PureChordOfForbiddenLength(
-                            "pure letter %r of length %s >= %s contributes "
-                            "to an in-window target" % (lab, p.length, l))
-                    c = field.zero_raw
-                    break
-                c = field.mul(c, eps.value_raw(lab))
-                if not c:
-                    break
-            if c and in_window:
-                field.add_scaled(row, {target.label: coeff}, c)
+            if not (a <= target.length and (b == INF or target.length < b)):
+                continue
+            # ε is 0 on a pure letter of length >= l: the checks above leave
+            # it nonzero only on degree-0 chords below the reach
+            c = eps.of_word(word[:i] + word[i + 1:], coeff)
+            if c:
+                field.add_scaled(row, {target.label: c}, field.one_raw)
         if row:
             diff[m.label] = row
     return FilteredComplex(field, (a, b),

@@ -130,10 +130,6 @@ class WindowTooWide(DGAError):
     """Linearization window wider than the augmentation's reach."""
 
 
-class PureChordOfForbiddenLength(DGAError):
-    """Defensive guard; unreachable for validated inputs (see comment at use)."""
-
-
 # -- displacement bounds -------------------------------------------------------
 
 class NonMonotoneTime(ValidationError):

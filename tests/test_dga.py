@@ -17,9 +17,9 @@ from chordbars import (INF, QQ, AlgebraElement, Augmentation, Chord,
                        standard_unknot_shape, sub_dga, two_copy_template,
                        validate_dga)
 from chordbars.errors import (AugmentationInvalid, FieldMismatch,
-                              NotChainMap, OrderingViolated,
-                              SearchBudgetExceeded, ValidationError,
-                              WindowTooWide)
+                              ForeignGenerator, NotChainMap,
+                              OrderingViolated, SearchBudgetExceeded,
+                              ValidationError, WindowTooWide)
 from chordbars.fields import FP
 
 from support import bars_as_tuples, linearized_rows_oracle
@@ -277,6 +277,20 @@ def test_linearization_names_the_boundary_the_augmentation_misses():
     assert str(info.value) == "eps(d(a)) = 2 (kills-boundaries on 'a')"
 
 
+def test_linearization_checks_boundaries_below_the_reach_only():
+    # eps(d(a)) = 1, but a is beyond the reach 3 and is never linearized
+    D = ChordDGA(QQ, [Chord("b", 1, 0), Chord("a", 5, 1),
+                      Chord("m1", 1, 0, (0, 1)),
+                      Chord("m2", q(5, 2), 1, (0, 1))],
+                 {"a": {("b",): 1}, "m2": {("b", "m1"): 1}})
+    eps = Augmentation(QQ, {"b": 1})
+    cx = partial_linearization(D, eps, (0, 3), l=3)
+    assert bars_as_tuples(barcode_of(cx)) == [(1, q(5, 2), 0)]
+    with pytest.raises(AugmentationInvalid) as info:
+        partial_linearization(D, eps, (0, 3))
+    assert str(info.value) == "eps(d(a)) = 1 (kills-boundaries on 'a')"
+
+
 def test_augmentation_graded_rule():
     D3 = ChordDGA(QQ, [Chord("w", 1, 1, (0, 0)), Chord("m", 2, 0, (0, 1))], {})
     with pytest.raises(AugmentationInvalid):
@@ -302,9 +316,8 @@ def test_handle_slide_morphism():
     # every row that hits "a" (here c's) picks up the word
     Dp = _slide_dga([(("x",), 1)])
     phi = handle_slide_morphism(Dm, Dp, "a", ("x",), unit=1)
-    assert phi.apply_generator("a") == AlgebraElement(QQ, {("a",): 1,
-                                                           ("x",): 1})
-    assert phi.is_chain_map()
+    assert phi.images["a"] == AlgebraElement(QQ, {("a",): 1, ("x",): 1})
+    assert phi.chain_map_defect() is None
 
 
 def test_handle_slide_rejects_non_chain_map():
@@ -327,11 +340,9 @@ def test_slide_composition_is_chain_map():
     Dp2 = _slide_dga([(("x", "b"), 1), (("x",), 1)])
     phi2 = handle_slide_morphism(Dmid, Dp2, "a", ("x",), unit=1)
     comp = phi2.compose(phi1)
-    assert comp.is_chain_map()
-    assert comp.apply_generator("c") == AlgebraElement(QQ, {("c",): 1,
-                                                            ("x", "y"): 1})
-    assert comp.apply_generator("a") == AlgebraElement(QQ, {("a",): 1,
-                                                            ("x",): 1})
+    assert comp.chain_map_defect() is None
+    assert comp.images["c"] == AlgebraElement(QQ, {("c",): 1, ("x", "y"): 1})
+    assert comp.images["a"] == AlgebraElement(QQ, {("a",): 1, ("x",): 1})
 
 
 _BIRTH_CHORDS = [Chord("x", 1, 0), Chord("b", 2, 0),
@@ -344,11 +355,9 @@ def test_birth_morphism():
     DmB = ChordDGA(QQ, _BIRTH_CHORDS, {"a": {("b",): 1},
                                        "c": {("b",): 2, ("x",): -2}})
     phi = birth_morphism(DmB, DpB, "a", "b", ordering=["c"])
-    assert phi.apply_generator("b") == AlgebraElement(QQ, {("b",): 1,
-                                                           ("x",): 1})
-    assert phi.apply_generator("c") == AlgebraElement(QQ, {("c",): 1,
-                                                           ("a",): 1})
-    assert phi.is_chain_map()
+    assert phi.images["b"] == AlgebraElement(QQ, {("b",): 1, ("x",): 1})
+    assert phi.images["c"] == AlgebraElement(QQ, {("c",): 1, ("a",): 1})
+    assert phi.chain_map_defect() is None
     with pytest.raises(OrderingViolated):
         birth_morphism(DmB, DpB, "a", "b", ordering=[])
 
@@ -367,9 +376,8 @@ def test_birth_morphism_koszul_correction():
     DpK = ChordDGA(QQ, chords, {"a": {("b",): 1}, "a1": {("x", "b"): 1}})
     DmK = ChordDGA(QQ, chords, {"a": {("b",): 1}})
     phi = birth_morphism(DmK, DpK, "a", "b", ordering=["a1"])
-    assert phi.apply_generator("a1") == AlgebraElement(QQ, {("a1",): 1,
-                                                            ("x", "a"): 1})
-    assert phi.is_chain_map()
+    assert phi.images["a1"] == AlgebraElement(QQ, {("a1",): 1, ("x", "a"): 1})
+    assert phi.chain_map_defect() is None
 
 
 def test_two_copy_template():
@@ -407,3 +415,48 @@ def test_linearization_matches_substitution_oracle():
                if cx.differential_raw(gid)}
         assert got == want, (i, field.tag)
         barcode_of(cx)  # engines agree implicitly via construction checks
+
+
+def _rows(report):
+    return [(e.check, e.label, e.ok, e.detail) for e in report.entries]
+
+
+def test_sub_dga_inherits_the_report():
+    rng = random.Random(20261019)
+    for i in range(15):
+        field = [F2, F5, QQ][i % 3]
+        D = random_two_component_dga(rng, field)
+        whole = validate_dga(D)
+        assert validate_dga(D) is whole
+        for l in sorted({c.length for c in D.chords}) + [INF]:
+            sub = sub_dga(D, l)
+            fresh = ChordDGA(field, sub.chords, sub.differential)
+            got = validate_dga(sub)
+            assert _rows(got) == _rows(validate_dga(fresh)), (i, l)
+            # inherited, not rebuilt
+            assert {id(e) for e in got.entries} <= \
+                {id(e) for e in whole.entries}
+
+
+def test_sub_dga_inherits_failures_on_both_sides_of_the_cut():
+    # below 3: x has the wrong degree and y does not drop length;
+    # above 3: d(d(z)) = a and d(m) has no mixed letter
+    chords = [Chord("y", q(1, 2), 1), Chord("a", 1, 0), Chord("x", 2, 2),
+              Chord("w", 2, 1), Chord("m", 4, 1, (0, 1)), Chord("z", 5, 2)]
+    rows = {"y": {("a",): 1}, "x": {("a",): 1}, "w": {("a",): 1},
+            "m": {("a",): 1}, "z": {("w",): 1}}
+    D = ChordDGA(QQ, chords, rows)
+    failed = {(e.check, e.label) for e in validate_dga(D).failures()}
+    assert failed == {("length", "y"), ("degree", "x"), ("square", "z"),
+                      ("mixed-output", "m")}
+    sub = sub_dga(D, 3)
+    fresh = ChordDGA(QQ, chords[:4], {k: rows[k] for k in "yxw"})
+    assert _rows(validate_dga(sub)) == _rows(validate_dga(fresh))
+    assert {(e.check, e.label) for e in validate_dga(sub).failures()} == \
+        {("length", "y"), ("degree", "x")}
+    # a kept row with a dropped letter is refused before anything is
+    # inherited, as it is without a report
+    with pytest.raises(ForeignGenerator):
+        sub_dga(D, 1)
+    with pytest.raises(ForeignGenerator):
+        sub_dga(ChordDGA(QQ, chords, rows), 1)

@@ -8,19 +8,23 @@ its own line with an ``# invariant:`` comment.
 
 The definitional barcode engine shares no code with the reduction engine,
 the pytest configuration still reports a failing hypothesis example,
-every library function the benchmark hooks still exists, and every
-exported name is there to import.
+every library function the benchmark hooks still exists, every
+exported name is there to import, and no module, test or demo imports a
+name it never reads.
 """
 
 import ast
+import gzip
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import chordbars
+from chordbars import dga
 
 PACKAGE = Path(chordbars.__file__).resolve().parent
 
@@ -124,11 +128,84 @@ def test_benchmark_hooks_resolve():
     assert all(callable(ops.OPERATIONS[w["name"]]) for w in workloads)
 
 
+def test_chords_documents_validate_each_chord_once(monkeypatch):
+    # the benchmark's chords operation validates D, searches a sub-DGA of
+    # it and linearizes D over several windows; each chord's laws are
+    # checked once, and the linearization builds no chord algebra
+    ops = _bench_module("ops")
+    with gzip.open(ROOT / "bench" / "inputs" / "chords.json.gz") as fh:
+        docs = json.load(fh)["docs"]
+    squares = Counter()
+    built = [0]
+
+    class Entry(dga.ReportEntry):
+        __slots__ = ()
+
+        def __init__(self, check, label, ok, detail=""):
+            super().__init__(check, label, ok, detail)
+            if check == "square":
+                squares[label] += 1
+
+    init = dga.ChordDGA.__init__
+
+    def counted_init(self, *args, **kw):
+        built[0] += 1
+        init(self, *args, **kw)
+
+    by_call = Counter()
+
+    def call(_stage, fn, *args, **kw):
+        before = built[0]
+        out = fn(*args, **kw)
+        by_call[fn.__name__] += built[0] - before
+        return out
+
+    monkeypatch.setattr(dga, "ReportEntry", Entry)
+    monkeypatch.setattr(dga.ChordDGA, "__init__", counted_init)
+    for k, text in enumerate(docs):
+        squares.clear()
+        D = ops.chords(text, call).rich["dga"]
+        assert squares == Counter(D.labels()), k
+    assert by_call["partial_linearization"] == 0
+    assert by_call["parse_dga"] == len(docs)
+
+
 def test_every_export_exists():
     # an export deleted from the package but left in __all__ breaks
     # ``from chordbars import *``
     missing = [n for n in chordbars.__all__ if not hasattr(chordbars, n)]
     assert not missing, "names in __all__ that the package lacks: %s" % missing
+
+
+def _unused_imports(path):
+    """Names ``path`` imports and never reads; a name listed in ``__all__``
+    counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                read |= {c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant)}
+    return ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+            for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # bench/ is left out: it changes only with the benchmark
+    unused = [u for d in (PACKAGE, ROOT / "tests", ROOT / "demos")
+              for path in sorted(d.glob("*.py"))
+              for u in _unused_imports(path)]
+    assert not unused, "imported and never read: %s" % unused
 
 
 _SCRIPT = """
