@@ -43,7 +43,8 @@ print("\npairs (killer, killed):", sorted(F.pairs))
 print("unpaired:", sorted(F.unpaired))
 
 # A barcode is determined by countable data: its critical values and the
-# table counting bars alive between consecutive probes.
+# table counting, per start, the bars still alive just past each critical
+# value.
 B = barcode_of(cx)
 crit, table = extract_table(B)
 print("\ncritical values:", crit)

@@ -13,9 +13,10 @@ Two independent computations are provided on purpose:
   complexes: the classes born at or below s and alive past e number
   dim Z≤s − rank ∂[:, ≤e] + rank ∂[rows > s, ≤e] (Edelsbrunner & Harer,
   *Computational Topology*, ch. VII), and the bars are read back from
-  their differences by :func:`recover`.  With exact rationals the
-  "sufficiently small epsilon" of one-sided limits is realized by
-  half-the-minimal-gap probes, which the ``<=`` comparisons below encode.
+  their differences by :func:`recover`'s table reader.  With exact
+  rationals the "sufficiently small epsilon" of one-sided limits needs no
+  probe value: each action is replaced by its index among the sorted
+  critical values, and "just past level e" is "index at most e".
 
 They share no reduction code; agreement between them is the core oracle test
 of the package.
@@ -58,7 +59,7 @@ class Bar:
     @property
     def key(self):
         dk = (0, 0) if self.degree is None else (1, self.degree)
-        ek = (1, Fraction(0)) if self.is_infinite else (0, self.end)
+        ek = (1, 0) if self.is_infinite else (0, self.end)
         return (dk, self.start, ek)
 
     def astuple(self):
@@ -103,10 +104,6 @@ class Barcode:
             if b.contains(level) and (start_below is None or b.start < start_below):
                 n += 1
         return n
-
-    def endpoints_at(self, l):
-        """Number of bar endpoints (starts plus finite ends) equal to l."""
-        return sum((b.start == l) + (b.end == l) for b in self.bars)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +242,10 @@ def barcode_definitional(C):
         W(s, e) = dim Z_{<=s} - rank ∂[:, <=e] + rank ∂[rows > s, <=e].
 
     Differences of W over consecutive start levels count the bars born
-    exactly at s and alive past each e; :func:`recover` reads the bars back
-    from that table.  ``<=`` on a rational grid realizes the probes at
-    level + (minimal gap)/2.
+    exactly at s and alive past each e; the table reader behind
+    :func:`recover` checks that table and reads the bars back.  Levels are
+    indices into the sorted critical values, so "alive just past e" is a
+    comparison of ints, with no probe between two actions.
     """
     field = C.field
     bars = []
@@ -257,14 +255,19 @@ def barcode_definitional(C):
         assert rows_up == cols_d  # invariant: both are C's degree-d generators
         crit = sorted({g.action for g in cols_d} | {g.action for g in cols_up})
         k = len(crit)
+        level = {a: i for i, a in enumerate(crit)}
+        # level indices of the columns, in action order
+        d_lv = [level[g.action] for g in cols_d]
+        up_lv = [level[g.action] for g in cols_up]
+        nd, nup = len(d_lv), len(up_lv)
         # boundary columns (vectors over the degree-d basis) in action order
-        up_cols = [[row[j] for row in Mup] for j in range(len(cols_up))]
+        up_cols = [[row[j] for row in Mup] for j in range(nup)]
 
         def ranks_from_row(m):
             """rank ∂[rows >= m, <= e] for every critical level e."""
             acc, ranks, p = RankAccumulator(field), [], 0
-            for e in crit:
-                while p < len(up_cols) and cols_up[p].action <= e:
+            for e in range(k):
+                while p < nup and up_lv[p] <= e:
                     acc.add(up_cols[p][m:])
                     p += 1
                 ranks.append(acc.rank)
@@ -273,18 +276,18 @@ def barcode_definitional(C):
         dimB = ranks_from_row(0)
         accZ, m, W_prev = RankAccumulator(field), 0, [0] * k
         table = [[0] * k for _ in range(k)]
-        for j, s in enumerate(crit):
-            if m == len(cols_d) or cols_d[m].action != s:
-                continue  # no degree-d generator starts at s
-            while m < len(cols_d) and cols_d[m].action == s:
+        for j in range(k):
+            if m == nd or d_lv[m] != j:
+                continue  # no degree-d generator starts at level j
+            while m < nd and d_lv[m] == j:
                 accZ.add([row[m] for row in Md])
                 m += 1
             W = [m - accZ.rank - b + r
                  for b, r in zip(dimB, ranks_from_row(m))]
-            # row j: bars born exactly at s, alive past crit[e] for e >= s
+            # row j: bars born exactly at level j, alive past level e >= j
             table[j][j:] = [w - wp for w, wp in zip(W[j:], W_prev[j:])]
             W_prev = W
-        bars.extend(Bar(b.start, b.end, d) for b in recover(crit, table))
+        bars.extend(Bar(s, e, d) for s, e in _table_bars(crit, table))
     return Barcode(bars)
 
 
@@ -313,22 +316,23 @@ def barcode_of(C, engine="canonical"):
 def extract_table(B):
     """Critical values and the persisting-count table of a barcode.
 
-    Probes sit between consecutive critical values (and one unit above the
-    top); entry [j][i] counts bars starting exactly at crit[j] that are
-    still alive at probe i.  This is the data the recovery construction needs.
+    crit lists every start and finite end in increasing order; entry [j][i]
+    counts the bars starting exactly at crit[j] that are still alive just
+    past crit[i], that is the bars [crit[j], e) with e > crit[i] (every
+    infinite bar for each i >= j).  This is the data :func:`recover` reads.
     """
-    crit = sorted({b.start for b in B.bars}
-                  | {b.end for b in B.bars if not b.is_infinite})
+    ends = {b.end for b in B.bars}
+    ends.discard(INF)
+    crit = sorted({b.start for b in B.bars} | ends)
     k = len(crit)
-    probes = [(crit[i] + crit[i + 1]) / 2 for i in range(k - 1)]
-    if k:
-        probes.append(crit[k - 1] + 1)
+    level = {a: i for i, a in enumerate(crit)}
+    level[INF] = k
     table = [[0] * k for _ in range(k)]
     for b in B.bars:
-        j = crit.index(b.start)
-        for i in range(j, k):
-            if b.contains(probes[i]):
-                table[j][i] += 1
+        j = level[b.start]
+        row = table[j]
+        for i in range(j, level[b.end]):
+            row[i] += 1
     return crit, table
 
 
@@ -336,18 +340,33 @@ def recover(critical_values, table):
     """Rebuild the interval multiset from a persisting-count table.
 
     Inverse of :func:`extract_table`; the output is degree-agnostic (bars
-    carry degree None).  Monotonicity violations raise InconsistentTable.
+    carry degree None).  Unordered critical values and malformed tables
+    raise InconsistentTable.
     """
     crit = [as_action(c) for c in critical_values]
     if sorted(crit) != crit or len(set(crit)) != len(crit):
         raise InconsistentTable("critical values must be strictly increasing")
+    return Barcode(Bar(s, e) for s, e in _table_bars(crit, table))
+
+
+def _table_bars(crit, table):
+    """Yield (start, end) for each bar a persisting-count table holds over
+    the increasing levels crit (end INF for a bar alive past the top).
+
+    Raises InconsistentTable for a table that is not k x k, a count that is
+    not an int (bool included), a negative count, a count below its start's
+    level, or a count that increases along a row.
+    """
     k = len(crit)
     if len(table) != k or any(len(row) != k for row in table):
         raise InconsistentTable("table must be %d x %d" % (k, k))
-    bars = []
     for j in range(k):
+        row = table[j]
         for i in range(k):
-            v = table[j][i]
+            v = row[i]
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InconsistentTable(
+                    "count at (%d, %d) must be an integer, got %r" % (j, i, v))
             if v < 0:
                 raise InconsistentTable("negative count at (%d, %d)" % (j, i))
             if i < j and v != 0:
@@ -355,16 +374,15 @@ def recover(critical_values, table):
                     "bars starting at %s cannot be alive below it (entry (%d, %d))"
                     % (crit[j], j, i))
         for i in range(j, k - 1):
-            died = table[j][i] - table[j][i + 1]
+            died = row[i] - row[i + 1]
             if died < 0:
                 raise InconsistentTable(
                     "persisting counts increased from probe %d to %d for start %s"
                     % (i, i + 1, crit[j]))
             for _ in range(died):
-                bars.append(Bar(crit[j], crit[i + 1]))
-        for _ in range(table[j][k - 1]):
-            bars.append(Bar(crit[j], INF))
-    return Barcode(bars)
+                yield crit[j], crit[i + 1]
+        for _ in range(row[k - 1]):
+            yield crit[j], INF
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,29 @@ def inverse(M, field):
 
 
 # ---------------------------------------------------------------------------
+# persisting-count table by probes
+# ---------------------------------------------------------------------------
+
+def extract_table_by_probes(B):
+    """The count table by its first definition: a probe sits halfway between
+    consecutive critical values and one unit above the top, and entry
+    [j][i] counts the bars starting at crit[j] that contain probe i."""
+    crit = sorted({b.start for b in B.bars}
+                  | {b.end for b in B.bars if not b.is_infinite})
+    k = len(crit)
+    probes = [(crit[i] + crit[i + 1]) / 2 for i in range(k - 1)]
+    if k:
+        probes.append(crit[k - 1] + 1)
+    table = [[0] * k for _ in range(k)]
+    for b in B.bars:
+        j = crit.index(b.start)
+        for i in range(j, k):
+            if b.contains(probes[i]):
+                table[j][i] += 1
+    return crit, table
+
+
+# ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 

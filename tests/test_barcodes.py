@@ -11,15 +11,15 @@ from pathlib import Path
 import pytest
 
 import chordbars
-from chordbars import (F2, FP, INF, QQ, Bar, FilteredComplex, barcode_of,
-                       barcode_table_lines, canonical_form,
+from chordbars import (F2, FP, INF, QQ, Bar, Barcode, FilteredComplex,
+                       barcode_of, barcode_table_lines, canonical_form,
                        check_canonical_form, extract_table, random_complex,
                        recover)
 from chordbars.barcodes import barcode_csv_rows, barcode_diagram_lines
 from chordbars.errors import (EngineMismatch, InconsistentTable,
                               ValidationError)
 
-from support import bars_as_tuples, rank_phi
+from support import bars_as_tuples, extract_table_by_probes, rank_phi
 
 q = Fraction
 FIELDS = [F2, FP(5), QQ]
@@ -169,6 +169,12 @@ def test_recover_rejects_inconsistent_tables():
         recover([0, 1], [[0, 0], [1, 0]])  # alive below its own start
     with pytest.raises(InconsistentTable):
         recover([0, 1], [[0, 1], [0, 0]])  # resurrection
+    # a count that is not an int is a typed error, bool included
+    for bad in (1.5, 1.0, "1", None, True, False, q(1)):
+        with pytest.raises(InconsistentTable):
+            recover([0, 1], [[bad, 0], [0, 0]])
+        with pytest.raises(InconsistentTable):
+            recover([0, 1], [[1, 0], [0, bad]])
 
 
 def test_bars_and_tables_stay_exact():
@@ -198,6 +204,20 @@ def test_table_roundtrip_random():
             sorted((b.start, b.end) for b in B2.bars)
 
 
+def test_table_matches_probe_definition():
+    # entry [j][i] counts the bars from crit[j] alive at the probe between
+    # crit[i] and crit[i + 1]: half-open bars, infinite ones past the top
+    barcodes = [barcode_of(random_complex(random.Random(5000 + seed),
+                                          FIELDS[seed % 3]))
+                for seed in range(45)]
+    barcodes.append(Barcode(
+        [Bar(0, 2), Bar(0, 2), Bar(0, INF), Bar(0, INF), Bar(q(1, 2), 2),
+         Bar(q(1, 2), INF), Bar(2, 3), Bar(2, 3), Bar(3, INF)]))
+    barcodes.append(Barcode())
+    for B in barcodes:
+        assert extract_table(B) == extract_table_by_probes(B)
+
+
 def test_engine_agreement_random():
     for seed in range(60):
         rng = random.Random(2000 + seed)
@@ -205,7 +225,7 @@ def test_engine_agreement_random():
         barcode_of(cx, engine="both")  # raises EngineMismatch on failure
 
 
-def test_persisting_and_endpoint_counts():
+def test_persisting_counts():
     cx = _crossing_fixture(F2, {"x1": 1, "x2": 1}, {"x1": 1})
     B = barcode_of(cx)  # bars [0, 2) and [1/2, 1)
     assert B.persisting_count(q(3, 4)) == 2
@@ -213,10 +233,6 @@ def test_persisting_and_endpoint_counts():
     assert B.persisting_count(q(3, 4), start_below=q(1, 4)) == 1
     assert B.persisting_count(0) == 1       # [0, 2) contains its start
     assert B.persisting_count(1) == 1       # [1/2, 1) is half-open
-    assert B.endpoints_at(1) == 1
-    assert B.endpoints_at(0) == 1
-    assert B.endpoints_at(q(1, 2)) == 1
-    assert B.endpoints_at(7) == 0
 
 
 def test_persisting_count_matches_rank_oracle():

@@ -65,18 +65,28 @@ _REDUCTION_NAMES = {"_reduce", "canonical_form", "check_canonical_form",
 
 
 def test_definitional_engine_is_independent():
+    # the oracle's body and every module-level function of barcodes.py it
+    # reaches, transitively (the table reader behind recover among them)
     path = PACKAGE / "barcodes.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef)
-             and node.name == "barcode_definitional"]
-    named = set()
-    for node in ast.walk(fn):
-        name = (node.id if isinstance(node, ast.Name) else
-                node.attr if isinstance(node, ast.Attribute) else
-                node.value if isinstance(node, ast.Constant) else None)
-        if name in _REDUCTION_NAMES:
-            named.add("%d %s" % (node.lineno, name))
-    assert not named, "barcode_definitional names %s" % sorted(named)
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    todo, walked, named = ["barcode_definitional"], set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn in walked:
+            continue
+        walked.add(fn)
+        for node in ast.walk(functions[fn]):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in _REDUCTION_NAMES:
+                named.add("%s:%d %s" % (fn, node.lineno, name))
+            if isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    assert walked > {"barcode_definitional"}, "the oracle reaches no helper"
+    assert not named, "barcode_definitional reaches %s" % sorted(named)
 
 
 _FAILING_HYPOTHESIS_TEST = """
