@@ -22,7 +22,6 @@ They share no reduction code; agreement between them is the core oracle test
 of the package.
 """
 
-from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -78,7 +77,9 @@ class Bar:
 
 
 class Barcode:
-    """Finite multiset of bars; equality is multiset equality."""
+    """Finite multiset of bars; equality is multiset equality.  ``bars`` is
+    sorted by :attr:`Bar.key`, which separates any two unequal bars, so
+    equal multisets have equal ``bars`` tuples."""
 
     __slots__ = ("bars",)
 
@@ -92,7 +93,7 @@ class Barcode:
         return len(self.bars)
 
     def __eq__(self, other):
-        return isinstance(other, Barcode) and Counter(self.bars) == Counter(other.bars)
+        return isinstance(other, Barcode) and self.bars == other.bars
 
     def __repr__(self):
         return "Barcode(%s)" % (list(self.bars),)
@@ -134,7 +135,11 @@ class BarannikovForm:
 
 def _reduce(field, order, rows):
     """R = D V over ids sorted by (action, id), ``rows[j]`` the raw boundary
-    of ``order[j]``; returns R, V and {killed index: killer index}."""
+    of ``order[j]``; returns R, V and {killed index: killer index}.
+
+    A degree-d column meets only degree-(d-1) rows and earlier degree-d
+    columns, so any order that keeps each degree's ids in (action, id)
+    order gives the same pairs of ids (and the same zero columns of R)."""
     index = {gid: i for i, gid in enumerate(order)}
     R, V, killer_of = [], [], {}
     for j, row in enumerate(rows):

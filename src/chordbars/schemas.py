@@ -392,9 +392,11 @@ def vineyard_csv(rows):
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["t", "bar_id", "start", "end"])
+    t_last, t_text = object(), None  # a sample's rows share its t
     for t, bar_id, start, end, _degree in rows:
-        w.writerow([format_action(t), bar_id,
-                    format_action(start), format_action(end)])
+        if t is not t_last:
+            t_last, t_text = t, format_action(t)
+        w.writerow([t_text, bar_id, format_action(start), format_action(end)])
     return buf.getvalue()
 
 

@@ -18,7 +18,7 @@ of the canonical pairing, which is constant on crossing-free stretches.
 import math
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import sub
 
 from . import linalg
 from .barcodes import Bar, Barcode, _reduce
@@ -499,20 +499,22 @@ def _complex_at(frame, actions, window):
 
 
 class SegmentTrace:
-    """A segment's samples, crossings, and every generator's action at each
-    critical time (``values[gid][k]`` at ``critical[k]``)."""
+    """A segment's samples, crossings, critical times and action paths
+    (``paths[gid]``, the segment's own)."""
 
-    __slots__ = ("degrees", "crossings", "sample_indices", "critical", "values")
+    __slots__ = ("degrees", "crossings", "sample_indices", "critical", "paths")
 
-    def __init__(self, degrees, crossings, sample_indices, critical, values):
+    def __init__(self, degrees, crossings, sample_indices, critical, paths):
         self.degrees = degrees
         self.crossings = crossings
         self.sample_indices = sample_indices
         self.critical = critical
-        self.values = values
+        self.paths = paths
 
     def critical_actions(self, k):
-        return {gid: vals[k] for gid, vals in self.values.items()}
+        """Every generator's action at ``critical[k]``, evaluated on call."""
+        t = [self.critical[k]]
+        return {gid: p.values_at(t)[0] for gid, p in self.paths.items()}
 
 
 class EventRecord:
@@ -539,20 +541,29 @@ class FamilyTrace:
         self.samples = []
         self.segments = []
         self.events = []
+        self._order = None  # the last sample's (degree, action, id) order
 
     def add_sample(self, t, actions, window, frame):
-        field, _degrees, diff = frame
-        # (action, id) order on ints: every action over the lcm of the
-        # denominators, ties broken by id
+        field, degrees, diff = frame
+        # (degree, action, id) order on ints: every action over the lcm of
+        # the denominators.  It gives the (action, id) pairs (see _reduce)
+        # and changes only where two generators of one degree cross, so
+        # while it and the frame stand the last sample's pairing stands too
         ratios = [(gid, a.as_integer_ratio()) for gid, a in actions.items()]
         lcm = math.lcm(*[d for _, (_, d) in ratios])
-        order = [gid for _, gid in sorted([(n * (lcm // d), gid)
-                                           for gid, (n, d) in ratios])]
-        R, _V, killer_of = _reduce(field, order,
-                                   [diff.get(gid, {}) for gid in order])
-        pairs = frozenset([(order[i], order[j]) for i, j in killer_of.items()]
-                          + [(order[m], None) for m, r in enumerate(R)
-                             if not r and m not in killer_of])
+        order = [gid for *_, gid in sorted([(degrees[gid], n * (lcm // d), gid)
+                                            for gid, (n, d) in ratios])]
+        last = self.samples[-1] if self.samples else None
+        if last and last.frame is frame and order == self._order:
+            pairs = last.pairs
+        else:
+            R, _V, killer_of = _reduce(field, order,
+                                       [diff.get(gid, {}) for gid in order])
+            pairs = frozenset(
+                [(order[i], order[j]) for i, j in killer_of.items()]
+                + [(order[m], None) for m, r in enumerate(R)
+                   if not r and m not in killer_of])
+        self._order = order
         self.samples.append(Sample(t, actions, window, pairs, frame))
 
 
@@ -747,17 +758,12 @@ def _run_segment(trace, state, seg, entering_event=None):
                     inner.add((k, root(k, x, d[k + 1])))
 
     # critical times (the grid plus the inner crossings) only drive sampling
-    # and the crossing checks.  ``take`` puts grid values, then values at the
-    # inner crossings, in time order: (k, 1) sorts after grid time (k, 0).
-    inside = sorted(inner)
-    keys = [(k, 0) for k in range(len(grid))] + [(k, 1) for k, _ in inside]
-    take = itemgetter(*sorted(range(len(keys)), key=keys.__getitem__))
-    inside = [c for _, c in inside]
-    critical = list(take(grid + inside))
-    crossings = [t for (k, kind), t in zip(take(keys), critical)
-                 if kind or k in ties]
-    full = [list(take(vs + p.values_at(inside)))
-            for p, vs in zip(cols, on_grid)]
+    # and the crossing checks; an inner crossing (k, 1, t) sorts after grid
+    # time (k, 0, grid[k]), so grid times are never compared
+    keyed = sorted([(k, 0, t) for k, t in enumerate(grid)]
+                   + [(k, 1, t) for k, t in inner])
+    critical = [t for _, _, t in keyed]
+    crossings = [t for k, kind, t in keyed if kind or k in ties]
 
     def first_bad(gap, zero_at_start):
         # the first time the gap is not > 0 (a piece going negative: its
@@ -819,20 +825,14 @@ def _run_segment(trace, state, seg, entering_event=None):
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
-    # in particular just after an event at t0 and just before one at t1.
-    # Every breakpoint is a critical time, so each path is affine between
-    # critical times and its midpoint value is the mean of its end values.
-    def mid(vals):
-        rs = [v.as_integer_ratio() for v in vals]
-        return [Fraction(a * e + b * d, 2 * d * e)
-                for (a, d), (b, e) in zip(rs, rs[1:])]
-
-    values = dict(zip(ids, full))
-    mids = {gid: mid(vals) for gid, vals in values.items()}
-    times = mid(critical)
-    acts = [{gid: col[k] for gid, col in mids.items()} for k in range(len(times))]
-    tops = [INF] * len(times) if b_path == INF else mid(full[-1])
-    wins = list(zip(mid(full[len(ids)]), tops))
+    # in particular just after an event at t0 and just before one at t1
+    rs = [t.as_integer_ratio() for t in critical]
+    times = [Fraction(a * e + b * d, 2 * d * e)
+             for (a, d), (b, e) in zip(rs, rs[1:])]
+    mids = {gid: paths[gid].values_at(times) for gid in ids}
+    acts = [{gid: vs[k] for gid, vs in mids.items()} for k in range(len(times))]
+    tops = [INF] * len(times) if b_path == INF else b_path.values_at(times)
+    wins = list(zip(a_path.values_at(times), tops))
     # ids, degrees and ∂² need no complex here: the initial one was
     # validated, and each event's ``apply`` checks what it changes
     frame = state.frame()
@@ -844,10 +844,10 @@ def _run_segment(trace, state, seg, entering_event=None):
         trace.add_sample(t, act, win, frame)
     trace.segments.append(SegmentTrace(
         frame[1], crossings, list(range(first, len(trace.samples))),
-        critical, values))
+        critical, paths))
 
     # 6. advance the state to t1
-    state.actions = {gid: vals[-1] for gid, vals in values.items()}
+    state.actions = {gid: paths[gid].end_value for gid in ids}
     state.a = a_path.end_value
     state.b = INF if b_path == INF else b_path.end_value
     state.pending_gap_zero = pending_gaps
@@ -921,16 +921,19 @@ class TransitionReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _step_entry(s1, s2, t, acts, degrees):
-    """Check two consecutive samples: across a crossing at t (``acts`` the
-    actions there) the bar values must match, elsewhere the pairing stays.
-    Pairs both samples share give the same bars, so only the others count."""
-    if acts is None:
-        ok = s1.pairs == s2.pairs
+def _step_entry(s1, s2, t, st=None, k=None):
+    """Check two consecutive samples: across a crossing at t (critical time
+    k of segment ``st``) the bar values must match, elsewhere the pairing
+    stays.  Pairs both samples share give the same bars, so only the others
+    count, and the actions at t are built only if some pair differs."""
+    ok = s1.pairs == s2.pairs
+    if st is None:
         return CheckEntry("continuity", t, ok,
                           "" if ok else "pairing changed without a crossing")
-    ok = (_pairing_bars_at(s1.pairs - s2.pairs, acts, degrees)
-          == _pairing_bars_at(s2.pairs - s1.pairs, acts, degrees))
+    if not ok:
+        acts = st.critical_actions(k)
+        ok = (_pairing_bars_at(s1.pairs - s2.pairs, acts, st.degrees)
+              == _pairing_bars_at(s2.pairs - s1.pairs, acts, st.degrees))
     return CheckEntry("crossing", t, ok, "" if ok else
                       "bar endpoint values jump across the crossing")
 
@@ -947,8 +950,7 @@ def check_transitions(trace):
         # the family's first and last sample sit on its ends, in no
         # segment's samples: across a crossing there, check them too
         if st.critical[k] in st.crossings:
-            entries.append(_step_entry(s1, s2, st.critical[k],
-                                       st.critical_actions(k), st.degrees))
+            entries.append(_step_entry(s1, s2, st.critical[k], st, k))
 
     if trace.segments:
         end_entry(trace.segments[0], 0, trace.samples[0], trace.samples[1])
@@ -960,9 +962,8 @@ def check_transitions(trace):
             s1, s2 = (trace.samples[i] for i in st.sample_indices[k - 1:k + 1])
             # consecutive samples are separated by exactly critical[k]
             c = st.critical[k]
-            entries.append(
-                _step_entry(s1, s2, c, st.critical_actions(k), st.degrees)
-                if c in crossings else _step_entry(s1, s2, s2.t, None, None))
+            entries.append(_step_entry(s1, s2, c, st, k) if c in crossings
+                           else _step_entry(s1, s2, s2.t))
 
     if trace.segments:
         end_entry(trace.segments[-1], -1, trace.samples[-2], trace.samples[-1])
@@ -977,9 +978,8 @@ def check_transitions(trace):
         s1 = trace.samples[st_a.sample_indices[-1]]
         s2 = trace.samples[st_b.sample_indices[0]]
         crossing = T in st_a.crossings or T in st_b.crossings
-        entries.append(_step_entry(
-            s1, s2, T, st_a.critical_actions(-1) if crossing else None,
-            st_a.degrees))
+        entries.append(_step_entry(s1, s2, T, st_a, -1) if crossing
+                       else _step_entry(s1, s2, T))
 
     # --- the jump rule at each event --------------------------------------
     for rec in trace.events:

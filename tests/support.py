@@ -189,3 +189,16 @@ def bars_as_tuples(B):
 
 def half(x):
     return Fraction(x) / 2
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for one test; the returned list gets each call's
+    positional arguments."""
+    calls, inner = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

@@ -225,6 +225,20 @@ def test_engine_agreement_random():
         barcode_of(cx, engine="both")  # raises EngineMismatch on failure
 
 
+def test_barcode_equality_is_multiset_equality():
+    bars = [Bar(0, 2, 0), Bar(q(1, 2), 1, 0), Bar(0, INF, 1), Bar(0, 2, 0)]
+    assert Barcode(bars) == Barcode(bars[::-1])
+    assert Barcode(bars) != Barcode(bars[:3])
+    assert Barcode(bars) != Barcode(bars[1:] + [Bar(0, 2, 1)])
+    # bars that differ only in degree, or only in end, are different bars
+    assert Barcode([Bar(0, 1)]) != Barcode([Bar(0, 1, 0)])
+    assert Barcode([Bar(0, 1, 0)]) != Barcode([Bar(0, 1)])
+    assert Barcode([Bar(0, INF, 0)]) != Barcode([Bar(0, 1, 0)])
+    assert Barcode([Bar(0, 1, 0), Bar(0, INF, 0)]) == \
+        Barcode([Bar(0, INF, 0), Bar(0, 1, 0)])
+    assert Barcode() == Barcode([]) and Barcode() != ()
+
+
 def test_persisting_counts():
     cx = _crossing_fixture(F2, {"x1": 1, "x2": 1}, {"x1": 1})
     B = barcode_of(cx)  # bars [0, 2) and [1/2, 1)

@@ -17,8 +17,10 @@ import pytest
 
 from chordbars import (F2, FP, QQ, DriftSegment, barcode_of, canonical_form,
                        check_transitions, random_timeline, simulate,
-                       vineyard_rows)
+                       timelines, vineyard_rows)
 from chordbars.schemas import vineyard_csv
+
+from support import count_calls
 
 FIELDS = [F2, FP(5), QQ]
 COUNT = 100
@@ -58,17 +60,21 @@ def test_replay_outputs_are_pinned(replays):
     assert replay_digests(trace for _items, trace in replays) == PINNED
 
 
-def test_replay_counts_are_pinned(replays):
+def test_replay_counts_are_pinned(monkeypatch):
     # samples, critical times, crossings, segments and events over the 100
-    # timelines, recorded before segment replay moved to one integer grid
-    traces = [trace for _items, trace in replays]
+    # timelines, recorded before segment replay moved to one integer grid,
+    # and the reductions replay runs: a sample keeps the last one's pairing
+    # while the frame and every degree's (action, id) order stand
+    reductions = count_calls(monkeypatch, timelines, "_reduce")
+    traces = [trace for _items, trace in _replays()]
     segments = [st for trace in traces for st in trace.segments]
     assert (sum(len(trace.samples) for trace in traces),
             sum(len(st.critical) for st in segments),
             sum(len(st.crossings) for st in segments),
             len(segments),
-            sum(len(trace.events) for trace in traces)) == \
-        (3841, 4351, 3051, 710, 529)
+            sum(len(trace.events) for trace in traces),
+            len(reductions)) == \
+        (3841, 4351, 3051, 710, 529, 1665)
 
 
 def test_samples_rebuild_complex_pairing_and_barcode(replays):
@@ -99,8 +105,9 @@ def test_segment_frames_are_valid_complexes(replays):
 
 
 def test_midpoint_actions_are_path_values(replays):
-    # every breakpoint is a critical time, so the mean of the values at two
-    # consecutive critical times is the path's value at their midpoint
+    # each sample sits at the midpoint of two consecutive critical times and
+    # carries the paths' values there; critical_actions(k) evaluates them
+    # at critical time k
     for items, trace in replays:
         drifts = [it for it in items if isinstance(it, DriftSegment)]
         assert len(drifts) == len(trace.segments)
@@ -108,8 +115,9 @@ def test_midpoint_actions_are_path_values(replays):
             assert (st.critical[0], st.critical[-1]) == (seg.t0, seg.t1)
             assert set(st.crossings) <= set(st.critical)
             assert len(st.critical) == len(st.sample_indices) + 1
-            for gid, path in seg.actions.items():
-                assert st.values[gid] == [path.value(t) for t in st.critical]
+            for k, t in enumerate(st.critical):
+                assert st.critical_actions(k) == {
+                    gid: path.value(t) for gid, path in seg.actions.items()}
             for k, i in enumerate(st.sample_indices):
                 s = trace.samples[i]
                 assert s.t == (st.critical[k] + st.critical[k + 1]) / 2

@@ -234,6 +234,12 @@ def test_vineyard_csv_columns():
         "t,bar_id,start,end\n"
         "0,b000,1,inf\n"
         "1/2,b000,1,2\n")
+    # a sample's bars share its time: each row still carries it
+    t = q(3, 4)
+    rows += [(t, "b001", 0, 1, 0), (t, "b002", q(1, 3), INF, 1),
+             (q(3, 4), "b001", 0, 2, 0), (INF, "b003", 0, 1, 0)]
+    assert vineyard_csv(rows).splitlines()[3:] == [
+        "3/4,b001,0,1", "3/4,b002,1/3,inf", "3/4,b001,0,2", "inf,b003,0,1"]
 
 
 def test_profile_csv_rational_mode():

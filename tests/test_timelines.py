@@ -10,12 +10,14 @@ from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        EntryAbove, EntryBelow, ExitAbove, ExitBelow,
                        FilteredComplex, HandleSlide, PLPath,
                        canonical_form, check_transitions, drift_speed_audit, random_timeline,
-                       simulate, vineyard_rows)
+                       simulate, timelines, vineyard_rows)
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               ChordbarsError, EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
                               ValidationError)
 from chordbars.timelines import SingularEvent
+
+from support import count_calls
 
 q = Fraction
 
@@ -379,6 +381,76 @@ def test_sample_pairs_match_canonical_form():
         trace = simulate(*random_timeline(rng, field))
         for k, sample in enumerate(trace.samples):
             assert sample.pairs == _canonical_pairs(sample.complex), (seed, k)
+
+
+def test_cross_degree_crossing_keeps_the_pairing(monkeypatch):
+    # z (degree 0) drifts past g (degree 1) at t = 1/2: the (degree,
+    # action, id) order stands, so the samples after the segment's first
+    # keep its pairing object, and the crossing check builds no actions
+    reductions = count_calls(monkeypatch, timelines, "_reduce")
+    built = count_calls(monkeypatch, timelines.SegmentTrace,
+                         "critical_actions")
+    cx = FilteredComplex(F2, (0, INF), [("x", 1, 0), ("z", 2, 0), ("g", 3, 1)],
+                         {"g": {"x": 1}})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"x": 1, "z": [(0, 2), (1, 4)], "g": 3}),
+    ])
+    assert trace.segments[0].crossings == [q(1, 2)]
+    s0, s1, s2, s3 = trace.samples
+    assert [s.t for s in trace.samples] == [0, q(1, 4), q(3, 4), 1]
+    # one reduction for the family's first sample, one for the segment's
+    assert len(reductions) == 2
+    assert s2.pairs is s1.pairs and s3.pairs is s1.pairs
+    assert s1.pairs == {("x", "g"), ("z", None)} == _canonical_pairs(s2.complex)
+    assert [repr(e) for e in check_transitions(trace).entries] == [
+        "CheckEntry(crossing @ t=1/2: ok)"]
+    assert built == []
+
+
+def test_same_degree_crossing_recomputes_the_pairing(monkeypatch):
+    # the killers g1 and g2 cross at t = 1/2 and the pairing switches: the
+    # sample after the crossing is reduced afresh and the crossing check
+    # reads the actions there once
+    reductions = count_calls(monkeypatch, timelines, "_reduce")
+    built = count_calls(monkeypatch, timelines.SegmentTrace,
+                         "critical_actions")
+    cx = FilteredComplex(F2, (0, INF),
+                         [("x", 0, 0), ("y", 1, 0), ("g1", 2, 1), ("g2", 3, 1)],
+                         {"g1": {"x": 1, "y": 1}, "g2": {"y": 1}})
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"x": 0, "y": 1, "g1": [(0, 2), (1, 4)], "g2": 3}),
+    ])
+    s0, s1, s2, s3 = trace.samples
+    assert s1.pairs == {("y", "g1"), ("x", "g2")}
+    assert s2.pairs == {("y", "g2"), ("x", "g1")}
+    assert s3.pairs is s2.pairs
+    assert len(reductions) == 3
+    for s in trace.samples:
+        assert s.pairs == _canonical_pairs(s.complex)
+    assert [repr(e) for e in check_transitions(trace).entries] == [
+        "CheckEntry(crossing @ t=1/2: ok)"]
+    assert [k for _st, k in built] == [1]
+
+
+def test_a_new_frame_is_reduced_afresh():
+    # same actions, same order, another differential: the pairing is not
+    # carried over from the previous sample
+    trace = timelines.FamilyTrace(F2)
+    actions, window = {"x": q(1), "g": q(2)}, (q(0), INF)
+    degrees = {"x": 0, "g": 1}
+    trace.add_sample(q(0), actions, window, (F2, degrees, {"g": {"x": 1}}))
+    trace.add_sample(q(1), actions, window, (F2, degrees, {}))
+    assert [s.pairs for s in trace.samples] == [
+        {("x", "g")}, {("x", None), ("g", None)}]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]))
+def test_kept_pairings_match_canonical_form(seed, field):
+    trace = simulate(*random_timeline(random.Random(seed), field,
+                                      max_generators=20))
+    for k, sample in enumerate(trace.samples):
+        assert sample.pairs == _canonical_pairs(sample.complex), k
 
 
 def test_vineyard_rows_shape_and_ids():
