@@ -122,15 +122,8 @@ def chord_drift(profile, rate_end, rate_start, initial_length=0):
                 "%s rate leaves the profile envelope" % name)
     diff = re - rs
     l0 = as_action(initial_length)
-    points = []
-    acc = l0
-    prev_t = Fraction(0)
-    for t in diff.breakpoint_times():
-        acc = l0 + diff.integral(0, t)
-        points.append((t, acc))
-        prev_t = t
-    assert prev_t == 1  # invariant: both rates were checked to end at t = 1
-    trajectory = PLPath(points)
+    trajectory = PLPath([(t, l0 + diff.integral(0, t))
+                         for t in diff.breakpoint_times()])
     return trajectory.end_value - l0, trajectory
 
 
@@ -173,10 +166,9 @@ class BettiProfile:
     def __init__(self, values):
         vals = []
         for v in values:
-            iv = int(v)
-            if iv != v or iv < 0:
+            if type(v) is not int or v < 0:
                 raise ValidationError("ranks must be non-negative integers")
-            vals.append(iv)
+            vals.append(v)
         if not vals:
             raise ValidationError("profile must cover degrees 0..n")
         self.values = tuple(vals)

@@ -3,15 +3,15 @@
 A :class:`PLPath` is a continuous piecewise-linear function given by its
 breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
 differences, integrals, zero-crossings) is exact; floats serve the
-measured-profile mode of the displacement layer.  ``values_at`` evaluates an
-exact path on integer numerators and denominators, with one ``Fraction`` per
-value; segment replay and the drift speed audit read every path through it.
-Differences, integrals and zeros keep the textbook expressions; they serve
-``bounds`` and the tests.
+measured-profile mode of the displacement layer.  ``values_at``, on integer
+numerators and denominators for an exact path, is the one evaluator: segment
+replay, the drift speed audit, ``value``, differences and integrals read it.
+Only ``zeros`` keeps the textbook expressions, as the tests' reference.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import sub
 
 from .errors import NonMonotoneTime, ValidationError
 
@@ -64,39 +64,20 @@ class PLPath:
     def __eq__(self, other):
         return isinstance(other, PLPath) and self.points == other.points
 
-    def _locate(self, t):
-        # index i with points[i].t <= t <= points[i+1].t
-        if not self.t_start <= t <= self.t_end:
-            raise ValidationError("time %s outside path domain [%s, %s]"
-                                  % (t, self.t_start, self.t_end))
-        lo, hi = 0, len(self.points) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.points[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     def value(self, t):
-        i = self._locate(t)
-        (t0, v0), (t1, v1) = self.points[i], self.points[i + 1]
-        if t == t0:
-            return v0
-        if t == t1:
-            return v1
-        return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+        return self.values_at([t])[0]
 
     def values_at(self, ts):
         """Values at the ascending times ``ts``, in one sweep of the pieces.
 
-        Equal to ``[self.value(t) for t in ts]``.  On an exact path at
+        A breakpoint time gives the breakpoint's value.  On an exact path at
         ``Fraction`` times, each time is located by integer
         cross-multiplication, each piece's line is computed once as ints
         and each interior value is one ``Fraction``.  Otherwise each piece's
-        rise and run are computed once and each value has the expression
-        of ``value()``.  A time outside the domain, or before the piece of
-        an earlier time, raises :class:`ValidationError`.
+        rise and run are computed once and a time t inside the piece from
+        (t0, v0) has the value v0 + rise * (t - t0) / run.  A time outside
+        the domain, or before the piece of an earlier time, raises
+        :class:`ValidationError`.
         """
         pts = self.points
         last = len(pts) - 1
@@ -151,17 +132,6 @@ class PLPath:
             "time %s outside path domain [%s, %s] or out of order"
             % (t, self.t_start, self.t_end))
 
-    def restrict(self, t0, t1):
-        if not self.t_start <= t0 < t1 <= self.t_end:
-            raise ValidationError("cannot restrict a path on [%s, %s] to "
-                                  "[%s, %s]" % (self.t_start, self.t_end, t0, t1))
-        pts = [(t0, self.value(t0))]
-        for t, v in self.points:
-            if t0 < t < t1:
-                pts.append((t, v))
-        pts.append((t1, self.value(t1)))
-        return PLPath(pts)
-
     def pieces(self):
         """Iterate (t0, v0, t1, v1) over the linear pieces."""
         for (t0, v0), (t1, v1) in zip(self.points, self.points[1:]):
@@ -173,28 +143,10 @@ class PLPath:
         """The pointwise difference of two paths on one interval."""
         if not isinstance(other, PLPath):
             return NotImplemented
-        p, q = self.points, other.points
-        if p[0][0] != q[0][0] or p[-1][0] != q[-1][0]:
+        if self.t_start != other.t_start or self.t_end != other.t_end:
             raise ValidationError("paths live on different intervals")
-        # one merge of both breakpoint lists; a path is interpolated only at
-        # the other's times, on the piece ending at its own next breakpoint
-        out = [(p[0][0], p[0][1] - q[0][1])]
-        i = j = 1
-        while i < len(p):
-            (tp, vp), (tq, vq) = p[i], q[j]
-            if tp == tq:
-                out.append((tp, vp - vq))
-                i += 1
-                j += 1
-            elif tp < tq:
-                t0, v0 = q[j - 1]
-                out.append((tp, vp - (v0 + (vq - v0) * (tp - t0) / (tq - t0))))
-                i += 1
-            else:
-                t0, v0 = p[i - 1]
-                out.append((tq, v0 + (vp - v0) * (tq - t0) / (tp - t0) - vq))
-                j += 1
-        return PLPath(out)
+        ts = merge_times(self.breakpoint_times(), other.breakpoint_times())
+        return PLPath(zip(ts, map(sub, self.values_at(ts), other.values_at(ts))))
 
     def min_value(self):
         return min(v for _, v in self.points)
@@ -207,9 +159,13 @@ class PLPath:
             t1 = self.t_end
         if t0 == t1:
             return 0 * self.points[0][1]
-        p = self.restrict(t0, t1)
+        if not self.t_start <= t0 < t1 <= self.t_end:
+            raise ValidationError("cannot integrate a path on [%s, %s] over "
+                                  "[%s, %s]" % (self.t_start, self.t_end, t0, t1))
+        ts = [t0, *(t for t, _ in self.points if t0 < t < t1), t1]
+        vs = self.values_at(ts)
         total = 0
-        for a, va, b, vb in p.pieces():
+        for a, b, va, vb in zip(ts, ts[1:], vs, vs[1:]):
             total = total + (va + vb) * (b - a) / 2
         return total
 

@@ -344,7 +344,7 @@ def parse_timeline(obj, where="timeline"):
 
 
 def _serialize_path(path, t0, t1):
-    pts = path.points if hasattr(path, "points") else path
+    pts = path.points
     if len(pts) == 2 and pts[0][1] == pts[1][1] \
             and (pts[0][0], pts[1][0]) == (t0, t1):
         return format_action(pts[0][1])

@@ -138,6 +138,12 @@ def test_sigma_profile_palindrome():
         SigmaProfile([1, 2])
 
 
+@pytest.mark.parametrize("rank", [None, True, 1.0, "1", -1])
+def test_betti_profile_rejects_non_integer_ranks(rank):
+    with pytest.raises(ValidationError, match="non-negative integers"):
+        theorem_bound(["5", "inf", "5"], [rank, 0, 1], "inf", 1)
+
+
 def test_two_cluster_long_bars():
     rng = random.Random(99)
     fields = [FP(2), FP(5), QQ]

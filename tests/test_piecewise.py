@@ -78,16 +78,6 @@ def test_algebra():
         p - 2
 
 
-def test_restrict():
-    p = _path()
-    r = p.restrict(q(1, 4), q(3, 4))
-    assert (r.t_start, r.t_end) == (q(1, 4), q(3, 4))
-    assert r.value(q(1, 2)) == 1
-    assert r.breakpoint_times() == [q(1, 4), q(1, 2), q(3, 4)]
-    with pytest.raises(ValidationError):
-        p.restrict(q(1, 2), 2)
-
-
 def test_breakpoints():
     p = _path()
     assert p.breakpoint_times() == [0, q(1, 2), 1]
@@ -114,20 +104,40 @@ def test_integral_additive(p, data):
     assert p.integral(a, b) + p.integral(b, c) == p.integral(a, c)
 
 
+@st.composite
+def path_pair(draw):
+    """Two paths on one interval, each with its own interior breakpoints."""
+    lo, hi = draw(st.lists(st.fractions(0, 4, max_denominator=8), min_size=2,
+                           max_size=2, unique=True).map(sorted))
+    inner = st.lists(st.fractions(lo, hi, max_denominator=16), max_size=4)
+    return tuple(PLPath([(t, draw(values))
+                         for t in sorted({lo, hi, *draw(inner)})])
+                 for _ in range(2))
+
+
 @settings(max_examples=100)
-@given(paths(), paths())
-def test_difference_pointwise(p1, p2):
-    lo = max(p1.t_start, p2.t_start)
-    hi = min(p1.t_end, p2.t_end)
-    if not lo < hi:
-        return
-    r1, r2 = p1.restrict(lo, hi), p2.restrict(lo, hi)
-    d = r1 - r2
-    ts = merge_times(r1.breakpoint_times(), r2.breakpoint_times())
+@given(path_pair())
+def test_difference_pointwise(pair):
+    p1, p2 = pair
+    d = p1 - p2
+    ts = merge_times(p1.breakpoint_times(), p2.breakpoint_times())
     assert d.breakpoint_times() == ts
     for t in ts:
         assert d.value(t) == p1.value(t) - p2.value(t)
-    assert d.min_value() >= r1.min_value() - max(v for _, v in r2.points)
+    assert d.min_value() >= p1.min_value() - max(v for _, v in p2.points)
+
+
+def test_integral_bounds():
+    p = _path()
+    for t0, t1 in ((q(3, 4), q(1, 4)), (-1, q(1, 2)), (q(1, 2), 2), (-2, -1)):
+        with pytest.raises(ValidationError):
+            p.integral(t0, t1)
+    # zero width gives a zero of the path's value type, even off the domain
+    for path, zero in ((p, Fraction(0)), (PLPath([(0, 1.5), (1, 2.0)]), 0.0),
+                       (PLPath([(0.0, 1.5), (1.0, 2.0)]), 0.0)):
+        for t in (q(1, 2), 5):
+            got = path.integral(t, t)
+            assert got == zero and type(got) is type(zero)
 
 
 @settings(max_examples=100)
