@@ -4,9 +4,11 @@ A :class:`PLPath` is a continuous piecewise-linear function given by its
 breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
 differences, integrals, zero-crossings) is exact; floats serve the
 measured-profile mode of the displacement layer.  ``values_at``, on integer
-numerators and denominators for an exact path, is the one evaluator: segment
-replay, the drift speed audit, ``value``, differences and integrals read it.
-Only ``zeros`` keeps the textbook expressions, as the tests' reference.
+numerators and denominators for an exact path, is the one evaluator here:
+the drift speed audit, ``value``, differences and integrals read it, and
+segment replay calls it for a path that lacks some of its segment's
+breakpoints (it interpolates its samples from its own grid values).  Only
+``zeros`` keeps the textbook expressions, as the tests' reference.
 """
 
 from fractions import Fraction
@@ -77,7 +79,8 @@ class PLPath:
         rise and run are computed once and a time t inside the piece from
         (t0, v0) has the value v0 + rise * (t - t0) / run.  A time outside
         the domain, or before the piece of an earlier time, raises
-        :class:`ValidationError`.
+        :class:`ValidationError`.  Segment replay calls it only at its
+        grid times, for a path that lacks some of them.
         """
         pts = self.points
         last = len(pts) - 1

@@ -35,6 +35,8 @@ def loads(text, source="<input>"):
         raise ParseError(exc.msg,
                          where="%s line %d column %d"
                          % (source, exc.lineno, exc.colno)) from None
+    except ValueError as exc:  # an integer literal longer than int() reads
+        raise ParseError(str(exc), where=source) from None
 
 
 def _obj(value, where, required=(), optional=()):
@@ -231,8 +233,10 @@ def parse_augmentation(obj, field, where="augmentation"):
 # timelines
 # ---------------------------------------------------------------------------
 
-def _path_spec(value, where):
-    """A rational constant or a [[t, v], ...] polyline."""
+def _path_spec(value, where, times):
+    """A rational constant or a [[t, v], ...] polyline.  ``times`` maps each
+    knot-time string read so far in the item to its value, so the item's
+    paths read a time once and share it."""
     if isinstance(value, list):
         pts = []
         for i, pair in enumerate(value):
@@ -240,8 +244,14 @@ def _path_spec(value, where):
             pair = _list(pair, pw)
             if len(pair) != 2:
                 raise ParseError("expected [t, value]", pw)
-            pts.append((_action(pair[0], pw + "[0]"),
-                        _action(pair[1], pw + "[1]")))
+            t = pair[0]
+            if type(t) is str:
+                if t not in times:
+                    times[t] = _action(t, pw + "[0]")
+                t = times[t]
+            else:
+                t = _action(t, pw + "[0]")
+            pts.append((t, _action(pair[1], pw + "[1]")))
         return pts
     return _action(value, where)
 
@@ -310,7 +320,8 @@ def parse_timeline_item(item, where):
         actions = item["actions"]
         if not isinstance(actions, dict):
             raise ParseError("expected an object", where + ".actions")
-        paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid))
+        times = {}
+        paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid), times)
                  for gid, p in actions.items()}
         wa = item.get("window_a")
         wb = item.get("window_b")
@@ -318,9 +329,10 @@ def parse_timeline_item(item, where):
             _action(item["t0"], where + ".t0"),
             _action(item["t1"], where + ".t1"),
             paths,
-            None if wa is None else _path_spec(wa, where + ".window_a"),
+            None if wa is None else _path_spec(wa, where + ".window_a", times),
             None if wb is None else (
-                INF if wb == "inf" else _path_spec(wb, where + ".window_b")))
+                INF if wb == "inf"
+                else _path_spec(wb, where + ".window_b", times)))
     if not isinstance(kind, str) or kind not in _EVENT_ITEMS:
         raise ParseError("unknown timeline item type %r" % (kind,),
                          where + ".type")

@@ -543,16 +543,15 @@ class FamilyTrace:
         self.events = []
         self._order = None  # the last sample's (degree, action, id) order
 
-    def add_sample(self, t, actions, window, frame):
+    def add_sample(self, t, actions, window, frame, keys):
+        """Append a sample; ``keys`` holds (degree, numerator, id) for each
+        generator, every action over one positive denominator."""
         field, degrees, diff = frame
-        # (degree, action, id) order on ints: every action over the lcm of
-        # the denominators.  It gives the (action, id) pairs (see _reduce)
-        # and changes only where two generators of one degree cross, so
-        # while it and the frame stand the last sample's pairing stands too
-        ratios = [(gid, a.as_integer_ratio()) for gid, a in actions.items()]
-        lcm = math.lcm(*[d for _, (_, d) in ratios])
-        order = [gid for *_, gid in sorted([(degrees[gid], n * (lcm // d), gid)
-                                            for gid, (n, d) in ratios])]
+        # the (degree, action, id) order gives the (action, id) pairs (see
+        # _reduce) and changes only where two generators of one degree
+        # cross, so while it and the frame stand the last sample's pairing
+        # stands too
+        order = [gid for *_, gid in sorted(keys)]
         last = self.samples[-1] if self.samples else None
         if last and last.frame is frame and order == self._order:
             pairs = last.pairs
@@ -607,7 +606,13 @@ class _State:
                 {src: dict(row) for src, row in self.diff.items()})
 
     def add_sample(self, trace, t, frame):
-        trace.add_sample(t, dict(self.actions), (self.a, self.b), frame)
+        # every action over the lcm of the denominators
+        ratios = [(gid, a.as_integer_ratio())
+                  for gid, a in self.actions.items()]
+        lcm = math.lcm(*[d for _, (_, d) in ratios])
+        keys = [(frame[1][gid], n * (lcm // d), gid)
+                for gid, (n, d) in ratios]
+        trace.add_sample(t, dict(self.actions), (self.a, self.b), frame, keys)
 
 
 def simulate(initial, timeline):
@@ -717,23 +722,27 @@ def _run_segment(trace, state, seg, entering_event=None):
     cols = [paths[gid] for gid in ids] + edges
 
     # 2. one grid per segment: the breakpoints of every path and window
-    # edge.  Each is evaluated there once, and at grid time k every value is
-    # put over the lcm L[k] of their denominators: paths, pair differences
-    # and gaps become int arrays, affine between grid times.  The verdicts
-    # below read only these ints; a Fraction is built only for a crossing
-    # time or a witness.
+    # edge.  Each is read there once (a path with as many breakpoints as the
+    # grid has exactly its times, so its values are its breakpoints'), and
+    # at grid time k every value is put over the lcm L[k] of their
+    # denominators: paths, pair differences and gaps become int arrays,
+    # affine between grid times.  The verdicts and the samples below read
+    # only these ints; a Fraction is built only for a crossing time, a
+    # witness or a sample's values.
     grid = merge_times(*[p.breakpoint_times() for p in cols])
-    on_grid = [p.values_at(grid) for p in cols]
+    on_grid = [[v for _, v in p.points] if len(p.points) == len(grid)
+               else p.values_at(grid) for p in cols]
     L = [math.lcm(*[v.denominator for v in vs]) for vs in zip(*on_grid)]
     ints = [[v.numerator * (m // v.denominator) for v, m in zip(vs, L)]
             for vs in on_grid]
     at = dict(zip(ids, ints))
     last = len(grid) - 1
+    grid_ratios = [t.as_integer_ratio() for t in grid]
 
     def root(k, x0, x1):
         # the zero on [grid[k], grid[k+1]] of the affine function with
         # values x0 / L[k] and x1 / L[k+1] at its ends (which differ)
-        (a, b), (c, e) = map(Fraction.as_integer_ratio, grid[k:k + 2])
+        (a, b), (c, e) = grid_ratios[k:k + 2]
         y0, y1 = x0 * L[k + 1], x1 * L[k]
         return Fraction(c * b * y0 - a * e * y1, b * e * (y0 - y1))
 
@@ -825,25 +834,39 @@ def _run_segment(trace, state, seg, entering_event=None):
                 pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
-    # in particular just after an event at t0 and just before one at t1
-    rs = [t.as_integer_ratio() for t in critical]
-    times = [Fraction(a * e + b * d, 2 * d * e)
-             for (a, d), (b, e) in zip(rs, rs[1:])]
-    mids = {gid: paths[gid].values_at(times) for gid in ids}
-    acts = [{gid: vs[k] for gid, vs in mids.items()} for k in range(len(times))]
-    tops = [INF] * len(times) if b_path == INF else b_path.values_at(times)
-    wins = list(zip(a_path.values_at(times), tops))
+    # in particular just after an event at t0 and just before one at t1.
+    # The stretch after critical time (k, ...) lies in grid interval k, where
+    # every path and edge is affine: at the midpoint s its value is
+    # (u·x0 + v·x1) / D from its grid ints x0, x1 at k and k + 1, with the
+    # weights u, v and the denominator D > 0 shared by the whole sample.
     # ids, degrees and ∂² need no complex here: the initial one was
     # validated, and each event's ``apply`` checks what it changes
     frame = state.frame()
-    for a, b in wins:  # the gap checks cover this unless no generator is left
-        if not a < b:
-            raise ValidationError("empty window [%s, %s)" % (a, b))
+    degrees = frame[1]
     first = len(trace.samples)
-    for t, act, win in zip(times, acts, wins):
-        trace.add_sample(t, act, win, frame)
+    rs = [t.as_integer_ratio() for t in critical]
+    for (k, *_), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
+        n, m = a * e + b * d, 2 * d * e  # s = n / m
+        (p, q), (r, w) = grid_ratios[k:k + 2]
+        u = (r * m - n * w) * q * L[k + 1]
+        v = (n * q - p * m) * w * L[k]
+        D = m * (r * q - p * w) * L[k] * L[k + 1]
+        nums = {gid: u * x[k] + v * x[k + 1] for gid, x in at.items()}
+        lo = u * bottom[k] + v * bottom[k + 1]
+        if b_path == INF:
+            win = (Fraction(lo, D), INF)
+        else:
+            hi = u * top[k] + v * top[k + 1]
+            win = (Fraction(lo, D), Fraction(hi, D))
+            # the gap checks cover this unless no generator is left
+            if not lo < hi:
+                raise ValidationError("empty window [%s, %s)" % win)
+        trace.add_sample(Fraction(n, m),
+                         {gid: Fraction(x, D) for gid, x in nums.items()},
+                         win, frame,
+                         [(degrees[gid], x, gid) for gid, x in nums.items()])
     trace.segments.append(SegmentTrace(
-        frame[1], crossings, list(range(first, len(trace.samples))),
+        degrees, crossings, list(range(first, len(trace.samples))),
         critical, paths))
 
     # 6. advance the state to t1

@@ -196,9 +196,9 @@ def count_calls(monkeypatch, owner, name):
     positional arguments."""
     calls, inner = [], getattr(owner, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kw):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kw)
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls

@@ -263,6 +263,17 @@ def _crossing_family(path, seed=11, n=8, knots=6):
     return simulate(initial, [seg])
 
 
+def _cli(flags, argv, cwd):
+    """Run ``python [flags] -m chordbars argv`` on this checkout's library."""
+    env = dict(os.environ)
+    src = str(Path(chordbars.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + flags + ["-m", "chordbars"]
+                          + argv, cwd=cwd, env=env, capture_output=True,
+                          text=True)
+
+
 def test_optimized_mode_output_identical(fixture_dir):
     # ``python -O`` strips asserts; the CLI must not depend on them
     fx = str(fixture_dir)
@@ -282,17 +293,11 @@ def test_optimized_mode_output_identical(fixture_dir):
         ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],
         ["bound", "sigma.json", "betti.json", "--profile", "profile.csv"],
     ]
-    env = dict(os.environ)
-    src = str(Path(chordbars.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     vine = fixture_dir / "vine.csv"
     for argv in commands:
         runs = []
         for flags in ([], ["-O"]):
-            proc = subprocess.run([sys.executable] + flags
-                                  + ["-m", "chordbars"] + argv, cwd=fx,
-                                  env=env, capture_output=True, text=True)
+            proc = _cli(flags, argv, fx)
             # the vineyard CSV is compared byte for byte too
             runs.append((proc, vine.read_bytes() if "--vineyard" in argv
                          else None))
@@ -301,6 +306,36 @@ def test_optimized_mode_output_identical(fixture_dir):
         assert (optimized.returncode, optimized.stdout, optimized_csv) == \
             (plain.returncode, plain.stdout, plain_csv), argv
     assert vine.read_text().startswith("t,bar_id,start,end\n")
+
+
+def test_overlong_numbers_exit_two(fixture_dir):
+    # a value with more digits than int() reads or str() prints is a parse
+    # error at its JSON path: an exponent string read by Fraction's parser,
+    # in a complex action or a timeline t0, or a bare JSON integer literal
+    cases = []
+    for name, edit, argv, where in [
+            ("demo_complex.json", ("generators", 0, "action"), "barcode",
+             "bad.json.generators[0].action"),
+            ("demo_timeline.json", ("items", 0, "t0"), "simulate",
+             "bad.json.items[0].t0")]:
+        for value in ("1e5000", "1e-5000"):
+            doc = json.loads((fixture_dir / name).read_text())
+            *keys, last = edit
+            node = doc
+            for key in keys:
+                node = node[key]
+            node[last] = value
+            cases.append((json.dumps(doc), argv, where))
+    cases.append(('{"field": "Q", "window": ["0", "inf"], "generators": '
+                  '[{"id": "x", "action": 1%s, "degree": 0}]}' % ("0" * 5000),
+                  "barcode", "bad.json"))
+    for text, argv, where in cases:
+        (fixture_dir / "bad.json").write_text(text)
+        for flags in ([], ["-O"]):
+            proc = _cli(flags, [argv, "bad.json"], str(fixture_dir))
+            assert proc.returncode == 2, (argv, where, proc.stderr)
+            assert "(at %s)" % where in proc.stderr
+            assert "Traceback" not in proc.stderr
 
 
 _JUNK = (None, True, 1.5, "", "1/0", "inf", [], {}, 10 ** 30)

@@ -1,6 +1,7 @@
 """Filtered complexes: construction invariants, windows, boundaries."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,23 @@ def test_as_action_reads_strings_as_fraction_does(text):
     else:
         got = as_action(text)
         assert type(got) is Fraction and got == want
+
+
+def test_as_action_refuses_values_str_cannot_print():
+    # Fraction's parser reads an exponent into as many digits as it says;
+    # more than int() reads or str() prints is refused, and an exponent over
+    # three times that limit before its power of ten is computed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no digit limit set")
+    for text in ("1e%d" % (limit - 1), "1e-%d" % (limit - 1),
+                 "0.5e%d" % limit, "0e%d" % (2 * limit)):
+        assert as_action(text) == Fraction(text)
+    for text in ("1e%d" % limit, "1e-%d" % limit, "0e%d" % (3 * limit + 1),
+                 "1e%d" % (3 * limit + 1)):
+        with pytest.raises(ValidationError) as info:
+            as_action(text)
+        assert str(info.value) == "cannot read action value %r" % (text,)
 
 
 def test_degrees_are_integers():

@@ -15,9 +15,9 @@ import random
 
 import pytest
 
-from chordbars import (F2, FP, QQ, DriftSegment, barcode_of, canonical_form,
-                       check_transitions, random_timeline, simulate,
-                       timelines, vineyard_rows)
+from chordbars import (F2, FP, INF, QQ, DriftSegment, PLPath, barcode_of,
+                       canonical_form, check_transitions, random_timeline,
+                       schemas, simulate, timelines, vineyard_rows)
 from chordbars.schemas import vineyard_csv
 
 from support import count_calls
@@ -26,12 +26,16 @@ FIELDS = [F2, FP(5), QQ]
 COUNT = 100
 
 
-def _replays():
+def _timelines():
     # the seeds and fields of the acceptance set (tests/test_acceptance.py)
     for i in range(COUNT):
         rng = random.Random(30_000 + i)
-        initial, items = random_timeline(rng, FIELDS[i % 3],
-                                         max_generators=12, max_events=10)
+        yield random_timeline(rng, FIELDS[i % 3], max_generators=12,
+                              max_events=10)
+
+
+def _replays():
+    for initial, items in _timelines():
         yield items, simulate(initial, items)
 
 
@@ -62,19 +66,25 @@ def test_replay_outputs_are_pinned(replays):
 
 def test_replay_counts_are_pinned(monkeypatch):
     # samples, critical times, crossings, segments and events over the 100
-    # timelines, recorded before segment replay moved to one integer grid,
-    # and the reductions replay runs: a sample keeps the last one's pairing
-    # while the frame and every degree's (action, id) order stand
+    # timelines, recorded before segment replay moved to one integer grid;
+    # the reductions replay runs: a sample keeps the last one's pairing
+    # while the frame and every degree's (action, id) order stand; and, for
+    # the timelines read from their JSON documents, the values read (a drift
+    # item reads each knot-time string once) and the paths evaluated (only
+    # a path off its segment's full grid, none here, and never at a sample)
+    docs = [schemas.serialize_timeline(*t) for t in _timelines()]
     reductions = count_calls(monkeypatch, timelines, "_reduce")
-    traces = [trace for _items, trace in _replays()]
+    reads = count_calls(monkeypatch, schemas, "_action")
+    evaluations = count_calls(monkeypatch, PLPath, "values_at")
+    traces = [simulate(*schemas.parse_timeline(doc)) for doc in docs]
     segments = [st for trace in traces for st in trace.segments]
     assert (sum(len(trace.samples) for trace in traces),
             sum(len(st.critical) for st in segments),
             sum(len(st.crossings) for st in segments),
             len(segments),
             sum(len(trace.events) for trace in traces),
-            len(reductions)) == \
-        (3841, 4351, 3051, 710, 529, 1665)
+            len(reductions), len(reads), len(evaluations)) == \
+        (3841, 4351, 3051, 710, 529, 1665, 10634, 0)
 
 
 def test_samples_rebuild_complex_pairing_and_barcode(replays):
@@ -106,12 +116,17 @@ def test_segment_frames_are_valid_complexes(replays):
 
 def test_midpoint_actions_are_path_values(replays):
     # each sample sits at the midpoint of two consecutive critical times and
-    # carries the paths' values there; critical_actions(k) evaluates them
-    # at critical time k
+    # carries the paths' and window edges' values there (a segment without
+    # an edge path keeps the incoming edge); critical_actions(k) evaluates
+    # the paths at critical time k
     for items, trace in replays:
         drifts = [it for it in items if isinstance(it, DriftSegment)]
         assert len(drifts) == len(trace.segments)
+        a, b = trace.samples[0].window
         for seg, st in zip(drifts, trace.segments):
+            wa = seg.window_a or PLPath.constant(a, seg.t0, seg.t1)
+            wb = seg.window_b or (INF if b == INF
+                                  else PLPath.constant(b, seg.t0, seg.t1))
             assert (st.critical[0], st.critical[-1]) == (seg.t0, seg.t1)
             assert set(st.crossings) <= set(st.critical)
             assert len(st.critical) == len(st.sample_indices) + 1
@@ -123,6 +138,9 @@ def test_midpoint_actions_are_path_values(replays):
                 assert s.t == (st.critical[k] + st.critical[k + 1]) / 2
                 assert s.actions == {gid: p.value(s.t)
                                      for gid, p in seg.actions.items()}
+                assert s.window == (wa.value(s.t),
+                                    INF if wb == INF else wb.value(s.t))
+            a, b = wa.end_value, INF if wb == INF else wb.end_value
 
 
 def test_event_records_name_the_neighbouring_samples(replays):

@@ -12,6 +12,8 @@ from chordbars.schemas import (barcode_json, dumps, loads, parse_complex,
                                serialize_complex, serialize_dga,
                                serialize_timeline, vineyard_csv)
 
+from support import count_calls
+
 q = Fraction
 
 _COMPLEX_DOC = {
@@ -218,6 +220,39 @@ def test_item_field_errors_carry_json_paths(index, key, value, message,
         parse_timeline(doc)
     assert str(info.value) == "%s (at timeline.items[%d]%s)" % (
         message, index, where)
+
+
+def test_knot_times_are_read_once_per_item(monkeypatch):
+    # a drift item reads each distinct knot-time string once: its paths,
+    # the window edges too, share the Fraction; t0 and t1 are read as ever
+    from chordbars import schemas
+    item = {"type": "drift", "t0": "0", "t1": "1",
+            "actions": {"a": [["0", "1"], ["1/2", "2"], ["1", "1"]],
+                        "b": [["0", "3"], ["1/3", "4"], ["1", "3"]],
+                        "c": "5"},
+            "window_a": [["0", "0"], ["1/3", "0"], ["1", "1/2"]]}
+    calls = count_calls(monkeypatch, schemas, "_action")
+    seg = schemas.parse_timeline_item(item, "x")
+    knots = [where for _value, where in calls if where.endswith("][0]")]
+    assert len(knots) == len({"0", "1/2", "1", "1/3"})
+    paths = [seg.actions["a"], seg.actions["b"], seg.window_a]
+    assert paths[0].points[0][0] is paths[1].points[0][0] \
+        is paths[2].points[0][0]
+    assert paths[1].points[1][0] is paths[2].points[1][0]
+    assert paths[0].points[-1][0] is paths[1].points[-1][0]
+    # a bad knot in a later path raises at that path's JSON path
+    bad = dict(item, actions=dict(item["actions"],
+                                  c=[["0", "5"], ["1/2x", "5"], ["1", "5"]]))
+    with pytest.raises(ParseError) as info:
+        schemas.parse_timeline_item(bad, "x")
+    assert str(info.value).endswith("(at x.actions['c'][1][0])")
+    # only a string is looked up: true and 1.0 are refused after "1" and 1
+    for knot in (True, 1.0):
+        bad = dict(item, actions=dict(item["actions"],
+                                      c=[[0, "5"], [1, "5"], [knot, "5"]]))
+        with pytest.raises(ParseError) as info:
+            schemas.parse_timeline_item(bad, "x")
+        assert str(info.value).endswith("(at x.actions['c'][2][0])")
 
 
 def test_barcode_json_shape():

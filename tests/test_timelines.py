@@ -438,8 +438,10 @@ def test_a_new_frame_is_reduced_afresh():
     trace = timelines.FamilyTrace(F2)
     actions, window = {"x": q(1), "g": q(2)}, (q(0), INF)
     degrees = {"x": 0, "g": 1}
-    trace.add_sample(q(0), actions, window, (F2, degrees, {"g": {"x": 1}}))
-    trace.add_sample(q(1), actions, window, (F2, degrees, {}))
+    keys = [(0, 1, "x"), (1, 2, "g")]
+    trace.add_sample(q(0), actions, window, (F2, degrees, {"g": {"x": 1}}),
+                     keys)
+    trace.add_sample(q(1), actions, window, (F2, degrees, {}), keys)
     assert [s.pairs for s in trace.samples] == [
         {("x", "g")}, {("x", None), ("g", None)}]
 
@@ -671,6 +673,30 @@ def test_segment_replay_matches_path_arithmetic(family):
         assert (type(exc), str(exc)) == (kind, want)
     else:
         assert kind is None and trace.segments[-1].crossings == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_families())
+def test_samples_carry_path_values_off_the_grid(family):
+    # paths and window edges on their own knots: each sample holds every
+    # path's value and both edges' values at its time, an infinite top kept
+    initial, items, _diff = family
+    try:
+        trace = simulate(initial, items)
+    except ChordbarsError:
+        return
+    top = initial.window[1]
+    segments = [it for it in items if isinstance(it, DriftSegment)]
+    for seg, st_ in zip(segments, trace.segments):
+        a = seg.window_a or PLPath.constant(q(0), seg.t0, seg.t1)
+        b = seg.window_b or (INF if top == INF
+                             else PLPath.constant(q(top), seg.t0, seg.t1))
+        for i in st_.sample_indices:
+            s = trace.samples[i]
+            assert s.actions == {gid: p.value(s.t)
+                                 for gid, p in seg.actions.items()}
+            assert s.window == (a.value(s.t),
+                                INF if b == INF else b.value(s.t))
 
 
 # ---------------------------------------------------------------------------
