@@ -52,9 +52,6 @@ class Bar:
     def length(self):
         return INF if self.is_infinite else self.end - self.start
 
-    def contains(self, level):
-        return self.start <= level and level < self.end
-
     @property
     def key(self):
         dk = (0, 0) if self.degree is None else (1, self.degree)
@@ -97,14 +94,6 @@ class Barcode:
 
     def __repr__(self):
         return "Barcode(%s)" % (list(self.bars),)
-
-    def persisting_count(self, level, start_below=None):
-        """Bars containing `level`, optionally restricted to start < start_below."""
-        n = 0
-        for b in self.bars:
-            if b.contains(level) and (start_below is None or b.start < start_below):
-                n += 1
-        return n
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,12 @@ HUMAN_FORMATS = ("table", "diagram")
 
 
 def _read_text(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text (%s)" % exc.reason,
+                         where=path) from None
 
 
 def _load_json(path):

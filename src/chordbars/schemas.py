@@ -37,6 +37,9 @@ def loads(text, source="<input>"):
                          % (source, exc.lineno, exc.colno)) from None
     except ValueError as exc:  # an integer literal longer than int() reads
         raise ParseError(str(exc), where=source) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply",
+                         where=source) from None
 
 
 def _obj(value, where, required=(), optional=()):

@@ -157,8 +157,20 @@ def inverse(M, field):
 
 
 # ---------------------------------------------------------------------------
-# persisting-count table by probes
+# persisting counts and the count table by probes
 # ---------------------------------------------------------------------------
+
+def contains(bar, level):
+    """Whether ``level`` lies in the half-open bar [start, end)."""
+    return bar.start <= level < bar.end
+
+
+def persisting_count(B, level, start_below=None):
+    """Bars of ``B`` containing ``level``, optionally only those that start
+    below ``start_below``."""
+    return sum(1 for b in B.bars if contains(b, level)
+               and (start_below is None or b.start < start_below))
+
 
 def extract_table_by_probes(B):
     """The count table by its first definition: a probe sits halfway between
@@ -174,7 +186,7 @@ def extract_table_by_probes(B):
     for b in B.bars:
         j = crit.index(b.start)
         for i in range(j, k):
-            if b.contains(probes[i]):
+            if contains(b, probes[i]):
                 table[j][i] += 1
     return crit, table
 

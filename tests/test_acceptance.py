@@ -24,7 +24,8 @@ from chordbars.barcodes import barcode_definitional
 from chordbars.errors import SearchBudgetExceeded, WindowTooWide
 from chordbars.linalg import matmul, zeros
 
-from support import bars_as_tuples, identity, inverse, rank_phi, record
+from support import (bars_as_tuples, identity, inverse, persisting_count,
+                     rank_phi, record)
 
 q = Fraction
 F5 = FP(5)
@@ -140,7 +141,7 @@ def test_invariance_and_rank_identity():
         probes = [levels[0] - 1] + [v + q(1, 8) for v in levels]
         pairs = [(c, s) for c in probes[:3] for s in probes if s >= c]
         for c, s in pairs[:6]:
-            if B.persisting_count(s, start_below=c) != \
+            if persisting_count(B, s, start_below=c) != \
                     rank_phi(cx, c, s + q(1, 16)):
                 rank_failures += 1
     record("barcode invariance under triangular conjugation (200 cases)",

@@ -19,7 +19,8 @@ from chordbars.barcodes import barcode_csv_rows, barcode_diagram_lines
 from chordbars.errors import (EngineMismatch, InconsistentTable,
                               ValidationError)
 
-from support import bars_as_tuples, extract_table_by_probes, rank_phi
+from support import (bars_as_tuples, extract_table_by_probes,
+                     persisting_count, rank_phi)
 
 q = Fraction
 FIELDS = [F2, FP(5), QQ]
@@ -242,11 +243,11 @@ def test_barcode_equality_is_multiset_equality():
 def test_persisting_counts():
     cx = _crossing_fixture(F2, {"x1": 1, "x2": 1}, {"x1": 1})
     B = barcode_of(cx)  # bars [0, 2) and [1/2, 1)
-    assert B.persisting_count(q(3, 4)) == 2
-    assert B.persisting_count(q(3, 2)) == 1
-    assert B.persisting_count(q(3, 4), start_below=q(1, 4)) == 1
-    assert B.persisting_count(0) == 1       # [0, 2) contains its start
-    assert B.persisting_count(1) == 1       # [1/2, 1) is half-open
+    assert persisting_count(B, q(3, 4)) == 2
+    assert persisting_count(B, q(3, 2)) == 1
+    assert persisting_count(B, q(3, 4), start_below=q(1, 4)) == 1
+    assert persisting_count(B, 0) == 1       # [0, 2) contains its start
+    assert persisting_count(B, 1) == 1       # [1/2, 1) is half-open
 
 
 def test_persisting_count_matches_rank_oracle():
@@ -265,7 +266,7 @@ def test_persisting_count_matches_rank_oracle():
                     continue
                 # bars with start < c alive at s: rank of the induced map
                 expected = rank_phi(cx, c, s + q(1, 16))
-                got = B.persisting_count(s, start_below=c)
+                got = persisting_count(B, s, start_below=c)
                 assert got == expected, (seed, c, s)
 
 

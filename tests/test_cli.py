@@ -418,3 +418,67 @@ def test_exit_contract_under_mutated_fixtures(fixture_dir, capsys):
                 pytest.fail("%s on %s raised %r" % (argv[0], text, exc))
             capsys.readouterr()
             assert code in (0, 1, 2), (argv[0], text, code)
+
+
+def test_undecodable_and_deeply_nested_files_exit_two(fixture_dir):
+    # bytes that are not UTF-8 and nesting past the interpreter's recursion
+    # limit are parse errors at the file, not tracebacks
+    (fixture_dir / "bom.json").write_bytes(b"\xff\xfe{")
+    (fixture_dir / "deep.json").write_bytes(b"[" * 50000)
+    (fixture_dir / "bad.csv").write_bytes(b"t,max,min\n0,1,\xff\n")
+    cases = [
+        (["barcode", "bom.json"], "bom.json"),
+        (["barcode", "deep.json"], "deep.json"),
+        (["simulate", "deep.json"], "deep.json"),
+        (["validate", "deep.json"], "deep.json"),
+        (["bound", "sigma.json", "betti.json", "--profile", "bad.csv"],
+         "bad.csv"),
+    ]
+    for argv, name in cases:
+        for flags in ([], ["-O"]):
+            proc = _cli(flags, argv, str(fixture_dir))
+            assert proc.returncode == 2, (argv, flags, proc.stderr)
+            assert "(at %s)" % name in proc.stderr, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+
+def test_exit_contract_under_byte_mutations(fixture_dir, capsys):
+    # truncated, bit-flipped, byte-inserted and bracket-wrapped files end in
+    # exit 0, 1 or 2 with nothing escaping main()
+    fx = str(fixture_dir)
+    mutated = str(fixture_dir / "mutated")
+    cases = [
+        ("demo_complex.json", ["barcode", mutated, "--engine", "both"]),
+        ("demo_timeline.json", ["simulate", mutated]),
+        ("standard_unknot.dga.json", ["validate", mutated]),
+        ("two_copy.augmentation.json", ["linearize",
+                                        fx + "/two_copy.dga.json", mutated,
+                                        "--window", "9", "12"]),
+        ("betti.json", ["bound", fx + "/sigma.json", mutated,
+                        "--oscillation", "49/10"]),
+        ("profile.csv", ["bound", fx + "/sigma.json", fx + "/betti.json",
+                         "--profile", mutated]),
+    ]
+    rng = random.Random(20261019)
+    for name, argv in cases:
+        data = (fixture_dir / name).read_bytes()
+        for i in range(40):
+            k = rng.randrange(len(data))
+            if i % 4 == 0:
+                text = data[:k]
+            elif i % 4 == 1:
+                text = (data[:k] + bytes([data[k] ^ 1 << rng.randrange(8)])
+                        + data[k + 1:])
+            elif i % 4 == 2:
+                text = data[:k] + bytes([rng.randrange(256)]) + data[k:]
+            else:
+                n = rng.choice([1, 100, 900, 1000, 5000])
+                text = b"[" * n + data + b"]" * n
+            with open(mutated, "wb") as fh:
+                fh.write(text)
+            try:
+                code = main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail("%s on %r raised %r" % (argv[0], text, exc))
+            capsys.readouterr()
+            assert code in (0, 1, 2), (argv[0], text, code)

@@ -1,5 +1,6 @@
 """One-parameter families: simulation, transition rules, audits."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        EntryAbove, EntryBelow, ExitAbove, ExitBelow,
                        FilteredComplex, HandleSlide, PLPath,
                        canonical_form, check_transitions, drift_speed_audit, random_timeline,
-                       simulate, timelines, vineyard_rows)
+                       schemas, simulate, timelines, vineyard_rows)
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               ChordbarsError, EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
@@ -502,6 +503,176 @@ def test_entry_feasibility_audit():
                        if e.kind == "entry-feasible"]
             assert [(e.subject, e.span, e.ok, e.detail) for e in entries] == [
                 (ev.gid, 1, not detail, detail)]
+
+
+T = q(1, 2)
+_PAIR = _pair_complex()
+_PAIR4 = _pair_complex(window=(0, 4))
+_REFUSALS = [
+    (_PAIR, HandleSlide(T, "c", {"b": 1}, unit=0), EventPreconditionViolated,
+     "slide unit must be nonzero"),
+    (_PAIR, HandleSlide(T, "c", {"c": 1}), EventPreconditionViolated,
+     "slide addend may not contain the target"),
+    (_PAIR, HandleSlide(T, "z", {"b": 1}), EventPreconditionViolated,
+     "slide target 'z' not present"),
+    (_PAIR, HandleSlide(T, "c", {"z": 1}), EventPreconditionViolated,
+     "slide addend id 'z' not present"),
+    (_PAIR, HandleSlide(T, "c", {"a": 1}), EventPreconditionViolated,
+     "slide addend 'a' has degree 0, target has 1"),
+    (_PAIR, Birth(T, ("a", 1), ("v", 0), 3), EventPreconditionViolated,
+     "birth id 'a' already in use"),
+    (_PAIR, Birth(T, ("u", 1), ("u", 0), 3), EventPreconditionViolated,
+     "birth pair needs two distinct ids"),
+    (_PAIR, Birth(T, ("u", 2), ("v", 0), 3), EventPreconditionViolated,
+     "birth pair degrees must differ by one (x one above y)"),
+    (_PAIR4, Birth(T, ("u", 1), ("v", 0), 5), EventPreconditionViolated,
+     "birth action 5 outside window [0, 4) at t = 1/2"),
+    (_PAIR, Death(T, "b", "z"), EventPreconditionViolated,
+     "death pair ('b', 'z') not present"),
+    (_PAIR, Death(T, "c", "a"), EventPreconditionViolated,
+     "death requires ∂c = unit·a exactly, got targets []"),
+    (FilteredComplex(F2, (0, INF), [("x", 1, 0), ("y", 2, 1), ("z", 3, 1)],
+                     {"y": {"x": 1}, "z": {"x": 1}}),
+     Death(T, "y", "x"), EventPreconditionViolated,
+     "death pair is not split: 'x' appears in the boundary of 'z'"),
+    (_PAIR, Death(T, "b", "a"), EventPreconditionViolated,
+     "death pair actions differ at t = 1/2: 3/2 vs 1"),
+    (_PAIR, ExitBelow(T, "z"), EventPreconditionViolated,
+     "exiting generator 'z' not present"),
+    (_PAIR, ExitBelow(T, "a"), EventPreconditionViolated,
+     "exit below requires action(a) = window bottom 0 at t = 1/2, got 1"),
+    (_PAIR, ExitAbove(T, "c"), EventPreconditionViolated,
+     "exit above needs a finite window top"),
+    (_PAIR4, ExitAbove(T, "z"), EventPreconditionViolated,
+     "exiting generator 'z' not present"),
+    (_PAIR4, ExitAbove(T, "c"), EventPreconditionViolated,
+     "exit above requires action(c) = window top 4 at t = 1/2, got 2"),
+    (_PAIR, EntryBelow(T, "a", 0), EventPreconditionViolated,
+     "entering id 'a' already in use"),
+    (_PAIR, EntryBelow(T, "g", 0, couplings={"z": 1}),
+     EventPreconditionViolated, "coupling id 'z' not present"),
+    (_PAIR, EntryBelow(T, "g", 0, couplings={"a": 1}),
+     EventPreconditionViolated,
+     "coupling 'a' must be one degree above the newcomer"),
+    (FilteredComplex(F2, (0, INF), [("z", 2, 1), ("w", 3, 2)],
+                     {"w": {"z": 1}}),
+     EntryBelow(T, "g", 0, couplings={"z": 1}), EventPreconditionViolated,
+     "couplings break ∂² = 0 (witness 'w')"),
+    (FilteredComplex(F2, (0, INF), [("x", 0, 0)], {}),
+     EntryBelow(T, "g", 0), NonGenericCrossing,
+     "entry at the bottom collides with a generator at action 0"),
+    (_PAIR, EntryAbove(T, "v", 1), EventPreconditionViolated,
+     "entry above needs a finite window top"),
+    (_PAIR4, EntryAbove(T, "b", 1), EventPreconditionViolated,
+     "entering id 'b' already in use"),
+    (_PAIR4, EntryAbove(T, "v", 1, boundary={"z": 1}),
+     EventPreconditionViolated, "boundary id 'z' not present"),
+    (_PAIR4, EntryAbove(T, "v", 2, boundary={"a": 1}),
+     EventPreconditionViolated,
+     "boundary of the newcomer must live one degree down"),
+    (_PAIR4, EntryAbove(T, "v", 2, boundary={"b": 1}),
+     EventPreconditionViolated, "entry boundary is not a cycle (witness 'a')"),
+]
+
+
+def test_event_refusals_name_what_they_refuse():
+    # each event refuses a state its rule does not fit, at the event and
+    # before any later item; the message names the ids and time at fault
+    for cx, event, error, message in _REFUSALS:
+        hold = DriftSegment(0, T, {g.id: g.action for g in cx.generators})
+        with pytest.raises(error) as info:
+            simulate(cx, [hold, event, DriftSegment(T, 1, {})])
+        assert type(info.value) is error and str(info.value) == message, \
+            (event.kind, str(info.value))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_event_protocol_is_apply_and_admissible():
+    # a new kind is one SingularEvent subclass plus one schemas item row,
+    # and the class owns its rules through exactly two methods
+    kinds = {c.kind: c for c in _subclasses(SingularEvent)
+             if "kind" in vars(c)}
+    assert set(kinds) == set(schemas._EVENT_ITEMS)
+    for kind, (cls, _fields) in schemas._EVENT_ITEMS.items():
+        assert kinds[kind] is cls
+        methods = {name for c in cls.__mro__[:-1]
+                   for name, v in vars(c).items()
+                   if callable(v) and not name.startswith("_")}
+        assert methods == {"apply", "admissible"}, kind
+        assert cls.apply is not SingularEvent.apply, kind
+
+
+def _off_by(state, gid, inward):
+    """A copy of ``state`` with ``gid`` moved off its action by less than
+    half of any gap between distinct actions and finite window edges."""
+    values = sorted(set(state.actions.values())
+                    | {v for v in (state.a, state.b) if v != INF})
+    gaps = [v - u for u, v in zip(values, values[1:])]
+    step = min(gaps, default=2) / 2
+    moved = copy.copy(state)
+    moved.degrees = dict(state.degrees)
+    moved.actions = dict(state.actions)
+    moved.diff = {src: dict(row) for src, row in state.diff.items()}
+    moved.actions[gid] += step if inward else -step
+    return moved
+
+
+def _checked_apply(cls):
+    """``cls.apply`` wrapped in the action rules each event must keep."""
+    inner = cls.apply
+
+    def apply(ev, state):
+        if isinstance(ev, Death):
+            # the pair must sit at one action: a killer moved off is refused
+            with pytest.raises(EventPreconditionViolated):
+                inner(ev, _off_by(state, ev.x_id, True))
+        elif isinstance(ev, (ExitBelow, ExitAbove)):
+            with pytest.raises(EventPreconditionViolated):
+                inner(ev, _off_by(state, ev.gid, ev.edge == 0))
+        before = dict(state.actions)
+        inner(ev, state)
+        after, edges = state.actions, (state.a, state.b)
+        for gid in before.keys() & after.keys():
+            assert after[gid] == before[gid], (ev.kind, gid)
+        gone = before.keys() - after.keys()
+        new = after.keys() - before.keys()
+        if isinstance(ev, Birth):
+            assert (gone, new) == (set(), {ev.x_id, ev.y_id})
+            assert after[ev.x_id] == after[ev.y_id] == ev.common_action
+        elif isinstance(ev, Death):
+            assert (gone, new) == ({ev.x_id, ev.y_id}, set())
+            assert before[ev.x_id] == before[ev.y_id]
+        elif isinstance(ev, (ExitBelow, ExitAbove)):
+            assert (gone, new) == ({ev.gid}, set())
+            assert before[ev.gid] == edges[ev.edge]
+        elif isinstance(ev, (EntryBelow, EntryAbove)):
+            assert (gone, new) == (set(), {ev.gid})
+            assert after[ev.gid] == edges[ev.edge]
+        else:
+            assert (gone, new) == (set(), set())
+
+    return apply
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]))
+def test_event_apply_keeps_the_action_rules(seed, field):
+    # what check_transitions does not re-check at an event, apply enforces:
+    # shared generators keep their actions, newcomers sit where the rule
+    # puts them, leavers were on the edge or at one action; and the
+    # reduction always finds the bar the event acts on
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in schemas._EVENT_ITEMS.values():
+            mp.setattr(cls[0], "apply", _checked_apply(cls[0]))
+        trace = simulate(*random_timeline(random.Random(seed), field))
+    for rec in trace.events:
+        assert rec.event.admissible(trace.samples[rec.pre_sample].pairs)
+    assert check_transitions(trace).ok
 
 
 def test_random_timelines_all_pass():
