@@ -307,11 +307,8 @@ class ExitAbove(_WindowEdgeEvent):
                 "exit above requires action(%s) = window top %s at t = %s, "
                 "got %s" % (g, state.b, self.time, state.actions[g]))
         _check_no_tie(state, self.time)
-        for src, row in state.diff.items():
-            if g in row:
-                raise EventPreconditionViolated(
-                    "%r cannot exit above: it appears in the boundary of %r"
-                    % (g, src))
+        # nothing hits a generator on the (open) top edge: a source would
+        # need a strictly larger action, outside the window
         state.degrees.pop(g)
         state.actions.pop(g)
         state.diff.pop(g, None)
@@ -497,20 +494,9 @@ class SegmentTrace:
         return {gid: p.values_at(t)[0] for gid, p in self.paths.items()}
 
 
-class EventRecord:
-    """An applied event and the indices of the samples just before and
-    just after it."""
-
-    __slots__ = ("event", "pre_sample", "post_sample")
-
-    def __init__(self, event):
-        self.event = event
-        self.pre_sample = None  # set by simulate
-        self.post_sample = None
-
-
 class FamilyTrace:
-    """Output of :func:`simulate`: ordered samples plus event bookkeeping."""
+    """Output of :func:`simulate`: ordered samples, one
+    :class:`SegmentTrace` per drift segment and the applied events."""
 
     def __init__(self, field):
         self.field = field
@@ -622,8 +608,6 @@ def simulate(initial, timeline):
                 raise ValidationError(
                     "segment %d starts at %s but the family is at %s"
                     % (idx, item.t0, cursor))
-            if last_event is not None:
-                trace.events[-1].post_sample = len(trace.samples)
             _run_segment(trace, state, item, entering_event=last_event)
             cursor = item.t1
             last_event = None
@@ -635,8 +619,10 @@ def simulate(initial, timeline):
             if last_event is not None:
                 raise SimultaneousBifurcations(
                     "two singular events at t = %s" % item.time)
-            _apply_event(trace, state, item)
-            trace.events[-1].pre_sample = len(trace.samples) - 1
+            item.apply(state)
+            state.pending_gap_zero = set()
+            state.pending_top_zero = set()
+            trace.events.append(item)
             last_event = item
         else:
             raise ValidationError(
@@ -878,13 +864,6 @@ def _require_resolved(state, ev, gaps_ok=frozenset(), top_ok=frozenset()):
             "does not resolve it" % (sorted(stray)[0], ev.time, ev.kind))
 
 
-def _apply_event(trace, state, ev):
-    ev.apply(state)
-    state.pending_gap_zero = set()
-    state.pending_top_zero = set()
-    trace.events.append(EventRecord(ev))
-
-
 # ---------------------------------------------------------------------------
 # transition checking — expected barcode rules at each event
 # ---------------------------------------------------------------------------
@@ -916,13 +895,14 @@ class TransitionReport:
         return [e for e in self.entries if not e.ok]
 
 
-def _step_entry(s1, s2, t, st=None, k=None):
-    """Check two consecutive samples: across a crossing at t (critical time
-    k of segment ``st``) the bar values must match, elsewhere the pairing
+def _step_entry(s1, s2, t, crossing, st, k):
+    """Check the samples around critical time k of segment ``st``, reported
+    at t: across a crossing the bar values must match, elsewhere the pairing
     stays.  Pairs both samples share give the same bars, so only the others
-    count, and the actions at t are built only if some pair differs."""
+    count, and the actions at the crossing are built only if some pair
+    differs."""
     ok = s1.pairs == s2.pairs
-    if st is None:
+    if not crossing:
         return CheckEntry("continuity", t, ok,
                           "" if ok else "pairing changed without a crossing")
     if not ok:
@@ -936,64 +916,49 @@ def _step_entry(s1, s2, t, st=None, k=None):
 def check_transitions(trace):
     """Verify barcode continuity along segments and the jump rule at events.
 
-    At each event the post-event pairing, read from the reduction, must be
-    one of the transforms the event's ``admissible`` lists for the
-    pre-event pairing.  The actions at the event time need no check here:
-    the event's ``apply`` refused or wrote them.
+    One walk over each segment's critical times: critical time k lies
+    between the segment's samples k - 1 and k (the family's first and last
+    samples sit on its ends), and a later segment's first is the last of
+    the one before.  Along a segment and across an event-free boundary the
+    pairing stays, or keeps its bar values across a crossing; at the
+    family's ends only a crossing is checked.  At an event the post-event
+    pairing, read from the reduction, must be one of the transforms the
+    event's ``admissible`` lists for the pre-event pairing; the event's
+    ``apply`` refused or wrote the actions at its time.
 
-    Returns a :class:`TransitionReport`; nothing is raised for rule
-    failures, so a broken family can be inspected.
+    Entries along the segments come first, then those across event-free
+    boundaries, then the events'.  Nothing is raised for rule failures, so
+    a broken family can be inspected.
     """
-    entries = []
-
-    def end_entry(st, k, s1, s2):
-        # the family's first and last sample sit on its ends, in no
-        # segment's samples: across a crossing there, check them too
-        if st.critical[k] in st.crossings:
-            entries.append(_step_entry(s1, s2, st.critical[k], st, k))
-
-    if trace.segments:
-        end_entry(trace.segments[0], 0, trace.samples[0], trace.samples[1])
-
-    # --- continuity along each segment -----------------------------------
-    for st in trace.segments:
+    along, across, jumps = [], [], []
+    events = {ev.time: ev for ev in trace.events}
+    samples, segments = trace.samples, trace.segments
+    for i, st in enumerate(segments):
         crossings = set(st.crossings)
-        for k in range(1, len(st.sample_indices)):
-            s1, s2 = (trace.samples[i] for i in st.sample_indices[k - 1:k + 1])
-            # consecutive samples are separated by exactly critical[k]
-            c = st.critical[k]
-            entries.append(_step_entry(s1, s2, c, st, k) if c in crossings
-                           else _step_entry(s1, s2, s2.t))
-
-    if trace.segments:
-        end_entry(trace.segments[-1], -1, trace.samples[-2], trace.samples[-1])
-
-    # --- continuity across event-free segment boundaries ------------------
-    # (simulate makes paths continuous there, so the actions agree at T)
-    event_times = {rec.event.time for rec in trace.events}
-    for st_a, st_b in zip(trace.segments, trace.segments[1:]):
-        T = st_a.critical[-1]
-        if T in event_times:
-            continue
-        s1 = trace.samples[st_a.sample_indices[-1]]
-        s2 = trace.samples[st_b.sample_indices[0]]
-        crossing = T in st_a.crossings or T in st_b.crossings
-        entries.append(_step_entry(s1, s2, T, st_a, -1) if crossing
-                       else _step_entry(s1, s2, T))
-
-    # --- the jump rule at each event --------------------------------------
-    for rec in trace.events:
-        ev = rec.event
-        pre = trace.samples[rec.pre_sample]
-        post = trace.samples[rec.post_sample]
-        candidates = ev.admissible(pre.pairs)
-        match = next((d for p, d in candidates if post.pairs == p), None)
-        entries.append(CheckEntry(
-            ev.kind, ev.time, match is not None, match or
-            "post-event pairing is not an admissible transform "
-            "(expected one of: %s)" % "; ".join(d for _, d in candidates)))
-
-    return TransitionReport(entries)
+        base = st.sample_indices[0] - 1
+        last = len(st.critical) - 1
+        for k in range(1 if i else 0, last + 1):
+            t = st.critical[k]
+            s1, s2 = samples[base + k], samples[base + k + 1]
+            crossing = t in crossings
+            if 0 < k < last:
+                along.append(_step_entry(s1, s2, t if crossing else s2.t,
+                                         crossing, st, k))
+            elif t in events:
+                ev = events[t]
+                candidates = ev.admissible(s1.pairs)
+                match = next((d for p, d in candidates if s2.pairs == p),
+                             None)
+                jumps.append(CheckEntry(
+                    ev.kind, ev.time, match is not None, match or
+                    "post-event pairing is not an admissible transform "
+                    "(expected one of: %s)"
+                    % "; ".join(d for _, d in candidates)))
+            elif k and st is not segments[-1]:
+                across.append(_step_entry(s1, s2, t, crossing, st, k))
+            elif crossing:  # at the family's ends
+                along.append(_step_entry(s1, s2, t, True, st, k))
+    return TransitionReport(along + across + jumps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import chordbars
-from chordbars import QQ, DriftSegment, FilteredComplex, schemas, simulate
+from chordbars import (QQ, DriftSegment, FilteredComplex, random_timeline,
+                       schemas, simulate)
 from chordbars.cli import main
 
 
@@ -279,6 +280,13 @@ def test_optimized_mode_output_identical(fixture_dir):
     fx = str(fixture_dir)
     trace = _crossing_family(fixture_dir / "crossings.json")
     assert len(trace.segments[0].crossings) >= 50
+    # many segments, with crossings, events and event-free boundaries
+    family = random_timeline(random.Random(4), QQ)
+    (fixture_dir / "random.json").write_text(
+        schemas.dumps(schemas.serialize_timeline(*family)))
+    trace = simulate(*family)
+    assert len(trace.segments) - 1 > len(trace.events) > 0
+    assert any(st.crossings for st in trace.segments)
     commands = [
         ["validate", "demo_complex.json"],
         ["validate", "demo_timeline.json"],
@@ -288,6 +296,7 @@ def test_optimized_mode_output_identical(fixture_dir):
         ["simulate", "demo_timeline.json"],
         ["simulate", "demo_timeline.json", "--vineyard", "vine.csv"],
         ["simulate", "crossings.json", "--vineyard", "vine.csv"],
+        ["simulate", "random.json", "--vineyard", "vine.csv"],
         ["linearize", "two_copy.dga.json", "two_copy.augmentation.json",
          "--window", "9", "12"],
         ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],

@@ -143,15 +143,29 @@ def test_midpoint_actions_are_path_values(replays):
             a, b = wa.end_value, INF if wb == INF else wb.end_value
 
 
-def test_event_records_name_the_neighbouring_samples(replays):
+def test_critical_times_lie_between_consecutive_samples(replays):
+    # check_transitions reads a segment's critical time k between the
+    # trace's samples sample_indices[0] + k - 1 and the one after: strictly
+    # between them, but for the family's first and last samples, which sit
+    # on its ends.  A later segment starts where the one before ends, and
+    # every event sits on such a boundary.
     for _items, trace in replays:
-        times = [s.t for s in trace.samples]
-        for rec in trace.events:
-            tau = rec.event.time
-            assert rec.pre_sample == max(i for i, t in enumerate(times)
-                                         if t < tau)
-            assert rec.post_sample == min(i for i, t in enumerate(times)
-                                          if t > tau)
+        samples, segments = trace.samples, trace.segments
+        for st in segments:
+            first = st.sample_indices[0]
+            assert st.sample_indices == list(
+                range(first, first + len(st.critical) - 1))
+            for k, t in enumerate(st.critical):
+                i = first + k - 1
+                assert samples[i].t < t or i == 0
+                assert t < samples[i + 1].t or i + 1 == len(samples) - 1
+                assert samples[i].t <= t <= samples[i + 1].t
+        assert samples[0].t == segments[0].critical[0]
+        assert samples[-1].t == segments[-1].critical[-1]
+        ends = [st.critical[-1] for st in segments[:-1]]
+        assert [st.critical[0] for st in segments[1:]] == ends
+        assert [ev.time for ev in trace.events] == sorted(
+            set(ends) & {ev.time for ev in trace.events})
 
 
 if __name__ == "__main__":

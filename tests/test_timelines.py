@@ -12,6 +12,7 @@ from chordbars import (F2, FP, INF, QQ, Birth, Death, DriftSegment,
                        FilteredComplex, HandleSlide, PLPath,
                        canonical_form, check_transitions, drift_speed_audit, random_timeline,
                        schemas, simulate, timelines, vineyard_rows)
+from chordbars.cli import main
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               ChordbarsError, EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
@@ -314,8 +315,8 @@ def test_tampered_trace_fails_checker():
     ]
     trace = simulate(cx, items)
     assert check_transitions(trace).ok
-    rec = trace.events[0]
-    sample = trace.samples[rec.post_sample]
+    # the sample just after the slide
+    sample = next(s for s in trace.samples if s.t > trace.events[0].time)
     sample.pairs = frozenset({("a", None), ("b", None), ("c", None)})
     report = check_transitions(trace)
     assert not report.ok
@@ -354,6 +355,51 @@ def test_family_ends_on_a_crossing_are_checked():
         failures = check_transitions(trace).failures()
         assert [(e.kind, e.time) for e in failures] == [("crossing", t)]
         sample.pairs = kept
+
+
+_NO_CROSSING = "pairing changed without a crossing"
+_JUMP = "bar endpoint values jump across the crossing"
+_NOT_ADMISSIBLE = ("post-event pairing is not an admissible transform "
+                   "(expected one of: pairing unchanged)")
+# tampered sample -> its failing entries (kind, time, detail): entries along
+# the segments come first, then those across event-free boundaries, then
+# the events
+_TAMPERED = [
+    # an interior continuity entry is reported at the later sample's time
+    (1, [("continuity", q(3, 4), _NO_CROSSING)]),
+    # an event-free boundary's at the boundary time
+    (2, [("continuity", q(3, 4), _NO_CROSSING),
+         ("continuity", 1, _NO_CROSSING)]),
+    (3, [("crossing", q(5, 3), _JUMP), ("continuity", 1, _NO_CROSSING)]),
+    (4, [("crossing", q(5, 3), _JUMP), ("handle_slide", 2, _NOT_ADMISSIBLE)]),
+    (5, [("handle_slide", 2, _NOT_ADMISSIBLE)]),
+]
+
+
+def test_check_failures_name_their_position():
+    # critical times: 0, 1/2 (a's knot), 1 (event-free boundary), 5/3 (c
+    # crosses b), 2 (slide), 3; samples at 0, 1/4, 3/4, 4/3, 11/6, 5/2, 3
+    cx = _pair_complex()
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"a": [(0, 1), (q(1, 2), q(9, 8)), (1, 1)],
+                            "b": q(3, 2), "c": 2}),
+        DriftSegment(1, 2, {"a": 1, "b": q(3, 2), "c": [(1, 2), (2, q(5, 4))]}),
+        HandleSlide(2, "b", {"c": 1}),
+        DriftSegment(2, 3, {"a": 1, "b": q(3, 2), "c": q(5, 4)}),
+    ])
+    assert [s.t for s in trace.samples] == [
+        0, q(1, 4), q(3, 4), q(4, 3), q(11, 6), q(5, 2), 3]
+    assert [(e.kind, e.time) for e in check_transitions(trace).entries] == [
+        ("continuity", q(3, 4)), ("crossing", q(5, 3)), ("continuity", 1),
+        ("handle_slide", 2)]
+    wrong = frozenset({("a", None), ("b", None), ("c", None)})
+    for i, expected in _TAMPERED:
+        sample = trace.samples[i]
+        sample.pairs, kept = wrong, sample.pairs
+        failures = check_transitions(trace).failures()
+        assert [(e.kind, e.time, e.detail) for e in failures] == expected, i
+        sample.pairs = kept
+    assert check_transitions(trace).ok
 
 
 def test_tied_actions_pair_in_id_order():
@@ -586,6 +632,98 @@ def test_event_refusals_name_what_they_refuse():
             (event.kind, str(info.value))
 
 
+def _rise_to_top(s_end):
+    # window (0, 10); g (degree 0) rises from 5 to the top, and s, with
+    # ∂s = g, rises from 6 to s_end, then g exits above
+    cx = FilteredComplex(F2, (0, 10), [("g", 5, 0), ("s", 6, 1)],
+                         {"s": {"g": 1}})
+    return cx, [DriftSegment(0, 1, {"g": [(0, 5), (1, 10)],
+                                    "s": [(0, 6), (1, s_end)]}),
+                ExitAbove(1, "g"), DriftSegment(1, 2, {"s": s_end})]
+
+
+def test_degeneracies_left_for_the_next_event_are_refused():
+    # a generator hit by a boundary cannot reach the top without its
+    # source meeting it there or passing it first, so one of the first two
+    # refusals comes before exit_above could find it in a boundary; and a
+    # generator left on the top is refused by any other event
+    top = _pair_complex(window=(0, 4))
+    for (cx, items), error, message in [
+            (_rise_to_top(10), ActionIncrease,
+             "differential edge 's' -> 'g' loses strict action decrease at "
+             "t = 1 and the exit_above event does not resolve it"),
+            (_rise_to_top(11), ActionOutsideWindow,
+             "generator 's' reaches the window top at t = 4/5"),
+            ((top, [DriftSegment(0, T, {"a": 1, "b": q(3, 2),
+                                        "c": [(0, 2), (T, 4)]}),
+                    HandleSlide(T, "c", {"b": 1})]), ActionOutsideWindow,
+             "generator 'c' reaches the window top at t = 1/2 and the "
+             "handle_slide event does not resolve it")]:
+        with pytest.raises(error) as info:
+            simulate(cx, items)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def _drift(**windows):
+    return DriftSegment(0, 1, {"a": 1, "b": q(3, 2), "c": 2}, **windows)
+
+
+_SIMULATE_REFUSALS = [
+    (_PAIR, [HandleSlide(0, "c", {"b": 1})],
+     "a timeline must start with a drift segment"),
+    (_PAIR, [_hold(0, T), _hold(1, 2)],
+     "segment 1 starts at 1 but the family is at 1/2"),
+    (_PAIR, [_hold(0, T), HandleSlide(1, "c", {"b": 1})],
+     "event 1 at time 1 but the family is at 1/2"),
+    (_PAIR, [_hold(0, T), "drift"],
+     "timeline item 1 is neither a segment nor an event"),
+    (_PAIR, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2)})],
+     "segment paths mismatch state (missing ['c'], extra [])"),
+    (_PAIR, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2), "c": 2, "z": 3})],
+     "segment paths mismatch state (missing [], extra ['z'])"),
+    (_PAIR, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2),
+                                 "c": [(0, 3), (1, 2)]})],
+     "path of 'c' starts at 3 but the generator sits at 2 (t=0)"),
+    (_PAIR, [_drift(window_a=1)], "window bottom jumps at t=0"),
+    (_PAIR, [_drift(window_b=5)], "window top jumps at t=0"),
+    (_PAIR4, [_drift(window_b=5)], "window top jumps at t=0"),
+    (_PAIR4, [_drift(window_b=INF)], "window top jumps to infinity at t=0"),
+]
+
+
+def test_replay_refusals_name_what_they_refuse(tmp_path, capsys):
+    # a timeline that does not fit the family it replays is refused before
+    # any sample past the misfit; every refusal is a ValidationError
+    for cx, items, message in _SIMULATE_REFUSALS:
+        with pytest.raises(ValidationError) as info:
+            simulate(cx, items)
+        assert type(info.value) is ValidationError \
+            and str(info.value) == message, message
+    # a segment is refused as it is built
+    for make, message in [
+            (lambda: DriftSegment(1, 1, {}), "drift segment needs t0 < t1"),
+            (lambda: DriftSegment(1, 0, {}), "drift segment needs t0 < t1"),
+            (lambda: DriftSegment(0, 1, {"a": [(0, 1), (T, 1)]}),
+             "action path of 'a' does not span [0, 1]"),
+            (lambda: DriftSegment(0, 1, {}, window_a=[(0, 0), (T, 0)]),
+             "window path does not span the segment"),
+            (lambda: DriftSegment(0, 1, {}, window_b=[(T, 4), (1, 4)]),
+             "window path does not span the segment")]:
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert type(info.value) is ValidationError \
+            and str(info.value) == message
+    # the command line reports a refusal on one line and exits 1
+    path = tmp_path / "mismatch.json"
+    path.write_text(schemas.dumps(schemas.serialize_timeline(
+        *_SIMULATE_REFUSALS[4][:2])))
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: segment paths mismatch state "
+                          "(missing ['c'], extra [])\n")
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -670,8 +808,9 @@ def test_event_apply_keeps_the_action_rules(seed, field):
         for cls in schemas._EVENT_ITEMS.values():
             mp.setattr(cls[0], "apply", _checked_apply(cls[0]))
         trace = simulate(*random_timeline(random.Random(seed), field))
-    for rec in trace.events:
-        assert rec.event.admissible(trace.samples[rec.pre_sample].pairs)
+    for ev in trace.events:
+        pre = [s for s in trace.samples if s.t < ev.time][-1]
+        assert ev.admissible(pre.pairs)
     assert check_transitions(trace).ok
 
 
