@@ -242,11 +242,8 @@ def random_differential(rng, field, gens, p):
             kernel = linalg.kernel([diff.get(h.id, {}) for h in allowed], field)
             if kernel:
                 picks = rng.sample(kernel, k=min(len(kernel), rng.randint(1, 3)))
-                combo = [field.zero_raw] * len(allowed)
-                for v in picks:
-                    c = field.random_unit_raw(rng)
-                    combo = [field.add(x, field.mul(c, y)) for x, y in zip(combo, v)]
-                row = {h.id: c for h, c in zip(allowed, combo) if c}
+                row = field.random_combination(rng, [h.id for h in allowed],
+                                               picks, field.random_unit_raw)
                 if row:
                     diff[g.id] = row
     return diff

@@ -177,6 +177,14 @@ class Field:
             if x:
                 return x
 
+    def random_combination(self, rng, keys, vectors, coeff):
+        """Sparse chain {key: raw} of coeff(rng)·v summed over the dense
+        vectors v (indexed like ``keys``), each drawn before its coefficient."""
+        chain = {}
+        for v in vectors:
+            self.add_scaled(chain, dict(zip(keys, v)), coeff(rng))
+        return chain
+
 
 # the two workhorses, prebuilt
 F2 = Field(2)

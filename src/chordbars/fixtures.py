@@ -4,8 +4,9 @@ The shapes are parameterized by their lengths so tests can place chords
 wherever a scenario needs them; all differentials are explicit input data.
 The random generator builds two-component chord algebras whose square-zero
 law holds by construction: chords are processed in increasing length and
-each boundary is sampled from the exact kernel of the differential on the
-span of admissible shorter words.
+each boundary is a :meth:`~chordbars.fields.Field.random_combination` of
+vectors of the exact kernel of the differential on the span of admissible
+shorter words, enumerated over the chord kind's letter shapes.
 """
 
 import itertools
@@ -128,42 +129,23 @@ def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4):
 
 def _admissible_words(D, chord):
     """Words eligible as boundary terms of ``chord``: degree one below,
-    total length strictly below, and — for a mixed chord — containing
-    exactly one shorter forward-mixed letter with pure letters on the
-    matching components around it."""
-    want_degree = chord.degree - 1
-    budget = chord.length
-    out = []
+    total length strictly below, and of one of the chord's letter shapes.
+    A pure chord's words are one to three pure letters of its component; a
+    mixed chord's are one forward-mixed letter with at most two pure
+    letters around it, those of component 0 before it and of component 1
+    after it."""
     if chord.kind == "pure":
-        pool = [c for c in D.pure_chords(chord.component)
-                if c.length < budget]
-        for n in range(1, 4):
-            for combo in itertools.product(pool, repeat=n):
-                if sum(c.length for c in combo) >= budget:
-                    continue
-                if sum(c.degree for c in combo) != want_degree:
-                    continue
-                out.append(tuple(c.label for c in combo))
+        pool = D.pure_chords(chord.component)
+        shapes = [(pool,) * n for n in range(1, 4)]
     else:
-        mids = [c for c in D.forward_mixed() if c.length < budget]
-        pool0 = D.pure_chords(0)
-        pool1 = D.pure_chords(1)
-        for mid in mids:
-            rest = budget - mid.length
-            for n0 in range(3):  # at most two pure letters around mid
-                for left in itertools.product(pool0, repeat=n0):
-                    llen = sum(c.length for c in left)
-                    if llen >= rest:
-                        continue
-                    for n1 in range(3 - n0):
-                        for right in itertools.product(pool1, repeat=n1):
-                            if llen + sum(c.length for c in right) >= rest:
-                                continue
-                            word = tuple(c.label for c in left) + (mid.label,) \
-                                + tuple(c.label for c in right)
-                            if D.word_degree(word) == want_degree:
-                                out.append(word)
-    return sorted(set(out), key=lambda w: (len(w), w))
+        left, mid, right = D.pure_chords(0), D.forward_mixed(), D.pure_chords(1)
+        shapes = [(left,) * n0 + (mid,) + (right,) * n1
+                  for n0 in range(3) for n1 in range(3 - n0)]
+    words = {tuple(c.label for c in letters)
+             for shape in shapes for letters in itertools.product(*shape)
+             if sum(c.length for c in letters) < chord.length
+             and sum(c.degree for c in letters) == chord.degree - 1}
+    return sorted(words, key=lambda w: (len(w), w))
 
 
 def _kernel_sample(rng, D, candidates):
@@ -174,11 +156,8 @@ def _kernel_sample(rng, D, candidates):
     if not basis or rng.random() < 0.15:
         return AlgebraElement.zero(field)
     picks = rng.sample(basis, k=min(len(basis), rng.randint(1, 2)))
-    terms = {}
-    for vec in picks:
-        field.add_scaled(terms, dict(zip(candidates, vec)),
-                         field.random_unit_raw(rng))
-    return AlgebraElement(field, terms)
+    return AlgebraElement(field, field.random_combination(
+        rng, candidates, picks, field.random_unit_raw))
 
 
 def random_two_component_dga(rng, field):

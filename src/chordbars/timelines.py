@@ -383,10 +383,9 @@ class EntryBelow(_WindowEdgeEvent):
         g = self.gid
         out = [(frozenset(pairs | {(g, None)}),
                 "a fresh infinite bar starts at the bottom")]
-        for (s, e) in pairs:
-            if e is None:
-                out.append((frozenset((pairs - {(s, None)}) | {(g, s)}),
-                            "an infinite bar now starts at the bottom (killed by %r)" % s))
+        for s in sorted(s for s, e in pairs if e is None):
+            out.append((frozenset((pairs - {(s, None)}) | {(g, s)}),
+                        "an infinite bar now starts at the bottom (killed by %r)" % s))
         return out
 
 
@@ -434,10 +433,9 @@ class EntryAbove(_WindowEdgeEvent):
         g = self.gid
         out = [(frozenset(pairs | {(g, None)}),
                 "a fresh infinite bar starts at the top")]
-        for (s, e) in pairs:
-            if e is None:
-                out.append((frozenset((pairs - {(s, None)}) | {(s, g)}),
-                            "an infinite bar is now cut off at the top"))
+        for s in sorted(s for s, e in pairs if e is None):
+            out.append((frozenset((pairs - {(s, None)}) | {(s, g)}),
+                        "an infinite bar is now cut off at the top"))
         return out
 
 
@@ -965,12 +963,12 @@ def check_transitions(trace):
 # vineyard: persistent bar identities across the whole trace
 # ---------------------------------------------------------------------------
 
-def _remap_across(old_pairs, new_pairs, id_map, counter):
+def _remap_across(new_pairs, id_map, counter):
     """Carry bar ids over a pairing change (crossing or event).
 
     Order of matching: identical id-pairs first; then bars with the same end
     generator (value continuity forces the match); then the same start
-    generator; whatever is left gets a fresh id.
+    generator; whatever is left gets a fresh id, in (start, end) id order.
     """
     new_map = {}
     old_left = dict(id_map)
@@ -997,7 +995,7 @@ def _remap_across(old_pairs, new_pairs, id_map, counter):
             q = by_start[s].pop(0)
             new_map[p] = old_left.pop(q)
             todo.remove(p)
-    for p in todo:
+    for p in sorted(todo, key=lambda q: (str(q[0]), str(q[1]))):
         new_map[p] = "b%03d" % counter[0]
         counter[0] += 1
     return new_map
@@ -1005,19 +1003,15 @@ def _remap_across(old_pairs, new_pairs, id_map, counter):
 
 def vineyard_rows(trace):
     """Rows (t, bar_id, start, end, degree) for every sample, bars tracked
-    by identity across crossings and events."""
+    by identity across crossings and events; the first sample's bars are
+    all fresh."""
     rows = []
     counter = [0]
     id_map = {}
     prev_pairs = None
     for sample in trace.samples:
-        if prev_pairs is None:
-            id_map = {}
-            for p in sorted(sample.pairs, key=lambda q: (str(q[0]), str(q[1]))):
-                id_map[p] = "b%03d" % counter[0]
-                counter[0] += 1
-        elif sample.pairs != prev_pairs:
-            id_map = _remap_across(prev_pairs, sample.pairs, id_map, counter)
+        if sample.pairs != prev_pairs:
+            id_map = _remap_across(sample.pairs, id_map, counter)
         prev_pairs = sample.pairs
         acts, degrees = sample.actions, sample.frame[1]
         for p in sorted(sample.pairs, key=lambda q: id_map[q]):
@@ -1181,14 +1175,23 @@ def drift_speed_audit(timeline, oscillation_rate):
 
 # ---------------------------------------------------------------------------
 # random family generator (stress-testing fodder)
+#
+# Each step tries the event kinds in a random order.  The first kind that
+# applies draws the step's end values (steered into its event's
+# precondition) and its event; one linear segment per step then drives the
+# family there.  Boundaries, couplings and differentials are random
+# combinations of kernel vectors (Field.random_combination).
 # ---------------------------------------------------------------------------
+
+def _quarters(lo, hi):
+    """The quarter-integers strictly between lo and hi (both finite)."""
+    return [Fraction(k, 4) for k in range(int(lo * 4) + 1, int(hi * 4))]
+
 
 def _random_family_start(rng, field, n, window):
     """Random complex with pairwise-distinct quarter-integer actions."""
     a, b = window
-    top = Fraction(16) if b == INF else b
-    slots = [Fraction(k, 4) for k in range(int(a * 4) + 1, int(top * 4))]
-    acts = rng.sample(slots, n)
+    acts = rng.sample(_quarters(a, Fraction(16) if b == INF else b), n)
     degrees = [rng.randrange(0, 4) for _ in range(n)]
     order = sorted(range(n), key=lambda i: acts[i])
     gens = []
@@ -1202,46 +1205,38 @@ def _random_family_start(rng, field, n, window):
             continue
         # the new row must be a cycle of the part already built
         basis = linalg.kernel([rows_built.get(g, {}) for g in allowed], field)
-        row = _random_combo(rng, field, allowed, basis, 0.6)
+        row = field.random_combination(
+            rng, allowed, (v for v in basis if rng.random() < 0.6),
+            field.random_raw)
         if row:
             rows_built[gid] = row
     return FilteredComplex(field, window, gens, rows_built)
 
 
-def _random_targets(rng, state, forced, forbidden, equal_ok=frozenset()):
+def _random_targets(rng, state, forced, equal_ok=frozenset()):
     """End-of-segment action values: distinct, strictly inside the window,
     respecting every differential edge (forced edge/death values exempt)."""
-    a, b = state.a, state.b
-    if b == INF:
-        top = max([v for v in state.actions.values()] + [Fraction(8)]) + 8
-    else:
-        top = b
-    slots = [Fraction(k, 4) for k in range(int(a * 4) + 1, int(top * 4))]
+    top = state.b
+    if top == INF:
+        top = max([*state.actions.values(), Fraction(8)]) + 8
+    slots = _quarters(state.a, top)
     ids = sorted(state.actions)
     for _ in range(200):
         targ = dict(forced)
-        used = set(targ.values()) | set(forbidden)
-        ok = True
+        used = set(targ.values())
         for gid in ids:
             if gid in targ:
                 continue
             v = state.actions[gid] if rng.random() < 0.5 else rng.choice(slots)
             if v in used:
-                ok = False
-                break
+                break  # a collision: draw the whole set again
             targ[gid] = v
             used.add(v)
-        if not ok:
-            continue
-        for src, row in state.diff.items():
-            for tgt in row:
-                if (src, tgt) in equal_ok:
-                    if targ[src] != targ[tgt]:
-                        ok = False
-                elif not targ[src] > targ[tgt]:
-                    ok = False
-        if ok:
-            return targ
+        else:
+            if all(targ[src] == targ[tgt] if (src, tgt) in equal_ok
+                   else targ[src] > targ[tgt]
+                   for src, row in state.diff.items() for tgt in row):
+                return targ
     raise ValidationError("could not steer the family (retry)")
 
 
@@ -1277,36 +1272,6 @@ def _resolve_forced(rng, state, last_ev):
     return forced
 
 
-def _cycle_space(state, degree):
-    """Basis of cycles among the current generators of the given degree."""
-    cols = sorted(g for g, d in state.degrees.items() if d == degree)
-    if not cols:
-        return cols, []
-    return cols, linalg.kernel([state.diff.get(g, {}) for g in cols],
-                               state.field)
-
-
-def _coupling_space(state, degree):
-    """Basis of admissible entry couplings one degree above ``degree``."""
-    cols = sorted(g for g, d in state.degrees.items() if d == degree + 1)
-    if not cols:
-        return cols, []
-    ups = [row for w, row in state.diff.items()
-           if state.degrees.get(w) == degree + 2]
-    return cols, linalg.kernel([{k: row[z] for k, row in enumerate(ups)
-                                 if z in row} for z in cols], state.field)
-
-
-def _random_combo(rng, field, cols, basis, p):
-    """A random combination of the basis, each vector kept with probability p."""
-    vec = [field.zero_raw] * len(cols)
-    for bvec in basis:
-        if rng.random() < p:
-            c = field.random_raw(rng)
-            vec = [field.add(v, field.mul(c, w)) for v, w in zip(vec, bvec)]
-    return {cols[k]: v for k, v in enumerate(vec) if v}
-
-
 def _random_timeline_once(rng, field, max_gen, max_ev):
     finite_top = rng.random() < 0.8
     window = (Fraction(0), Fraction(16) if finite_top else INF)
@@ -1325,17 +1290,17 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
     for _ in range(n_events):
         t1 = t + 1
         forced = _resolve_forced(rng, state, last_ev)
+        cap = state.b if state.b != INF else Fraction(16)
         kinds = ["handle_slide", "birth", "death", "exit_below", "entry_below",
                  "exit_above", "entry_above", None]
         rng.shuffle(kinds)
-        seg = ev = None
+        ev = None
         for kind in kinds:
             try:
                 if kind is None:
-                    targ = _random_targets(rng, state, forced, ())
-                    seg = _linear_segment(state, t, t1, targ)
+                    targ = _random_targets(rng, state, forced)
                 elif kind == "handle_slide":
-                    targ = _random_targets(rng, state, forced, ())
+                    targ = _random_targets(rng, state, forced)
                     by_deg = {}
                     for gid in targ:
                         by_deg.setdefault(state.degrees[gid], []).append(gid)
@@ -1345,21 +1310,17 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     group = sorted(rng.choice(cands), key=lambda g: targ[g])
                     lo = rng.choice(group[:-1])
                     hi = rng.choice([g for g in group if targ[g] > targ[lo]])
-                    seg = _linear_segment(state, t, t1, targ)
                     ev = HandleSlide(t1, target=hi, addend={lo: field.random_unit_raw(rng)})
                 elif kind == "birth":
                     if len(state.degrees) + 2 > max_gen:
                         continue
-                    targ = _random_targets(rng, state, forced, ())
-                    cap = state.b if state.b != INF else Fraction(16)
-                    free = [Fraction(k, 4)
-                            for k in range(int(state.a * 4) + 1, int(cap * 4))
-                            if Fraction(k, 4) not in targ.values()]
+                    targ = _random_targets(rng, state, forced)
+                    free = [c for c in _quarters(state.a, cap)
+                            if c not in targ.values()]
                     if not free:
                         continue
                     c = rng.choice(free)
                     d = rng.randrange(0, 3)
-                    seg = _linear_segment(state, t, t1, targ)
                     ev = Birth(t1, (new_id(), d + 1), (new_id(), d), c)
                 elif kind == "death":
                     split = []
@@ -1376,12 +1337,9 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     x, y = rng.choice(sorted(split))
                     if x in forced or y in forced:
                         continue
-                    cap = state.b if state.b != INF else Fraction(16)
-                    c = Fraction(rng.randrange(int(state.a * 4) + 1,
-                                               int(cap * 4)), 4)
+                    c = rng.choice(_quarters(state.a, cap))
                     targ = _random_targets(rng, state, {**forced, x: c, y: c},
-                                           (), equal_ok={(x, y)})
-                    seg = _linear_segment(state, t, t1, targ)
+                                           equal_ok={(x, y)})
                     ev = Death(t1, x=x, y=y)
                 elif kind == "exit_below":
                     cyc = [g for g in state.degrees
@@ -1389,17 +1347,24 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     if not cyc:
                         continue
                     g = rng.choice(sorted(cyc))
-                    targ = _random_targets(rng, state, {**forced, g: state.a}, ())
-                    seg = _linear_segment(state, t, t1, targ)
+                    targ = _random_targets(rng, state, {**forced, g: state.a})
                     ev = ExitBelow(t1, g)
                 elif kind == "entry_below":
                     if len(state.degrees) + 1 > max_gen:
                         continue
                     d = rng.randrange(0, 4)
-                    cols, basis = _coupling_space(state, d)
-                    couplings = _random_combo(rng, field, cols, basis, 0.5)
-                    targ = _random_targets(rng, state, forced, ())
-                    seg = _linear_segment(state, t, t1, targ)
+                    # couplings: combinations of the degree d + 1 generators
+                    # that every degree d + 2 boundary misses
+                    cols = sorted(g for g, e in state.degrees.items()
+                                  if e == d + 1)
+                    ups = [row for w, row in state.diff.items()
+                           if state.degrees.get(w) == d + 2]
+                    basis = linalg.kernel([{k: row[z] for k, row in enumerate(ups)
+                                            if z in row} for z in cols], field)
+                    couplings = field.random_combination(
+                        rng, cols, (v for v in basis if rng.random() < 0.5),
+                        field.random_raw)
+                    targ = _random_targets(rng, state, forced)
                     ev = EntryBelow(t1, new_id(), d, couplings)
                 elif kind == "exit_above":
                     if state.b == INF:
@@ -1411,27 +1376,28 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     if not free:
                         continue
                     g = rng.choice(sorted(free))
-                    targ = _random_targets(rng, state, {**forced, g: state.b}, ())
-                    seg = _linear_segment(state, t, t1, targ)
+                    targ = _random_targets(rng, state, {**forced, g: state.b})
                     ev = ExitAbove(t1, g)
                 elif kind == "entry_above":
                     if state.b == INF or len(state.degrees) + 1 > max_gen:
                         continue
                     d = rng.randrange(0, 4)
-                    cols, basis = _cycle_space(state, d - 1)
-                    boundary = _random_combo(rng, field, cols, basis, 0.5)
-                    targ = _random_targets(rng, state, forced, ())
-                    seg = _linear_segment(state, t, t1, targ)
+                    # a boundary: a combination of the degree d - 1 cycles
+                    cols = sorted(g for g, e in state.degrees.items()
+                                  if e == d - 1)
+                    basis = linalg.kernel([state.diff.get(g, {}) for g in cols],
+                                          field)
+                    boundary = field.random_combination(
+                        rng, cols, (v for v in basis if rng.random() < 0.5),
+                        field.random_raw)
+                    targ = _random_targets(rng, state, forced)
                     ev = EntryAbove(t1, new_id(), d, boundary)
             except ValidationError:
-                seg = ev = None
                 continue
-            if seg is not None:
-                break
-        if seg is None:
-            targ = _random_targets(rng, state, forced, ())
-            seg = _linear_segment(state, t, t1, targ)
-            ev = None
+            break
+        else:
+            targ = _random_targets(rng, state, forced)
+        seg = _linear_segment(state, t, t1, targ)
         items.append(seg)
         state.actions = {gid: p.value(t1) for gid, p in seg.actions.items()}
         if ev is not None:
@@ -1442,7 +1408,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
 
     # settle: resolve whatever the last event left degenerate
     forced = _resolve_forced(rng, state, last_ev)
-    targ = _random_targets(rng, state, forced, ())
+    targ = _random_targets(rng, state, forced)
     items.append(_linear_segment(state, t, t + 1, targ))
     return initial, items
 

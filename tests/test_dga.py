@@ -16,10 +16,12 @@ from chordbars import (INF, QQ, AlgebraElement, Augmentation, Chord,
                        random_two_component_dga, stabilized_unknot_shape,
                        standard_unknot_shape, sub_dga, two_copy_template,
                        validate_dga)
-from chordbars.errors import (AugmentationInvalid, FieldMismatch,
-                              ForeignGenerator, NotChainMap,
-                              OrderingViolated, SearchBudgetExceeded,
-                              ValidationError, WindowTooWide)
+from chordbars.cli import main
+from chordbars.errors import (AugmentationInvalid, DuplicateId, FieldMismatch,
+                              ForeignGenerator, MixedOutputViolation,
+                              NotChainMap, OrderingViolated,
+                              SearchBudgetExceeded, ValidationError,
+                              WindowTooWide)
 from chordbars.fields import FP
 
 from support import bars_as_tuples, linearized_rows_oracle
@@ -378,6 +380,62 @@ def test_birth_morphism_koszul_correction():
     phi = birth_morphism(DmK, DpK, "a", "b", ordering=["a1"])
     assert phi.images["a1"] == AlgebraElement(QQ, {("a1",): 1, ("x", "a"): 1})
     assert phi.chain_map_defect() is None
+
+
+def _birth(dm_rows, dp_rows, a, b, ordering, extra=()):
+    chords = _BIRTH_CHORDS + list(extra)
+    return lambda: birth_morphism(ChordDGA(QQ, chords, dm_rows),
+                                  ChordDGA(QQ, chords, dp_rows), a, b, ordering)
+
+
+_PAIR_ROWS = {"a": {("b",): 1}}
+_BACKWARDS = ChordDGA(F2, [Chord("n", 1, 0, (1, 0)), Chord("m", 3, 1, (0, 1))],
+                      {"m": {("n",): 1}})
+_DGA_REFUSALS = [
+    (lambda: Chord("c", 0, 0), ValidationError,
+     "chord 'c' needs positive length"),
+    (lambda: Chord("c", -1, 0), ValidationError,
+     "chord 'c' needs positive length"),
+    (lambda: ChordDGA(F2, [Chord("a", 1, 0), Chord("a", 2, 0)]), DuplicateId,
+     "chord label 'a' repeated"),
+    (lambda: _BACKWARDS.chord("z"), ForeignGenerator, "no chord labelled 'z'"),
+    (lambda: handle_slide_morphism(_BACKWARDS, ChordDGA(F2, _SLIDE_CHORDS),
+                                   "m", ()), ValidationError,
+     "chord sets are not in bijection by label"),
+    (lambda: handle_slide_morphism(_BACKWARDS, _BACKWARDS, "z", ()),
+     ForeignGenerator, "no chord labelled 'z'"),
+    (_birth(_PAIR_ROWS, _PAIR_ROWS, "x", "b", []), OrderingViolated,
+     "the pair must satisfy l(b) < l(x)"),
+    (_birth({}, _PAIR_ROWS, "a", "b", ["c"]), ValidationError,
+     "the artificial pair needs d(a) = b in the source"),
+    (_birth(_PAIR_ROWS, _PAIR_ROWS, "a", "b", ["e", "c"], [Chord("e", 5, 1)]),
+     OrderingViolated, "ordering must be ascending in length"),
+    # c bounds x on the plus side only, and no correction can supply it
+    (_birth(_PAIR_ROWS, {**_PAIR_ROWS, "c": {("x",): 1}}, "a", "b", ["c"]),
+     NotChainMap, "birth images do not intertwine the differentials (witness "
+     "'c': 0 vs 1·x)"),
+    (lambda: partial_linearization(_BACKWARDS, Augmentation(F2), (0, 4)),
+     MixedOutputViolation,
+     "word n of d(m) has a single mixed letter oriented backwards"),
+    (lambda: partial_linearization(_BACKWARDS, Augmentation(F2), (3, 2)),
+     ValidationError, "window needs a < b"),
+]
+
+
+def test_dga_refusals_name_what_they_refuse(tmp_path, capsys):
+    # a chord, an algebra, a morphism or a linearization that breaks its
+    # preconditions is refused with its own class and the labels at fault
+    for make, error, message in _DGA_REFUSALS:
+        with pytest.raises(error) as info:
+            make()
+        assert type(info.value) is error and str(info.value) == message
+    # the command line reports an empty window on one line and exits 1
+    assert main(["fixtures", "--dest", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["linearize", str(tmp_path / "two_copy.dga.json"),
+                 str(tmp_path / "two_copy.augmentation.json"),
+                 "--window", "3", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: window needs a < b\n")
 
 
 def test_two_copy_template():

@@ -180,6 +180,21 @@ def test_chords_documents_validate_each_chord_once(monkeypatch):
     assert by_call["parse_dga"] == len(docs)
 
 
+def test_benchmark_documents_are_the_generators_output():
+    # the pinned replay, engines and chords documents are what the
+    # library's seeded generators give for every seed the benchmark uses;
+    # only the builders run, so nothing is written
+    make_inputs = _bench_module("make_inputs")
+    expected = json.loads(
+        (ROOT / "bench" / "inputs" / "expected.json").read_text())
+    for name in ("replay", "engines", "chords"):
+        with gzip.open(ROOT / "bench" / "inputs" / (name + ".json.gz")) as fh:
+            docs = json.load(fh)["docs"]
+        built = make_inputs.BUILDERS[name]()
+        assert [text for text, _ in built] == docs, name
+        assert [meta for _, meta in built] == expected[name]["meta"], name
+
+
 def test_every_export_exists():
     # an export deleted from the package but left in __all__ breaks
     # ``from chordbars import *``

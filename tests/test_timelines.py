@@ -1,8 +1,12 @@
 """One-parameter families: simulation, transition rules, audits."""
 
 import copy
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -402,6 +406,41 @@ def test_check_failures_name_their_position():
     assert check_transitions(trace).ok
 
 
+_ENTRY_DETAIL = """
+from chordbars import (F2, INF, DriftSegment, EntryBelow, FilteredComplex,
+                       check_transitions, simulate)
+hold = {g: k + 1 for k, g in enumerate("edcba")}
+cx = FilteredComplex(F2, (0, INF), [(g, v, 0) for g, v in hold.items()], {})
+trace = simulate(cx, [DriftSegment(0, 1, hold), EntryBelow(1, "w", 0),
+                      DriftSegment(1, 2, {**hold, "w": [(1, 0), (2, "1/2")]})])
+next(s for s in trace.samples if "w" in s.actions).pairs = frozenset()
+for e in check_transitions(trace).failures():
+    print(e.kind, e.detail)
+"""
+
+
+def test_failure_details_do_not_depend_on_the_hash_seed():
+    # an entry's candidates name the infinite bars in id order, whatever
+    # order the pairing's frozenset iterates in this process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(timelines.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        run = subprocess.run([sys.executable, "-c", _ENTRY_DETAIL],
+                             env={**env, "PYTHONHASHSEED": seed},
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    killed = "; ".join("an infinite bar now starts at the bottom (killed by "
+                       "%r)" % g for g in "abcde")
+    assert outputs == {
+        "entry_below post-event pairing is not an admissible transform "
+        "(expected one of: a fresh infinite bar starts at the bottom; %s)\n"
+        % killed}
+
+
 def test_tied_actions_pair_in_id_order():
     # x and y share action 1 at t = 0; the sample order is (action, id),
     # so y comes last and its lowest entry makes g kill y, not x
@@ -532,6 +571,9 @@ def test_drift_speed_audit():
     # a float rate time next to the exact segment times
     with pytest.raises(ValidationError, match="breakpoint times must be exact"):
         drift_speed_audit(items, PLPath([(0, 2), (0.1, 2.0), (1, 2)]))
+    with pytest.raises(ValidationError,
+                       match="^oscillation rate path does not cover the timeline$"):
+        drift_speed_audit(items, PLPath([(0, 2), (q(1, 2), 2)]))
 
 
 def test_entry_feasibility_audit():
@@ -646,7 +688,8 @@ def test_degeneracies_left_for_the_next_event_are_refused():
     # a generator hit by a boundary cannot reach the top without its
     # source meeting it there or passing it first, so one of the first two
     # refusals comes before exit_above could find it in a boundary; and a
-    # generator left on the top is refused by any other event
+    # generator left on the top is refused by any other event and by the
+    # end of the timeline
     top = _pair_complex(window=(0, 4))
     for (cx, items), error, message in [
             (_rise_to_top(10), ActionIncrease,
@@ -658,7 +701,11 @@ def test_degeneracies_left_for_the_next_event_are_refused():
                                         "c": [(0, 2), (T, 4)]}),
                     HandleSlide(T, "c", {"b": 1})]), ActionOutsideWindow,
              "generator 'c' reaches the window top at t = 1/2 and the "
-             "handle_slide event does not resolve it")]:
+             "handle_slide event does not resolve it"),
+            ((top, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2),
+                                        "c": [(0, 2), (1, 4)]})]),
+             ActionOutsideWindow,
+             "generator 'c' sits on the window top at the end of the timeline")]:
         with pytest.raises(error) as info:
             simulate(cx, items)
         assert type(info.value) is error and str(info.value) == message
@@ -688,6 +735,7 @@ _SIMULATE_REFUSALS = [
     (_PAIR, [_drift(window_b=5)], "window top jumps at t=0"),
     (_PAIR4, [_drift(window_b=5)], "window top jumps at t=0"),
     (_PAIR4, [_drift(window_b=INF)], "window top jumps to infinity at t=0"),
+    (schemas.serialize_complex(_PAIR), [], "initial must be a FilteredComplex"),
 ]
 
 
