@@ -21,8 +21,8 @@ from .timelines import (AuditReport, Birth, Death, DriftSegment, EntryAbove,
                         HandleSlide, TransitionReport, check_transitions,
                         drift_speed_audit, random_timeline, simulate,
                         vineyard_rows)
-from .dga import (AlgebraElement, Augmentation, Chord, ChordDGA, DGAMorphism,
-                  birth_morphism, check_augmentation, find_augmentations,
+from .dga import (Augmentation, Chord, ChordDGA, DGAMorphism, birth_morphism,
+                  check_augmentation, find_augmentations,
                   handle_slide_morphism, partial_linearization, sub_dga,
                   validate_dga)
 from .fixtures import (random_two_component_dga, stabilized_unknot_shape,
@@ -45,7 +45,7 @@ __all__ = [
     "ExitAbove", "EntryBelow", "EntryAbove", "FamilyTrace",
     "TransitionReport", "AuditReport", "simulate", "check_transitions",
     "drift_speed_audit", "random_timeline", "vineyard_rows",
-    "AlgebraElement", "Augmentation", "Chord", "ChordDGA", "DGAMorphism",
+    "Augmentation", "Chord", "ChordDGA", "DGAMorphism",
     "validate_dga", "check_augmentation", "find_augmentations", "sub_dga",
     "handle_slide_morphism", "birth_morphism", "partial_linearization",
     "standard_unknot_shape", "stabilized_unknot_shape", "two_copy_template",

@@ -8,21 +8,15 @@ serialization sentinel, it never enters field arithmetic).
 """
 
 import math
-import re
-import sys
 from fractions import Fraction
 
 from . import linalg
 from .errors import (ActionIncrease, ActionOutsideWindow, DegreeMismatch,
                      DuplicateId, ForeignGenerator, NotSquareZero,
                      ValidationError)
-from .fields import Field
+from .fields import Field, _parse_rational
 
 INF = math.inf
-# plain action strings (a nonzero denominator) are read with int(); every
-# other string goes to Fraction's parser, which decides what else is read
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 
 def boundary_raw(field, diff, chain):
@@ -44,30 +38,11 @@ def as_action(value, allow_inf=False):
     if isinstance(value, (float, bool)):
         raise ValidationError("action values must be exact rationals, got %r" % (value,))
     try:
-        m = type(value) is str and _PLAIN.fullmatch(value)
-        if m:
-            return Fraction(int(m[1]), int(m[2] or 1))
         if type(value) is str:
             return _parse_rational(value)
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ValidationError("cannot read action value %r" % (value,))
-
-
-def _parse_rational(text):
-    """Fraction's parser, refusing (ValueError) a value with more digits
-    than ``int()`` reads and ``str()`` prints.  An exponent beyond three
-    times that limit is refused before Fraction computes its power of ten:
-    its mantissa has at most twice the limit in digits, so any nonzero
-    value it gives is over the limit too."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    exponent = _EXPONENT.search(text)
-    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
-        raise ValueError(text)
-    q = Fraction(text)
-    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
-        raise ValueError(text)
-    return q
 
 
 def as_degree(value):

@@ -1,10 +1,12 @@
 """Differential graded algebras on labelled chords.
 
 Generators are chords carrying a positive rational length, an integer degree
-and component endpoints; the algebra is free noncommutative on them.  The
-differential is defined on generators and extended by the Leibniz rule with
-Koszul signs: crossing a prefix of total degree d costs (-1)^d (over a
-characteristic-2 field the sign collapses, no special-casing needed).
+and component endpoints; the algebra is free noncommutative on them.  An
+element is a raw sparse chain ``{word: raw}`` (see :mod:`chordbars.fields`),
+a word a tuple of chord labels and ``()`` the unit.  The differential is
+defined on generators and extended by the Leibniz rule with Koszul signs:
+crossing a prefix of total degree d costs (-1)^d (over a characteristic-2
+field the sign collapses, no special-casing needed).
 
 Everything downstream — augmentation search, slide/birth morphisms, the
 passage to a filtered complex of mixed chords — works with exact field
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .complexes import INF, FilteredComplex, as_action, as_degree
 from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
-                     DuplicateId, FieldMismatch, ForeignGenerator,
+                     DuplicateId, ForeignGenerator,
                      MixedOutputViolation, NotChainMap, NotSquareZero,
                      OrderingViolated, SearchBudgetExceeded,
                      ValidationError, WindowTooWide)
@@ -56,96 +58,29 @@ class Chord:
             self.label, self.length, self.degree, self.ends[0], self.ends[1])
 
 
-class AlgebraElement:
-    """Finite k-linear combination of words (tuples of chord labels).
+def _product(field, x, y):
+    """The concatenation product of two raw chains."""
+    out = {}
+    for w1, c1 in x.items():
+        field.add_scaled(out, {w1 + w2: c2 for w2, c2 in y.items()}, c1)
+    return out
 
-    Canonical: no zero coefficients are stored; the empty word is the unit.
-    The product is plain concatenation — signs live in the differential.
-    """
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = field.coerce(coeff)
-                if c:
-                    self.terms[tuple(word)] = c
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field)
-
-    @classmethod
-    def _of_raw(cls, field, terms):
-        """Wrap raw {word: coeff} terms that hold no zero, without copying."""
-        e = cls(field)
-        e.terms = terms
-        return e
-
-    @classmethod
-    def unit(cls, field, coeff=1):
-        return cls(field, {(): coeff})
-
-    @classmethod
-    def word(cls, field, labels, coeff=1):
-        return cls(field, {tuple(labels): coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.field is other.field and self.terms == other.terms
-
-    def _same_field(self, other):
-        if other.field is not self.field:
-            raise FieldMismatch("element over %r combined with one over %r"
-                                % (other.field, self.field))
-
-    def __add__(self, other):
-        self._same_field(other)
-        out = dict(self.terms)
-        self.field.add_scaled(out, other.terms, self.field.one_raw)
-        return AlgebraElement._of_raw(self.field, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(self.field.neg(self.field.one_raw))
-
-    def scaled(self, raw):
-        raw = self.field.coerce(raw)
-        e = AlgebraElement(self.field)
-        if raw:
-            e.terms = {w: self.field.mul(c, raw) for w, c in self.terms.items()}
-        return e
-
-    def __mul__(self, other):
-        self._same_field(other)
-        out = {}
-        for w1, c1 in self.terms.items():
-            self.field.add_scaled(
-                out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
-        return AlgebraElement._of_raw(self.field, out)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            coeff = self.field.format(self.terms[w])
-            body = "*".join(w) if w else "1"
-            bits.append("%s·%s" % (coeff, body))
-        return " + ".join(bits)
+def _format(field, chain):
+    """A raw chain as "c·w1*w2 + …" by word length, then word; "1" is the
+    unit word and "0" the zero chain."""
+    return " + ".join("%s·%s" % (field.format(chain[w]), "*".join(w) or "1")
+                      for w in sorted(chain, key=lambda w: (len(w), w))) or "0"
 
 
 class ChordDGA:
     """Free DGA on chords; the differential is input data, never computed.
 
     The constructor performs syntactic normalization (unique labels, known
-    letters, coefficients coerced into the field); semantic laws — square
+    letters) and is the one place where a boundary is coerced into a raw
+    chain, from a ``{word: coeff}`` dict (zero coefficients dropped) or a
+    ``[(coeff, word)]`` list (repeated words summed); every method takes
+    and returns raw chains.  Semantic laws — square
     zero, degree -1, strict length decrease, the mixed-output rule — are
     checked by :func:`validate_dga`, which reports every violation with a
     witness instead of stopping at the first.
@@ -162,12 +97,22 @@ class ChordDGA:
                 raise DuplicateId("chord label %r repeated" % ch.label)
             self._by_label[ch.label] = ch
             self.chords.append(ch)
+        field = self.field
         self.differential = {}
-        for label, elem in (differential or {}).items():
+        for label, value in (differential or {}).items():
             if label not in self._by_label:
                 raise ForeignGenerator("differential of unknown chord %r" % label)
-            elem = self._coerce_element(elem)
-            for word in elem.terms:
+            elem = {}
+            if isinstance(value, dict):
+                for word, coeff in value.items():
+                    c = field.coerce(coeff)
+                    if c:
+                        elem[tuple(word)] = c
+            else:  # a list of (coeff, word) pairs
+                for coeff, word in value:
+                    field.add_scaled(elem, {tuple(word): field.coerce(coeff)},
+                                     field.one_raw)
+            for word in elem:
                 for letter in word:
                     if letter not in self._by_label:
                         raise ForeignGenerator(
@@ -175,21 +120,6 @@ class ChordDGA:
             if elem:
                 self.differential[label] = elem
         self._report = None
-
-    def _coerce_element(self, value):
-        if isinstance(value, AlgebraElement):
-            if value.field is not self.field:
-                raise FieldMismatch("element over %r in a DGA over %r"
-                                    % (value.field, self.field))
-            return value
-        if isinstance(value, dict):
-            return AlgebraElement(self.field, value)
-        # list of (coeff, word) pairs
-        terms = {}
-        for coeff, word in value:
-            self.field.add_scaled(terms, {tuple(word): self.field.coerce(coeff)},
-                                  self.field.one_raw)
-        return AlgebraElement._of_raw(self.field, terms)
 
     # -- lookups -----------------------------------------------------------
 
@@ -221,16 +151,14 @@ class ChordDGA:
     def word_degree(self, word):
         return sum(self.chord(label).degree for label in word)
 
-    def element_length(self, elem):
+    def element_length(self, chain):
         """Max word length over the support; 0 for scalars (and for 0)."""
-        if not elem.terms:
-            return Fraction(0)
-        return max(self.word_length(w) for w in elem.terms)
+        return max(map(self.word_length, chain), default=Fraction(0))
 
     # -- the differential --------------------------------------------------
 
     def diff_of(self, label):
-        return self.differential.get(label, AlgebraElement.zero(self.field))
+        return self.differential.get(label, {})
 
     def _add_diff_word(self, out, word, coeff):
         """out += coeff·∂(word), the Leibniz expansion with Koszul signs over
@@ -242,19 +170,19 @@ class ChordDGA:
             if d:
                 c = coeff if prefix_degree % 2 == 0 else field.neg(coeff)
                 field.add_scaled(out, {word[:i] + w + word[i + 1:]: x
-                                       for w, x in d.terms.items()}, c)
+                                       for w, x in d.items()}, c)
             prefix_degree += self.chord(label).degree
 
     def diff_word(self, word):
         out = {}
         self._add_diff_word(out, word, self.field.one_raw)
-        return AlgebraElement._of_raw(self.field, out)
+        return out
 
-    def diff(self, elem):
+    def diff(self, chain):
         out = {}
-        for w, c in self._coerce_element(elem).terms.items():
+        for w, c in chain.items():
             self._add_diff_word(out, w, c)
-        return AlgebraElement._of_raw(self.field, out)
+        return out
 
     def require_valid(self):
         validate_dga(self).raise_first()
@@ -303,39 +231,46 @@ class DGAReport:
 def validate_dga(D):
     """Semantic checks with witnesses: per generator, every word of its
     boundary must drop degree by one and length strictly; mixed generators
-    may only bound through words containing a mixed letter; and the square
-    of the differential must vanish.  The report is built once and kept on
-    D; later calls return it."""
+    may only bound through words containing a mixed letter, and a
+    forward-mixed one not through a word whose only mixed letter is
+    backwards (reported after any word with no mixed letter); and the
+    square of the differential must vanish.  The report is built once and
+    kept on D; later calls return it."""
     if D._report is not None:
         return D._report
     entries = []
     for c in D.chords:
         elem = D.diff_of(c.label)
-        bad_deg = [w for w in elem.terms if D.word_degree(w) != c.degree - 1]
+        bad_deg = [w for w in elem if D.word_degree(w) != c.degree - 1]
         entries.append(ReportEntry(
             "degree", c.label, not bad_deg,
             "" if not bad_deg else
             "word %s has degree %d, expected %d"
             % ("*".join(bad_deg[0]) or "1", D.word_degree(bad_deg[0]),
                c.degree - 1)))
-        bad_len = [w for w in elem.terms if not D.word_length(w) < c.length]
+        bad_len = [w for w in elem if not D.word_length(w) < c.length]
         entries.append(ReportEntry(
             "length", c.label, not bad_len,
             "" if not bad_len else
             "word %s has length %s, not below %s"
             % ("*".join(bad_len[0]) or "1", D.word_length(bad_len[0]), c.length)))
         if c.kind == "mixed":
-            bad_mix = [w for w in elem.terms
-                       if not any(D.chord(x).kind == "mixed" for x in w)]
+            mixed = {w: [x for x in w if D.chord(x).kind == "mixed"]
+                     for w in elem}
+            bad_mix = [(w, "contains no mixed chord")
+                       for w in elem if not mixed[w]]
+            if c.is_forward_mixed:
+                bad_mix += [(w, "has a single mixed letter oriented backwards")
+                            for w, m in mixed.items() if len(m) == 1
+                            and not D.chord(m[0]).is_forward_mixed]
             entries.append(ReportEntry(
                 "mixed-output", c.label, not bad_mix,
-                "" if not bad_mix else
-                "word %s of d(%s) contains no mixed chord"
-                % ("*".join(bad_mix[0]) or "1", c.label)))
+                "" if not bad_mix else "word %s of d(%s) %s"
+                % ("*".join(bad_mix[0][0]) or "1", c.label, bad_mix[0][1])))
         sq = D.diff(elem)
         entries.append(ReportEntry(
             "square", c.label, not sq,
-            "" if not sq else "d(d(%s)) = %r" % (c.label, sq)))
+            "" if not sq else "d(d(%s)) = %s" % (c.label, _format(D.field, sq))))
     D._report = DGAReport(entries)
     return D._report
 
@@ -396,10 +331,10 @@ class Augmentation:
                 break
         return coeff
 
-    def of_element(self, elem):
+    def of_element(self, chain):
         """Multiplicative extension: the unit maps to 1, letters multiply."""
         total = self.field.zero_raw
-        for word, coeff in elem.terms.items():
+        for word, coeff in chain.items():
             total = self.field.add(total, self.of_word(word, coeff))
         return total
 
@@ -492,7 +427,7 @@ def find_augmentations(D, candidates=None, budget=100000):
     constant = []
     for elem in D.differential.values():
         terms = [(coeff, tuple(index[x] for x in word))
-                 for word, coeff in elem.terms.items()
+                 for word, coeff in elem.items()
                  if all(x in index for x in word)]
         if terms:
             last = max(max(ix, default=-1) for _, ix in terms)
@@ -528,7 +463,8 @@ def find_augmentations(D, candidates=None, budget=100000):
 
 class DGAMorphism:
     """Algebra morphism determined by generator images (source labels map
-    into the target algebra); applied to words multiplicatively."""
+    to raw chains of the target algebra); applied to words
+    multiplicatively."""
 
     __slots__ = ("source", "target", "images")
 
@@ -539,17 +475,17 @@ class DGAMorphism:
         for c in source.chords:
             img = images.get(c.label)
             if img is None:
-                img = AlgebraElement.word(target.field, (c.label,))
+                img = {(c.label,): target.field.one_raw}
             self.images[c.label] = img
 
-    def apply(self, elem):
+    def apply(self, chain):
         field = self.target.field
-        out = AlgebraElement.zero(field)
-        for word, coeff in elem.terms.items():
-            acc = AlgebraElement.unit(field, coeff)
+        out = {}
+        for word, coeff in chain.items():
+            acc = {(): coeff}
             for label in word:
-                acc = acc * self.images[label]
-            out = out + acc
+                acc = _product(field, acc, self.images[label])
+            field.add_scaled(out, acc, field.one_raw)
         return out
 
     def compose(self, inner):
@@ -562,13 +498,24 @@ class DGAMorphism:
         return DGAMorphism(inner.source, self.target, images)
 
     def chain_map_defect(self):
-        """First generator where Φ∘∂ ≠ ∂'∘Φ, or None if a chain map."""
+        """First generator where Φ∘∂ ≠ ∂'∘Φ, as (label, Φ∂c, ∂'Φc), or None
+        if a chain map."""
         for c in self.source.chords:
             lhs = self.apply(self.source.diff_of(c.label))
             rhs = self.target.diff(self.images[c.label])
             if lhs != rhs:
                 return c.label, lhs, rhs
         return None
+
+    def _require_chain_map(self, what):
+        defect = self.chain_map_defect()
+        if defect is not None:
+            label, lhs, rhs = defect
+            field = self.target.field
+            raise NotChainMap(
+                "%s images do not intertwine the differentials (witness %r: "
+                "%s vs %s)" % (what, label, _format(field, lhs),
+                               _format(field, rhs)))
 
 
 def _check_bijection(D_minus, D_plus):
@@ -604,14 +551,10 @@ def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
                 "slide word is longer than the chord it corrects "
                 "(%s > %s)" % (D.word_length(word), D.chord(a_label).length))
     field = D_plus.field
-    img = AlgebraElement.word(field, (a_label,)) + \
-        AlgebraElement.word(field, word, unit)
+    img = {(a_label,): field.one_raw}
+    field.add_scaled(img, {word: field.one_raw}, field.coerce(unit))
     phi = DGAMorphism(D_minus, D_plus, {a_label: img})
-    defect = phi.chain_map_defect()
-    if defect is not None:
-        raise NotChainMap(
-            "slide images do not intertwine the differentials (witness %r: "
-            "%r vs %r)" % defect)
+    phi._require_chain_map("slide")
     _check_length_bound(phi)
     return phi
 
@@ -644,8 +587,7 @@ def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
     if not lb < la:
         raise OrderingViolated("the pair must satisfy l(%s) < l(%s)"
                                % (b_label, a_label))
-    da = D_minus.diff_of(a_label)
-    if da != AlgebraElement.word(field, (b_label,)):
+    if D_minus.diff_of(a_label) != {(b_label,): field.one_raw}:
         raise ValidationError(
             "the artificial pair needs d(%s) = %s in the source" %
             (a_label, b_label))
@@ -665,24 +607,17 @@ def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
         raise OrderingViolated("ordering must be ascending in length")
 
     # base correction: b absorbs (∂⁺a − b), i.e. its image is ∂⁺a
-    img_b = D_plus.diff_of(a_label)
-    phi = DGAMorphism(D_minus, D_plus, {b_label: img_b})
+    phi = DGAMorphism(D_minus, D_plus, {b_label: D_plus.diff_of(a_label)})
     for lab in ordering:
-        terms = {}
-        for w, c in D_plus.diff_of(lab).terms.items():
+        img = {(lab,): field.one_raw}
+        for w, c in D_plus.diff_of(lab).items():
             w2 = _replace_first(w, b_label, a_label)
             if w2 is not None:
-                field.add_scaled(terms, {w2: c}, field.one_raw)
-        corr = AlgebraElement._of_raw(field, terms)
-        img = AlgebraElement.word(field, (lab,)) + corr
+                field.add_scaled(img, {w2: c}, field.one_raw)
         g = DGAMorphism(D_plus, D_plus, {lab: img})
         # note: g's source label set equals phi's target's, compose is legal
         phi = g.compose(phi)
-    defect = phi.chain_map_defect()
-    if defect is not None:
-        raise NotChainMap(
-            "birth images do not intertwine the differentials (witness %r: "
-            "%r vs %r)" % defect)
+    phi._require_chain_map("birth")
     _check_length_bound(phi, la - lb)
     return phi
 
@@ -698,7 +633,8 @@ def partial_linearization(D, eps, window, l=INF):
     length < l is shifted by its augmentation value, and only the constant
     part in the pure letters survives — i.e. words with exactly one mixed
     letter contribute (coefficient × product of pure values) times that
-    letter; targets outside the window are dropped on either side.
+    letter; targets outside the window are dropped on either side.  On a
+    valid D that letter is forward-mixed (the mixed-output rule).
     Requires window width ≤ l.
     """
     D.require_valid()
@@ -730,17 +666,13 @@ def partial_linearization(D, eps, window, l=INF):
     diff = {}
     for m in gens:
         row = {}
-        for word, coeff in D.diff_of(m.label).terms.items():
+        for word, coeff in D.diff_of(m.label).items():
             mixed_at = [i for i, lab in enumerate(word)
                         if D.chord(lab).kind == "mixed"]
             if len(mixed_at) != 1:
                 continue  # quadratic and higher parts die in the linear map
             i = mixed_at[0]
             target = D.chord(word[i])
-            if not target.is_forward_mixed:
-                raise MixedOutputViolation(
-                    "word %s of d(%s) has a single mixed letter oriented "
-                    "backwards" % ("*".join(word), m.label))
             if not (a <= target.length and (b == INF or target.length < b)):
                 continue
             # ε is 0 on a pure letter of length >= l: the checks above leave

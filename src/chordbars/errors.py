@@ -30,10 +30,6 @@ class ValidationError(ChordbarsError):
 
 # -- field level ---------------------------------------------------------
 
-class FieldMismatch(ValidationError):
-    """Values over different coefficient fields were combined."""
-
-
 class NotInvertible(ValidationError):
     """Division by zero (or by a non-unit) was attempted."""
 

@@ -5,7 +5,9 @@ for prime fields (canonical residue) and a ``fractions.Fraction`` (always
 in lowest terms, that class keeps the invariant for us) for the rationals.
 A :class:`Field` carries no elements; its methods do the arithmetic on raw
 values and :meth:`Field.coerce` turns input (int, str, Fraction) into one.
-Everything is exact; floats never appear.
+Everything is exact; floats never appear.  Scalar and action strings
+(:func:`chordbars.complexes.as_action`) share one reader, which refuses a
+value with more digits than ``int()`` reads and ``str()`` prints.
 
 Sparse chains are ``{key: raw}`` dicts that never store a zero: boundaries
 of filtered complexes, words of chord algebras, reduction columns.
@@ -13,11 +15,36 @@ of filtered complexes, words of chord algebras, reduction columns.
 is accumulated; every module routes its sparse sums through it.
 """
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import BadCharacteristic, NotInvertible, ParseError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# plain rational strings (a nonzero denominator) are read with int(); every
+# other string goes to Fraction's parser, which decides what else is read
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_EXPONENT = re.compile(r"e([-+]?\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
+def _parse_rational(text):
+    """Fraction's reading of a string, refusing (ValueError) a value with
+    more digits than ``int()`` reads and ``str()`` prints.  An exponent
+    beyond three times that limit is refused before Fraction computes its
+    power of ten: its mantissa has at most twice the limit in digits, so
+    any nonzero value it gives is over the limit too."""
+    m = _PLAIN.fullmatch(text)
+    if m:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = _EXPONENT.search(text)
+    if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+        raise ValueError("more than %d digits" % limit)
+    q = Fraction(text)
+    if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
+        raise ValueError("more than %d digits" % limit)
+    return q
 
 
 def _is_prime(n):
@@ -95,7 +122,7 @@ class Field:
             raise ParseError("booleans are not scalars")
         if isinstance(value, str):
             try:
-                value = Fraction(value.strip())
+                value = _parse_rational(value.strip())
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError("cannot parse scalar %r: %s" % (value, exc))
         if self.char == 0:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import INF, FilteredComplex, Generator, random_differential
-from .dga import AlgebraElement, Chord, ChordDGA
+from .dga import Chord, ChordDGA
 from .errors import ValidationError
 
 
@@ -152,12 +152,12 @@ def _kernel_sample(rng, D, candidates):
     """A random element of the exact kernel of the differential on the span
     of the candidate words (possibly zero)."""
     field = D.field
-    basis = linalg.kernel([D.diff_word(w).terms for w in candidates], field)
+    basis = linalg.kernel([D.diff_word(w) for w in candidates], field)
     if not basis or rng.random() < 0.15:
-        return AlgebraElement.zero(field)
+        return {}
     picks = rng.sample(basis, k=min(len(basis), rng.randint(1, 2)))
-    return AlgebraElement(field, field.random_combination(
-        rng, candidates, picks, field.random_unit_raw))
+    return field.random_combination(rng, candidates, picks,
+                                    field.random_unit_raw)
 
 
 def random_two_component_dga(rng, field):

@@ -207,9 +207,8 @@ def serialize_dga(D):
     diff = {}
     for label in sorted(D.differential):
         elem = D.differential[label]
-        diff[label] = [{"coeff": D.field.format(elem.terms[w]),
-                        "word": list(w)}
-                       for w in sorted(elem.terms, key=lambda w: (len(w), w))]
+        diff[label] = [{"coeff": D.field.format(elem[w]), "word": list(w)}
+                       for w in sorted(elem, key=lambda w: (len(w), w))]
     return {
         "field": D.field.tag,
         "chords": [{"label": c.label, "length": format_action(c.length),

@@ -97,7 +97,7 @@ def linearized_rows_oracle(D, eps, window, l=INF):
     rows = {}
     for label in kept:
         acc = {}
-        for word, q in D.diff_of(label).terms.items():
+        for word, q in D.diff_of(label).items():
             const = field.one_raw
             lin = {}
             for lab in word:

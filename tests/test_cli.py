@@ -347,6 +347,57 @@ def test_overlong_numbers_exit_two(fixture_dir):
             assert "Traceback" not in proc.stderr
 
 
+def test_overlong_scalars_exit_two(fixture_dir):
+    # scalars are read like actions: a coefficient, an augmentation value or
+    # a slide addend with more digits than int() reads or str() prints is a
+    # parse error naming the value, and an exponent far past that limit is
+    # refused before its power of ten is computed
+    fx = fixture_dir
+    for name, edit, argv in [
+            ("demo_complex.json", ("differential", "b", 0, "coeff"),
+             ["barcode", "bad.json"]),
+            ("two_copy.dga.json", ("differential", "e", 0, "coeff"),
+             ["validate", "bad.json"]),
+            ("two_copy.augmentation.json", ("c@0",),
+             ["linearize", "two_copy.dga.json", "bad.json",
+              "--window", "9", "12"]),
+            ("demo_timeline.json", ("items", 1, "addend", "b"),
+             ["simulate", "bad.json"])]:
+        for value in ("1e5000", "1e20000000"):
+            doc = json.loads((fx / name).read_text())
+            *keys, last = edit
+            node = doc
+            for key in keys:
+                node = node[key]
+            node[last] = value
+            (fx / "bad.json").write_text(json.dumps(doc))
+            for flags in ([], ["-O"]):
+                proc = _cli(flags, argv, str(fx))
+                assert proc.returncode == 2, (name, value, proc.stderr)
+                assert "cannot parse scalar %r" % value in proc.stderr
+                assert "Traceback" not in proc.stderr
+
+
+def test_square_failure_names_the_chain(fixture_dir, capsys):
+    # d(d(y)) = d(x) is printed with the unit word first, then by word
+    # length and word, each coefficient in its field's canonical form
+    doc = {"field": "Q",
+           "chords": [{"label": lab, "length": length, "degree": deg,
+                       "ends": [0, 0]}
+                      for lab, length, deg in [("a", "1", 0), ("b", "1", 0),
+                                               ("x", "3", 1), ("y", "4", 2)]],
+           "differential": {
+               "x": [{"coeff": "17/3", "word": ["a", "b"]},
+                     {"coeff": "-2", "word": []},
+                     {"coeff": "-1/2", "word": ["b"]}],
+               "y": [{"coeff": "1", "word": ["x"]}]}}
+    (fixture_dir / "square.json").write_text(json.dumps(doc))
+    assert main(["validate", str(fixture_dir / "square.json")]) == 1
+    out = capsys.readouterr().out
+    assert "square 'y': FAIL — d(d(y)) = -2·1 + -1/2·b + 17/3·a*b\n" in out
+    assert out.endswith("invalid: 1 failed check(s)\n")
+
+
 _JUNK = (None, True, 1.5, "", "1/0", "inf", [], {}, 10 ** 30)
 
 

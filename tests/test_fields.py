@@ -1,6 +1,7 @@
 """Coefficient arithmetic: exactness, canonical residues, field laws."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,31 @@ def test_coerce():
             F.coerce(0.5)
         with pytest.raises(ParseError):
             F.coerce("zebra")
+
+
+# scalar strings, plain and not, that the reader shares with as_action: each
+# reads as Fraction(text.strip()) does, up to the digit limit
+@pytest.mark.parametrize("text", [
+    " 1/2 ", "+1", "1_0", "1.5", "1e3", "\u0663", "-0", "007/010", "-7/3",
+    "1234567890123456789012345678901", "9" * 4300, "0e8600"])
+def test_coerce_reads_strings_as_fraction_does(text):
+    want = Fraction(text.strip())
+    assert QQ.coerce(text) == want and type(QQ.coerce(text)) is Fraction
+    assert FP(7).coerce(text) == FP(7).coerce(want)
+
+
+def test_coerce_refuses_values_str_cannot_print():
+    # an exponent far past the limit is refused before Fraction computes its
+    # power of ten, which takes tens of seconds for 1e20000000
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no digit limit set")
+    for text in ("1e%d" % limit, "1e-%d" % limit, "1e20000000", "9" * 5000):
+        for F in FIELDS:
+            with pytest.raises(ParseError) as info:
+                F.coerce(text)
+            assert str(info.value).startswith("cannot parse scalar %r"
+                                              % (text,))
 
 
 def test_format_roundtrip():

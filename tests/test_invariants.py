@@ -233,6 +233,62 @@ def test_no_unused_imports():
     assert not unused, "imported and never read: %s" % unused
 
 
+def _private_names(trees):
+    """(owner, name, where) for each ``_name`` a module or class body of
+    ``trees`` defines and nothing in them reads; owner is the class, or None
+    at module level.  ``self._x`` and ``cls._x`` read their own class's
+    name, ``C._x`` class C's, and any other ``obj._x`` every class's."""
+    bodies = [(path, None, tree.body) for path, tree in trees]
+    bodies += [(path, c.name, c.body) for path, tree in trees
+               for c in tree.body if isinstance(c, ast.ClassDef)]
+    classes = {owner for _, owner, _ in bodies if owner}
+    defined, read = [], set()
+    for path, owner, body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(owner, n, "%s:%d" % (path, node.lineno)) for n in names
+                        if n.startswith("_") and not n.endswith("__")]
+        # a class body is walked on its own, so self reads its class's names
+        code = []
+        for n in body:
+            code += (n.bases + n.decorator_list if owner is None and
+                     isinstance(n, ast.ClassDef) else [n])
+        for node in (x for n in code for x in ast.walk(n)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((None, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                read |= {(None, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                value = getattr(node.value, "id", None)
+                if value in ("self", "cls"):
+                    read.add((owner, node.attr))
+                else:
+                    read.add((value if value in classes else "*", node.attr))
+    return [(owner, name, where) for owner, name, where in defined
+            if (owner, name) not in read
+            and (owner is None or ("*", name) not in read)]
+
+
+def test_no_unread_private_names():
+    # a private helper, constant or method that its module and the rest of
+    # the package never read is left over from code that went
+    trees = [(path.relative_to(ROOT),
+              ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    assert _private_names(trees) == []
+    # a leftover method is found even where another class has one of its name
+    leftover = ast.parse("class A:\n    def _of_raw(self): pass\n"
+                         "class B:\n    def _of_raw(self): pass\n"
+                         "B._of_raw()\n_X = 1\n")
+    assert _private_names([("m.py", leftover)]) == [
+        (None, "_X", "m.py:6"), ("A", "_of_raw", "m.py:2")]
+
+
 _SCRIPT = """
 from fractions import Fraction
 from chordbars import (F2, Chord, ChordDGA, DGAMorphism, OscillationProfile,
