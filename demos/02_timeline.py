@@ -56,5 +56,5 @@ audit = drift_speed_audit(items, 3)
 print("\nspeed audit at rate 3: ok =", audit.ok)
 tight = drift_speed_audit(items, 1)
 print("speed audit at rate 1: ok =", tight.ok)
-for flag in tight.flags():
+for flag in tight.failures():
     print("  flagged [%s]: %s" % (flag.kind, flag.detail))

@@ -16,9 +16,9 @@ from .barcodes import (Bar, Barcode, BarannikovForm, barcode_definitional,
                        check_canonical_form, extract_table, format_action,
                        recover)
 from .piecewise import PLPath
-from .timelines import (AuditReport, Birth, Death, DriftSegment, EntryAbove,
+from .timelines import (Birth, CheckReport, Death, DriftSegment, EntryAbove,
                         EntryBelow, ExitAbove, ExitBelow, FamilyTrace,
-                        HandleSlide, TransitionReport, check_transitions,
+                        HandleSlide, check_transitions,
                         drift_speed_audit, random_timeline, simulate,
                         vineyard_rows)
 from .dga import (Augmentation, Chord, ChordDGA, DGAMorphism, birth_morphism,
@@ -43,7 +43,7 @@ __all__ = [
     "PLPath",
     "DriftSegment", "HandleSlide", "Birth", "Death", "ExitBelow",
     "ExitAbove", "EntryBelow", "EntryAbove", "FamilyTrace",
-    "TransitionReport", "AuditReport", "simulate", "check_transitions",
+    "CheckReport", "simulate", "check_transitions",
     "drift_speed_audit", "random_timeline", "vineyard_rows",
     "Augmentation", "Chord", "ChordDGA", "DGAMorphism",
     "validate_dga", "check_augmentation", "find_augmentations", "sub_dga",

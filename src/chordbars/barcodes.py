@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import linalg
 from .complexes import INF, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
+from .fields import _format_rational
 from .linalg import RankAccumulator
 
 
@@ -385,8 +386,8 @@ def _table_bars(crit, table):
 
 def format_action(v):
     if type(v) is Fraction:
-        return str(v)
-    return "inf" if v == INF else str(v)
+        return _format_rational(v)
+    return "inf" if v == INF else _format_rational(v)
 
 
 def barcode_table_lines(B):

@@ -4,10 +4,13 @@ Everything in here is plain exact arithmetic on piecewise-linear data: the
 oscillation of a Hamiltonian-style envelope, the length drift a chord
 accumulates when its endpoints ride the flow, and the counting bound that
 turns a spectral-gap profile plus homology ranks into a minimum number of
-long bars.  Exact rational mode is the default; floating-point samples are
-accepted for user data and carry a declared comparison tolerance.
+long bars.  Exact rational mode is the default.  Floats are accepted here
+only, as user data: a float profile sample or :func:`chord_drift` rate
+coordinate is read exactly (a non-finite one is refused), and a profile
+with a float sample carries a declared comparison tolerance.
 """
 
+import math
 from fractions import Fraction
 
 from .complexes import INF, as_action
@@ -17,10 +20,19 @@ from .piecewise import PLPath
 _DEFAULT_TOLERANCE = Fraction(1, 10 ** 9)
 
 
+def _read_float(x):
+    """A finite float read exactly; any other value is left to PLPath."""
+    if type(x) is not float:
+        return x
+    if not math.isfinite(x):
+        raise ValidationError("rate coordinates must be finite, got %r" % x)
+    return Fraction(x)
+
+
 def _as_path(data):
     if isinstance(data, PLPath):
         return data
-    return PLPath([(t, v) for t, v in data])
+    return PLPath([(_read_float(t), _read_float(v)) for t, v in data])
 
 
 class OscillationProfile:
@@ -28,9 +40,9 @@ class OscillationProfile:
 
     Samples must start at t = 0, end at t = 1, strictly increase in t, and
     satisfy max ≥ min throughout.  If any coordinate arrives as a float the
-    profile runs in float mode: values are converted exactly, but inequality
-    checks gain ``tolerance`` slack (1e-9).  Every coordinate must be a
-    finite number.
+    profile runs in float mode: every value is still read exactly, so the
+    envelope paths hold ``Fraction``s, but inequality checks gain
+    ``tolerance`` slack (1e-9).  Every coordinate must be a finite number.
     """
 
     __slots__ = ("hi", "lo", "float_mode", "tolerance")
@@ -102,8 +114,11 @@ def oscillation(profile, t_end=1):
 def chord_drift(profile, rate_end, rate_start, initial_length=0):
     """Length trajectory of a chord whose endpoints move at the given rates.
 
-    ``rate_end``/``rate_start`` are piecewise-linear on [0, 1] and must stay
-    inside the profile envelope pointwise (RatesExceedProfile otherwise).
+    ``rate_end``/``rate_start`` are piecewise-linear on [0, 1], given as
+    PLPaths or (t, value) lists, and must stay inside the profile envelope
+    pointwise, up to a float-mode profile's tolerance (RatesExceedProfile
+    otherwise).  A float coordinate in a list is read exactly, as profile
+    samples are; a non-finite one raises ValidationError.
     Returns (Δℓ, trajectory); the trajectory is reported as the
     piecewise-linear path through the exact cumulative values at the rate
     breakpoints (between breakpoints the true curve is quadratic; Δℓ and all

@@ -7,7 +7,10 @@ A :class:`Field` carries no elements; its methods do the arithmetic on raw
 values and :meth:`Field.coerce` turns input (int, str, Fraction) into one.
 Everything is exact; floats never appear.  Scalar and action strings
 (:func:`chordbars.complexes.as_action`) share one reader, which refuses a
-value with more digits than ``int()`` reads and ``str()`` prints.
+value with more digits than ``int()`` reads and ``str()`` prints, and
+printed values (:meth:`Field.format`,
+:func:`chordbars.barcodes.format_action`) share one writer, which refuses
+a computed value with more digits than ``str()`` prints.
 
 Sparse chains are ``{key: raw}`` dicts that never store a zero: boundaries
 of filtered complexes, words of chord algebras, reduction columns.
@@ -19,7 +22,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import BadCharacteristic, NotInvertible, ParseError
+from .errors import (BadCharacteristic, NotInvertible, ParseError,
+                     ValidationError)
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # plain rational strings (a nonzero denominator) are read with int(); every
@@ -45,6 +49,17 @@ def _parse_rational(text):
     if limit and max(abs(q.numerator), q.denominator) >= 10 ** limit:
         raise ValueError("more than %d digits" % limit)
     return q
+
+
+def _format_rational(x):
+    """``str()`` of an int or Fraction; a value with more digits than
+    ``str()`` prints raises ValidationError naming the limit."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ValidationError(
+            "cannot print a value with more than %d digits"
+            % sys.get_int_max_str_digits()) from None
 
 
 def _is_prime(n):
@@ -138,7 +153,7 @@ class Field:
 
     def format(self, raw):
         """Canonical string form of a raw value ("3", "-3/4")."""
-        return str(raw)
+        return _format_rational(raw)
 
     @property
     def zero_raw(self):

@@ -1,20 +1,23 @@
 """Piecewise-linear paths with exact breakpoint arithmetic.
 
 A :class:`PLPath` is a continuous piecewise-linear function given by its
-breakpoints.  With ``Fraction`` inputs every operation here (evaluation,
-differences, integrals, zero-crossings) is exact; floats serve the
-measured-profile mode of the displacement layer.  ``values_at``, on integer
-numerators and denominators for an exact path, is the one evaluator here:
-the drift speed audit, ``value``, differences and integrals read it, and
-segment replay calls it for a path that lacks some of its segment's
-breakpoints (it interpolates its samples from its own grid values).  Only
-``zeros`` keeps the textbook expressions, as the tests' reference.
+breakpoints.  Every coordinate is read as an exact action (int, str or
+``Fraction``; a float or bool is refused), so every operation here
+(evaluation, differences, integrals, zero-crossings) is exact and returns
+``Fraction``s; the float mode of :mod:`chordbars.bounds` reads its float
+samples exactly before it builds a path.  ``values_at``, on integer
+numerators and denominators, is the one evaluator here: the drift speed
+audit, ``value``, differences and integrals read it, and segment replay
+calls it for a path that lacks some of its segment's breakpoints (it
+interpolates its samples from its own grid values).  Only ``zeros`` keeps
+the textbook expressions, as the tests' reference.
 """
 
 from fractions import Fraction
 from math import gcd
 from operator import sub
 
+from .complexes import as_action
 from .errors import NonMonotoneTime, ValidationError
 
 
@@ -24,11 +27,9 @@ class PLPath:
     __slots__ = ("points",)
 
     def __init__(self, points):
-        # ints become Fractions so slopes, zeros and interpolation stay
-        # exact; floats stay floats for the float mode of ``bounds``
-        pts = tuple((Fraction(t) if isinstance(t, int) else t,
-                     Fraction(v) if isinstance(v, int) else v)
-                    for t, v in points)
+        # every coordinate is read as an exact action (int, str or
+        # Fraction), so slopes, zeros and interpolation stay exact
+        pts = tuple((as_action(t), as_action(v)) for t, v in points)
         if len(pts) < 2:
             raise ValidationError("a path needs at least two breakpoints")
         for (t0, _), (t1, _) in zip(pts, pts[1:]):
@@ -72,60 +73,37 @@ class PLPath:
     def values_at(self, ts):
         """Values at the ascending times ``ts``, in one sweep of the pieces.
 
-        A breakpoint time gives the breakpoint's value.  On an exact path at
-        ``Fraction`` times, each time is located by integer
+        A breakpoint time gives the breakpoint's value.  Each time is read
+        by ``as_integer_ratio()`` and located by integer
         cross-multiplication, each piece's line is computed once as ints
-        and each interior value is one ``Fraction``.  Otherwise each piece's
-        rise and run are computed once and a time t inside the piece from
-        (t0, v0) has the value v0 + rise * (t - t0) / run.  A time outside
-        the domain, or before the piece of an earlier time, raises
-        :class:`ValidationError`.  Segment replay calls it only at its
-        grid times, for a path that lacks some of them.
+        and each interior value is one ``Fraction``.  A time outside the
+        domain, or before the piece of an earlier time, raises
+        :class:`ValidationError`.  Segment replay calls it only at its grid
+        times, for a path that lacks some of them.
         """
         pts = self.points
         last = len(pts) - 1
         i = 1
         out = []
-        if _exact(pts) and all(type(t) is Fraction for t in ts):
-            rs = _ratios(pts)
-            (a0, b0), (a1, b1) = rs[0][0], rs[1][0]
-            line = None
-            for t in ts:
-                n, d = t.as_integer_ratio()
-                while n * b1 > a1 * d and i < last:
-                    i += 1
-                    a0, b0 = a1, b1
-                    a1, b1 = rs[i][0]
-                    line = None
-                if n * b1 == a1 * d:
-                    out.append(pts[i][1])
-                elif a0 * d < n * b0 and n * b1 < a1 * d:
-                    if line is None:
-                        line = _line(rs[i - 1], rs[i])
-                    A, B, D = line
-                    out.append(Fraction(A * n + B * d, D * d))
-                elif n * b0 == a0 * d:
-                    out.append(pts[i - 1][1])
-                else:
-                    raise self._out_of_order(t)
-            return out
-        t0, v0 = pts[0]
-        t1, v1 = pts[1]
-        rise = None
+        rs = _ratios(pts)
+        (a0, b0), (a1, b1) = rs[0][0], rs[1][0]
+        line = None
         for t in ts:
-            while t > t1 and i < last:
+            n, d = t.as_integer_ratio()
+            while n * b1 > a1 * d and i < last:
                 i += 1
-                t0, v0 = t1, v1
-                t1, v1 = pts[i]
-                rise = None
-            if t == t1:
-                out.append(v1)
-            elif t0 < t < t1:
-                if rise is None:
-                    rise, run = v1 - v0, t1 - t0
-                out.append(v0 + rise * (t - t0) / run)
-            elif t == t0:
-                out.append(v0)
+                a0, b0 = a1, b1
+                a1, b1 = rs[i][0]
+                line = None
+            if n * b1 == a1 * d:
+                out.append(pts[i][1])
+            elif a0 * d < n * b0 and n * b1 < a1 * d:
+                if line is None:
+                    line = _line(rs[i - 1], rs[i])
+                A, B, D = line
+                out.append(Fraction(A * n + B * d, D * d))
+            elif n * b0 == a0 * d:
+                out.append(pts[i - 1][1])
             else:
                 raise self._out_of_order(t)
         return out
@@ -156,12 +134,10 @@ class PLPath:
 
     def integral(self, t0=None, t1=None):
         """Exact trapezoid integral over [t0, t1] (defaults: whole domain)."""
-        if t0 is None:
-            t0 = self.t_start
-        if t1 is None:
-            t1 = self.t_end
+        t0 = self.t_start if t0 is None else as_action(t0)
+        t1 = self.t_end if t1 is None else as_action(t1)
         if t0 == t1:
-            return 0 * self.points[0][1]
+            return Fraction(0)
         if not self.t_start <= t0 < t1 <= self.t_end:
             raise ValidationError("cannot integrate a path on [%s, %s] over "
                                   "[%s, %s]" % (self.t_start, self.t_end, t0, t1))
@@ -191,11 +167,6 @@ class PLPath:
             if not out or out[-1] != r:
                 out.append(r)
         return out, _merge_intervals(flats)
-
-
-def _exact(points):
-    """Whether every coordinate is a ``Fraction``, so the int kernels apply."""
-    return all(type(t) is Fraction and type(v) is Fraction for t, v in points)
 
 
 def _ratios(points):

@@ -220,11 +220,7 @@ def serialize_dga(D):
 
 
 def parse_augmentation(obj, field, where="augmentation"):
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    values = {}
-    for label, v in obj.items():
-        values[label] = _scalar_str(v, "%s[%r]" % (where, label))
+    values = _scalar_map(obj, where)
     try:
         return Augmentation(field, values)
     except ValidationError as exc:

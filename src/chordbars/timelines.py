@@ -31,17 +31,13 @@ from .piecewise import PLPath, merge_times
 
 
 def _as_path(value, t0, t1):
-    """Accept a PLPath, a constant, or a list of (t, v) pairs.
-
-    Breakpoints are coerced to exact actions, those of a given PLPath too.
-    """
-    if value is None:
-        return None
-    if isinstance(value, PLPath):
-        value = value.points
+    """Accept a PLPath (kept as is), a constant, or a list of (t, v) pairs;
+    :class:`PLPath` reads every coordinate as an exact action."""
+    if value is None or isinstance(value, PLPath):
+        return value
     if isinstance(value, (list, tuple)):
-        return PLPath([(as_action(t), as_action(v)) for t, v in value])
-    return PLPath.constant(as_action(value), t0, t1)
+        return PLPath(value)
+    return PLPath.constant(value, t0, t1)
 
 
 class DriftSegment:
@@ -881,7 +877,10 @@ class CheckEntry:
             " — " + self.detail if self.detail else "")
 
 
-class TransitionReport:
+class CheckReport:
+    """The entries of :func:`check_transitions` or
+    :func:`drift_speed_audit`, in order; ``failures()`` lists those not ok."""
+
     def __init__(self, entries):
         self.entries = list(entries)
 
@@ -956,7 +955,7 @@ def check_transitions(trace):
                 across.append(_step_entry(s1, s2, t, crossing, st, k))
             elif crossing:  # at the family's ends
                 along.append(_step_entry(s1, s2, t, True, st, k))
-    return TransitionReport(along + across + jumps)
+    return CheckReport(along + across + jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,18 +1040,6 @@ class AuditEntry:
             " — " + self.detail if self.detail else "")
 
 
-class AuditReport:
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    def flags(self):
-        return [e for e in self.entries if not e.ok]
-
-
 def drift_speed_audit(timeline, oscillation_rate):
     """Check declared drift speeds against an oscillation-rate budget.
 
@@ -1074,19 +1061,16 @@ def drift_speed_audit(timeline, oscillation_rate):
     segments = [it for it in timeline if isinstance(it, DriftSegment)]
     events = [it for it in timeline if isinstance(it, SingularEvent)]
     if not segments:
-        return AuditReport([])
+        return CheckReport([])
     span0 = min(s.t0 for s in segments)
     span1 = max(s.t1 for s in segments)
     rate = oscillation_rate
     if not isinstance(rate, PLPath):
-        rate = PLPath.constant(as_action(rate), span0, span1)
+        rate = PLPath.constant(rate, span0, span1)
     if rate.t_start > span0 or rate.t_end < span1:
         raise ValidationError("oscillation rate path does not cover the timeline")
     if rate.min_value() < 0:
         raise ValidationError("oscillation rate must be nonnegative")
-    if any(type(t) is not Fraction for t in rate.breakpoint_times()):
-        # a float time next to an exact one can make a zero-length piece
-        raise ValidationError("oscillation rate breakpoint times must be exact")
 
     entries = []
     end_slopes = {}  # segment end -> (bottom, top) slope on its last piece
@@ -1170,7 +1154,7 @@ def drift_speed_audit(timeline, oscillation_rate):
                                            outside))
         entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
                                   detail))
-    return AuditReport(entries)
+    return CheckReport(entries)
 
 
 # ---------------------------------------------------------------------------

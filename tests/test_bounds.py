@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chordbars import (Bar, Barcode, BettiProfile, INF, OscillationProfile,
                        PLPath, SigmaProfile, barcode_of, chord_drift,
@@ -86,9 +87,32 @@ def test_long_bar_witness_threshold_is_inclusive():
 def test_float_mode_profile():
     pf = OscillationProfile([(0, 1.0, 0.0), (1, 1.0, 0.0)])
     assert pf.float_mode and pf.tolerance == q(1, 10 ** 9)
-    d, _ = chord_drift(pf, PLPath([(0, 1.0), (1, 1.0)]),
-                       PLPath([(0, 0), (1, 0)]))
+    d, _ = chord_drift(pf, [(0, 1.0), (1, 1.0)], [(0, 0), (1, 0)])
     assert d == 1
+
+
+_WIDE = OscillationProfile.constant(4, -4)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(0, 1), max_size=4, unique=True),
+       st.lists(st.floats(-4, 4), min_size=6, max_size=6))
+def test_chord_drift_reads_float_rates_exactly(inner, values):
+    # float rate coordinates give what their exact Fractions give
+    times = sorted({0.0, 1.0, *inner})
+    end = list(zip(times, values))
+    start = [(t, -v) for t, v in end]
+    exact = [[(q(t), q(v)) for t, v in rate] for rate in (end, start)]
+    got = chord_drift(_WIDE, end, start, initial_length=1)
+    assert got == chord_drift(_WIDE, *exact, initial_length=1)
+    assert all(type(x) is Fraction for pt in got[1].points for x in pt)
+
+
+def test_chord_drift_refuses_non_finite_rates():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for rate in ([(0, bad), (1, 0)], [(0, 0), (bad, 0), (1, 0)]):
+            with pytest.raises(ValidationError, match="must be finite"):
+                chord_drift(_WIDE, rate, [(0, 0), (1, 0)])
 
 
 def test_theorem_bound_sphere_like():

@@ -287,6 +287,10 @@ def test_optimized_mode_output_identical(fixture_dir):
     trace = simulate(*family)
     assert len(trace.segments) - 1 > len(trace.events) > 0
     assert any(st.crossings for st in trace.segments)
+    # float samples, read exactly: the width is 5 throughout, so the
+    # oscillation equals the gap 5 and the strict inequality sets the count
+    (fixture_dir / "float_profile.csv").write_text(
+        "t,max,min\n0,2.5,-2.5\n0.5,3.75,-1.25\n1,1.5e0,-3.5\n")
     commands = [
         ["validate", "demo_complex.json"],
         ["validate", "demo_timeline.json"],
@@ -301,6 +305,8 @@ def test_optimized_mode_output_identical(fixture_dir):
          "--window", "9", "12"],
         ["bound", "sigma.json", "betti.json", "--oscillation", "49/10"],
         ["bound", "sigma.json", "betti.json", "--profile", "profile.csv"],
+        ["bound", "sigma.json", "betti.json", "--profile",
+         "float_profile.csv"],
     ]
     vine = fixture_dir / "vine.csv"
     for argv in commands:
@@ -315,6 +321,13 @@ def test_optimized_mode_output_identical(fixture_dir):
         assert (optimized.returncode, optimized.stdout, optimized_csv) == \
             (plain.returncode, plain.stdout, plain_csv), argv
     assert vine.read_text().startswith("t,bar_id,start,end\n")
+    assert plain.stdout == (  # the last command's: the float profile
+        "count: 0 (strict inequality required)\n"
+        "i_star: 0\n"
+        "ordering: 1 0 2\n"
+        "binding: sigma\n"
+        "hypothesis: displaced image transverse to the flow (assumed, not "
+        "checked)\n")
 
 
 def test_overlong_numbers_exit_two(fixture_dir):
@@ -376,6 +389,39 @@ def test_overlong_scalars_exit_two(fixture_dir):
                 assert proc.returncode == 2, (name, value, proc.stderr)
                 assert "cannot parse scalar %r" % value in proc.stderr
                 assert "Traceback" not in proc.stderr
+
+
+def test_overlong_printed_values_exit_one(fixture_dir):
+    # values computed from in-limit inputs can have more digits than str()
+    # prints; printing one is a validation error naming the limit.  Two
+    # 4,001-digit coefficients multiply into an 8,001-digit d(d(y)), and
+    # paths with 2,201-digit values cross at a time of over 4,400 digits.
+    big = "1" + "0" * 4000
+    dga = {"field": "Q",
+           "chords": [{"label": lab, "length": length, "degree": deg,
+                       "ends": [0, 0]}
+                      for lab, length, deg in [("a", "1", 0), ("b", "1", 0),
+                                               ("x", "3", 1), ("y", "4", 2)]],
+           "differential": {"x": [{"coeff": big, "word": ["a", "b"]}],
+                            "y": [{"coeff": big, "word": ["x"]}]}}
+    y0 = str(Fraction(1, 2) + Fraction(1, 10 ** 2200 + 1))
+    y1 = str(Fraction(1, 3) + Fraction(1, 10 ** 2200 + 3))
+    timeline = {
+        "initial": {"field": "Q", "window": ["0", "inf"], "generators": [
+            {"id": "x", "action": "0", "degree": 0},
+            {"id": "y", "action": y0, "degree": 0}]},
+        "items": [{"type": "drift", "t0": "0", "t1": "1", "actions": {
+            "x": [["0", "0"], ["1", "1"]], "y": [["0", y0], ["1", y1]]}}]}
+    for doc, argv in [(dga, ["validate"]),
+                      (timeline, ["simulate", "--vineyard", "vine.csv"])]:
+        (fixture_dir / "big.json").write_text(json.dumps(doc))
+        for flags in ([], ["-O"]):
+            proc = _cli(flags, argv[:1] + ["big.json"] + argv[1:],
+                        str(fixture_dir))
+            assert proc.returncode == 1, proc.stderr
+            assert proc.stderr.splitlines() == [
+                "error: cannot print a value with more than %d digits"
+                % sys.get_int_max_str_digits()]
 
 
 def test_square_failure_names_the_chain(fixture_dir, capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from chordbars import F2, FP, QQ, Field
-from chordbars.errors import BadCharacteristic, NotInvertible, ParseError
+from chordbars import F2, FP, QQ, Field, format_action
+from chordbars.errors import (BadCharacteristic, NotInvertible, ParseError,
+                              ValidationError)
 
 FIELDS = [F2, FP(5), QQ]
 
@@ -92,6 +93,15 @@ def test_format_roundtrip():
     for F in FIELDS:
         for raw in ([0, 1] if F.char else [Fraction(-3, 4), Fraction(2)]):
             assert F.coerce(F.format(raw)) == raw
+    # a computed value with more digits than str() prints is refused by the
+    # one writer behind both formatters
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for fmt in (QQ.format, format_action):
+        assert fmt(Fraction(-3, 4)) == "-3/4"
+        if limit:
+            with pytest.raises(ValidationError,
+                               match="more than %d digits" % limit):
+                fmt(Fraction(10 ** limit, 3))
 
 
 def test_zero_division():

@@ -1,5 +1,6 @@
 """Piecewise-linear paths: exact values, calculus, and differences."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,8 +44,21 @@ def test_int_breakpoints_stay_exact():
     roots, flats = (p - PLPath([(0, 2), (1, 2)])).zeros()
     assert roots == [q(1, 2)] and type(roots[0]) is Fraction
     assert flats == []
-    # floats stay floats (the float mode of bounds)
-    assert type(PLPath([(0, 1.5), (1, 2)]).value(q(1, 2))) is float
+
+
+def test_coordinates_are_read_as_exact_actions():
+    # int, str and Fraction coordinates are all stored as Fractions
+    p = PLPath([(0, "3/2"), ("1/2", q(1, 3)), (q(1), -2)])
+    assert p.points == ((0, q(3, 2)), (q(1, 2), q(1, 3)), (1, -2))
+    assert all(type(x) is Fraction for pt in p.points for x in pt)
+    assert all(type(x) is Fraction for x in PLPath.constant(4, 0, 1).points[0])
+    # a float or bool coordinate is refused, not carried along
+    for bad in (0.5, float("inf"), float("nan"), True):
+        for points in ([(0, bad), (1, 0)], [(0, 0), (bad, 1), (2, 0)]):
+            with pytest.raises(ValidationError):
+                PLPath(points)
+    with pytest.raises(ValidationError):
+        PLPath.constant(1.0, 0, 1)
 
 
 def test_integral_exact():
@@ -132,12 +146,14 @@ def test_integral_bounds():
     for t0, t1 in ((q(3, 4), q(1, 4)), (-1, q(1, 2)), (q(1, 2), 2), (-2, -1)):
         with pytest.raises(ValidationError):
             p.integral(t0, t1)
-    # zero width gives a zero of the path's value type, even off the domain
-    for path, zero in ((p, Fraction(0)), (PLPath([(0, 1.5), (1, 2.0)]), 0.0),
-                       (PLPath([(0.0, 1.5), (1.0, 2.0)]), 0.0)):
-        for t in (q(1, 2), 5):
-            got = path.integral(t, t)
-            assert got == zero and type(got) is type(zero)
+    # bounds are read as exact actions; zero width gives an exact zero,
+    # even off the domain
+    with pytest.raises(ValidationError):
+        p.integral(0.25, 0.5)
+    assert p.integral("1/4", "3/4") == q(3, 8)
+    for t in (q(1, 2), 5):
+        got = p.integral(t, t)
+        assert got == 0 and type(got) is Fraction
 
 
 @settings(max_examples=100)
@@ -156,18 +172,14 @@ def test_values_at_matches_value(p, data):
             p.values_at([p.t_end, p.t_start])
 
 
-# Large denominators, crossing times and float coordinates.  Each result is
-# compared with the textbook expression v0 + (v1 - v0)·(t - t0)/(t1 - t0),
-# evaluated here on the piece holding t (a breakpoint gives its own value);
-# floats must match it bit for bit, so results are compared by type and repr.
+# Large denominators and crossing times.  Each result is compared with the
+# textbook expression v0 + (v1 - v0)·(t - t0)/(t1 - t0), evaluated here on
+# the piece holding t (a breakpoint gives its own value), by type and repr.
 
 BIG = 10 ** 9
 big_times = st.lists(st.fractions(-4, 4, max_denominator=BIG),
                      min_size=2, max_size=6, unique=True).map(sorted)
 big_values = st.fractions(-3, 3, max_denominator=BIG)
-float_times = st.lists(st.floats(-4, 4), min_size=2, max_size=6,
-                       unique=True).map(sorted)
-float_values = st.floats(-3, 3)
 
 
 def _textbook(points, t):
@@ -192,20 +204,6 @@ def big_path_pair(draw):
     ts2 = sorted({lo, hi} | {t for t in ts2 if lo < t < hi})
     return (PLPath([(t, draw(big_values)) for t in ts1]),
             PLPath([(t, draw(big_values)) for t in ts2]))
-
-
-@st.composite
-def inexact_path_pair(draw):
-    """Two paths on one interval: all-float, or Fraction times with float
-    values (a profile CSV row such as ``0,1.5,0.5``)."""
-    if draw(st.booleans()):
-        ts1, ts2, vals = draw(float_times), draw(float_times), float_values
-    else:
-        ts1, ts2, vals = draw(big_times), draw(big_times), float_values
-    lo, hi = ts1[0], ts1[-1]
-    ts2 = sorted({lo, hi} | {t for t in ts2 if lo < t < hi})
-    return (PLPath([(t, draw(vals)) for t in ts1]),
-            PLPath([(t, draw(vals)) for t in ts2]))
 
 
 def _check_values(p, ts):
@@ -250,31 +248,15 @@ def test_big_denominators_match_textbook(pair, data):
             assert any(t0 < r < t1 for r in roots)
 
 
-@settings(max_examples=150)
-@given(inexact_path_pair(), st.data())
-def test_float_paths_match_textbook_bit_for_bit(pair, data):
-    p1, p2 = pair
-    _check_difference(p1, p2)
-    lo, hi = p1.t_start, p1.t_end
-    if type(lo) is float:
-        inner = data.draw(st.lists(st.floats(lo, hi), max_size=8))
-    else:
-        inner = data.draw(st.lists(
-            st.fractions(lo, hi, max_denominator=BIG), max_size=8))
-    ts = sorted(inner + p1.breakpoint_times() + p2.breakpoint_times())
-    _check_values(p1, ts)
-    _check_values(p2, ts)
-    assert all(type(v) is float for v in p1.values_at(ts))
-    roots, _flats = (p1 - p2).zeros()
-    assert roots == sorted(set(roots))
-
-
-def test_exact_path_at_int_and_float_times():
-    # only Fraction times take the integer kernel; other times keep the
-    # plain expression and its result type
-    p = PLPath([(0, 1), (2, 2)])
-    assert _bits(p.values_at([0, 1, 2])) == \
-        _bits([q(1), q(3, 2), q(2)])
-    assert _bits(p.values_at([0.5])) == _bits([_textbook(p.points, 0.5)])
-    with pytest.raises(ValidationError):
-        PLPath([(0, 1), (1, 0), (2, 2)]).values_at([q(3, 2), q(1, 2)])
+@settings(max_examples=100)
+@given(big_path_pair(), st.data())
+def test_int_times_read_as_fractions(pair, data):
+    # an int time is read by as_integer_ratio() like the equal Fraction
+    p, _ = pair
+    ints = list(range(math.ceil(p.t_start), math.floor(p.t_end) + 1))
+    inner = data.draw(st.lists(
+        st.fractions(p.t_start, p.t_end, max_denominator=BIG), max_size=4))
+    ts = sorted(ints + inner + p.breakpoint_times())
+    got = p.values_at(ts)
+    assert got == p.values_at([q(t) for t in ts])
+    assert all(type(v) is Fraction for v in got)

@@ -564,13 +564,16 @@ def test_drift_speed_audit():
     assert ok_report.ok
     bad_report = drift_speed_audit(items, q(1, 2))
     assert not bad_report.ok
-    flagged = bad_report.flags()
+    flagged = bad_report.failures()
     assert flagged and flagged[0].subject == "a"
     with pytest.raises(ValidationError):
         drift_speed_audit(items, -1)
-    # a float rate time next to the exact segment times
-    with pytest.raises(ValidationError, match="breakpoint times must be exact"):
-        drift_speed_audit(items, PLPath([(0, 2), (0.1, 2.0), (1, 2)]))
+    # a float rate is refused where its path is built, a given one or the
+    # constant the audit builds
+    with pytest.raises(ValidationError, match="must be exact rationals"):
+        PLPath([(0, 2), (0.1, 2), (1, 2)])
+    with pytest.raises(ValidationError, match="must be exact rationals"):
+        drift_speed_audit(items, 1.5)
     with pytest.raises(ValidationError,
                        match="^oscillation rate path does not cover the timeline$"):
         drift_speed_audit(items, PLPath([(0, 2), (q(1, 2), 2)]))
@@ -1150,8 +1153,8 @@ def audit_timelines(draw):
     """1-3 unit segments of 1-4 generators (shared knots, tied values and
     paths that follow one another), window edges that are paths, constants
     or an infinite top, a second segment ending with some, and window entry
-    and exit events between them.  The rate is a constant, an exact path or
-    a path of float values, its breakpoints inside the segments."""
+    and exit events between them.  The rate is a constant or a path, its
+    breakpoints inside the segments."""
     ids = ["g%d" % i for i in range(draw(st.integers(1, 4)))]
     n_segs = draw(st.integers(1, 3))
     items = []
@@ -1175,14 +1178,12 @@ def audit_timelines(draw):
             items.append(draw(st.sampled_from([
                 EntryBelow(k + 1, "new", 0), EntryAbove(k + 1, "new", 1),
                 ExitBelow(k + 1, ids[0]), ExitAbove(k + 1, ids[0])])))
-    kind = draw(st.sampled_from(["constant", "exact", "float"]))
-    if kind == "constant":
+    if draw(st.booleans()):
         return items, draw(st.sampled_from([0, 1, q(3, 2), 6, 40]))
     ts = draw(st.lists(st.fractions(0, n_segs, max_denominator=6),
                        unique=True, max_size=5))
     ts = sorted(set(ts) | {q(0), q(n_segs)})
-    value = (st.fractions(0, 40, max_denominator=4) if kind == "exact"
-             else st.floats(0, 40))
+    value = st.fractions(0, 40, max_denominator=4)
     return items, PLPath([(t, draw(value)) for t in ts])
 
 
