@@ -20,12 +20,12 @@ from .piecewise import PLPath
 _DEFAULT_TOLERANCE = Fraction(1, 10 ** 9)
 
 
-def _read_float(x):
-    """A finite float read exactly; any other value is left to PLPath."""
-    if type(x) is not float:
+def _read_float(x, what="rate coordinates"):
+    """A finite float read exactly; any other value is left to as_action."""
+    if not isinstance(x, float):
         return x
     if not math.isfinite(x):
-        raise ValidationError("rate coordinates must be finite, got %r" % x)
+        raise ValidationError("%s must be finite, got %r" % (what, x))
     return Fraction(x)
 
 
@@ -42,7 +42,7 @@ class OscillationProfile:
     satisfy max ≥ min throughout.  If any coordinate arrives as a float the
     profile runs in float mode: every value is still read exactly, so the
     envelope paths hold ``Fraction``s, but inequality checks gain
-    ``tolerance`` slack (1e-9).  Every coordinate must be a finite number.
+    ``tolerance`` slack (1e-9).  Other coordinates are read as exact actions.
     """
 
     __slots__ = ("hi", "lo", "float_mode", "tolerance")
@@ -58,10 +58,10 @@ class OscillationProfile:
         los = []
         try:
             for t, hi, lo in rows:
-                times.append(Fraction(t))
-                his.append(Fraction(hi))
-                los.append(Fraction(lo))
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                times.append(as_action(_read_float(t)))
+                his.append(as_action(_read_float(hi)))
+                los.append(as_action(_read_float(lo)))
+        except (TypeError, ValueError, ValidationError):
             raise ValidationError("profile samples must be (t, max, min) "
                                   "triples of finite numbers") from None
         if times != sorted(set(times)):
@@ -95,7 +95,7 @@ def constant_width_schedule(width):
     time-s restriction has oscillation exactly s·width: the envelope stays
     [−width/2, width/2] even as the underlying flow concentrates.
     """
-    w = Fraction(width)
+    w = as_action(_read_float(width, "width"))
     if not w > 0:
         raise ValidationError("width must be positive")
     return OscillationProfile.constant(w / 2, -w / 2)
@@ -103,7 +103,7 @@ def constant_width_schedule(width):
 
 def oscillation(profile, t_end=1):
     """∫₀^{t_end} (max − min) dt, exact (trapezoid is exact on PL data)."""
-    t = Fraction(t_end)
+    t = as_action(_read_float(t_end, "t_end"))
     if not 0 <= t <= 1:
         raise NonMonotoneTime("t_end must lie in [0, 1], got %s" % t)
     if t == 0:

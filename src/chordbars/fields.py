@@ -57,9 +57,13 @@ def _format_rational(x):
     try:
         return str(x)
     except ValueError:
-        raise ValidationError(
-            "cannot print a value with more than %d digits"
-            % sys.get_int_max_str_digits()) from None
+        raise _unprintable() from None
+
+
+def _unprintable():
+    """The error of a value with more digits than ``str()`` prints."""
+    return ValidationError("cannot print a value with more than %d digits"
+                           % sys.get_int_max_str_digits())
 
 
 def _is_prime(n):

@@ -1,16 +1,16 @@
 """Piecewise-linear paths with exact breakpoint arithmetic.
 
 A :class:`PLPath` is a continuous piecewise-linear function given by its
-breakpoints.  Every coordinate is read as an exact action (int, str or
-``Fraction``; a float or bool is refused), so every operation here
-(evaluation, differences, integrals, zero-crossings) is exact and returns
-``Fraction``s; the float mode of :mod:`chordbars.bounds` reads its float
-samples exactly before it builds a path.  ``values_at``, on integer
-numerators and denominators, is the one evaluator here: the drift speed
-audit, ``value``, differences and integrals read it, and segment replay
-calls it for a path that lacks some of its segment's breakpoints (it
-interpolates its samples from its own grid values).  Only ``zeros`` keeps
-the textbook expressions, as the tests' reference.
+breakpoints.  Every coordinate is read once as an exact action (int, str or
+``Fraction``; a float or bool is refused; :mod:`chordbars.schemas` reads a
+drift item's and hands them over), so evaluation, differences, integrals
+and zeros are exact ``Fraction``s.  ``values_at``, on integer numerators
+and denominators, is the one evaluator here: the speed audit, ``value``,
+differences and integrals read it, and segment replay calls it only for a
+path off its segment's grid.  That grid is the longest path's knot list
+when every other path has it too (an item's paths share their knot-time
+``Fraction``s) or only the segment's ends; else it is :func:`merge_times`.
+Only ``zeros`` keeps the textbook expressions, as the tests' reference.
 """
 
 from fractions import Fraction
@@ -29,14 +29,16 @@ class PLPath:
     def __init__(self, points):
         # every coordinate is read as an exact action (int, str or
         # Fraction), so slopes, zeros and interpolation stay exact
-        pts = tuple((as_action(t), as_action(v)) for t, v in points)
-        if len(pts) < 2:
-            raise ValidationError("a path needs at least two breakpoints")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if not t0 < t1:
-                raise NonMonotoneTime("breakpoint times must strictly increase "
-                                      "(%s then %s)" % (t0, t1))
-        self.points = pts
+        self.points = _checked(tuple((as_action(t), as_action(v))
+                                     for t, v in points))
+
+    @classmethod
+    def _exact(cls, points, ordered=False):
+        """A path on (t, v) pairs read already (``Fraction``s), checked
+        unless ``ordered``."""
+        self = object.__new__(cls)
+        self.points = tuple(points) if ordered else _checked(tuple(points))
+        return self
 
     @classmethod
     def constant(cls, value, t0, t1):
@@ -167,6 +169,17 @@ class PLPath:
             if not out or out[-1] != r:
                 out.append(r)
         return out, _merge_intervals(flats)
+
+
+def _checked(pts):
+    """``pts``, if two or more with strictly increasing times."""
+    if len(pts) < 2:
+        raise ValidationError("a path needs at least two breakpoints")
+    for (t0, _), (t1, _) in zip(pts, pts[1:]):
+        if not t0 < t1:
+            raise NonMonotoneTime("breakpoint times must strictly increase "
+                                  "(%s then %s)" % (t0, t1))
+    return pts
 
 
 def _ratios(points):

@@ -12,14 +12,15 @@ import csv
 import io
 import json
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .barcodes import format_action
 from .bounds import OscillationProfile
 from .complexes import INF, FilteredComplex, as_action
 from .dga import Augmentation, Chord, ChordDGA
 from .errors import ParseError, ValidationError
-from .fields import Field
+from .fields import Field, _unprintable
+from .piecewise import PLPath
 from .timelines import (Birth, Death, DriftSegment, EntryAbove, EntryBelow,
                         ExitAbove, ExitBelow, HandleSlide)
 
@@ -254,6 +255,19 @@ def _path_spec(value, where, times):
     return _action(value, where)
 
 
+def _polylines(specs):
+    """``specs`` with each polyline made a path, its values not read again
+    and its order not checked again if on the last polyline's knot times."""
+    out, last = [], None
+    for spec in specs:
+        if type(spec) is list:
+            times = tuple(map(itemgetter(0), spec))
+            spec = PLPath._exact(spec, ordered=times == last)
+            last = times
+        out.append(spec)
+    return out
+
+
 def _scalar_map(obj, where):
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
@@ -321,16 +335,20 @@ def parse_timeline_item(item, where):
         times = {}
         paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid), times)
                  for gid, p in actions.items()}
+        # t0 and t1 are read, then shared with the knots they equal
+        t0 = times.get(item["t0"], _action(item["t0"], where + ".t0"))
+        t1 = times.get(item["t1"], _action(item["t1"], where + ".t1"))
         wa = item.get("window_a")
         wb = item.get("window_b")
-        return DriftSegment(
-            _action(item["t0"], where + ".t0"),
-            _action(item["t1"], where + ".t1"),
-            paths,
-            None if wa is None else _path_spec(wa, where + ".window_a", times),
-            None if wb is None else (
-                INF if wb == "inf"
-                else _path_spec(wb, where + ".window_b", times)))
+        wa = None if wa is None else _path_spec(wa, where + ".window_a", times)
+        wb = None if wb is None else (
+            INF if wb == "inf" else _path_spec(wb, where + ".window_b", times))
+        if t0 < t1:
+            # DriftSegment refuses t0 >= t1 before it builds a path; past
+            # that, the read polylines become paths here, in its order
+            *built, wa, wb = _polylines([*paths.values(), wa, wb])
+            paths = dict(zip(paths, built))
+        return DriftSegment(t0, t1, paths, wa, wb)
     if not isinstance(kind, str) or kind not in _EVENT_ITEMS:
         raise ParseError("unknown timeline item type %r" % (kind,),
                          where + ".type")
@@ -398,16 +416,18 @@ def barcode_json(B):
 
 
 def vineyard_csv(rows):
-    """CSV text with the stable column set (t, bar_id, start, end)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["t", "bar_id", "start", "end"])
+    """CSV text with the stable column set (t, bar_id, start, end); no
+    number, ``inf`` or ``b%03d`` id needs quoting, so ``str()`` writes each."""
+    out = ["t,bar_id,start,end\n"]
     t_last, t_text = object(), None  # a sample's rows share its t
-    for t, bar_id, start, end, _degree in rows:
-        if t is not t_last:
-            t_last, t_text = t, format_action(t)
-        w.writerow([t_text, bar_id, format_action(start), format_action(end)])
-    return buf.getvalue()
+    try:
+        for t, bar_id, start, end, _degree in rows:
+            if t is not t_last:
+                t_last, t_text = t, str(t)
+            out.append("%s,%s,%s,%s\n" % (t_text, bar_id, start, end))
+    except ValueError:  # str() of a value over the digit limit
+        raise _unprintable() from None
+    return "".join(out)
 
 
 def parse_profile_csv(text, source="<profile>"):

@@ -507,7 +507,7 @@ class FamilyTrace:
         # _reduce) and changes only where two generators of one degree
         # cross, so while it and the frame stand the last sample's pairing
         # stands too
-        order = [gid for *_, gid in sorted(keys)]
+        order = [key[2] for key in sorted(keys)]
         last = self.samples[-1] if self.samples else None
         if last and last.frame is frame and order == self._order:
             pairs = last.pairs
@@ -678,16 +678,20 @@ def _run_segment(trace, state, seg, entering_event=None):
     cols = [paths[gid] for gid in ids] + edges
 
     # 2. one grid per segment: the breakpoints of every path and window
-    # edge.  Each is read there once (a path with as many breakpoints as the
-    # grid has exactly its times, so its values are its breakpoints'), and
-    # at grid time k every value is put over the lcm L[k] of their
-    # denominators: paths, pair differences and gaps become int arrays,
-    # affine between grid times.  The verdicts and the samples below read
-    # only these ints; a Fraction is built only for a crossing time, a
+    # edge, mostly the longest path's, which the others have too or span
+    # with their ends alone.  Each is read there once (a path with as many
+    # breakpoints as the grid has exactly its times, so its values are its
+    # breakpoints'), and at grid time k every value is put over the lcm L[k]
+    # of their denominators: paths, pair differences and gaps become int
+    # arrays, affine between grid times.  The verdicts and the samples below
+    # read only these ints; a Fraction is built only for a crossing time, a
     # witness or a sample's values.
-    grid = merge_times(*[p.breakpoint_times() for p in cols])
-    on_grid = [[v for _, v in p.points] if len(p.points) == len(grid)
-               else p.values_at(grid) for p in cols]
+    knots = [tuple(zip(*p.points)) for p in cols]  # (times, values)
+    grid = max([ts for ts, _ in knots], key=len)
+    if any(len(ts) > 2 and ts != grid for ts, _ in knots):
+        grid = merge_times(*[ts for ts, _ in knots])
+    on_grid = [vs if len(vs) == len(grid) else p.values_at(grid)
+               for p, (_, vs) in zip(cols, knots)]
     L = [math.lcm(*[v.denominator for v in vs]) for vs in zip(*on_grid)]
     ints = [[v.numerator * (m // v.denominator) for v, m in zip(vs, L)]
             for vs in on_grid]
@@ -799,6 +803,8 @@ def _run_segment(trace, state, seg, entering_event=None):
     # validated, and each event's ``apply`` checks what it changes
     frame = state.frame()
     degrees = frame[1]
+    degs = [degrees[gid] for gid in ids]
+    xs = ints[:len(ids)]
     first = len(trace.samples)
     rs = [t.as_integer_ratio() for t in critical]
     for (k, *_), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
@@ -807,7 +813,7 @@ def _run_segment(trace, state, seg, entering_event=None):
         u = (r * m - n * w) * q * L[k + 1]
         v = (n * q - p * m) * w * L[k]
         D = m * (r * q - p * w) * L[k] * L[k + 1]
-        nums = {gid: u * x[k] + v * x[k + 1] for gid, x in at.items()}
+        nums = [u * x[k] + v * x[k + 1] for x in xs]
         lo = u * bottom[k] + v * bottom[k + 1]
         if b_path == INF:
             win = (Fraction(lo, D), INF)
@@ -818,9 +824,8 @@ def _run_segment(trace, state, seg, entering_event=None):
             if not lo < hi:
                 raise ValidationError("empty window [%s, %s)" % win)
         trace.add_sample(Fraction(n, m),
-                         {gid: Fraction(x, D) for gid, x in nums.items()},
-                         win, frame,
-                         [(degrees[gid], x, gid) for gid, x in nums.items()])
+                         dict(zip(ids, [Fraction(x, D) for x in nums])),
+                         win, frame, list(zip(degs, nums, ids)))
     trace.segments.append(SegmentTrace(
         degrees, crossings, list(range(first, len(trace.samples))),
         critical, paths))
@@ -1009,14 +1014,14 @@ def vineyard_rows(trace):
     id_map = {}
     prev_pairs = None
     for sample in trace.samples:
-        if sample.pairs != prev_pairs:
+        if sample.pairs is not prev_pairs and sample.pairs != prev_pairs:
             id_map = _remap_across(sample.pairs, id_map, counter)
+            bars = sorted((bid, s, e) for (s, e), bid in id_map.items())
         prev_pairs = sample.pairs
-        acts, degrees = sample.actions, sample.frame[1]
-        for p in sorted(sample.pairs, key=lambda q: id_map[q]):
-            s, e = p
-            rows.append((sample.t, id_map[p], acts[s],
-                         INF if e is None else acts[e], degrees[s]))
+        t, acts, degrees = sample.t, sample.actions, sample.frame[1]
+        for bid, s, e in bars:
+            rows.append((t, bid, acts[s], INF if e is None else acts[e],
+                         degrees[s]))
     return rows
 
 

@@ -43,6 +43,54 @@ def test_oscillation_rejections():
                 OscillationProfile(rows)
 
 
+_PROFILE_REFUSAL = "profile samples must be (t, max, min) triples of " \
+    "finite numbers"
+
+
+@pytest.mark.parametrize("build, message", [
+    # numbers are read as paths read them: a bool is not a number, a string
+    # over the digit limit is not read, a float must be finite
+    (lambda: OscillationProfile([(0, True, False), (1, True, 0)]),
+     _PROFILE_REFUSAL),
+    (lambda: OscillationProfile([(0, 1, 0), (True, 1, 0)]), _PROFILE_REFUSAL),
+    (lambda: OscillationProfile([(0, "1e5000", 0), (1, 1, 0)]),
+     _PROFILE_REFUSAL),
+    (lambda: OscillationProfile([(0, 1.0, 0.0), (1, float("nan"), 0.0)]),
+     _PROFILE_REFUSAL),
+    (lambda: OscillationProfile([(0, 1, 0), (1, 1)]), _PROFILE_REFUSAL),
+    (lambda: constant_width_schedule(True),
+     "action values must be exact rationals, got True"),
+    (lambda: constant_width_schedule("1e5000"),
+     "cannot read action value '1e5000'"),
+    (lambda: constant_width_schedule(float("inf")),
+     "width must be finite, got inf"),
+    (lambda: constant_width_schedule(None), "cannot read action value None"),
+    (lambda: oscillation(_PROFILE, True),
+     "action values must be exact rationals, got True"),
+    (lambda: oscillation(_PROFILE, "1e5000"),
+     "cannot read action value '1e5000'"),
+    (lambda: oscillation(_PROFILE, float("nan")),
+     "t_end must be finite, got nan"),
+    (lambda: oscillation(_PROFILE, float("-inf")),
+     "t_end must be finite, got -inf"),
+], ids=["profile-bools", "profile-bool-time", "profile-overlong",
+        "profile-nan", "profile-short-row", "width-bool", "width-overlong",
+        "width-inf", "width-none", "t_end-bool", "t_end-overlong",
+        "t_end-nan", "t_end-minus-inf"])
+def test_bounds_refuse_what_the_shared_reader_refuses(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_bounds_read_floats_and_strings_exactly():
+    assert constant_width_schedule(2.5).hi.start_value == q(5, 4)
+    assert constant_width_schedule("5/2").lo.end_value == q(-5, 4)
+    assert oscillation(_PROFILE, 0.5) == oscillation(_PROFILE, "1/2") \
+        == q(7, 4)
+    assert not OscillationProfile([("0", "2", 0), (1, "1e1", "-3")]).float_mode
+
+
 def test_chord_drift_saturates_the_envelope():
     delta, traj = chord_drift(_PROFILE, _PROFILE.hi, _PROFILE.lo,
                               initial_length=10)

@@ -10,14 +10,20 @@ Run ``PYTHONPATH=src python tests/test_replay.py`` to print the current
 digests.
 """
 
+import csv
 import hashlib
+import io
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from chordbars import (F2, FP, INF, QQ, DriftSegment, PLPath, barcode_of,
                        canonical_form, check_transitions, random_timeline,
                        schemas, simulate, timelines, vineyard_rows)
+from chordbars.barcodes import format_action
+from chordbars.piecewise import merge_times
 from chordbars.schemas import vineyard_csv
 
 from support import count_calls
@@ -166,6 +172,131 @@ def test_critical_times_lie_between_consecutive_samples(replays):
         assert [st.critical[0] for st in segments[1:]] == ends
         assert [ev.time for ev in trace.events] == sorted(
             set(ends) & {ev.time for ev in trace.events})
+
+
+def _csv_writer_text(rows):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", "bar_id", "start", "end"])
+    for t, bar_id, start, end, _degree in rows:
+        w.writerow([format_action(t), bar_id, format_action(start),
+                    format_action(end)])
+    return buf.getvalue()
+
+
+def test_vineyard_csv_matches_a_csv_writer(replays):
+    # the writer formats each row itself; a csv.writer over format_action
+    # texts gives the same bytes, infinite ends included
+    infinite = 0
+    for _items, trace in replays:
+        rows = vineyard_rows(trace)
+        infinite += sum(row[3] == INF for row in rows)
+        assert vineyard_csv(rows) == _csv_writer_text(rows)
+    assert infinite
+
+
+def _refined(path, times):
+    """The same path with breakpoints at ``times`` (ascending, its own
+    among them)."""
+    return PLPath(zip(times, path.values_at(times)))
+
+
+def _uneven(rng, initial, items):
+    """The family with extra collinear knots on every path and window edge,
+    a random subset of sixths of each segment per path, as fresh Fractions:
+    the knot lists differ, or are equal without sharing objects."""
+    a, b = initial.window
+    out = []
+    for it in items:
+        if isinstance(it, DriftSegment):
+            t0, t1 = it.t0, it.t1
+            sixths = [t0 + (t1 - t0) * Fraction(k, 6) for k in range(1, 6)]
+
+            def knots():
+                return [Fraction(t.numerator, t.denominator) for t in
+                        sorted([t0, t1, *rng.sample(sixths, rng.randrange(3))])]
+            it = DriftSegment(
+                t0, t1, {gid: _refined(p, knots())
+                         for gid, p in it.actions.items()},
+                _refined(PLPath.constant(a, t0, t1), knots()),
+                INF if b == INF
+                else _refined(PLPath.constant(b, t0, t1), knots()))
+        out.append(it)
+    return out
+
+
+def _on_union(items):
+    """Every path and window edge refined onto the sorted union of its
+    segment's knot times, one shared Fraction per time."""
+    out = []
+    for it in items:
+        if isinstance(it, DriftSegment):
+            edges = [p for p in (it.window_a, it.window_b)
+                     if isinstance(p, PLPath)]
+            grid = merge_times(*[p.breakpoint_times()
+                                 for p in [*it.actions.values(), *edges]])
+            it = DriftSegment(
+                it.t0, it.t1,
+                {gid: _refined(p, grid) for gid, p in it.actions.items()},
+                *[_refined(p, grid) if isinstance(p, PLPath) else p
+                  for p in (it.window_a, it.window_b)])
+        out.append(it)
+    return out
+
+
+def _replay_view(trace):
+    return ([(s.t, s.actions, s.window, s.pairs) for s in trace.samples],
+            [(st.critical, st.crossings, st.sample_indices)
+             for st in trace.segments],
+            vineyard_rows(trace),
+            [(e.kind, e.time, e.ok, e.detail)
+             for e in check_transitions(trace).entries])
+
+
+def test_segment_grid_is_the_union_of_knot_times(monkeypatch):
+    # paths with different knot lists, or equal ones read apart, replay as
+    # the same family refined onto the union of its knot times, on which
+    # every path has one shared knot list and no union is taken
+    merges = count_calls(monkeypatch, timelines, "merge_times")
+    rng = random.Random(26)
+    unions = segments = 0
+    for initial, items in itertools.islice(_timelines(), 30):
+        uneven = _uneven(rng, initial, items)
+        del merges[:]
+        trace = simulate(initial, uneven)
+        got, n = _replay_view(trace), len(merges)
+        assert _replay_view(simulate(initial, _on_union(uneven))) == got
+        assert len(merges) == n
+        unions += n
+        segments += len(trace.segments)
+    assert 0 < unions < segments
+
+
+_GRID_DOC = {
+    "initial": {"field": "Q", "window": ["0", "inf"],
+                "generators": [{"id": "x", "action": "1", "degree": 0},
+                               {"id": "y", "action": "2", "degree": 0},
+                               {"id": "z", "action": "3", "degree": 1}],
+                "differential": {"z": [{"id": "y", "coeff": "1"}]}},
+    "items": [{"type": "drift", "t0": "0", "t1": "1", "actions": {
+        "x": [[0, "1"], ["1/2", "3"], [1, "5/2"]],
+        "y": [["0", "2"], ["2/4", "2"], ["1", "2"]],
+        "z": [[0, "3"], ["1/2", "4"], ["1", "4"]]}}]}
+
+
+@pytest.mark.parametrize("y_knot, unions", [("2/4", 0), ("1/3", 1)])
+def test_knot_times_read_apart_share_the_grid(monkeypatch, y_knot, unions):
+    # int knots and "1/2" / "2/4" are read into distinct equal Fractions:
+    # they still make one knot list, and a different knot makes a union
+    doc = schemas.loads(schemas.dumps(_GRID_DOC))
+    doc["items"][0]["actions"]["y"][1][0] = y_knot
+    initial, items = schemas.parse_timeline(doc)
+    merges = count_calls(monkeypatch, timelines, "merge_times")
+    got = _replay_view(simulate(initial, items))
+    assert len(merges) == unions
+    assert _replay_view(simulate(initial, _on_union(items))) == got
+    assert [len(st.crossings) for st in simulate(initial, items).segments] \
+        == [1]
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from chordbars import INF, barcode_of, simulate
-from chordbars.errors import ParseError
+from chordbars import INF, barcode_of, schemas, simulate
+from chordbars.barcodes import format_action
+from chordbars.errors import ChordbarsError, ParseError, ValidationError
 from chordbars.schemas import (barcode_json, dumps, loads, parse_complex,
                                parse_dga, parse_profile_csv,
                                parse_rational_array, parse_timeline,
@@ -275,6 +276,85 @@ def test_vineyard_csv_columns():
              (q(3, 4), "b001", 0, 2, 0), (INF, "b003", 0, 1, 0)]
     assert vineyard_csv(rows).splitlines()[3:] == [
         "3/4,b001,0,1", "3/4,b002,1/3,inf", "3/4,b001,0,2", "inf,b003,0,1"]
+
+
+
+def test_vineyard_csv_refuses_overlong_values_as_format_action_does():
+    # a row value with more digits than str() prints raises the guarded
+    # writer's ValidationError, whichever column holds it
+    big = q(1, 10 ** 4400 + 1)
+    with pytest.raises(ValidationError) as want:
+        format_action(big)
+    for row in [(big, "b000", 0, INF, 0), (0, "b000", big, INF, 0),
+                (0, "b000", 0, 10 ** 4400, 0)]:
+        with pytest.raises(ValidationError) as info:
+            vineyard_csv([(0, "b001", 1, 2, 0), row])
+        assert str(info.value) == str(want.value)
+
+
+_KNOTS = [["0", "1"], ["1/2", "2"], ["1", "1"]]
+_UNORDERED = [["0", "1"], ["1", "2"], ["1/2", "1"]]
+_FALLS = "breakpoint times must strictly increase (1 then 1/2)"
+
+
+@pytest.mark.parametrize("actions, extra, error", [
+    # every value is read before any path is built
+    ({"a": _UNORDERED, "b": [["0", "1"], ["1/2", "x"], ["1", "1"]]}, {},
+     ("ParseError", "cannot read action value 'x' "
+                    "(at x.actions['b'][1][1])")),
+    ({"a": _UNORDERED, "b": _KNOTS}, {"t1": "1/0"},
+     ("ParseError", "cannot read action value '1/0' (at x.t1)")),
+    ({"a": _UNORDERED, "b": _KNOTS}, {"window_a": [["0", "x"]]},
+     ("ParseError", "cannot read action value 'x' (at x.window_a[0][1])")),
+    ({"a": _KNOTS, "b": [["0", 1.5], ["1", "1"]]}, {"t0": "1"},
+     ("ParseError", "numbers must be integers or rational strings "
+                    "(at x.actions['b'][0][1])")),
+    # t0 < t1 is checked before any path
+    ({"a": _UNORDERED, "b": _KNOTS}, {"t0": "1", "t1": "0"},
+     ("ValidationError", "drift segment needs t0 < t1")),
+    ({"a": [["0", "1"]], "b": _KNOTS}, {"t0": "2"},
+     ("ValidationError", "drift segment needs t0 < t1")),
+    # then the paths in order: actions, window bottom, window top
+    ({"a": [["0", "1"]], "b": _UNORDERED}, {},
+     ("ValidationError", "a path needs at least two breakpoints")),
+    ({"a": _UNORDERED, "b": [["0", "1"]]}, {},
+     ("NonMonotoneTime", _FALLS)),
+    ({"a": _KNOTS, "b": []}, {},
+     ("ValidationError", "a path needs at least two breakpoints")),
+    ({"a": _KNOTS, "b": _KNOTS, "c": _UNORDERED}, {},
+     ("NonMonotoneTime", _FALLS)),
+    ({"a": _KNOTS, "b": [["0", "1"], ["2/4", "2"], ["1/2", "1"],
+                         ["1", "1"]]}, {},
+     ("NonMonotoneTime",
+      "breakpoint times must strictly increase (1/2 then 1/2)")),
+    ({"a": [[0, "1"], [1, "2"], ["1/2", "1"]], "b": _KNOTS}, {},
+     ("NonMonotoneTime", _FALLS)),
+    ({"a": _KNOTS, "b": _KNOTS}, {"window_a": _UNORDERED},
+     ("NonMonotoneTime", _FALLS)),
+    ({"a": _KNOTS, "b": _KNOTS},
+     {"window_a": [["0", "1"]], "window_b": "inf"},
+     ("ValidationError", "a path needs at least two breakpoints")),
+    ({"a": _KNOTS, "b": _KNOTS}, {"window_a": _KNOTS, "window_b": _UNORDERED},
+     ("NonMonotoneTime", _FALLS)),
+    # and last the spans
+    ({"a": [["0", "1"], ["1/2", "2"]], "b": _UNORDERED}, {},
+     ("NonMonotoneTime", _FALLS)),
+    ({"a": [["0", "1"], ["1/2", "2"]], "b": _KNOTS}, {},
+     ("ValidationError", "action path of 'a' does not span [0, 1]")),
+    ({"a": _KNOTS}, {"t1": "2"},
+     ("ValidationError", "action path of 'a' does not span [0, 2]")),
+    ({"a": _KNOTS, "b": _KNOTS}, {"window_b": [["0", "1"], ["1/2", "2"]]},
+     ("ValidationError", "window path does not span the segment")),
+])
+def test_drift_item_reports_its_first_fault(actions, extra, error):
+    # a drift item with several faults reports the first one in this order:
+    # values read (ParseError at the value's JSON path), t0 < t1, each
+    # path's breakpoints, each path's span
+    item = dict({"type": "drift", "t0": "0", "t1": "1", "actions": actions},
+                **extra)
+    with pytest.raises(ChordbarsError) as info:
+        schemas.parse_timeline_item(item, "x")
+    assert (type(info.value).__name__, str(info.value)) == error
 
 
 def test_profile_csv_rational_mode():
