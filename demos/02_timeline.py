@@ -42,7 +42,7 @@ trace = simulate(initial, items)
 report = check_transitions(trace)
 for entry in report.entries:
     status = "pass" if entry.ok else "FAIL"
-    print("%s @ t=%s: %s (%s)" % (entry.kind, entry.time, status,
+    print("%s @ t=%s: %s (%s)" % (entry.kind, entry.at, status,
                                   entry.detail))
 print("all transitions conform:", report.ok)
 

@@ -25,7 +25,7 @@ D = ChordDGA(QQ, [Chord("p", 1, 0, (0, 0)),
              {"m2": {("p", "m1"): 1}})
 print("chord algebra checks:")
 for entry in validate_dga(D).entries:
-    print("  %s %r: %s" % (entry.check, entry.label,
+    print("  %s %r: %s" % (entry.kind, entry.subject,
                            "ok" if entry.ok else entry.detail))
 
 # With eps(p) = 1 the word p*m1 linearizes to m1 and the two mixed chords

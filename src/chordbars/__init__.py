@@ -7,7 +7,7 @@ displacement layer turns length/homology profiles into lower bounds.
 """
 
 from . import errors
-from .errors import ChordbarsError, ParseError, ValidationError
+from .errors import CheckReport, ChordbarsError, ParseError, ValidationError
 from .fields import F2, FP, QQ, Field
 from .complexes import INF, FilteredComplex, Generator, random_complex
 from .barcodes import (Bar, Barcode, BarannikovForm, barcode_definitional,
@@ -16,11 +16,10 @@ from .barcodes import (Bar, Barcode, BarannikovForm, barcode_definitional,
                        check_canonical_form, extract_table, format_action,
                        recover)
 from .piecewise import PLPath
-from .timelines import (Birth, CheckReport, Death, DriftSegment, EntryAbove,
-                        EntryBelow, ExitAbove, ExitBelow, FamilyTrace,
-                        HandleSlide, check_transitions,
-                        drift_speed_audit, random_timeline, simulate,
-                        vineyard_rows)
+from .timelines import (Birth, Death, DriftSegment, EntryAbove, EntryBelow,
+                        ExitAbove, ExitBelow, FamilyTrace, HandleSlide,
+                        check_transitions, drift_speed_audit,
+                        random_timeline, simulate, vineyard_rows)
 from .dga import (Augmentation, Chord, ChordDGA, DGAMorphism, birth_morphism,
                   check_augmentation, find_augmentations,
                   handle_slide_morphism, partial_linearization, sub_dga,

@@ -85,7 +85,7 @@ def cmd_validate(args, out):
         report = validate_dga(D)
         for e in report.entries:
             status = "ok" if e.ok else "FAIL — %s" % e.detail
-            print("%s %r: %s" % (e.check, e.label, status), file=out)
+            print("%s %r: %s" % (e.kind, e.subject, status), file=out)
         if not report.ok:
             print("invalid: %d failed check(s)" % len(report.failures()),
                   file=out)
@@ -112,16 +112,15 @@ def cmd_barcode(args, out):
     return 0
 
 
-def _render_report(entries, out, args):
+def _render_report(report, out, args):
+    entries, failed = report.entries, len(report.failures())
     for line in _stamp_lines(args):
         print(line, file=out)
-    failed = 0
     for e in entries:
         status = "pass" if e.ok else "FAIL"
         suffix = " (%s)" % e.detail if e.detail else ""
-        print("%s @ t=%s: %s%s" % (e.kind, format_action(e.time),
+        print("%s @ t=%s: %s%s" % (e.kind, format_action(e.at),
                                    status, suffix), file=out)
-        failed += 0 if e.ok else 1
     print("checks: %d run, %d failed" % (len(entries), failed), file=out)
     return failed
 
@@ -130,8 +129,7 @@ def cmd_simulate(args, out):
     initial, items = schemas.parse_timeline(_load_json(args.path),
                                             where=args.path)
     trace = simulate(initial, items)
-    report = check_transitions(trace)
-    failed = _render_report(report.entries, out, args)
+    failed = _render_report(check_transitions(trace), out, args)
     if args.vineyard:
         with open(args.vineyard, "w", encoding="utf-8") as fh:
             fh.write(schemas.vineyard_csv(vineyard_rows(trace)))

@@ -16,10 +16,10 @@ arithmetic; nothing here ever touches floats.
 from fractions import Fraction
 
 from .complexes import INF, FilteredComplex, as_action, as_degree
-from .errors import (ActionIncrease, AugmentationInvalid, DegreeMismatch,
-                     DuplicateId, ForeignGenerator,
-                     MixedOutputViolation, NotChainMap, NotSquareZero,
-                     OrderingViolated, SearchBudgetExceeded,
+from .errors import (ActionIncrease, AugmentationInvalid, CheckEntry,
+                     CheckReport, DegreeMismatch, DuplicateId,
+                     ForeignGenerator, MixedOutputViolation, NotChainMap,
+                     NotSquareZero, OrderingViolated, SearchBudgetExceeded,
                      ValidationError, WindowTooWide)
 
 
@@ -185,47 +185,16 @@ class ChordDGA:
         return out
 
     def require_valid(self):
-        validate_dga(self).raise_first()
+        validate_dga(self).raise_first(_EXC)
         return self
 
 
-class ReportEntry:
-    __slots__ = ("check", "label", "ok", "detail")
-
-    def __init__(self, check, label, ok, detail=""):
-        self.check = check
-        self.label = label
-        self.ok = ok
-        self.detail = detail
-
-    def __repr__(self):
-        return "ReportEntry(%s on %r: %s%s)" % (
-            self.check, self.label, "ok" if self.ok else "FAIL",
-            " — " + self.detail if self.detail else "")
-
-
-class DGAReport:
-    _EXC = {"square": NotSquareZero, "degree": DegreeMismatch,
-            "length": ActionIncrease, "mixed-output": MixedOutputViolation,
-            "graded": AugmentationInvalid,
-            "vanishes-on-mixed": AugmentationInvalid,
-            "kills-boundaries": AugmentationInvalid}
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e.ok]
-
-    def raise_first(self):
-        for e in self.entries:
-            if not e.ok:
-                exc = self._EXC.get(e.check, ValidationError)
-                raise exc("%s (%s on %r)" % (e.detail, e.check, e.label))
+# the exception each failed law of validate_dga or check_augmentation raises
+_EXC = {"square": NotSquareZero, "degree": DegreeMismatch,
+        "length": ActionIncrease, "mixed-output": MixedOutputViolation,
+        "graded": AugmentationInvalid,
+        "vanishes-on-mixed": AugmentationInvalid,
+        "kills-boundaries": AugmentationInvalid}
 
 
 def validate_dga(D):
@@ -242,15 +211,15 @@ def validate_dga(D):
     for c in D.chords:
         elem = D.diff_of(c.label)
         bad_deg = [w for w in elem if D.word_degree(w) != c.degree - 1]
-        entries.append(ReportEntry(
-            "degree", c.label, not bad_deg,
+        entries.append(CheckEntry(
+            "degree", c.label, None, not bad_deg,
             "" if not bad_deg else
             "word %s has degree %d, expected %d"
             % ("*".join(bad_deg[0]) or "1", D.word_degree(bad_deg[0]),
                c.degree - 1)))
         bad_len = [w for w in elem if not D.word_length(w) < c.length]
-        entries.append(ReportEntry(
-            "length", c.label, not bad_len,
+        entries.append(CheckEntry(
+            "length", c.label, None, not bad_len,
             "" if not bad_len else
             "word %s has length %s, not below %s"
             % ("*".join(bad_len[0]) or "1", D.word_length(bad_len[0]), c.length)))
@@ -263,15 +232,15 @@ def validate_dga(D):
                 bad_mix += [(w, "has a single mixed letter oriented backwards")
                             for w, m in mixed.items() if len(m) == 1
                             and not D.chord(m[0]).is_forward_mixed]
-            entries.append(ReportEntry(
-                "mixed-output", c.label, not bad_mix,
+            entries.append(CheckEntry(
+                "mixed-output", c.label, None, not bad_mix,
                 "" if not bad_mix else "word %s of d(%s) %s"
                 % ("*".join(bad_mix[0][0]) or "1", c.label, bad_mix[0][1])))
         sq = D.diff(elem)
-        entries.append(ReportEntry(
-            "square", c.label, not sq,
+        entries.append(CheckEntry(
+            "square", c.label, None, not sq,
             "" if not sq else "d(d(%s)) = %s" % (c.label, _format(D.field, sq))))
-    D._report = DGAReport(entries)
+    D._report = CheckReport(entries)
     return D._report
 
 
@@ -290,8 +259,8 @@ def sub_dga(D, l):
     diff = {lab: e for lab, e in D.differential.items() if lab in labels}
     sub = ChordDGA(D.field, keep, diff)
     if D._report is not None:
-        sub._report = DGAReport(e for e in D._report.entries
-                                if e.label in labels)
+        sub._report = CheckReport(e for e in D._report.entries
+                                  if e.subject in labels)
     return sub
 
 
@@ -359,21 +328,21 @@ def _augmentation_report(D, eps, chords):
     entries = []
     bad = [lab for lab in eps.values
            if not D.has_chord(lab) or D.chord(lab).degree != 0]
-    entries.append(ReportEntry(
-        "graded", None, not bad,
+    entries.append(CheckEntry(
+        "graded", None, None, not bad,
         "" if not bad else "nonzero on %r which is not a degree-0 chord" % bad[0]))
     badm = [lab for lab in eps.values
             if D.has_chord(lab) and D.chord(lab).kind == "mixed"]
-    entries.append(ReportEntry(
-        "vanishes-on-mixed", None, not badm,
+    entries.append(CheckEntry(
+        "vanishes-on-mixed", None, None, not badm,
         "" if not badm else "nonzero on mixed chord %r" % badm[0]))
     for c in chords:
         v = eps.of_element(D.diff_of(c.label))
-        entries.append(ReportEntry(
-            "kills-boundaries", c.label, not v,
+        entries.append(CheckEntry(
+            "kills-boundaries", c.label, None, not v,
             "" if not v else
             "eps(d(%s)) = %s" % (c.label, D.field.format(v))))
-    return DGAReport(entries)
+    return CheckReport(entries)
 
 
 def _vanish(equations, vals, p):
@@ -659,7 +628,7 @@ def partial_linearization(D, eps, window, l=INF):
             "nonzero on %r of length %s, not below the augmentation reach %s"
             % (beyond[0].label, beyond[0].length, l))
     below = [c for c in D.chords if c.length < l]
-    _augmentation_report(D, eps, below).raise_first()
+    _augmentation_report(D, eps, below).raise_first(_EXC)
 
     gens = [c for c in D.forward_mixed() if a <= c.length and
             (b == INF or c.length < b)]

@@ -1,9 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and check report shared across the package.
 
 Two top-level families matter for the command line tool: ParseError (bad
 input bytes/schema, exit code 2) and ValidationError (mathematically
 malformed but well-formed input, exit code 1).  Everything raised by the
-library that a caller may want to catch lives here.
+library that a caller may want to catch lives here, and so does the one
+:class:`CheckReport` that every checker of the package returns.
 """
 
 
@@ -134,3 +135,47 @@ class NonMonotoneTime(ValidationError):
 
 class RatesExceedProfile(ValidationError):
     """Declared endpoint rates are inconsistent with the oscillation profile."""
+
+
+# -- check reports -------------------------------------------------------------
+
+class CheckEntry:
+    """One check of ``kind`` on ``subject`` (a generator id, a chord label or
+    None) at ``at`` (a time, a (start, end) span or None)."""
+
+    __slots__ = ("kind", "subject", "at", "ok", "detail")
+
+    def __init__(self, kind, subject, at, ok, detail=""):
+        self.kind = kind
+        self.subject = subject
+        self.at = at
+        self.ok = ok
+        self.detail = detail
+
+    def __repr__(self):
+        at = "[%s, %s]" % self.at if isinstance(self.at, tuple) else self.at
+        return "CheckEntry(%s%s%s: %s%s)" % (
+            self.kind, "" if self.subject is None else " on %r" % (self.subject,),
+            "" if at is None else " @ t=%s" % at, "ok" if self.ok else "FAIL",
+            " — " + self.detail if self.detail else "")
+
+
+class CheckReport:
+    """Check entries in order; ``failures()`` lists those not ok."""
+
+    def __init__(self, entries):
+        self.entries = list(entries)
+
+    @property
+    def ok(self):
+        return all(e.ok for e in self.entries)
+
+    def failures(self):
+        return [e for e in self.entries if not e.ok]
+
+    def raise_first(self, exceptions):
+        """Raise the first failure as exceptions[kind], or ValidationError."""
+        for e in self.entries:
+            if not e.ok:
+                raise exceptions.get(e.kind, ValidationError)(
+                    "%s (%s on %r)" % (e.detail, e.kind, e.subject))

@@ -24,9 +24,10 @@ from . import linalg
 from .barcodes import Bar, Barcode, _reduce
 from .complexes import (INF, FilteredComplex, as_action, as_degree, as_id,
                         boundary_raw)
-from .errors import (ActionIncrease, ActionOutsideWindow,
-                     EventPreconditionViolated, NonGenericCrossing,
-                     SimultaneousBifurcations, ValidationError)
+from .errors import (ActionIncrease, ActionOutsideWindow, CheckEntry,
+                     CheckReport, EventPreconditionViolated,
+                     NonGenericCrossing, SimultaneousBifurcations,
+                     ValidationError)
 from .piecewise import PLPath, merge_times
 
 
@@ -482,10 +483,10 @@ class SegmentTrace:
         self.critical = critical
         self.paths = paths
 
-    def critical_actions(self, k):
-        """Every generator's action at ``critical[k]``, evaluated on call."""
+    def critical_actions(self, k, gids):
+        """The actions of ``gids`` at ``critical[k]``, evaluated on call."""
         t = [self.critical[k]]
-        return {gid: p.values_at(t)[0] for gid, p in self.paths.items()}
+        return {gid: self.paths[gid].values_at(t)[0] for gid in gids}
 
 
 class FamilyTrace:
@@ -867,51 +868,22 @@ def _require_resolved(state, ev, gaps_ok=frozenset(), top_ok=frozenset()):
 # transition checking — expected barcode rules at each event
 # ---------------------------------------------------------------------------
 
-class CheckEntry:
-    __slots__ = ("kind", "time", "ok", "detail")
-
-    def __init__(self, kind, time, ok, detail=""):
-        self.kind = kind
-        self.time = time
-        self.ok = ok
-        self.detail = detail
-
-    def __repr__(self):
-        return "CheckEntry(%s @ t=%s: %s%s)" % (
-            self.kind, self.time, "ok" if self.ok else "FAIL",
-            " — " + self.detail if self.detail else "")
-
-
-class CheckReport:
-    """The entries of :func:`check_transitions` or
-    :func:`drift_speed_audit`, in order; ``failures()`` lists those not ok."""
-
-    def __init__(self, entries):
-        self.entries = list(entries)
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e.ok]
-
-
 def _step_entry(s1, s2, t, crossing, st, k):
     """Check the samples around critical time k of segment ``st``, reported
     at t: across a crossing the bar values must match, elsewhere the pairing
     stays.  Pairs both samples share give the same bars, so only the others
     count, and the actions at the crossing are built only if some pair
-    differs."""
+    differs, only for the generators those pairs name."""
     ok = s1.pairs == s2.pairs
     if not crossing:
-        return CheckEntry("continuity", t, ok,
+        return CheckEntry("continuity", None, t, ok,
                           "" if ok else "pairing changed without a crossing")
     if not ok:
-        acts = st.critical_actions(k)
-        ok = (_pairing_bars_at(s1.pairs - s2.pairs, acts, st.degrees)
-              == _pairing_bars_at(s2.pairs - s1.pairs, acts, st.degrees))
-    return CheckEntry("crossing", t, ok, "" if ok else
+        gone, new = s1.pairs - s2.pairs, s2.pairs - s1.pairs
+        acts = st.critical_actions(k, set().union(*gone, *new) - {None})
+        ok = (_pairing_bars_at(gone, acts, st.degrees)
+              == _pairing_bars_at(new, acts, st.degrees))
+    return CheckEntry("crossing", None, t, ok, "" if ok else
                       "bar endpoint values jump across the crossing")
 
 
@@ -936,13 +908,16 @@ def check_transitions(trace):
     events = {ev.time: ev for ev in trace.events}
     samples, segments = trace.samples, trace.segments
     for i, st in enumerate(segments):
-        crossings = set(st.crossings)
+        # st.crossings is a sublist of st.critical, the same objects in order
+        crossings, j = st.crossings, 0
         base = st.sample_indices[0] - 1
         last = len(st.critical) - 1
-        for k in range(1 if i else 0, last + 1):
-            t = st.critical[k]
+        for k, t in enumerate(st.critical):
+            crossing = j < len(crossings) and crossings[j] is t
+            j += crossing
+            if not k and i:
+                continue
             s1, s2 = samples[base + k], samples[base + k + 1]
-            crossing = t in crossings
             if 0 < k < last:
                 along.append(_step_entry(s1, s2, t if crossing else s2.t,
                                          crossing, st, k))
@@ -952,7 +927,7 @@ def check_transitions(trace):
                 match = next((d for p, d in candidates if s2.pairs == p),
                              None)
                 jumps.append(CheckEntry(
-                    ev.kind, ev.time, match is not None, match or
+                    ev.kind, None, ev.time, match is not None, match or
                     "post-event pairing is not an admissible transform "
                     "(expected one of: %s)"
                     % "; ".join(d for _, d in candidates)))
@@ -1029,22 +1004,6 @@ def vineyard_rows(trace):
 # speed audit
 # ---------------------------------------------------------------------------
 
-class AuditEntry:
-    __slots__ = ("kind", "subject", "span", "ok", "detail")
-
-    def __init__(self, kind, subject, span, ok, detail=""):
-        self.kind = kind
-        self.subject = subject
-        self.span = span
-        self.ok = ok
-        self.detail = detail
-
-    def __repr__(self):
-        return "AuditEntry(%s %r on %s: %s%s)" % (
-            self.kind, self.subject, self.span, "ok" if self.ok else "FLAG",
-            " — " + self.detail if self.detail else "")
-
-
 def drift_speed_audit(timeline, oscillation_rate):
     """Check declared drift speeds against an oscillation-rate budget.
 
@@ -1102,7 +1061,7 @@ def drift_speed_audit(timeline, oscillation_rate):
                         "[%s, %s]" % (abs(s), low[k], cut[k], cut[k + 1])
                         for k, s in enumerate(slopes(vals[gid]))
                         if s and not abs(s) < low[k]), None)
-            entries.append(AuditEntry("generator-speed", gid, span,
+            entries.append(CheckEntry("generator-speed", gid, span,
                                       bad is None, bad or ""))
 
         if b is not None:
@@ -1112,7 +1071,7 @@ def drift_speed_audit(timeline, oscillation_rate):
                         "[%s, %s]" % (s, r[k], cut[k], cut[k + 1])
                         for k, s in enumerate(slopes(size))
                         if s and not (r[k] == r[k + 1] and s == -r[k])), None)
-            entries.append(AuditEntry("window-shrink", None, span,
+            entries.append(CheckEntry("window-shrink", None, span,
                                       bad is None, bad or ""))
 
         def gap_flag(g1, g2):
@@ -1135,7 +1094,7 @@ def drift_speed_audit(timeline, oscillation_rate):
 
         bad = next(filter(None, (gap_flag(g1, g2) for i, g1 in enumerate(ids)
                                  for g2 in ids[i + 1:])), None)
-        entries.append(AuditEntry("pair-gap", None, span, bad is None,
+        entries.append(CheckEntry("pair-gap", None, span, bad is None,
                                   bad or ""))
         end_slopes[seg.t1] = [Fraction(0) if e is None
                               else (e[-1] - e[-2]) / runs[-1] for e in (a, b)]
@@ -1157,7 +1116,7 @@ def drift_speed_audit(timeline, oscillation_rate):
                   "%s edge %s at %s, at least the rate %s: nothing %s the "
                   "window can catch it" % (side, moves, inward, rate_at,
                                            outside))
-        entries.append(AuditEntry("entry-feasible", ev.gid, ev.time, ok,
+        entries.append(CheckEntry("entry-feasible", ev.gid, ev.time, ok,
                                   detail))
     return CheckReport(entries)
 

@@ -78,10 +78,18 @@ def test_validate_bad_dga_exits_one(tmp_path, capsys):
                     "ends": [0, 1]}],
         "differential": {"m": [{"coeff": "1", "word": ["p"]}]},
     }))
-    code, out, _ = _run(capsys, ["validate", str(path)])
+    code, out, err = _run(capsys, ["validate", str(path)])
     assert code == 1
-    assert "FAIL" in out
-    assert "invalid:" in out.splitlines()[-1]
+    assert out == (
+        "degree 'p': ok\n"
+        "length 'p': ok\n"
+        "square 'p': ok\n"
+        "degree 'm': FAIL — word p has degree 0, expected 1\n"
+        "length 'm': ok\n"
+        "mixed-output 'm': FAIL — word p of d(m) contains no mixed chord\n"
+        "square 'm': ok\n"
+        "invalid: 2 failed check(s)\n")
+    assert err == ""
 
 
 def test_validate_missing_file_exits_two(capsys):

@@ -17,9 +17,10 @@ from chordbars import (INF, QQ, Augmentation, Chord, ChordDGA, barcode_of,
                        standard_unknot_shape, sub_dga, two_copy_template,
                        validate_dga)
 from chordbars.cli import main
-from chordbars.errors import (AugmentationInvalid, DuplicateId,
-                              ForeignGenerator, MixedOutputViolation,
-                              NotChainMap, OrderingViolated,
+from chordbars.errors import (ActionIncrease, AugmentationInvalid,
+                              DegreeMismatch, DuplicateId, ForeignGenerator,
+                              MixedOutputViolation, NotChainMap,
+                              NotSquareZero, OrderingViolated,
                               SearchBudgetExceeded, ValidationError,
                               WindowTooWide)
 from chordbars.fields import FP
@@ -412,6 +413,22 @@ _DGA_REFUSALS = [
     (lambda: partial_linearization(ChordDGA(F2, _SLIDE_CHORDS),
                                    Augmentation(F2), (3, 2)),
      ValidationError, "window needs a < b"),
+    # each failed law of validate_dga and check_augmentation raises its own
+    # class, the message naming the law and the chord
+    (lambda: find_augmentations(ChordDGA(
+        F2, [Chord("a", 1, 0), Chord("b", 2, 0)], {"b": {("a",): 1}})),
+     DegreeMismatch, "word a has degree 0, expected -1 (degree on 'b')"),
+    (lambda: ChordDGA(F2, [Chord("a", 2, 0), Chord("b", 1, 1)],
+                      {"b": {("a",): 1}}).require_valid(),
+     ActionIncrease, "word a has length 2, not below 1 (length on 'b')"),
+    (lambda: ChordDGA(F2, [Chord("a", 1, 0), Chord("b", 2, 1),
+                           Chord("c", 3, 2)],
+                      {"b": {("a",): 1}, "c": {("b",): 1}}).require_valid(),
+     NotSquareZero, "d(d(c)) = 1·a (square on 'c')"),
+    (lambda: partial_linearization(ChordDGA(F2, [Chord("m", 1, 0, (0, 1))]),
+                                   Augmentation(F2, {"m": 1}), (0, 4)),
+     AugmentationInvalid,
+     "nonzero on mixed chord 'm' (vanishes-on-mixed on None)"),
 ]
 
 
@@ -436,7 +453,7 @@ def test_validation_refuses_a_single_backwards_mixed_letter(tmp_path, capsys):
     # so the command line reports the algebra invalid before linearizing it
     report = validate_dga(_BACKWARDS)
     assert not report.ok
-    assert [(e.check, e.label, e.detail) for e in report.failures()] == [
+    assert [(e.kind, e.subject, e.detail) for e in report.failures()] == [
         ("mixed-output", "m",
          "word n of d(m) has a single mixed letter oriented backwards")]
     path = tmp_path / "backwards.dga.json"
@@ -497,7 +514,7 @@ def _assert_matches_oracle(D, eps, window):
 
 
 def _rows(report):
-    return [(e.check, e.label, e.ok, e.detail) for e in report.entries]
+    return [(e.kind, e.subject, e.ok, e.detail) for e in report.entries]
 
 
 def test_sub_dga_inherits_the_report():
@@ -525,13 +542,13 @@ def test_sub_dga_inherits_failures_on_both_sides_of_the_cut():
     rows = {"y": {("a",): 1}, "x": {("a",): 1}, "w": {("a",): 1},
             "m": {("a",): 1}, "z": {("w",): 1}}
     D = ChordDGA(QQ, chords, rows)
-    failed = {(e.check, e.label) for e in validate_dga(D).failures()}
+    failed = {(e.kind, e.subject) for e in validate_dga(D).failures()}
     assert failed == {("length", "y"), ("degree", "x"), ("square", "z"),
                       ("mixed-output", "m")}
     sub = sub_dga(D, 3)
     fresh = ChordDGA(QQ, chords[:4], {k: rows[k] for k in "yxw"})
     assert _rows(validate_dga(sub)) == _rows(validate_dga(fresh))
-    assert {(e.check, e.label) for e in validate_dga(sub).failures()} == \
+    assert {(e.kind, e.subject) for e in validate_dga(sub).failures()} == \
         {("length", "y"), ("degree", "x")}
     # a kept row with a dropped letter is refused before anything is
     # inherited, as it is without a report

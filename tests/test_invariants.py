@@ -148,13 +148,13 @@ def test_chords_documents_validate_each_chord_once(monkeypatch):
     squares = Counter()
     built = [0]
 
-    class Entry(dga.ReportEntry):
+    class Entry(dga.CheckEntry):
         __slots__ = ()
 
-        def __init__(self, check, label, ok, detail=""):
-            super().__init__(check, label, ok, detail)
-            if check == "square":
-                squares[label] += 1
+        def __init__(self, kind, subject, at, ok, detail=""):
+            super().__init__(kind, subject, at, ok, detail)
+            if kind == "square":
+                squares[subject] += 1
 
     init = dga.ChordDGA.__init__
 
@@ -170,7 +170,7 @@ def test_chords_documents_validate_each_chord_once(monkeypatch):
         by_call[fn.__name__] += built[0] - before
         return out
 
-    monkeypatch.setattr(dga, "ReportEntry", Entry)
+    monkeypatch.setattr(dga, "CheckEntry", Entry)
     monkeypatch.setattr(dga.ChordDGA, "__init__", counted_init)
     for k, text in enumerate(docs):
         squares.clear()

@@ -54,7 +54,7 @@ def replay_digests(traces):
     entries, csv = hashlib.sha256(), hashlib.sha256()
     for trace in traces:
         for e in check_transitions(trace).entries:
-            entries.update(repr((e.kind, str(e.time), e.ok,
+            entries.update(repr((e.kind, str(e.at), e.ok,
                                  e.detail)).encode())
         csv.update(vineyard_csv(vineyard_rows(trace)).encode())
     return entries.hexdigest(), csv.hexdigest()
@@ -123,8 +123,8 @@ def test_segment_frames_are_valid_complexes(replays):
 def test_midpoint_actions_are_path_values(replays):
     # each sample sits at the midpoint of two consecutive critical times and
     # carries the paths' and window edges' values there (a segment without
-    # an edge path keeps the incoming edge); critical_actions(k) evaluates
-    # the paths at critical time k
+    # an edge path keeps the incoming edge); critical_actions(k, gids)
+    # evaluates the paths of gids, and no other, at critical time k
     for items, trace in replays:
         drifts = [it for it in items if isinstance(it, DriftSegment)]
         assert len(drifts) == len(trace.segments)
@@ -135,10 +135,17 @@ def test_midpoint_actions_are_path_values(replays):
                                   else PLPath.constant(b, seg.t0, seg.t1))
             assert (st.critical[0], st.critical[-1]) == (seg.t0, seg.t1)
             assert set(st.crossings) <= set(st.critical)
+            # check_transitions walks the two lists side by side: crossings
+            # is a sublist of critical, the same objects in the same order
+            rest = iter(st.critical)
+            assert all(any(c is t for t in rest) for c in st.crossings)
             assert len(st.critical) == len(st.sample_indices) + 1
+            ids = sorted(seg.actions)
             for k, t in enumerate(st.critical):
-                assert st.critical_actions(k) == {
+                assert st.critical_actions(k, ids) == {
                     gid: path.value(t) for gid, path in seg.actions.items()}
+                assert st.critical_actions(k, ids[k % 2::2]) == {
+                    gid: seg.actions[gid].value(t) for gid in ids[k % 2::2]}
             for k, i in enumerate(st.sample_indices):
                 s = trace.samples[i]
                 assert s.t == (st.critical[k] + st.critical[k + 1]) / 2
@@ -249,7 +256,7 @@ def _replay_view(trace):
             [(st.critical, st.crossings, st.sample_indices)
              for st in trace.segments],
             vineyard_rows(trace),
-            [(e.kind, e.time, e.ok, e.detail)
+            [(e.kind, e.at, e.ok, e.detail)
              for e in check_transitions(trace).entries])
 
 

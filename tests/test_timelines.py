@@ -357,7 +357,7 @@ def test_family_ends_on_a_crossing_are_checked():
     for sample, t in ((first, 0), (last, 2)):
         sample.pairs, kept = wrong, sample.pairs
         failures = check_transitions(trace).failures()
-        assert [(e.kind, e.time) for e in failures] == [("crossing", t)]
+        assert [(e.kind, e.at) for e in failures] == [("crossing", t)]
         sample.pairs = kept
 
 
@@ -393,7 +393,7 @@ def test_check_failures_name_their_position():
     ])
     assert [s.t for s in trace.samples] == [
         0, q(1, 4), q(3, 4), q(4, 3), q(11, 6), q(5, 2), 3]
-    assert [(e.kind, e.time) for e in check_transitions(trace).entries] == [
+    assert [(e.kind, e.at) for e in check_transitions(trace).entries] == [
         ("continuity", q(3, 4)), ("crossing", q(5, 3)), ("continuity", 1),
         ("handle_slide", 2)]
     wrong = frozenset({("a", None), ("b", None), ("c", None)})
@@ -401,7 +401,7 @@ def test_check_failures_name_their_position():
         sample = trace.samples[i]
         sample.pairs, kept = wrong, sample.pairs
         failures = check_transitions(trace).failures()
-        assert [(e.kind, e.time, e.detail) for e in failures] == expected, i
+        assert [(e.kind, e.at, e.detail) for e in failures] == expected, i
         sample.pairs = kept
     assert check_transitions(trace).ok
 
@@ -515,7 +515,28 @@ def test_same_degree_crossing_recomputes_the_pairing(monkeypatch):
         assert s.pairs == _canonical_pairs(s.complex)
     assert [repr(e) for e in check_transitions(trace).entries] == [
         "CheckEntry(crossing @ t=1/2: ok)"]
-    assert [k for _st, k in built] == [1]
+    assert [(k, sorted(gids)) for _st, k, gids in built] == [
+        (1, ["g1", "g2", "x", "y"])]
+
+
+def test_crossing_check_reads_only_the_pairs_that_change(monkeypatch):
+    # as above, with a bystander z whose bar [5, inf) is in both pairings:
+    # the crossing check reads the actions of the four generators whose
+    # pairs change, not z's
+    built = count_calls(monkeypatch, timelines.SegmentTrace,
+                         "critical_actions")
+    cx = FilteredComplex(F2, (0, INF),
+                         [("x", 0, 0), ("y", 1, 0), ("g1", 2, 1), ("g2", 3, 1),
+                          ("z", 5, 0)],
+                         {"g1": {"x": 1, "y": 1}, "g2": {"y": 1}})
+    trace = simulate(cx, [DriftSegment(0, 1, {
+        "x": 0, "y": 1, "g1": [(0, 2), (1, 4)], "g2": 3, "z": 5})])
+    assert ("z", None) in trace.samples[1].pairs & trace.samples[2].pairs
+    assert [repr(e) for e in check_transitions(trace).entries] == [
+        "CheckEntry(crossing @ t=1/2: ok)"]
+    st = trace.segments[0]
+    assert [(s, k, sorted(gids)) for s, k, gids in built] == [
+        (st, 1, ["g1", "g2", "x", "y"])]
 
 
 def test_a_new_frame_is_reduced_afresh():
@@ -592,7 +613,7 @@ def test_entry_feasibility_audit():
         for rate, detail in ((1, message), (2, "")):
             entries = [e for e in drift_speed_audit([seg, ev], rate).entries
                        if e.kind == "entry-feasible"]
-            assert [(e.subject, e.span, e.ok, e.detail) for e in entries] == [
+            assert [(e.subject, e.at, e.ok, e.detail) for e in entries] == [
                 (ev.gid, 1, not detail, detail)]
 
 
@@ -1191,6 +1212,6 @@ def audit_timelines(draw):
 @given(audit_timelines())
 def test_drift_speed_audit_matches_path_arithmetic(case):
     items, rate = case
-    got = [(e.kind, e.subject, e.span, e.ok, e.detail)
+    got = [(e.kind, e.subject, e.at, e.ok, e.detail)
            for e in drift_speed_audit(items, rate).entries]
     assert got == _audit_reference(items, rate)
