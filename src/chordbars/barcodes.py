@@ -22,8 +22,6 @@ They share no reduction code; agreement between them is the core oracle test
 of the package.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .complexes import INF, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
@@ -56,8 +54,7 @@ class Bar:
     @property
     def key(self):
         dk = (0, 0) if self.degree is None else (1, self.degree)
-        ek = (1, 0) if self.is_infinite else (0, self.end)
-        return (dk, self.start, ek)
+        return (dk, self.start, self.end)
 
     def astuple(self):
         return (self.start, self.end, self.degree)
@@ -69,9 +66,8 @@ class Bar:
         return hash(self.astuple())
 
     def __repr__(self):
-        e = "inf" if self.is_infinite else str(self.end)
         d = "" if self.degree is None else " deg %d" % self.degree
-        return "Bar[%s, %s)%s" % (self.start, e, d)
+        return "Bar[%s, %s)%s" % (self.start, self.end, d)
 
 
 class Barcode:
@@ -385,9 +381,7 @@ def _table_bars(crit, table):
 # ---------------------------------------------------------------------------
 
 def format_action(v):
-    if type(v) is Fraction:
-        return _format_rational(v)
-    return "inf" if v == INF else _format_rational(v)
+    return _format_rational(v)
 
 
 def barcode_table_lines(B):

@@ -13,7 +13,7 @@ with a float sample carries a declared comparison tolerance.
 import math
 from fractions import Fraction
 
-from .complexes import INF, as_action
+from .complexes import as_action
 from .errors import (NonMonotoneTime, RatesExceedProfile, ValidationError)
 from .piecewise import PLPath
 
@@ -152,7 +152,7 @@ class SigmaProfile:
         vals = []
         for v in values:
             v = as_action(v, allow_inf=True)
-            if v != INF and not v > 0:
+            if not v > 0:
                 raise ValidationError("gap values must be positive, got %s" % v)
             vals.append(v)
         if not vals:
@@ -245,32 +245,19 @@ def theorem_bound(sigma, betti, l, osc):
             "profiles disagree on dimension: %d vs %d entries"
             % (len(sigma), len(betti)))
     l = as_action(l, allow_inf=True)
-    if l != INF and not l > 0:
+    if not l > 0:
         raise ValidationError("window length must be positive")
     osc = as_action(osc)
     if osc < 0:
         raise ValidationError("oscillation cannot be negative")
-
-    def sort_key(k):
-        v = sigma[k]
-        return (0, Fraction(0), k) if v == INF else (1, -v, k)
-
-    ordering = sorted(range(len(sigma)), key=sort_key)
-    if not ordering:
-        return BoundReport(0, None, ordering, "l")
-    i_star = None
-    stopped = None
-    for i, k in enumerate(ordering):
-        if osc < l and osc < sigma[k]:
-            i_star = i
-        else:
-            stopped = i
-            break
-    count = 0 if i_star is None else sum(
-        betti[ordering[j]] for j in range(i_star + 1))
+    ordering = sorted(range(len(sigma)), key=lambda k: (-sigma[k], k))
+    n = next((i for i, k in enumerate(ordering)
+              if not (osc < l and osc < sigma[k])), len(ordering))
+    i_star = n - 1 if n else None
+    count = sum(betti[k] for k in ordering[:n])
     # the binding constraint lives where the count stops growing: the first
     # non-qualifying position if there is one, else the margin at the end
-    edge = ordering[-1 if stopped is None else stopped]
+    edge = ordering[min(n, len(ordering) - 1)]
     binding = "l" if l <= sigma[edge] else "sigma"
     return BoundReport(count, i_star, ordering, binding)
 

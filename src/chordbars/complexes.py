@@ -16,6 +16,8 @@ from .errors import (ActionIncrease, ActionOutsideWindow, DegreeMismatch,
                      ValidationError)
 from .fields import Field, _parse_rational
 
+# an infinite window top, bar end, gap or reach: math.inf sorts above every
+# Fraction and prints as "inf", so compare and print it directly
 INF = math.inf
 
 
@@ -198,7 +200,7 @@ class FilteredComplex:
     def __repr__(self):
         a, b = self.window
         return ("FilteredComplex(%s, window=[%s, %s), %d generators)"
-                % (self.field.tag, a, "inf" if b == INF else b, len(self.generators)))
+                % (self.field.tag, a, b, len(self.generators)))
 
 
 def random_differential(rng, field, gens, p):

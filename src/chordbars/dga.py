@@ -614,10 +614,9 @@ def partial_linearization(D, eps, window, l=INF):
         raise ValidationError("window needs a < b")
     if l != INF:
         l = as_action(l)
-        if b == INF or b - a > l:
-            raise WindowTooWide(
-                "window width %s exceeds the augmentation reach %s"
-                % ("inf" if b == INF else b - a, l))
+        if b - a > l:
+            raise WindowTooWide("window width %s exceeds the augmentation "
+                                "reach %s" % (b - a, l))
 
     # the augmentation must be lawful on the pure chords it will be used on;
     # a degree-0 chord of D at or beyond the reach is not one of them
@@ -630,8 +629,7 @@ def partial_linearization(D, eps, window, l=INF):
     below = [c for c in D.chords if c.length < l]
     _augmentation_report(D, eps, below).raise_first(_EXC)
 
-    gens = [c for c in D.forward_mixed() if a <= c.length and
-            (b == INF or c.length < b)]
+    gens = [c for c in D.forward_mixed() if a <= c.length < b]
     diff = {}
     for m in gens:
         row = {}
@@ -642,7 +640,7 @@ def partial_linearization(D, eps, window, l=INF):
                 continue  # quadratic and higher parts die in the linear map
             i = mixed_at[0]
             target = D.chord(word[i])
-            if not (a <= target.length and (b == INF or target.length < b)):
+            if not a <= target.length < b:
                 continue
             # ε is 0 on a pure letter of length >= l: the checks above leave
             # it nonzero only on degree-0 chords below the reach

@@ -175,8 +175,7 @@ class Birth(SingularEvent):
         if self.x_degree != self.y_degree + 1:
             raise EventPreconditionViolated(
                 "birth pair degrees must differ by one (x one above y)")
-        if not (state.a <= self.common_action
-                and (state.b == INF or self.common_action < state.b)):
+        if not state.a <= self.common_action < state.b:
             raise EventPreconditionViolated(
                 "birth action %s outside window [%s, %s) at t = %s"
                 % (self.common_action, state.a, state.b, self.time))
@@ -474,10 +473,9 @@ class SegmentTrace:
     """A segment's samples, crossings, critical times and action paths
     (``paths[gid]``, the segment's own)."""
 
-    __slots__ = ("degrees", "crossings", "sample_indices", "critical", "paths")
+    __slots__ = ("crossings", "sample_indices", "critical", "paths")
 
-    def __init__(self, degrees, crossings, sample_indices, critical, paths):
-        self.degrees = degrees
+    def __init__(self, crossings, sample_indices, critical, paths):
         self.crossings = crossings
         self.sample_indices = sample_indices
         self.critical = critical
@@ -592,14 +590,12 @@ def simulate(initial, timeline):
     if not isinstance(items[0], DriftSegment):
         raise ValidationError("a timeline must start with a drift segment")
 
-    cursor = None
+    cursor = items[0].t0
+    state.add_sample(trace, cursor, state.frame())
     last_event = None  # event waiting for its following segment
     for idx, item in enumerate(items):
         if isinstance(item, DriftSegment):
-            if cursor is None:
-                cursor = item.t0
-                state.add_sample(trace, cursor, state.frame())
-            elif item.t0 != cursor:
+            if item.t0 != cursor:
                 raise ValidationError(
                     "segment %d starts at %s but the family is at %s"
                     % (idx, item.t0, cursor))
@@ -737,15 +733,15 @@ def _run_segment(trace, state, seg, entering_event=None):
 
     def first_bad(gap, zero_at_start):
         # the first time the gap is not > 0 (a piece going negative: its
-        # zero); a zero is allowed at t1, where the next event must claim
-        # it, and at t0 if the entering event left it.  The gap is affine on
-        # its own pieces, so the grid's finer ones give the same witness.
+        # zero; none starts negative, as t0 is valid and a piece before it
+        # would go negative first); a zero is allowed at t1, where the next
+        # event must claim it, and at t0 if the entering event left it.
+        # The gap is affine on its own pieces, so the grid's finer ones give
+        # the same witness.
         if min(gap) > 0:
             return None
         for k in range(last):
             va, vb = gap[k], gap[k + 1]
-            if va < 0:
-                return grid[k]
             if vb < 0:
                 return root(k, va, vb)
             if va == 0 and (k or vb == 0 or not zero_at_start):
@@ -803,8 +799,7 @@ def _run_segment(trace, state, seg, entering_event=None):
     # ids, degrees and ∂² need no complex here: the initial one was
     # validated, and each event's ``apply`` checks what it changes
     frame = state.frame()
-    degrees = frame[1]
-    degs = [degrees[gid] for gid in ids]
+    degs = [frame[1][gid] for gid in ids]
     xs = ints[:len(ids)]
     first = len(trace.samples)
     rs = [t.as_integer_ratio() for t in critical]
@@ -828,8 +823,7 @@ def _run_segment(trace, state, seg, entering_event=None):
                          dict(zip(ids, [Fraction(x, D) for x in nums])),
                          win, frame, list(zip(degs, nums, ids)))
     trace.segments.append(SegmentTrace(
-        degrees, crossings, list(range(first, len(trace.samples))),
-        critical, paths))
+        crossings, list(range(first, len(trace.samples))), critical, paths))
 
     # 6. advance the state to t1
     state.actions = {gid: paths[gid].end_value for gid in ids}
@@ -881,8 +875,8 @@ def _step_entry(s1, s2, t, crossing, st, k):
     if not ok:
         gone, new = s1.pairs - s2.pairs, s2.pairs - s1.pairs
         acts = st.critical_actions(k, set().union(*gone, *new) - {None})
-        ok = (_pairing_bars_at(gone, acts, st.degrees)
-              == _pairing_bars_at(new, acts, st.degrees))
+        ok = (_pairing_bars_at(gone, acts, s1.frame[1])
+              == _pairing_bars_at(new, acts, s1.frame[1]))
     return CheckEntry("crossing", None, t, ok, "" if ok else
                       "bar endpoint values jump across the crossing")
 
@@ -1203,7 +1197,7 @@ def _resolve_forced(rng, state, last_ev):
     if last_ev.kind == "birth":
         c = last_ev.common_action
         up = c + step
-        if state.b != INF and up >= state.b:
+        if up >= state.b:
             up = (c + state.b) / 2
         down = c - step
         if down <= state.a:

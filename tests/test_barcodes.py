@@ -139,6 +139,34 @@ except EngineMismatch as exc:
         assert "'y'" in run.stdout
 
 
+def test_engine_gates():
+    cx = FilteredComplex(QQ, (0, INF), [("x", 0, 0), ("y", 1, 1), ("z", 2, 0)],
+                         {"y": {"x": 1}})
+    assert bars_as_tuples(barcode_of(cx, engine="definitional")) == [
+        (0, 1, 0), (2, INF, 0)]
+    with pytest.raises(ValidationError) as info:
+        barcode_of(cx, engine="x")
+    assert type(info.value) is ValidationError \
+        and str(info.value) == "unknown engine 'x'"
+
+
+def test_engine_both_refuses_disagreeing_engines(monkeypatch):
+    # the definitional engine made to drop a bar: "both" names the two
+    # barcodes it saw
+    import chordbars.barcodes as bc
+    real = bc.barcode_definitional
+    monkeypatch.setattr(bc, "barcode_definitional",
+                        lambda C: Barcode(real(C).bars[1:]))
+    cx = FilteredComplex(QQ, (0, INF), [("x", 0, 0), ("y", 1, 1), ("z", 2, 0)],
+                         {"y": {"x": 1}})
+    with pytest.raises(EngineMismatch) as info:
+        barcode_of(cx, engine="both")
+    assert str(info.value) == (
+        "reduction and definitional engines disagree: "
+        "Barcode([Bar[0, 1) deg 0, Bar[2, inf) deg 0]) vs "
+        "Barcode([Bar[2, inf) deg 0])")
+
+
 def test_window_top_is_not_a_bar_end():
     # unpaired generators run to infinity even when the window is bounded
     cx = FilteredComplex(F2, (0, 5), [("c", 2, 1)], {})

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from chordbars import (F2, INF, QQ, FilteredComplex, FP, Generator,
-                       random_complex)
+from chordbars import (F2, INF, QQ, Augmentation, Bar, Barcode, Chord,
+                       ChordDGA, ChordbarsError, FilteredComplex, FP,
+                       Generator, SigmaProfile, format_action,
+                       partial_linearization, random_complex, theorem_bound)
 from chordbars.complexes import as_action, as_degree, boundary_raw
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               DegreeMismatch, DuplicateId, ForeignGenerator,
-                              NotSquareZero, ValidationError)
+                              NotSquareZero, ValidationError, WindowTooWide)
 
 q = Fraction
 
@@ -167,3 +169,50 @@ def test_generator_sort_key_breaks_ties_by_id():
     cx = FilteredComplex(F2, (0, INF), [("b", 1, 0), ("a", 1, 0)], {})
     assert [g.id for g in cx.generators] == ["a", "b"]
     assert Generator("a", 1, 0).sort_key < Generator("b", 1, 0).sort_key
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ChordbarsError as e:
+        return type(e), str(e)
+
+
+def _linearize_mixed(l):
+    D = ChordDGA(QQ, [Chord("m", 1, 0, (0, 1))], {})
+    return partial_linearization(D, Augmentation(QQ), (0, INF), l=l)
+
+
+def _bound_view(r):
+    return r.count, r.i_star, r.binding_constraint, r.ordering
+
+
+# INF is math.inf: it sorts above every action and prints as "inf", in bars,
+# windows, gap profiles and the augmentation reach alike
+_INF_PINS = [
+    (lambda: repr(Bar(1, INF, 0)), "Bar[1, inf) deg 0"),
+    (lambda: Bar(1, INF).length, INF),
+    (lambda: [repr(b) for b in Barcode([Bar(0, INF, 0), Bar(0, 2, 0),
+                                        Bar(0, 1)]).bars],
+     ["Bar[0, 1)", "Bar[0, 2) deg 0", "Bar[0, inf) deg 0"]),
+    (lambda: format_action(INF), "inf"),
+    (lambda: repr(FilteredComplex(F2, (0, INF), [], {})),
+     "FilteredComplex(F2, window=[0, inf), 0 generators)"),
+    (lambda: _linearize_mixed(2),
+     (WindowTooWide, "window width inf exceeds the augmentation reach 2")),
+    (lambda: repr(_linearize_mixed(INF)),
+     "FilteredComplex(Q, window=[0, inf), 1 generators)"),
+    (lambda: _linearize_mixed("inf"),
+     (ValidationError, "cannot read action value 'inf'")),
+    (lambda: _bound_view(theorem_bound([INF, 3, INF], [1, 1, 1], 5, 1)),
+     (3, 2, "sigma", [0, 2, 1])),
+    (lambda: SigmaProfile([0]),
+     (ValidationError, "gap values must be positive, got 0")),
+    (lambda: theorem_bound([1], [1], 0, 0),
+     (ValidationError, "window length must be positive")),
+]
+
+
+@pytest.mark.parametrize("make, want", _INF_PINS)
+def test_infinity_orders_and_prints_as_a_number(make, want):
+    assert _outcome(make) == want

@@ -111,6 +111,25 @@ def test_slide_death_birth_script():
     assert details["birth"] == "one bar added at the common action"
 
 
+def test_death_without_its_bar_is_not_admissible():
+    # the pre-event sample's pairing tampered so that the collided bar is
+    # missing: no transform of it is admissible
+    cx = _pair_complex()
+    trace = simulate(cx, [
+        DriftSegment(0, 1, {"a": [(0, 1), (1, q(5, 4))],
+                            "b": [(0, q(3, 2)), (1, q(5, 4))], "c": 2}),
+        Death(1, "b", "a"),
+        DriftSegment(1, 2, {"c": 2})])
+    assert [repr(e) for e in check_transitions(trace).entries] == [
+        "CheckEntry(death @ t=1: ok — the collided bar removed)"]
+    pre = trace.samples[1]
+    assert pre.t == T
+    pre.pairs = pre.pairs - {("a", "b")}
+    assert [repr(e) for e in check_transitions(trace).failures()] == [
+        "CheckEntry(death @ t=1: FAIL — post-event pairing is not an "
+        "admissible transform (expected one of: ))"]
+
+
 def test_exit_entry_script():
     cx = FilteredComplex(F2, (0, 4),
                          [("x", 1, 0), ("y", 2, 1), ("z", 3, 0)],
@@ -600,6 +619,12 @@ def test_drift_speed_audit():
         drift_speed_audit(items, PLPath([(0, 2), (q(1, 2), 2)]))
 
 
+def test_drift_speed_audit_without_segments_is_empty():
+    for items in ([], [EntryBelow(0, "g", 0)]):
+        report = drift_speed_audit(items, 1)
+        assert report.ok and report.entries == []
+
+
 def test_entry_feasibility_audit():
     # the bottom edge rises and the top edge falls at slope 1: at rate 1
     # nothing outside the window can catch either, at rate 2 both can be
@@ -729,7 +754,36 @@ def test_degeneracies_left_for_the_next_event_are_refused():
             ((top, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2),
                                         "c": [(0, 2), (1, 4)]})]),
              ActionOutsideWindow,
-             "generator 'c' sits on the window top at the end of the timeline")]:
+             "generator 'c' sits on the window top at the end of the timeline"),
+            # with no event between two segments, the second refuses at its
+            # start what the first left at a zero gap or on the top
+            ((FilteredComplex(F2, (0, INF), [("a", 1, 0), ("c", 2, 1)],
+                              {"c": {"a": 1}}),
+              [DriftSegment(0, 1, {"a": 1, "c": [(0, 2), (1, 1)]}),
+               DriftSegment(1, 2, {"a": 1, "c": [(1, 1), (2, 2)]})]),
+             ActionIncrease,
+             "differential edge 'c' -> 'a' loses strict action decrease at "
+             "t = 1"),
+            ((top, [DriftSegment(0, 1, {"a": 1, "b": q(3, 2),
+                                        "c": [(0, 2), (1, 4)]}),
+                    DriftSegment(1, 2, {"a": 1, "b": q(3, 2), "c": 4})]),
+             ActionOutsideWindow,
+             "generator 'c' reaches the window top at t = 1"),
+            # an event resolves only the degeneracy it names
+            ((FilteredComplex(F2, (0, INF), [("y", 1, 0), ("x", 2, 1),
+                                             ("v", 3, 0), ("u", 4, 1)],
+                              {"x": {"y": 1}, "u": {"v": 1}}),
+              [DriftSegment(0, 1, {"y": 1, "x": [(0, 2), (1, 1)],
+                                   "v": 3, "u": [(0, 4), (1, 3)]}),
+               Death(1, "x", "y")]), ActionIncrease,
+             "differential edge 'u' -> 'v' loses strict action decrease at "
+             "t = 1 and the death event does not resolve it"),
+            ((FilteredComplex(F2, (0, 4), [("g", 2, 0), ("h", 3, 0)], {}),
+              [DriftSegment(0, 1, {"g": [(0, 2), (1, 4)],
+                                   "h": [(0, 3), (1, 4)]}),
+               ExitAbove(1, "g")]), ActionOutsideWindow,
+             "generator 'h' reaches the window top at t = 1 and the "
+             "exit_above event does not resolve it")]:
         with pytest.raises(error) as info:
             simulate(cx, items)
         assert type(info.value) is error and str(info.value) == message
