@@ -230,8 +230,8 @@ def random_complex(rng, field, max_generators=20, window=(0, 16)):
     """Seeded random valid complex: actions on a quarter-step grid, degrees
     0..3, differential from :func:`random_differential`, top edge +infinity
     with probability 0.3."""
-    a = Fraction(window[0])
-    b_val = Fraction(window[1])
+    a = as_action(window[0])
+    b_val = as_action(window[1])
     n = rng.randint(1, max_generators)
     step = Fraction(1, 4)
     slots = int((b_val - a) / step)

@@ -35,8 +35,8 @@ class Chord:
         if not self.length > 0:
             raise ValidationError("chord %r needs positive length" % label)
         self.degree = as_degree(degree)
-        ends = (int(ends[0]), int(ends[1]))
-        if not set(ends) <= {0, 1}:
+        ends = (ends[0], ends[1])
+        if not all(type(e) is int and e in (0, 1) for e in ends):
             raise ValidationError("chord %r has components outside {0, 1}" % label)
         self.ends = ends
 
@@ -251,9 +251,9 @@ def sub_dga(D, l):
     closed, so rows carry over unchanged, and so do a validated D's report
     entries: each reads only its chord's row and the rows of its letters.
     """
+    l = as_action(l, allow_inf=True)
     if l == INF:
         return D
-    l = as_action(l)
     keep = [c for c in D.chords if c.length < l]
     labels = {c.label for c in keep}
     diff = {lab: e for lab, e in D.differential.items() if lab in labels}
@@ -612,11 +612,10 @@ def partial_linearization(D, eps, window, l=INF):
     b = as_action(window[1], allow_inf=True)
     if not a < b:
         raise ValidationError("window needs a < b")
-    if l != INF:
-        l = as_action(l)
-        if b - a > l:
-            raise WindowTooWide("window width %s exceeds the augmentation "
-                                "reach %s" % (b - a, l))
+    l = as_action(l, allow_inf=True)
+    if b - a > l:
+        raise WindowTooWide("window width %s exceeds the augmentation reach %s"
+                            % (b - a, l))
 
     # the augmentation must be lawful on the pure chords it will be used on;
     # a degree-0 chord of D at or beyond the reach is not one of them

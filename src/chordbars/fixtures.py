@@ -13,7 +13,8 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .complexes import INF, FilteredComplex, Generator, random_differential
+from .complexes import (INF, FilteredComplex, Generator, as_action, as_degree,
+                        random_differential)
 from .dga import Chord, ChordDGA
 from .errors import ValidationError
 
@@ -35,7 +36,7 @@ def stabilized_unknot_shape(field, l1=1, l2=2, l0=4):
     obstructions.  (The unit-bounding chords must sit in degree 1 for the
     boundary to drop degree by one.)
     """
-    l1, l2, l0 = Fraction(l1), Fraction(l2), Fraction(l0)
+    l1, l2, l0 = as_action(l1), as_action(l2), as_action(l0)
     if not (0 < l1 and 0 < l2 and max(l1, l2) < l0):
         raise ValidationError("lengths must satisfy 0 < l1, l2 < l0")
     chords = [Chord("c1", l1, 1, (0, 0)),
@@ -59,9 +60,10 @@ def two_copy_template(field, separation, base_chords, morse_chords=(),
     triples.  The differential is caller data; the template only fixes
     labels, lengths, degrees and components.
     """
-    sep = Fraction(separation)
-    base = [(str(n), Fraction(l), int(d)) for n, l, d in base_chords]
-    morse = [(str(n), Fraction(off), int(d)) for n, off, d in morse_chords]
+    sep = as_action(separation)
+    base = [(str(n), as_action(l), as_degree(d)) for n, l, d in base_chords]
+    morse = [(str(n), as_action(off), as_degree(d))
+             for n, off, d in morse_chords]
     if base:
         lengths = [l for _, l, _ in base]
         if not sep > 2 * max(lengths):
@@ -101,7 +103,7 @@ def two_cluster_complex(rng, field, gap, bottom_count=5, top_count=4):
     """
     if bottom_count % 2 == 0:
         raise ValidationError("the parity argument needs an odd bottom count")
-    gap = Fraction(gap)
+    gap = as_action(gap)
     base, spread = 1, Fraction(1, 4)
     if not spread < gap:
         raise ValidationError("cluster geometry must satisfy 0 < spread < gap")

@@ -74,16 +74,14 @@ class SingularEvent:
     the :mod:`chordbars.schemas` item table.  ``apply(state)`` checks its
     preconditions and edits the family state; it alone enforces what the
     actions are at the event time (shared generators keep theirs, newcomers
-    and leavers sit where the rule says).  ``admissible(pairs)`` lists the
-    admissible (post-event pairing, description) pairs, none if the bar it
-    acts on is missing.  The next segment may start with a zero gap on
-    ``zero_edges`` and ``zero_tops`` (differential edges, generators on the
-    window top).
-    ``edge`` is the window edge (0 bottom, 1 top) an exit or entry crosses.
+    and leavers sit where the rule says) and refuses every zero gap or top
+    touch the event does not resolve, read from those actions.
+    ``admissible(pairs)`` lists the admissible (post-event pairing,
+    description) pairs, none if the bar it acts on is missing.  ``edge`` is
+    the window edge (0 bottom, 1 top) an exit or entry crosses.
     """
 
     kind = "event"
-    zero_edges = zero_tops = ()
     edge = None
 
     def __init__(self, time):
@@ -162,7 +160,6 @@ class Birth(SingularEvent):
         self.x_id, self.y_id = as_id(x_id), as_id(y_id)
         self.x_degree, self.y_degree = as_degree(x_degree), as_degree(y_degree)
         self.common_action = as_action(common_action)
-        self.zero_edges = ((self.x_id, self.y_id),)
 
     def apply(self, state):
         _require_resolved(state, self)
@@ -209,7 +206,7 @@ class Death(SingularEvent):
         if x not in state.degrees or y not in state.degrees:
             raise EventPreconditionViolated("death pair (%r, %r) not present"
                                             % (x, y))
-        _require_resolved(state, self, gaps_ok={(x, y)})
+        _require_resolved(state, self, gap_ok=(x, y))
         row = state.diff.get(x, {})
         if set(row) != {y} or not row[y]:
             raise EventPreconditionViolated(
@@ -297,7 +294,7 @@ class ExitAbove(_WindowEdgeEvent):
             raise EventPreconditionViolated("exit above needs a finite window top")
         if g not in state.degrees:
             raise EventPreconditionViolated("exiting generator %r not present" % g)
-        _require_resolved(state, self, top_ok={g})
+        _require_resolved(state, self, top_ok=g)
         if state.actions[g] != state.b:
             raise EventPreconditionViolated(
                 "exit above requires action(%s) = window top %s at t = %s, "
@@ -396,7 +393,6 @@ class EntryAbove(_WindowEdgeEvent):
         super().__init__(time, as_id(gid))
         self.degree = as_degree(degree)
         self.boundary = dict(boundary or {})
-        self.zero_tops = (self.gid,)
 
     def apply(self, state):
         g, field = self.gid, state.field
@@ -534,16 +530,10 @@ def _pairing_bars_at(pairs, actions, degrees):
 # ---------------------------------------------------------------------------
 
 class _State:
-    """Mutable family state between timeline items.
+    """Mutable family state between timeline items: the degrees, actions,
+    window edges ``a``, ``b`` and differential rows at the current time."""
 
-    ``pending_gap_zero`` / ``pending_top_zero`` record degeneracies the last
-    segment produced exactly at its right endpoint; the next event must
-    account for every one of them (a death for a vanished gap, an exit above
-    for a generator touching the top) or the timeline is rejected.
-    """
-
-    __slots__ = ("field", "degrees", "actions", "a", "b", "diff",
-                 "pending_gap_zero", "pending_top_zero")
+    __slots__ = ("field", "degrees", "actions", "a", "b", "diff")
 
     def __init__(self, cx):
         self.field = cx.field
@@ -552,8 +542,6 @@ class _State:
         self.a, self.b = cx.window
         self.diff = {g.id: dict(cx.differential_raw(g.id))
                      for g in cx.generators if cx.differential_raw(g.id)}
-        self.pending_gap_zero = set()
-        self.pending_top_zero = set()
 
     def frame(self):
         """(field, degrees, differential), copied: events edit rows in place."""
@@ -599,7 +587,7 @@ def simulate(initial, timeline):
                 raise ValidationError(
                     "segment %d starts at %s but the family is at %s"
                     % (idx, item.t0, cursor))
-            _run_segment(trace, state, item, entering_event=last_event)
+            _run_segment(trace, state, item, last_event is not None)
             cursor = item.t1
             last_event = None
         elif isinstance(item, SingularEvent):
@@ -611,25 +599,24 @@ def simulate(initial, timeline):
                 raise SimultaneousBifurcations(
                     "two singular events at t = %s" % item.time)
             item.apply(state)
-            state.pending_gap_zero = set()
-            state.pending_top_zero = set()
             trace.events.append(item)
             last_event = item
         else:
             raise ValidationError(
                 "timeline item %d is neither a segment nor an event" % idx)
 
-    # the family must end in a valid complex: an ending degeneracy (pending
-    # tie / top touch) that no event resolved is rejected here
-    if state.pending_gap_zero:
-        src, tgt = sorted(state.pending_gap_zero)[0]
-        raise ActionIncrease(
-            "differential edge %r -> %r loses strict action decrease at the "
-            "end of the timeline" % (src, tgt))
-    if state.pending_top_zero:
-        raise ActionOutsideWindow(
-            "generator %r sits on the window top at the end of the timeline"
-            % sorted(state.pending_top_zero)[0])
+    if last_event is None:
+        # the family must end in a valid complex: a zero gap or top touch
+        # the last segment left is rejected here
+        gaps, tops = _degeneracies(state)
+        if gaps:
+            raise ActionIncrease(
+                "differential edge %r -> %r loses strict action decrease at "
+                "the end of the timeline" % gaps[0])
+        if tops:
+            raise ActionOutsideWindow(
+                "generator %r sits on the window top at the end of the "
+                "timeline" % tops[0])
     if last_event is not None or not state.a < state.b:
         # only here can the final complex be invalid, so only here is it
         # built: a birth or an entry above at the end leaves it degenerate,
@@ -642,7 +629,7 @@ def simulate(initial, timeline):
     return trace
 
 
-def _run_segment(trace, state, seg, entering_event=None):
+def _run_segment(trace, state, seg, entered):
     t0, t1 = seg.t0, seg.t1
 
     # 1. key / continuity validation against the current state
@@ -731,11 +718,13 @@ def _run_segment(trace, state, seg, entering_event=None):
     critical = [t for _, _, t in keyed]
     crossings = [t for k, kind, t in keyed if kind or k in ties]
 
-    def first_bad(gap, zero_at_start):
+    def first_bad(gap):
         # the first time the gap is not > 0 (a piece going negative: its
         # zero; none starts negative, as t0 is valid and a piece before it
-        # would go negative first); a zero is allowed at t1, where the next
-        # event must claim it, and at t0 if the entering event left it.
+        # would go negative first).  A zero is allowed at t1, where the next
+        # event or the family's end judges it, and at t0 after an event:
+        # its ``apply`` refused every zero but the one it leaves (a birth's
+        # edge, an entry above's newcomer on the top).
         # The gap is affine on its own pieces, so the grid's finer ones give
         # the same witness.
         if min(gap) > 0:
@@ -744,29 +733,20 @@ def _run_segment(trace, state, seg, entering_event=None):
             va, vb = gap[k], gap[k + 1]
             if vb < 0:
                 return root(k, va, vb)
-            if va == 0 and (k or vb == 0 or not zero_at_start):
+            if va == 0 and (k or vb == 0 or not entered):
                 return grid[k]
         return None
 
-    # gaps the entering event leaves at zero (a birth's edge, an entry on top)
-    zero_edges = entering_event.zero_edges if entering_event else ()
-    zero_tops = entering_event.zero_tops if entering_event else ()
-
     # 4a. strict action decrease along every differential edge
-    pending_gaps = set()
     for src, row in state.diff.items():
         for tgt in row:
-            gap = list(map(sub, at[src], at[tgt]))
-            witness = first_bad(gap, (src, tgt) in zero_edges)
+            witness = first_bad(list(map(sub, at[src], at[tgt])))
             if witness is not None:
                 raise ActionIncrease(
                     "differential edge %r -> %r loses strict action decrease "
                     "at t = %s" % (src, tgt, witness))
-            if gap[-1] == 0:
-                pending_gaps.add((src, tgt))
 
     # 4b. window containment (bottom is closed, top is open)
-    pending_top = set()
     bottom, top = ints[len(ids)], ints[-1]  # top is read only if b is finite
     for gid in ids:
         low = list(map(sub, at[gid], bottom))
@@ -781,14 +761,11 @@ def _run_segment(trace, state, seg, entering_event=None):
                 "generator %r dips below the window bottom in [%s, %s]"
                 % (gid, own[i - 1], own[i]))
         if b_path != INF:
-            top_gap = list(map(sub, top, at[gid]))
-            witness = first_bad(top_gap, gid in zero_tops)
+            witness = first_bad(list(map(sub, top, at[gid])))
             if witness is not None:
                 raise ActionOutsideWindow(
                     "generator %r reaches the window top at t = %s"
                     % (gid, witness))
-            if top_gap[-1] == 0:
-                pending_top.add(gid)
 
     # 5. sampling at the midpoint of every stretch between critical times —
     # in particular just after an event at t0 and just before one at t1.
@@ -829,8 +806,6 @@ def _run_segment(trace, state, seg, entering_event=None):
     state.actions = {gid: paths[gid].end_value for gid in ids}
     state.a = a_path.end_value
     state.b = INF if b_path == INF else b_path.end_value
-    state.pending_gap_zero = pending_gaps
-    state.pending_top_zero = pending_top
 
 
 def _check_no_tie(state, tau, exempt=frozenset()):
@@ -843,19 +818,31 @@ def _check_no_tie(state, tau, exempt=frozenset()):
         seen[act] = gid
 
 
-def _require_resolved(state, ev, gaps_ok=frozenset(), top_ok=frozenset()):
-    stray = state.pending_gap_zero - set(gaps_ok)
+def _degeneracies(state):
+    """The sorted differential edges whose two actions are equal, and the
+    sorted generators on a finite window top."""
+    acts, b = state.actions, state.b
+    gaps = sorted([(src, tgt) for src, row in state.diff.items()
+                   for tgt in row if acts[src] == acts[tgt]])
+    tops = [] if b == INF else sorted([g for g, v in acts.items() if v == b])
+    return gaps, tops
+
+
+def _require_resolved(state, ev, gap_ok=None, top_ok=None):
+    """Refuse a zero edge gap or a generator on the top other than
+    ``gap_ok`` / ``top_ok``, the one the event resolves."""
+    gaps, tops = _degeneracies(state)
+    stray = [e for e in gaps if e != gap_ok]
     if stray:
-        src, tgt = sorted(stray)[0]
         raise ActionIncrease(
             "differential edge %r -> %r loses strict action decrease at "
             "t = %s and the %s event does not resolve it"
-            % (src, tgt, ev.time, ev.kind))
-    stray = state.pending_top_zero - set(top_ok)
+            % (*stray[0], ev.time, ev.kind))
+    stray = [g for g in tops if g != top_ok]
     if stray:
         raise ActionOutsideWindow(
             "generator %r reaches the window top at t = %s and the %s event "
-            "does not resolve it" % (sorted(stray)[0], ev.time, ev.kind))
+            "does not resolve it" % (stray[0], ev.time, ev.kind))
 
 
 # ---------------------------------------------------------------------------

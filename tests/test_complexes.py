@@ -9,7 +9,8 @@ import pytest
 from chordbars import (F2, INF, QQ, Augmentation, Bar, Barcode, Chord,
                        ChordDGA, ChordbarsError, FilteredComplex, FP,
                        Generator, SigmaProfile, format_action,
-                       partial_linearization, random_complex, theorem_bound)
+                       partial_linearization, random_complex, sub_dga,
+                       theorem_bound)
 from chordbars.complexes import as_action, as_degree, boundary_raw
 from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               DegreeMismatch, DuplicateId, ForeignGenerator,
@@ -178,9 +179,11 @@ def _outcome(make):
         return type(e), str(e)
 
 
+_MIXED = ChordDGA(QQ, [Chord("m", 1, 0, (0, 1))], {})
+
+
 def _linearize_mixed(l):
-    D = ChordDGA(QQ, [Chord("m", 1, 0, (0, 1))], {})
-    return partial_linearization(D, Augmentation(QQ), (0, INF), l=l)
+    return partial_linearization(_MIXED, Augmentation(QQ), (0, INF), l=l)
 
 
 def _bound_view(r):
@@ -202,14 +205,16 @@ _INF_PINS = [
      (WindowTooWide, "window width inf exceeds the augmentation reach 2")),
     (lambda: repr(_linearize_mixed(INF)),
      "FilteredComplex(Q, window=[0, inf), 1 generators)"),
-    (lambda: _linearize_mixed("inf"),
-     (ValidationError, "cannot read action value 'inf'")),
+    (lambda: [repr(_linearize_mixed(l)) for l in ("inf", INF)],
+     ["FilteredComplex(Q, window=[0, inf), 1 generators)"] * 2),
     (lambda: _bound_view(theorem_bound([INF, 3, INF], [1, 1, 1], 5, 1)),
      (3, 2, "sigma", [0, 2, 1])),
     (lambda: SigmaProfile([0]),
      (ValidationError, "gap values must be positive, got 0")),
     (lambda: theorem_bound([1], [1], 0, 0),
      (ValidationError, "window length must be positive")),
+    (lambda: [sub_dga(_MIXED, l) is _MIXED for l in ("inf", INF)],
+     [True, True]),
 ]
 
 

@@ -13,8 +13,9 @@ from chordbars import (INF, QQ, Augmentation, Chord, ChordDGA, barcode_of,
                        birth_morphism,
                        check_augmentation, find_augmentations,
                        handle_slide_morphism, partial_linearization,
-                       random_two_component_dga, stabilized_unknot_shape,
-                       standard_unknot_shape, sub_dga, two_copy_template,
+                       random_complex, random_two_component_dga,
+                       stabilized_unknot_shape, standard_unknot_shape,
+                       sub_dga, two_cluster_complex, two_copy_template,
                        validate_dga)
 from chordbars.cli import main
 from chordbars.errors import (ActionIncrease, AugmentationInvalid,
@@ -446,6 +447,61 @@ def test_dga_refusals_name_what_they_refuse(tmp_path, capsys):
                  str(tmp_path / "two_copy.augmentation.json"),
                  "--window", "3", "2"]) == 1
     assert capsys.readouterr() == ("", "error: window needs a < b\n")
+
+
+_EXACT = "action values must be exact rationals, got %s"
+_FIXTURE_REFUSALS = [
+    (lambda: stabilized_unknot_shape(F2, l1=0.1), _EXACT % 0.1),
+    (lambda: stabilized_unknot_shape(F2, l1="x"),
+     "cannot read action value 'x'"),
+    (lambda: two_copy_template(F2, 10.5, [("c", 1, 1)]), _EXACT % 10.5),
+    (lambda: two_copy_template(F2, 10, [("c", 0.5, 1)]), _EXACT % 0.5),
+    (lambda: two_copy_template(F2, 10, [("c", 1, 1.5)]),
+     "degree must be an integer, got 1.5"),
+    (lambda: two_copy_template(F2, 10, [("c", 1, "1")]),
+     "degree must be an integer, got '1'"),
+    (lambda: two_copy_template(F2, 10, [("c", 1, 1)], [("e", "x", -1)]),
+     "cannot read action value 'x'"),
+    (lambda: two_copy_template(F2, 10, [("c", 1, 1)], [("e", 1, True)]),
+     "degree must be an integer, got True"),
+    (lambda: two_cluster_complex(random.Random(0), F2, gap=0.5),
+     _EXACT % 0.5),
+    (lambda: two_cluster_complex(random.Random(0), F2, gap=None),
+     "cannot read action value None"),
+    (lambda: random_complex(random.Random(0), F2, window=(0, 1.5)),
+     _EXACT % 1.5),
+    (lambda: random_complex(random.Random(0), F2, window=("x", 16)),
+     "cannot read action value 'x'"),
+    (lambda: Chord("c", 1, 0, (0.9, 1.2)),
+     "chord 'c' has components outside {0, 1}"),
+    (lambda: Chord("c", 1, 0, (True, 1)),
+     "chord 'c' has components outside {0, 1}"),
+    (lambda: Chord("c", 1, 0, ("1", 1)),
+     "chord 'c' has components outside {0, 1}"),
+    (lambda: Chord("c", 1, 0, (0, 2)),
+     "chord 'c' has components outside {0, 1}"),
+]
+
+
+@pytest.mark.parametrize("make, message", _FIXTURE_REFUSALS)
+def test_fixtures_read_numbers_through_the_shared_readers(make, message):
+    # lengths, separations, offsets, gaps and windows are exact actions and
+    # degrees are integers, read as everywhere else; chord ends are 0 or 1
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert type(info.value) is ValidationError and str(info.value) == message
+
+
+def test_fixtures_read_number_strings_exactly():
+    stab = stabilized_unknot_shape(F2, l1="1/3", l2=q(1, 2), l0="4")
+    assert [c.length for c in stab.chords] == [q(1, 3), q(1, 2), 4]
+    tc = two_copy_template(F2, "21/2", [("c", "1/2", 1)], [("e", "1/8", -1)])
+    assert [(c.label, c.length) for c in tc.chords] == [
+        ("c@0", q(1, 2)), ("c@1", q(1, 2)), ("q_c", 11), ("p_c", 10),
+        ("e", q(85, 8))]
+    assert two_cluster_complex(random.Random(0), F2, gap="3").window[1] == INF
+    assert random_complex(random.Random(0), F2, window=("1/2", "4")) \
+        .window[0] == q(1, 2)
 
 
 def test_validation_refuses_a_single_backwards_mixed_letter(tmp_path, capsys):

@@ -789,6 +789,85 @@ def test_degeneracies_left_for_the_next_event_are_refused():
         assert type(info.value) is error and str(info.value) == message
 
 
+# window (0, 4): x kills y and v kills w; g, a cycle, sits highest
+_DEGENERATE = FilteredComplex(F2, (0, 4), [
+    ("y", 1, 0), ("x", 2, 1), ("w", 3, 0), ("v", q(7, 2), 1),
+    ("g", q(15, 4), 0)], {"x": {"y": 1}, "v": {"w": 1}})
+_HOLD = {"y": 1, "x": 2, "w": 3, "v": q(7, 2), "g": q(15, 4)}
+
+
+def _one_event_of_each_kind():
+    # each passes the checks its kind makes before the degeneracy check
+    return [HandleSlide(1, "x", {}), Birth(1, ("p", 1), ("n", 0), q(1, 2)),
+            Death(1, "v", "w"), ExitBelow(1, "w"), ExitAbove(1, "w"),
+            EntryBelow(1, "n", 0), EntryAbove(1, "n", 1)]
+
+
+def test_one_event_of_each_kind_covers_the_kinds():
+    assert sorted(ev.kind for ev in _one_event_of_each_kind()) \
+        == sorted(schemas._EVENT_ITEMS)
+
+
+@pytest.mark.parametrize("event", _one_event_of_each_kind(),
+                         ids=lambda ev: ev.kind)
+def test_every_event_refuses_a_zero_gap_it_does_not_resolve(event):
+    # x falls onto y, which it kills: no event but death of (x, y) resolves
+    # that, so death of (v, w) is refused like every other kind
+    items = [DriftSegment(0, 1, {**_HOLD, "x": [(0, 2), (1, 1)]}), event,
+             DriftSegment(1, 2, {})]
+    with pytest.raises(ActionIncrease) as info:
+        simulate(_DEGENERATE, items)
+    assert type(info.value) is ActionIncrease and str(info.value) == (
+        "differential edge 'x' -> 'y' loses strict action decrease at t = 1 "
+        "and the %s event does not resolve it" % event.kind)
+
+
+@pytest.mark.parametrize("event", _one_event_of_each_kind(),
+                         ids=lambda ev: ev.kind)
+def test_every_event_refuses_a_top_touch_it_does_not_resolve(event):
+    # g rises onto the finite top: only its own exit above resolves that
+    items = [DriftSegment(0, 1, {**_HOLD, "g": [(0, q(15, 4)), (1, 4)]}),
+             event, DriftSegment(1, 2, {})]
+    with pytest.raises(ActionOutsideWindow) as info:
+        simulate(_DEGENERATE, items)
+    assert type(info.value) is ActionOutsideWindow and str(info.value) == (
+        "generator 'g' reaches the window top at t = 1 and the %s event "
+        "does not resolve it" % event.kind)
+
+
+def test_death_and_exit_above_resolve_only_their_own_degeneracy():
+    # a death takes its own pair's zero gap but not another edge's; an exit
+    # above takes its own generator off the top but not another one there
+    fall = {**_HOLD, "v": [(0, q(7, 2)), (1, 3)]}
+    rise = {**_HOLD, "g": [(0, q(15, 4)), (1, 4)]}
+    for path, event, gone in [(fall, Death(1, "v", "w"), {"v", "w"}),
+                              (rise, ExitAbove(1, "g"), {"g"})]:
+        rest = {gid: v for gid, v in _HOLD.items() if gid not in gone}
+        trace = simulate(_DEGENERATE, [DriftSegment(0, 1, path), event,
+                                       DriftSegment(1, 2, rest)])
+        assert check_transitions(trace).ok, event.kind
+    for items, error, message in [
+            ([DriftSegment(0, 1, {**fall, "x": [(0, 2), (1, 1)]}),
+              Death(1, "v", "w")], ActionIncrease,
+             "differential edge 'x' -> 'y' loses strict action decrease at "
+             "t = 1 and the death event does not resolve it"),
+            ([DriftSegment(0, 1, {**fall, "x": [(0, 2), (1, 1)]}),
+              Death(1, "x", "y")], ActionIncrease,
+             "differential edge 'v' -> 'w' loses strict action decrease at "
+             "t = 1 and the death event does not resolve it"),
+            ([DriftSegment(0, 1, {**rise, "v": [(0, q(7, 2)), (1, 4)]}),
+              ExitAbove(1, "g")], ActionOutsideWindow,
+             "generator 'v' reaches the window top at t = 1 and the "
+             "exit_above event does not resolve it"),
+            ([DriftSegment(0, 1, {**rise, "v": [(0, q(7, 2)), (1, 4)]}),
+              ExitAbove(1, "v")], ActionOutsideWindow,
+             "generator 'g' reaches the window top at t = 1 and the "
+             "exit_above event does not resolve it")]:
+        with pytest.raises(error) as info:
+            simulate(_DEGENERATE, items + [DriftSegment(1, 2, {})])
+        assert type(info.value) is error and str(info.value) == message
+
+
 def _drift(**windows):
     return DriftSegment(0, 1, {"a": 1, "b": q(3, 2), "c": 2}, **windows)
 
@@ -869,6 +948,13 @@ def test_event_protocol_is_apply_and_admissible():
                    if callable(v) and not name.startswith("_")}
         assert methods == {"apply", "admissible"}, kind
         assert cls.apply is not SingularEvent.apply, kind
+        # and carries no data for the next item: kind, plus the window edge
+        # an exit or entry crosses, which the speed audit reads
+        data = {name for c in cls.__mro__[:-1]
+                for name, v in vars(c).items()
+                if not callable(v) and not name.startswith("_")}
+        assert data == ({"kind", "edge"} if cls.edge is None
+                        else {"kind", "edge", "exits"}), kind
 
 
 def _off_by(state, gid, inward):
@@ -919,6 +1005,12 @@ def _checked_apply(cls):
             assert after[ev.gid] == edges[ev.edge]
         else:
             assert (gone, new) == (set(), set())
+        # the only degeneracy an event leaves is the one it creates, so the
+        # next segment may start at a zero gap only there
+        assert timelines._degeneracies(state) == (
+            ([(ev.x_id, ev.y_id)], []) if isinstance(ev, Birth)
+            else ([], [ev.gid]) if isinstance(ev, EntryAbove)
+            else ([], [])), ev.kind
 
     return apply
 
@@ -1100,9 +1192,10 @@ def test_segment_replay_matches_path_arithmetic(family):
     a = seg.window_a or PLPath.constant(q(0), seg.t0, seg.t1)
     b = seg.window_b or (INF if initial.window[1] == INF
                          else PLPath.constant(q(7), seg.t0, seg.t1))
-    kind, want = _segment_reference(
-        seg, diff, event.zero_edges if event else (),
-        event.zero_tops if event else (), a, b)
+    # the zeros the event before the segment leaves at its start
+    zero_edges = [("x", "y")] if isinstance(event, Birth) else []
+    zero_tops = ["e"] if isinstance(event, EntryAbove) else []
+    kind, want = _segment_reference(seg, diff, zero_edges, zero_tops, a, b)
     try:
         trace = simulate(initial, items)
     except ChordbarsError as exc:
