@@ -16,7 +16,7 @@ from . import schemas
 from .barcodes import (barcode_csv_rows, barcode_diagram_lines, barcode_of,
                        barcode_table_lines, format_action)
 from .bounds import oscillation, theorem_bound
-from .complexes import INF, as_action
+from .complexes import INF
 from .dga import partial_linearization, validate_dga
 from .errors import ParseError, ValidationError, WindowTooWide
 from .fields import Field
@@ -45,15 +45,6 @@ def _stamp_lines(args):
         now = datetime.datetime.now(datetime.timezone.utc)
         return ["# chordbars %s" % now.isoformat(timespec="seconds")]
     return []
-
-
-def _parse_window_value(text, where):
-    if isinstance(text, str) and text.strip().lower() == "inf":
-        return INF
-    try:
-        return as_action(text)
-    except ValidationError as exc:
-        raise ParseError(str(exc), where) from None
 
 
 def _print_barcode(B, fmt, args, out):
@@ -141,11 +132,11 @@ def cmd_linearize(args, out):
     D = schemas.parse_dga(_load_json(args.dga), where=args.dga)
     eps = schemas.parse_augmentation(_load_json(args.augmentation), D.field,
                                      where=args.augmentation)
-    a = _parse_window_value(args.window[0], "--window")
-    b = _parse_window_value(args.window[1], "--window")
+    a = schemas._action(args.window[0], "--window", allow_inf=True)
+    b = schemas._action(args.window[1], "--window", allow_inf=True)
     if a == INF:
         raise ParseError("window bottom must be finite", "--window")
-    reach = _parse_window_value(args.reach, "--reach")
+    reach = schemas._action(args.reach, "--reach", allow_inf=True)
     try:
         cx = partial_linearization(D, eps, (a, b), l=reach)
     except WindowTooWide as exc:
@@ -171,13 +162,14 @@ def cmd_bound(args, out):
             for v in betti_raw):
         raise ParseError("expected an array of non-negative integers",
                          args.betti)
-    reach = _parse_window_value(args.reach, "--reach")
+    reach = schemas._action(args.reach, "--reach", allow_inf=True)
     if args.profile is not None:
         prof = schemas.parse_profile_csv(_read_text(args.profile),
                                          source=args.profile)
         osc = oscillation(prof)
     else:
-        osc = _parse_window_value(args.oscillation, "--oscillation")
+        osc = schemas._action(args.oscillation, "--oscillation",
+                              allow_inf=True)
     report = theorem_bound(sigma, betti_raw, reach, osc)
     for line in _stamp_lines(args):
         print(line, file=out)

@@ -32,10 +32,12 @@ def boundary_raw(field, diff, chain):
 
 
 def as_action(value, allow_inf=False):
-    """Coerce an exact action value (int, str, Fraction; optionally inf)."""
+    """Coerce an exact action value (int, str, Fraction; optionally inf,
+    also written "inf" in any case and spacing)."""
     if type(value) is Fraction:
         return value
-    if value in (INF, "inf") and allow_inf:
+    if allow_inf and (value == INF or type(value) is str
+                      and value.strip().lower() == "inf"):
         return INF
     if isinstance(value, (float, bool)):
         raise ValidationError("action values must be exact rationals, got %r" % (value,))

@@ -35,7 +35,12 @@ class Chord:
         if not self.length > 0:
             raise ValidationError("chord %r needs positive length" % label)
         self.degree = as_degree(degree)
-        ends = (ends[0], ends[1])
+        try:
+            start, end = ends
+        except (TypeError, ValueError):
+            raise ValidationError("chord %r needs two ends, got %r"
+                                  % (label, ends)) from None
+        ends = (start, end)
         if not all(type(e) is int and e in (0, 1) for e in ends):
             raise ValidationError("chord %r has components outside {0, 1}" % label)
         self.ends = ends

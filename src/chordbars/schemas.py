@@ -19,7 +19,7 @@ from .bounds import OscillationProfile
 from .complexes import INF, FilteredComplex, as_action
 from .dga import Augmentation, Chord, ChordDGA
 from .errors import ParseError, ValidationError
-from .fields import Field, _unprintable
+from .fields import Field, _parse_rational, _unprintable
 from .piecewise import PLPath
 from .timelines import (Birth, Death, DriftSegment, EntryAbove, EntryBelow,
                         ExitAbove, ExitBelow, HandleSlide)
@@ -101,6 +101,12 @@ def _scalar_str(value, where):
                          where)
     if not isinstance(value, (str, int)):
         raise ParseError("expected a scalar", where)
+    if isinstance(value, str):
+        try:
+            _parse_rational(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("cannot parse scalar %r: %s" % (value, exc),
+                             where) from None
     return value
 
 
@@ -232,10 +238,10 @@ def parse_augmentation(obj, field, where="augmentation"):
 # timelines
 # ---------------------------------------------------------------------------
 
-def _path_spec(value, where, times):
-    """A rational constant or a [[t, v], ...] polyline.  ``times`` maps each
-    knot-time string read so far in the item to its value, so the item's
-    paths read a time once and share it."""
+def _path_spec(value, where, times, allow_inf=False):
+    """A rational constant (``allow_inf``: or inf) or a [[t, v], ...]
+    polyline.  ``times`` maps each knot-time string read so far in the item
+    to its value, so the item's paths read a time once and share it."""
     if isinstance(value, list):
         pts = []
         for i, pair in enumerate(value):
@@ -252,7 +258,7 @@ def _path_spec(value, where, times):
                 t = _action(t, pw + "[0]")
             pts.append((t, _action(pair[1], pw + "[1]")))
         return pts
-    return _action(value, where)
+    return _action(value, where, allow_inf=allow_inf)
 
 
 def _polylines(specs):
@@ -341,8 +347,8 @@ def parse_timeline_item(item, where):
         wa = item.get("window_a")
         wb = item.get("window_b")
         wa = None if wa is None else _path_spec(wa, where + ".window_a", times)
-        wb = None if wb is None else (
-            INF if wb == "inf" else _path_spec(wb, where + ".window_b", times))
+        wb = None if wb is None else _path_spec(wb, where + ".window_b",
+                                                times, allow_inf=True)
         if t0 < t1:
             # DriftSegment refuses t0 >= t1 before it builds a path; past
             # that, the read polylines become paths here, in its order

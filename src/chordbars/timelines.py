@@ -222,10 +222,7 @@ class Death(SingularEvent):
                 "death pair actions differ at t = %s: %s vs %s"
                 % (self.time, state.actions[x], state.actions[y]))
         _check_no_tie(state, self.time, exempt=frozenset({x, y}))
-        for gid in (x, y):
-            state.degrees.pop(gid)
-            state.actions.pop(gid)
-            state.diff.pop(gid, None)
+        _remove(state, x, y)
 
     def admissible(self, pairs):
         if (self.y_id, self.x_id) not in pairs:
@@ -234,9 +231,21 @@ class Death(SingularEvent):
                  "the collided bar removed")]
 
 
+def _remove(state, *gids):
+    """Drop generators and every differential term naming one of them."""
+    for g in gids:
+        del state.degrees[g], state.actions[g]
+        state.diff.pop(g, None)
+        for src, row in list(state.diff.items()):
+            if row.pop(g, None) is not None and not row:
+                del state.diff[src]
+
+
 class _WindowEdgeEvent(SingularEvent):
     """A generator leaving (``exits``) or entering the window through
-    ``edge``; its action sits on that edge before an exit, after an entry."""
+    ``edge``, the bottom ``state.a`` or the top ``state.b``: it sits there
+    before an exit and after an entry, and starts (bottom) or ends (top)
+    the bar it changes; ``_Exit`` and ``_Entry`` read their texts by edge."""
 
     exits = True
 
@@ -245,81 +254,79 @@ class _WindowEdgeEvent(SingularEvent):
         self.gid = gid
 
 
-class ExitBelow(_WindowEdgeEvent):
+def _edge_at(state, ev):
+    """The action of the window edge ``ev`` crosses, which must be finite."""
+    at = (state.a, state.b)[ev.edge]
+    if at == INF:
+        raise EventPreconditionViolated(
+            "%s needs a finite window top" % ev.kind.replace("_", " "))
+    return at
+
+
+class _Exit(_WindowEdgeEvent):
+    """Leaves from its edge; only a leaver through the top may sit on it."""
+
+    _changed = ("finite bar from the bottom replaced by an infinite one",
+                "bar ending at the top becomes infinite")
+
+    def apply(self, state):
+        g, at = self.gid, _edge_at(state, self)
+        if g not in state.degrees:
+            raise EventPreconditionViolated("exiting generator %r not present" % g)
+        _require_resolved(state, self, top_ok=g if self.edge else None)
+        if state.actions[g] != at:
+            raise EventPreconditionViolated(
+                "%s requires action(%s) = window %s %s at t = %s, got %s" % (
+                    self.kind.replace("_", " "), g,
+                    ("bottom", "top")[self.edge], at, self.time,
+                    state.actions[g]))
+        _check_no_tie(state, self.time)
+        # the quotient drops a bottom leaver's terms; nothing hits a top one
+        _remove(state, g)
+
+    def admissible(self, pairs):
+        g = self.gid
+        mine = [p for p in pairs if g in p]
+        if len(mine) != 1:
+            return []
+        bar, rest = mine[0], pairs - set(mine)
+        if bar == (g, None):
+            return [(frozenset(rest), "the exiting infinite bar removed")]
+        if bar[self.edge] != g:
+            return []
+        return [(frozenset(rest | {(bar[1 - self.edge], None)}),
+                 self._changed[self.edge])]
+
+
+class ExitBelow(_Exit):
     kind = "exit_below"
     edge = 0
 
-    def apply(self, state):
-        g = self.gid
-        if g not in state.degrees:
-            raise EventPreconditionViolated("exiting generator %r not present" % g)
-        _require_resolved(state, self)
-        if state.actions[g] != state.a:
-            raise EventPreconditionViolated(
-                "exit below requires action(%s) = window bottom %s at t = %s, "
-                "got %s" % (g, state.a, self.time, state.actions[g]))
-        _check_no_tie(state, self.time)
-        # a generator on the (closed) bottom edge is automatically a cycle:
-        # a target would need strictly smaller action than the window allows
-        assert not state.diff.get(g)  # invariant: replay keeps targets in [a, action(g))
-        state.degrees.pop(g)
-        state.actions.pop(g)
-        state.diff.pop(g, None)
-        for src in list(state.diff):
-            row = state.diff[src]
-            if g in row:
-                row.pop(g)  # quotient: terms below the window are dropped
-                if not row:
-                    state.diff.pop(src)
 
-    def admissible(self, pairs):
-        mine = [(s, e) for (s, e) in pairs if s == self.gid]
-        if len(mine) != 1:
-            return []
-        s, e = mine[0]
-        rest = pairs - {(s, e)}
-        if e is None:
-            return [(frozenset(rest), "the exiting infinite bar removed")]
-        return [(frozenset(rest | {(e, None)}),
-                 "finite bar from the bottom replaced by an infinite one")]
-
-
-class ExitAbove(_WindowEdgeEvent):
+class ExitAbove(_Exit):
     kind = "exit_above"
     edge = 1
 
-    def apply(self, state):
-        g = self.gid
-        if state.b == INF:
-            raise EventPreconditionViolated("exit above needs a finite window top")
-        if g not in state.degrees:
-            raise EventPreconditionViolated("exiting generator %r not present" % g)
-        _require_resolved(state, self, top_ok=g)
-        if state.actions[g] != state.b:
-            raise EventPreconditionViolated(
-                "exit above requires action(%s) = window top %s at t = %s, "
-                "got %s" % (g, state.b, self.time, state.actions[g]))
-        _check_no_tie(state, self.time)
-        # nothing hits a generator on the (open) top edge: a source would
-        # need a strictly larger action, outside the window
-        state.degrees.pop(g)
-        state.actions.pop(g)
-        state.diff.pop(g, None)
+
+class _Entry(_WindowEdgeEvent):
+    """Comes in on its edge: a fresh infinite bar, or that end of one."""
+
+    exits = False
+    _joined = ("an infinite bar now starts at the bottom (killed by {!r})",
+               "an infinite bar is now cut off at the top")
 
     def admissible(self, pairs):
         g = self.gid
-        ends = [(s, e) for (s, e) in pairs if e == g]
-        if ends:
-            s, e = ends[0]
-            return [(frozenset((pairs - {(s, e)}) | {(s, None)}),
-                     "bar ending at the top becomes infinite")]
-        if (g, None) in pairs:
-            return [(frozenset(pairs - {(g, None)}),
-                     "the exiting infinite bar removed")]
-        return []
+        out = [(frozenset(pairs | {(g, None)}), "a fresh infinite bar starts "
+                "at the %s" % ("bottom", "top")[self.edge])]
+        for s in sorted(s for s, e in pairs if e is None):
+            out.append((frozenset((pairs - {(s, None)})
+                                  | {((g, s), (s, g))[self.edge]}),
+                        self._joined[self.edge].format(s)))
+        return out
 
 
-class EntryBelow(_WindowEdgeEvent):
+class EntryBelow(_Entry):
     """Generator enters at the bottom edge.
 
     ``couplings`` maps existing generator ids (one degree up) to the
@@ -329,7 +336,6 @@ class EntryBelow(_WindowEdgeEvent):
 
     kind = "entry_below"
     edge = 0
-    exits = False
 
     def __init__(self, time, gid, degree, couplings=None):
         super().__init__(time, as_id(gid))
@@ -337,7 +343,7 @@ class EntryBelow(_WindowEdgeEvent):
         self.couplings = dict(couplings or {})
 
     def apply(self, state):
-        g, field = self.gid, state.field
+        g, field, at = self.gid, state.field, _edge_at(state, self)
         if g in state.degrees:
             raise EventPreconditionViolated("entering id %r already in use" % g)
         _require_resolved(state, self)
@@ -363,31 +369,21 @@ class EntryBelow(_WindowEdgeEvent):
             if acc:
                 raise EventPreconditionViolated(
                     "couplings break ∂² = 0 (witness %r)" % w)
-        if any(act == state.a for act in state.actions.values()):
+        if any(act == at for act in state.actions.values()):
             raise NonGenericCrossing(
                 "entry at the bottom collides with a generator at action %s"
-                % state.a)
+                % at)
         state.degrees[g] = self.degree
-        state.actions[g] = state.a
+        state.actions[g] = at
         for z, c in couplings.items():
             state.diff.setdefault(z, {})[g] = c
 
-    def admissible(self, pairs):
-        g = self.gid
-        out = [(frozenset(pairs | {(g, None)}),
-                "a fresh infinite bar starts at the bottom")]
-        for s in sorted(s for s, e in pairs if e is None):
-            out.append((frozenset((pairs - {(s, None)}) | {(g, s)}),
-                        "an infinite bar now starts at the bottom (killed by %r)" % s))
-        return out
 
-
-class EntryAbove(_WindowEdgeEvent):
+class EntryAbove(_Entry):
     """Generator enters at the top edge carrying its own boundary chain."""
 
     kind = "entry_above"
     edge = 1
-    exits = False
 
     def __init__(self, time, gid, degree, boundary=None):
         super().__init__(time, as_id(gid))
@@ -395,9 +391,7 @@ class EntryAbove(_WindowEdgeEvent):
         self.boundary = dict(boundary or {})
 
     def apply(self, state):
-        g, field = self.gid, state.field
-        if state.b == INF:
-            raise EventPreconditionViolated("entry above needs a finite window top")
+        g, field, at = self.gid, state.field, _edge_at(state, self)
         if g in state.degrees:
             raise EventPreconditionViolated("entering id %r already in use" % g)
         _require_resolved(state, self)
@@ -417,18 +411,9 @@ class EntryAbove(_WindowEdgeEvent):
             raise EventPreconditionViolated(
                 "entry boundary is not a cycle (witness %r)" % sorted(acc)[0])
         state.degrees[g] = self.degree
-        state.actions[g] = state.b
+        state.actions[g] = at
         if boundary:
             state.diff[g] = boundary
-
-    def admissible(self, pairs):
-        g = self.gid
-        out = [(frozenset(pairs | {(g, None)}),
-                "a fresh infinite bar starts at the top")]
-        for s in sorted(s for s, e in pairs if e is None):
-            out.append((frozenset((pairs - {(s, None)}) | {(s, g)}),
-                        "an infinite bar is now cut off at the top"))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,75 @@ def test_overlong_scalars_exit_two(fixture_dir):
                 assert "Traceback" not in proc.stderr
 
 
+_ENTRY = {"time": "1/4", "id": "n", "degree": 0}
+_UNREADABLE_SCALARS = [
+    # file edited, JSON path, value written there, command, where it is read
+    ("demo_complex.json", ("differential", "b", 0, "coeff"), "abc",
+     ["barcode"], ".differential['b'][0].coeff"),
+    ("demo_complex.json", ("differential", "b", 0, "coeff"), "abc",
+     ["validate"], ".differential['b'][0].coeff"),
+    ("two_copy.dga.json", ("differential", "e", 0, "coeff"), "abc",
+     ["validate"], ".differential['e'][0].coeff"),
+    ("two_copy.augmentation.json", ("c@0",), "abc",
+     ["linearize", "two_copy.dga.json", "--window", "9", "12"], "['c@0']"),
+    ("demo_timeline.json", ("items", 1, "addend", "b"), "abc",
+     ["simulate"], ".items[1].addend['b']"),
+    ("demo_timeline.json", ("items", 1, "addend", "b"), "abc",
+     ["validate"], ".items[1].addend['b']"),
+    ("demo_timeline.json", ("items", 1, "unit"), "abc", ["validate"],
+     ".items[1].unit"),
+    ("demo_timeline.json", ("items", 1),
+     {"type": "entry_below", **_ENTRY, "couplings": {"c": "abc"}},
+     ["validate"], ".items[1].couplings['c']"),
+    ("demo_timeline.json", ("items", 1),
+     {"type": "entry_above", **_ENTRY, "boundary": {"c": "abc"}},
+     ["validate"], ".items[1].boundary['c']"),
+]
+
+
+def test_unreadable_scalars_exit_two_at_their_path(fixture_dir):
+    # a coefficient, augmentation value, slide addend or unit, coupling or
+    # boundary entry that is no rational is refused at its JSON path, by
+    # validate as by the command that uses it
+    for name, edit, value, argv, where in _UNREADABLE_SCALARS:
+        doc = json.loads((fixture_dir / name).read_text())
+        *keys, last = edit
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        (fixture_dir / "bad.json").write_text(json.dumps(doc))
+        if argv[0] == "linearize":
+            argv = argv[:2] + ["bad.json"] + argv[2:]
+        else:
+            argv = argv + ["bad.json"]
+        proc = _cli([], argv, str(fixture_dir))
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, where)
+        assert proc.stderr == (
+            "error: cannot parse scalar 'abc': Invalid literal for Fraction: "
+            "'abc' (at bad.json%s)\n" % where)
+
+
+def test_window_values_read_inf_in_any_case(fixture_dir, capsys):
+    # --window, --reach and --oscillation read "inf" in any case and
+    # spacing; anything else that is no rational exits 2 at the option
+    dga = str(fixture_dir / "two_copy.dga.json")
+    eps = str(fixture_dir / "two_copy.augmentation.json")
+    barcode = "[9, 41/4) deg -2\n[11, inf) deg 1\n"
+    for argv, expected in [
+            (["--window", "9", " INF"], (0, barcode, "")),
+            (["--window", "9", "12", "--reach", "Inf"], (0, barcode, "")),
+            (["--window", "9", "x"],
+             (2, "", "error: cannot read action value 'x' (at --window)\n")),
+            (["--window", "iNf", "12"],
+             (2, "", "error: window bottom must be finite (at --window)\n"))]:
+        assert _run(capsys, ["linearize", dga, eps] + argv) == expected
+    assert _run(capsys, [
+        "bound", str(fixture_dir / "sigma.json"),
+        str(fixture_dir / "betti.json"), "--oscillation", " Inf "]) == (
+        1, "", "error: action values must be exact rationals, got inf\n")
+
+
 def test_overlong_printed_values_exit_one(fixture_dir):
     # values computed from in-limit inputs can have more digits than str()
     # prints; printing one is a validation error naming the limit.  Two

@@ -19,9 +19,11 @@ def test_all_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo):
+    # under python and python -O, which strips asserts
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert "Traceback" not in run.stderr
-    assert run.stdout
+    for flags in ([], ["-O"]):
+        run = subprocess.run([sys.executable, *flags, str(demo)], cwd=ROOT,
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, (flags, run.stderr)
+        assert "Traceback" not in run.stderr
+        assert run.stdout

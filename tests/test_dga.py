@@ -480,13 +480,18 @@ _FIXTURE_REFUSALS = [
      "chord 'c' has components outside {0, 1}"),
     (lambda: Chord("c", 1, 0, (0, 2)),
      "chord 'c' has components outside {0, 1}"),
+    (lambda: Chord("c", 1, 0, (0, 1, 1)),
+     "chord 'c' needs two ends, got (0, 1, 1)"),
+    (lambda: Chord("c", 1, 0, (0,)), "chord 'c' needs two ends, got (0,)"),
+    (lambda: Chord("c", 1, 0, 5), "chord 'c' needs two ends, got 5"),
 ]
 
 
 @pytest.mark.parametrize("make, message", _FIXTURE_REFUSALS)
 def test_fixtures_read_numbers_through_the_shared_readers(make, message):
     # lengths, separations, offsets, gaps and windows are exact actions and
-    # degrees are integers, read as everywhere else; chord ends are 0 or 1
+    # degrees are integers, read as everywhere else; a chord has two ends,
+    # each 0 or 1
     with pytest.raises(ValidationError) as info:
         make()
     assert type(info.value) is ValidationError and str(info.value) == message

@@ -157,6 +157,76 @@ def test_exit_entry_script():
     assert kinds == {"exit_below", "exit_above", "entry_below", "entry_above"}
 
 
+def _pairs(*pairs):
+    return frozenset(pairs)
+
+
+_FRESH_BELOW = "a fresh infinite bar starts at the bottom"
+_FRESH_ABOVE = "a fresh infinite bar starts at the top"
+_INF_GONE = "the exiting infinite bar removed"
+# event, pairing kind, pre-event pairing, the admissible transforms in order;
+# "without" lacks the bar the event acts on (for an entry: any infinite
+# bar), "tampered" is no pairing replay can give
+_ADMISSIBLE = [
+    (Death(1, "x", "y"), "genuine", _pairs(("y", "x"), ("s", None)),
+     [(_pairs(("s", None)), "the collided bar removed")]),
+    (Death(1, "x", "y"), "without", _pairs(("s", None)), []),
+    (Death(1, "x", "y"), "tampered", _pairs(("x", "y"), ("s", None)), []),
+    (ExitBelow(1, "g"), "genuine", _pairs(("g", "x"), ("s", None)),
+     [(_pairs(("x", None), ("s", None)),
+       "finite bar from the bottom replaced by an infinite one")]),
+    (ExitBelow(1, "g"), "genuine", _pairs(("g", None), ("s", "x")),
+     [(_pairs(("s", "x")), _INF_GONE)]),
+    (ExitBelow(1, "g"), "without", _pairs(("s", "x")), []),
+    (ExitBelow(1, "g"), "tampered", _pairs(("x", "g"), ("s", None)), []),
+    (ExitAbove(1, "g"), "genuine", _pairs(("x", "g"), ("s", None)),
+     [(_pairs(("x", None), ("s", None)),
+       "bar ending at the top becomes infinite")]),
+    (ExitAbove(1, "g"), "genuine", _pairs(("g", None), ("s", "x")),
+     [(_pairs(("s", "x")), _INF_GONE)]),
+    (ExitAbove(1, "g"), "without", _pairs(("s", "x")), []),
+    (ExitAbove(1, "g"), "tampered", _pairs(("g", "x"), ("s", None)), []),
+    (EntryBelow(1, "g", 0), "genuine",
+     _pairs(("t", None), ("s", None), ("u", "v")),
+     [(_pairs(("g", None), ("t", None), ("s", None), ("u", "v")),
+       _FRESH_BELOW),
+      (_pairs(("g", "s"), ("t", None), ("u", "v")),
+       "an infinite bar now starts at the bottom (killed by 's')"),
+      (_pairs(("s", None), ("g", "t"), ("u", "v")),
+       "an infinite bar now starts at the bottom (killed by 't')")]),
+    (EntryBelow(1, "g", 0), "without", _pairs(("u", "v")),
+     [(_pairs(("g", None), ("u", "v")), _FRESH_BELOW)]),
+    (EntryBelow(1, "g", 0), "tampered", _pairs(("g", None)),
+     [(_pairs(("g", None)), _FRESH_BELOW),
+      (_pairs(("g", "g")),
+       "an infinite bar now starts at the bottom (killed by 'g')")]),
+    (EntryAbove(1, "g", 1), "genuine",
+     _pairs(("t", None), ("s", None), ("u", "v")),
+     [(_pairs(("g", None), ("t", None), ("s", None), ("u", "v")),
+       _FRESH_ABOVE),
+      (_pairs(("s", "g"), ("t", None), ("u", "v")),
+       "an infinite bar is now cut off at the top"),
+      (_pairs(("s", None), ("t", "g"), ("u", "v")),
+       "an infinite bar is now cut off at the top")]),
+    (EntryAbove(1, "g", 1), "without", _pairs(("u", "v")),
+     [(_pairs(("g", None), ("u", "v")), _FRESH_ABOVE)]),
+    (EntryAbove(1, "g", 1), "tampered", _pairs(("g", None)),
+     [(_pairs(("g", None)), _FRESH_ABOVE),
+      (_pairs(("g", "g")), "an infinite bar is now cut off at the top")]),
+]
+
+
+@pytest.mark.parametrize("event, kind, pairs, expected", _ADMISSIBLE,
+                         ids=["%s-%s" % (row[0].kind, row[1])
+                              for row in _ADMISSIBLE])
+def test_admissible_transforms_of_deaths_exits_and_entries(event, kind, pairs,
+                                                           expected):
+    # an exit or entry changes the bar its generator starts (bottom) or
+    # ends (top); a pairing without that bar, or with the generator on the
+    # wrong end of it, admits nothing
+    assert event.admissible(pairs) == expected
+
+
 def _hold(t0, t1):
     return DriftSegment(t0, t1, {"a": 1, "b": q(3, 2), "c": 2})
 
@@ -862,7 +932,12 @@ def test_death_and_exit_above_resolve_only_their_own_degeneracy():
             ([DriftSegment(0, 1, {**rise, "v": [(0, q(7, 2)), (1, 4)]}),
               ExitAbove(1, "v")], ActionOutsideWindow,
              "generator 'g' reaches the window top at t = 1 and the "
-             "exit_above event does not resolve it")]:
+             "exit_above event does not resolve it"),
+            # only a leaver through the top may sit on it
+            ([DriftSegment(0, 1, rise), ExitBelow(1, "g")],
+             ActionOutsideWindow,
+             "generator 'g' reaches the window top at t = 1 and the "
+             "exit_below event does not resolve it")]:
         with pytest.raises(error) as info:
             simulate(_DEGENERATE, items + [DriftSegment(1, 2, {})])
         assert type(info.value) is error and str(info.value) == message
