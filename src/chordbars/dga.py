@@ -507,7 +507,7 @@ def _check_length_bound(phi, slack=0):
 
 
 def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
-    """Φ fixes every generator except ``a``, which gains unit·word.
+    """Φ fixes every chord but the one labelled ``a``, which gains unit·word.
 
     Requires ℓ(a) ≥ total length of the word on both sides, and the result
     must intertwine the two differentials exactly (NotChainMap otherwise —
@@ -516,18 +516,17 @@ def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
     """
     _check_bijection(D_minus, D_plus)
     word = tuple(word)
-    a_label = a if isinstance(a, str) else a.label
     for D in (D_minus, D_plus):
-        if not D.has_chord(a_label):
-            raise ForeignGenerator("no chord labelled %r" % a_label)
-        if not D.chord(a_label).length >= D.word_length(word):
+        if not D.has_chord(a):
+            raise ForeignGenerator("no chord labelled %r" % a)
+        if not D.chord(a).length >= D.word_length(word):
             raise ValidationError(
                 "slide word is longer than the chord it corrects "
-                "(%s > %s)" % (D.word_length(word), D.chord(a_label).length))
+                "(%s > %s)" % (D.word_length(word), D.chord(a).length))
     field = D_plus.field
-    img = {(a_label,): field.one_raw}
+    img = {(a,): field.one_raw}
     field.add_scaled(img, {word: field.one_raw}, field.coerce(unit))
-    phi = DGAMorphism(D_minus, D_plus, {a_label: img})
+    phi = DGAMorphism(D_minus, D_plus, {a: img})
     phi._require_chain_map("slide")
     _check_length_bound(phi)
     return phi
@@ -544,48 +543,47 @@ def _replace_first(word, old, new):
 def birth_morphism(D_minus, D_plus, a_plus, b_plus, ordering):
     """Morphism across a birth: D_minus carries the artificial pair.
 
-    ``D_minus`` must contain the pair (a, b) with ∂a = b; no other chord may
-    have length between ℓ(b) and ℓ(a); ``ordering`` lists the chords longer
-    than a in ascending length.  The map is the base correction (b picks up
+    ``D_minus`` must contain the pair (a, b), the chords labelled
+    ``a_plus`` and ``b_plus``, with ∂a = b; no other chord may have length
+    between ℓ(b) and ℓ(a); ``ordering`` labels the chords longer than a in
+    ascending length.  The map is the base correction (b picks up
     ∂a − b on the plus side) composed with one correction per listed chord,
     each substituting the first b-letter of its boundary by a.  No image
     may exceed its chord's length by more than ℓ(a) − ℓ(b) (ValidationError
     otherwise).
     """
     _check_bijection(D_minus, D_plus)
-    a_label = a_plus if isinstance(a_plus, str) else a_plus.label
-    b_label = b_plus if isinstance(b_plus, str) else b_plus.label
     field = D_plus.field
-    la = D_plus.chord(a_label).length
-    lb = D_plus.chord(b_label).length
+    la = D_plus.chord(a_plus).length
+    lb = D_plus.chord(b_plus).length
     if not lb < la:
         raise OrderingViolated("the pair must satisfy l(%s) < l(%s)"
-                               % (b_label, a_label))
-    if D_minus.diff_of(a_label) != {(b_label,): field.one_raw}:
+                               % (b_plus, a_plus))
+    if D_minus.diff_of(a_plus) != {(b_plus,): field.one_raw}:
         raise ValidationError(
             "the artificial pair needs d(%s) = %s in the source" %
-            (a_label, b_label))
+            (a_plus, b_plus))
     between = [c.label for c in D_plus.chords
-               if lb <= c.length <= la and c.label not in (a_label, b_label)]
+               if lb <= c.length <= la and c.label not in (a_plus, b_plus)]
     if between:
         raise OrderingViolated(
             "chord %r has length inside [%s, %s], the pair is not isolated"
             % (between[0], lb, la))
     longer = [c.label for c in D_plus.chords if c.length > la]
-    ordering = [lab if isinstance(lab, str) else lab.label for lab in ordering]
+    ordering = list(ordering)
     if set(ordering) != set(longer):
         raise OrderingViolated(
-            "ordering must list exactly the chords longer than %s" % a_label)
+            "ordering must list exactly the chords longer than %s" % a_plus)
     lengths = [D_plus.chord(lab).length for lab in ordering]
     if lengths != sorted(lengths):
         raise OrderingViolated("ordering must be ascending in length")
 
     # base correction: b absorbs (∂⁺a − b), i.e. its image is ∂⁺a
-    phi = DGAMorphism(D_minus, D_plus, {b_label: D_plus.diff_of(a_label)})
+    phi = DGAMorphism(D_minus, D_plus, {b_plus: D_plus.diff_of(a_plus)})
     for lab in ordering:
         img = {(lab,): field.one_raw}
         for w, c in D_plus.diff_of(lab).items():
-            w2 = _replace_first(w, b_label, a_label)
+            w2 = _replace_first(w, b_plus, a_plus)
             if w2 is not None:
                 field.add_scaled(img, {w2: c}, field.one_raw)
         g = DGAMorphism(D_plus, D_plus, {lab: img})

@@ -4,11 +4,12 @@ A field element is a raw value and nothing else: an ``int`` in ``[0, p)``
 for prime fields (canonical residue) and a ``fractions.Fraction`` (always
 in lowest terms, that class keeps the invariant for us) for the rationals.
 A :class:`Field` carries no elements; its methods do the arithmetic on raw
-values and :meth:`Field.coerce` turns input (int, str, Fraction) into one.
-Everything is exact; floats never appear.  Scalar and action strings
-(:func:`chordbars.complexes.as_action`) share one reader, which refuses a
-value with more digits than ``int()`` reads and ``str()`` prints, and
-printed values (:meth:`Field.format`,
+values and :meth:`Field.coerce` turns input (int, str, Fraction) into one;
+it and :meth:`Field.parse` own their rules, and :mod:`chordbars.schemas`
+only adds the JSON path.  Everything is exact; floats never appear.
+Scalar and action strings (:func:`chordbars.complexes.as_action`) share
+one reader, which refuses a value with more digits than ``int()`` reads
+and ``str()`` prints, and printed values (:meth:`Field.format`,
 :func:`chordbars.barcodes.format_action`) share one writer, which refuses
 a computed value with more digits than ``str()`` prints.
 
@@ -119,7 +120,10 @@ class Field:
             return cls(0)
         p = t[1:]
         if t[:1] == "F" and p.isascii() and p.isdigit() and p[0] != "0":
-            return cls(int(p))
+            try:
+                return cls(int(p))
+            except ValueError:  # more digits than int() reads
+                pass
         raise ParseError("unrecognized field tag %r" % (tag,))
 
     @property

@@ -4,22 +4,24 @@ All numbers that may be non-integer travel as strings ("3/4", "-2", "inf"
 where an infinite window top is legal); floats are rejected everywhere
 except oscillation-profile CSV files, which exist for sampled user data.
 Decode failures carry line and column; shape violations carry the JSON path
-of the offending value.  Serializers emit canonically ordered, fully
-deterministic structures.
+of the offending value, and so does a value refused by the library reader
+of its kind, which reads it once and owns the rule and its message.
+Serializers emit canonically ordered, fully deterministic structures.
 """
 
 import csv
 import io
 import json
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter, itemgetter
 
 from .barcodes import format_action
 from .bounds import OscillationProfile
-from .complexes import INF, FilteredComplex, as_action
+from .complexes import INF, FilteredComplex, as_action, as_degree, as_id
 from .dga import Augmentation, Chord, ChordDGA
-from .errors import ParseError, ValidationError
-from .fields import Field, _parse_rational, _unprintable
+from .errors import ChordbarsError, ParseError
+from .fields import Field, _unprintable
 from .piecewise import PLPath
 from .timelines import (Birth, Death, DriftSegment, EntryAbove, EntryBelow,
                         ExitAbove, ExitBelow, HandleSlide)
@@ -43,9 +45,14 @@ def loads(text, source="<input>"):
                          where=source) from None
 
 
-def _obj(value, where, required=(), optional=()):
+def _dict(value, where):
     if not isinstance(value, dict):
         raise ParseError("expected an object", where)
+    return value
+
+
+def _obj(value, where, required=(), optional=()):
+    _dict(value, where)
     allowed = set(required) | set(optional)
     for key in value:
         if key not in allowed:
@@ -68,46 +75,29 @@ def _str(value, where):
     return value
 
 
-def _id(value, where):
-    """The id of a new generator (in a complex, a birth or an entry): a
-    nonempty string.  Ids that name an existing generator are checked
-    against the complex they act on."""
-    if _str(value, where) == "":
-        raise ParseError("expected a nonempty string", where)
-    return value
-
-
-def _int(value, where):
+def _int(value, where):  # a chord end; Chord reads its 0/1 rule
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", where)
     return value
 
 
-def _action(value, where, allow_inf=False):
-    if isinstance(value, float) or isinstance(value, bool):
-        raise ParseError("numbers must be integers or rational strings",
-                         where)
-    if not isinstance(value, (str, int)):
-        raise ParseError("expected a rational value", where)
+def _read(reader, value, where, *args):
+    """``reader(value, *args)``: the library reader of the value's kind
+    holds the rule, and its refusal is raised here at the JSON path."""
     try:
-        return as_action(value, allow_inf=allow_inf)
-    except ValidationError as exc:
+        return reader(value, *args)
+    except ChordbarsError as exc:
         raise ParseError(str(exc), where) from None
 
 
-def _scalar_str(value, where):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError("scalars must be integers or rational strings",
-                         where)
-    if not isinstance(value, (str, int)):
-        raise ParseError("expected a scalar", where)
-    if isinstance(value, str):
-        try:
-            _parse_rational(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError("cannot parse scalar %r: %s" % (value, exc),
-                             where) from None
-    return value
+def _action(value, where, allow_inf=False):
+    # only the text "inf" is infinite: JSON's 1e400 is a float, like 1.5
+    return _read(as_action, value, where,
+                 allow_inf and type(value) is not float)
+
+
+_degree = partial(_read, as_degree)
+_new_id = partial(_read, as_id)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +107,7 @@ def _scalar_str(value, where):
 def parse_complex(obj, where="complex"):
     obj = _obj(obj, where, required=("field", "window", "generators"),
                optional=("differential",))
-    field = Field.parse(_str(obj["field"], where + ".field"))
+    field = _read(Field.parse, obj["field"], where + ".field")
     win = _list(obj["window"], where + ".window")
     if len(win) != 2:
         raise ParseError("window must be [a, b]", where + ".window")
@@ -127,14 +117,12 @@ def parse_complex(obj, where="complex"):
     for i, g in enumerate(_list(obj["generators"], where + ".generators")):
         gw = "%s.generators[%d]" % (where, i)
         g = _obj(g, gw, required=("id", "action", "degree"))
-        gens.append((_id(g["id"], gw + ".id"),
+        gens.append((_new_id(g["id"], gw + ".id"),
                      _action(g["action"], gw + ".action"),
-                     _int(g["degree"], gw + ".degree")))
+                     _degree(g["degree"], gw + ".degree")))
     diff = {}
-    raw_diff = obj.get("differential", {})
-    if not isinstance(raw_diff, dict):
-        raise ParseError("expected an object", where + ".differential")
-    for gid, row in raw_diff.items():
+    for gid, row in _dict(obj.get("differential", {}),
+                          where + ".differential").items():
         rw = "%s.differential[%r]" % (where, gid)
         terms = {}
         for j, entry in enumerate(_list(row, rw)):
@@ -143,7 +131,7 @@ def parse_complex(obj, where="complex"):
             tid = _str(entry["id"], ew + ".id")
             if tid in terms:
                 raise ParseError("target %r repeated" % tid, ew + ".id")
-            terms[tid] = _scalar_str(entry["coeff"], ew + ".coeff")
+            terms[tid] = _raw(entry["coeff"], ew + ".coeff", field)
         diff[gid] = terms
     return FilteredComplex(field, (a, b), gens, diff)
 
@@ -172,7 +160,7 @@ def serialize_complex(cx):
 def parse_dga(obj, where="dga"):
     obj = _obj(obj, where, required=("field", "chords"),
                optional=("differential",))
-    field = Field.parse(_str(obj["field"], where + ".field"))
+    field = _read(Field.parse, obj["field"], where + ".field")
     chords = []
     for i, c in enumerate(_list(obj["chords"], where + ".chords")):
         cw = "%s.chords[%d]" % (where, i)
@@ -183,7 +171,7 @@ def parse_dga(obj, where="dga"):
             raise ParseError("ends must be [start, end]", cw + ".ends")
         chord = Chord(_str(c["label"], cw + ".label"),
                       _action(c["length"], cw + ".length"),
-                      _int(c["degree"], cw + ".degree"),
+                      _degree(c["degree"], cw + ".degree"),
                       (_int(ends[0], cw + ".ends[0]"),
                        _int(ends[1], cw + ".ends[1]")))
         if "kind" in c and c["kind"] != chord.kind:
@@ -194,10 +182,8 @@ def parse_dga(obj, where="dga"):
             raise ParseError("component contradicts ends", cw + ".component")
         chords.append(chord)
     diff = {}
-    raw_diff = obj.get("differential", {})
-    if not isinstance(raw_diff, dict):
-        raise ParseError("expected an object", where + ".differential")
-    for label, row in raw_diff.items():
+    for label, row in _dict(obj.get("differential", {}),
+                            where + ".differential").items():
         rw = "%s.differential[%r]" % (where, label)
         terms = []
         for j, entry in enumerate(_list(row, rw)):
@@ -205,7 +191,7 @@ def parse_dga(obj, where="dga"):
             entry = _obj(entry, ew, required=("coeff", "word"))
             word = [_str(x, "%s.word[%d]" % (ew, k))
                     for k, x in enumerate(_list(entry["word"], ew + ".word"))]
-            terms.append((_scalar_str(entry["coeff"], ew + ".coeff"), word))
+            terms.append((_raw(entry["coeff"], ew + ".coeff", field), word))
         diff[label] = terms
     return ChordDGA(field, chords, diff)
 
@@ -227,11 +213,7 @@ def serialize_dga(D):
 
 
 def parse_augmentation(obj, field, where="augmentation"):
-    values = _scalar_map(obj, where)
-    try:
-        return Augmentation(field, values)
-    except ValidationError as exc:
-        raise ParseError(str(exc), where) from None
+    return Augmentation(field, _scalar_map(obj, where, field, _raw))
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +256,20 @@ def _polylines(specs):
     return out
 
 
-def _scalar_map(obj, where):
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    return {gid: _scalar_str(v, "%s[%r]" % (where, gid))
-            for gid, v in obj.items()}
+def _raw(value, where, field):
+    return _read(field.coerce, value, where)
+
+
+def _scalar(value, where, field):
+    """An event's scalar, read into ``field`` and kept as written, so the
+    event serializes as it was given."""
+    _raw(value, where, field)
+    return value
+
+
+def _scalar_map(obj, where, field, read=_scalar):
+    return {key: read(v, "%s[%r]" % (where, key), field)
+            for key, v in _dict(obj, where).items()}
 
 
 def _scalar_map_json(values):
@@ -292,32 +283,39 @@ def _endpoint(value, where):
     if len(pair) != 2:
         raise ParseError("birth endpoints are [id, degree]",
                          where.rpartition(".")[0])
-    return _id(pair[0], where + "[0]"), _int(pair[1], where + "[1]")
+    return _new_id(pair[0], where + "[0]"), _degree(pair[1], where + "[1]")
 
 
 def _field(key, attrs, parse, fmt=None, *default):
     """One JSON field of an event item: its key, the event attribute(s) it
-    holds, how it parses and formats, and its default if it is optional."""
+    holds, how it parses (given the coefficient field) and formats, and its
+    default if it is optional."""
     return (key, attrgetter(*attrs.split()), parse, fmt or (lambda v: v)) \
         + default
 
 
-_GID = _field("id", "gid", _str)
-_NEW_GID = _field("id", "gid", _id)
-_DEGREE = _field("degree", "degree", _int)
+def _plain(parse):  # parse(value, where) of a slot that reads no scalar
+    return lambda value, where, _: parse(value, where)
+
+
+_REF = _plain(_str)  # an existing generator's id: the event checks it
+_GID = _field("id", "gid", _REF)
+_NEW_GID = _field("id", "gid", _plain(_new_id))
+_DEGREE = _field("degree", "degree", _plain(_degree))
 
 # every event item has a "type" and a "time"; this lists the rest, in the
 # order of the class's constructor arguments
 _EVENT_ITEMS = {
     "handle_slide": (HandleSlide, (
-        _field("target", "target", _str),
+        _field("target", "target", _REF),
         _field("addend", "addend", _scalar_map, _scalar_map_json),
-        _field("unit", "unit", _scalar_str, str, 1))),
+        _field("unit", "unit", _scalar, str, 1))),
     "birth": (Birth, (
-        _field("x", "x_id x_degree", _endpoint, list),
-        _field("y", "y_id y_degree", _endpoint, list),
-        _field("common_action", "common_action", _action, format_action))),
-    "death": (Death, (_field("x", "x_id", _str), _field("y", "y_id", _str))),
+        _field("x", "x_id x_degree", _plain(_endpoint), list),
+        _field("y", "y_id y_degree", _plain(_endpoint), list),
+        _field("common_action", "common_action", _plain(_action),
+               format_action))),
+    "death": (Death, (_field("x", "x_id", _REF), _field("y", "y_id", _REF))),
     "exit_below": (ExitBelow, (_GID,)),
     "exit_above": (ExitAbove, (_GID,)),
     "entry_below": (EntryBelow, (_NEW_GID, _DEGREE, _field(
@@ -327,17 +325,15 @@ _EVENT_ITEMS = {
 }
 
 
-def parse_timeline_item(item, where):
-    item = dict(item) if isinstance(item, dict) else item
+def parse_timeline_item(item, field, where):
+    """One timeline item; an event's scalars are read into ``field``."""
     if not isinstance(item, dict) or "type" not in item:
         raise ParseError("expected an object with a \"type\" key", where)
     kind = item["type"]
     if kind == "drift":
         _obj(item, where, required=("type", "t0", "t1", "actions"),
              optional=("window_a", "window_b"))
-        actions = item["actions"]
-        if not isinstance(actions, dict):
-            raise ParseError("expected an object", where + ".actions")
+        actions = _dict(item["actions"], where + ".actions")
         times = {}
         paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid), times)
                  for gid, p in actions.items()}
@@ -358,13 +354,14 @@ def parse_timeline_item(item, where):
     if not isinstance(kind, str) or kind not in _EVENT_ITEMS:
         raise ParseError("unknown timeline item type %r" % (kind,),
                          where + ".type")
-    cls, fields = _EVENT_ITEMS[kind]
+    cls, slots = _EVENT_ITEMS[kind]
     _obj(item, where, required=("type", "time") + tuple(
-        f[0] for f in fields if len(f) == 4),
-        optional=[f[0] for f in fields if len(f) == 5])
+        f[0] for f in slots if len(f) == 4),
+        optional=[f[0] for f in slots if len(f) == 5])
     return cls(_action(item["time"], where + ".time"),
-               *(parse(item.get(key, *default), "%s.%s" % (where, key))
-                 for key, _get, parse, _fmt, *default in fields))
+               *(parse(item.get(key, *default), "%s.%s" % (where, key),
+                       field)
+                 for key, _get, parse, _fmt, *default in slots))
 
 
 def parse_timeline(obj, where="timeline"):
@@ -372,7 +369,8 @@ def parse_timeline(obj, where="timeline"):
     (initial complex, ordered item list)."""
     obj = _obj(obj, where, required=("initial", "items"))
     initial = parse_complex(obj["initial"], where + ".initial")
-    items = [parse_timeline_item(it, "%s.items[%d]" % (where, i))
+    items = [parse_timeline_item(it, initial.field,
+                                 "%s.items[%d]" % (where, i))
              for i, it in enumerate(_list(obj["items"], where + ".items"))]
     return initial, items
 

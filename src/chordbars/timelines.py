@@ -472,8 +472,7 @@ class FamilyTrace:
     """Output of :func:`simulate`: ordered samples, one
     :class:`SegmentTrace` per drift segment and the applied events."""
 
-    def __init__(self, field):
-        self.field = field
+    def __init__(self):
         self.samples = []
         self.segments = []
         self.events = []
@@ -553,7 +552,7 @@ def simulate(initial, timeline):
     """
     if not isinstance(initial, FilteredComplex):
         raise ValidationError("initial must be a FilteredComplex")
-    trace = FamilyTrace(initial.field)
+    trace = FamilyTrace()
     state = _State(initial)
 
     items = list(timeline)

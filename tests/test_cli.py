@@ -468,6 +468,168 @@ def test_window_values_read_inf_in_any_case(fixture_dir, capsys):
         1, "", "error: action values must be exact rationals, got inf\n")
 
 
+_TL = ("validate", "simulate")  # a timeline's two commands
+_F5 = (("initial", "field"), "F5")
+_ITEM = ("items", 1)  # the first slide, or the event put in its place
+_VALUE_SLOTS = [
+    # file, its edits (JSON path, value), command(s), stderr after "error: "
+    ("demo_complex.json", [(("field",), "F4")], ("validate",),
+     "characteristic must be 0 or a prime, got 4 (at bad.json.field)"),
+    ("demo_complex.json", [(("field",), "F7x")], ("barcode",),
+     "unrecognized field tag 'F7x' (at bad.json.field)"),
+    ("demo_complex.json", [(("window", 1), [])], ("validate",),
+     "cannot read action value [] (at bad.json.window[1])"),
+    ("demo_complex.json", [(("generators", 0, "id"), 7)], ("validate",),
+     "generator id must be a nonempty string, got 7 "
+     "(at bad.json.generators[0].id)"),
+    ("demo_complex.json", [(("generators", 0, "action"), 1.5)],
+     ("validate",), "action values must be exact rationals, got 1.5 "
+                    "(at bad.json.generators[0].action)"),
+    ("demo_complex.json", [(("generators", 0, "degree"), "0")],
+     ("validate",),
+     "degree must be an integer, got '0' (at bad.json.generators[0].degree)"),
+    ("demo_complex.json", [(("differential", "b", 0, "id"), 3)],
+     ("validate",),
+     "expected a string (at bad.json.differential['b'][0].id)"),
+    ("demo_complex.json", [(("field",), "F5"),
+                           (("differential", "b", 0, "coeff"), "1/5")],
+     ("barcode",),
+     "division by zero in F5 (at bad.json.differential['b'][0].coeff)"),
+    ("two_copy.dga.json", [(("field",), True)], ("validate",),
+     "field tag must be a string, got True (at bad.json.field)"),
+    ("two_copy.dga.json", [(("chords", 0, "label"), 5)], ("validate",),
+     "expected a string (at bad.json.chords[0].label)"),
+    ("two_copy.dga.json", [(("chords", 0, "length"), None)], ("validate",),
+     "cannot read action value None (at bad.json.chords[0].length)"),
+    ("two_copy.dga.json", [(("chords", 0, "degree"), True)], ("validate",),
+     "degree must be an integer, got True (at bad.json.chords[0].degree)"),
+    ("two_copy.dga.json", [(("chords", 0, "ends", 0), "0")], ("validate",),
+     "expected an integer (at bad.json.chords[0].ends[0])"),
+    ("two_copy.dga.json", [(("differential", "e", 0, "coeff"), "1/5")],
+     ("validate",),
+     "division by zero in F5 (at bad.json.differential['e'][0].coeff)"),
+    ("two_copy.dga.json", [(("differential", "e", 0, "word", 0), 3)],
+     ("validate",),
+     "expected a string (at bad.json.differential['e'][0].word[0])"),
+    ("two_copy.augmentation.json", [(("c@0",), "1/5")], ("linearize",),
+     "division by zero in F5 (at bad.json['c@0'])"),
+    ("two_copy.augmentation.json", [(("c@0",), 1.5)], ("linearize",),
+     "cannot coerce 1.5 into F5 (at bad.json['c@0'])"),
+    ("demo_timeline.json", [(("initial", "field"), "F7x")], _TL,
+     "unrecognized field tag 'F7x' (at bad.json.initial.field)"),
+    # drift items
+    ("demo_timeline.json", [(("items", 0, "t0"), True)], _TL,
+     "action values must be exact rationals, got True "
+     "(at bad.json.items[0].t0)"),
+    ("demo_timeline.json", [(("items", 0, "t1"), "x")], _TL,
+     "cannot read action value 'x' (at bad.json.items[0].t1)"),
+    ("demo_timeline.json", [(("items", 0, "actions", "a", 1, 0), 0.25)], _TL,
+     "action values must be exact rationals, got 0.25 "
+     "(at bad.json.items[0].actions['a'][1][0])"),
+    ("demo_timeline.json", [(("items", 0, "window_a"), "1e5000")], _TL,
+     "cannot read action value '1e5000' (at bad.json.items[0].window_a)"),
+    ("demo_timeline.json", [(("items", 0, "window_b"), "INFx")], _TL,
+     "cannot read action value 'INFx' (at bad.json.items[0].window_b)"),
+    # a slide, its scalars over F5
+    ("demo_timeline.json", [(_ITEM + ("time",), 1.5)], _TL,
+     "action values must be exact rationals, got 1.5 "
+     "(at bad.json.items[1].time)"),
+    ("demo_timeline.json", [(_ITEM + ("target",), 3)], _TL,
+     "expected a string (at bad.json.items[1].target)"),
+    ("demo_timeline.json", [_F5, (_ITEM + ("addend", "b"), "1/5")], _TL,
+     "division by zero in F5 (at bad.json.items[1].addend['b'])"),
+    ("demo_timeline.json", [_F5, (_ITEM + ("unit",), "1/5")], _TL,
+     "division by zero in F5 (at bad.json.items[1].unit)"),
+    # a birth and a death
+    ("demo_timeline.json", [(("items", 7, "x"), ["u", "1"])], _TL,
+     "degree must be an integer, got '1' (at bad.json.items[7].x[1])"),
+    ("demo_timeline.json", [(("items", 7, "y"), ["", 0])], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[7].y[0])"),
+    ("demo_timeline.json", [(("items", 7, "common_action"), {})], _TL,
+     "cannot read action value {} (at bad.json.items[7].common_action)"),
+    ("demo_timeline.json", [(("items", 5, "x"), 5)], _TL,
+     "expected a string (at bad.json.items[5].x)"),
+    ("demo_timeline.json", [(("items", 5, "y"), None)], _TL,
+     "expected a string (at bad.json.items[5].y)"),
+    # the window-edge events, in the slide's place
+    ("demo_timeline.json", [(_ITEM, {"type": "exit_below", "time": "1/4",
+                                     "id": 7})], _TL,
+     "expected a string (at bad.json.items[1].id)"),
+    ("demo_timeline.json", [(_ITEM, {"type": "exit_above", "time": "1/4",
+                                     "id": []})], _TL,
+     "expected a string (at bad.json.items[1].id)"),
+    ("demo_timeline.json", [(_ITEM, {"type": "entry_below", **_ENTRY,
+                                     "id": ""})], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[1].id)"),
+    ("demo_timeline.json", [(_ITEM, {"type": "entry_below", **_ENTRY,
+                                     "degree": 1.5})], _TL,
+     "degree must be an integer, got 1.5 (at bad.json.items[1].degree)"),
+    ("demo_timeline.json", [_F5, (_ITEM, {"type": "entry_below", **_ENTRY,
+                                          "couplings": {"c": "1/5"}})], _TL,
+     "division by zero in F5 (at bad.json.items[1].couplings['c'])"),
+    ("demo_timeline.json", [(_ITEM, {"type": "entry_above", **_ENTRY,
+                                     "id": None})], _TL,
+     "generator id must be a nonempty string, got None "
+     "(at bad.json.items[1].id)"),
+    ("demo_timeline.json", [(_ITEM, {"type": "entry_above", **_ENTRY,
+                                     "degree": "0"})], _TL,
+     "degree must be an integer, got '0' (at bad.json.items[1].degree)"),
+    ("demo_timeline.json", [_F5, (_ITEM, {"type": "entry_above", **_ENTRY,
+                                          "boundary": {"c": "1/5"}})], _TL,
+     "division by zero in F5 (at bad.json.items[1].boundary['c'])"),
+    ("sigma.json", [((1,), 1.5)], ("bound",),
+     "action values must be exact rationals, got 1.5 (at bad.json[1])"),
+]
+_DGA_EPS = ["two_copy.dga.json", "two_copy.augmentation.json"]
+_OPTION_SLOTS = [
+    (["linearize", *_DGA_EPS, "--window", "x", "12"],
+     "cannot read action value 'x' (at --window)"),
+    (["linearize", *_DGA_EPS, "--window", "9", "1/0"],
+     "cannot read action value '1/0' (at --window)"),
+    (["linearize", *_DGA_EPS, "--window", "9", "12", "--reach", ""],
+     "cannot read action value '' (at --reach)"),
+    (["bound", "sigma.json", "betti.json", "--oscillation", "1", "--reach",
+      "[]"], "cannot read action value '[]' (at --reach)"),
+    (["bound", "sigma.json", "betti.json", "--oscillation", "true"],
+     "cannot read action value 'true' (at --oscillation)"),
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_unreadable_values_exit_two_at_their_path(fixture_dir, flags):
+    # one value slot of each document kind, each timeline item field, sigma
+    # and each number option: a wrong-typed or unreadable value is refused
+    # by the library reader of its kind, at its JSON path; a timeline is
+    # refused alike by validate and simulate
+    argvs = {"validate": ["validate", "bad.json"],
+             "barcode": ["barcode", "bad.json"],
+             "simulate": ["simulate", "bad.json"],
+             "bound": ["bound", "bad.json", "betti.json", "--oscillation",
+                       "1"],
+             "linearize": ["linearize", "two_copy.dga.json", "bad.json",
+                           "--window", "9", "12"]}
+
+    def refused(argv, message):
+        proc = _cli(flags, argv, str(fixture_dir))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: %s\n" % message), argv
+
+    for argv, message in _OPTION_SLOTS:
+        refused(argv, message)
+    for name, edits, commands, message in _VALUE_SLOTS:
+        doc = json.loads((fixture_dir / name).read_text())
+        for (*keys, last), value in edits:
+            node = doc
+            for key in keys:
+                node = node[key]
+            node[last] = value
+        (fixture_dir / "bad.json").write_text(json.dumps(doc))
+        for command in commands:
+            refused(argvs[command], message)
+
+
 def test_overlong_printed_values_exit_one(fixture_dir):
     # values computed from in-limit inputs can have more digits than str()
     # prints; printing one is a validation error naming the limit.  Two

@@ -36,6 +36,9 @@ def test_parse_rejections():
     for tag in ("F0", "F00", "F02", "F\u0663", "F\u00b2"):
         with pytest.raises(ParseError):
             Field.parse(tag)
+    # nor is a characteristic with more digits than int() reads
+    with pytest.raises(ParseError, match="unrecognized field tag"):
+        Field.parse("F1" + "0" * sys.get_int_max_str_digits())
     with pytest.raises(BadCharacteristic):
         Field.parse("F9")
     with pytest.raises(BadCharacteristic):

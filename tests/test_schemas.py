@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from chordbars import INF, barcode_of, schemas, simulate
+from chordbars import F2, INF, barcode_of, schemas, simulate
 from chordbars.barcodes import format_action
 from chordbars.errors import ChordbarsError, ParseError, ValidationError
 from chordbars.schemas import (barcode_json, dumps, loads, parse_complex,
@@ -72,8 +72,8 @@ def test_shape_errors_carry_json_paths():
     doc["generators"][1] = {"id": "", "action": "2", "degree": 1}
     with pytest.raises(ParseError) as info:
         parse_complex(doc)
-    assert str(info.value) == ("expected a nonempty string "
-                               "(at complex.generators[1].id)")
+    assert str(info.value) == ("generator id must be a nonempty string, "
+                               "got '' (at complex.generators[1].id)")
 
 
 def test_duplicate_differential_target_rejected():
@@ -174,7 +174,7 @@ _ALL_ITEMS_DOC = {
          "couplings": {"b": "1", "c": "-2"}},
         {"type": "entry_above", "time": "1", "id": "z", "degree": 1},
         {"type": "entry_above", "time": "1", "id": "z", "degree": 1,
-         "boundary": {"a": "3/2"}},
+         "boundary": {"a": "1/3"}},
     ],
 }
 
@@ -192,25 +192,26 @@ def test_every_item_kind_roundtrips():
 
 
 @pytest.mark.parametrize("index, key, value, message, where", [
-    (0, "t1", 1.5, "numbers must be integers or rational strings", ".t1"),
+    (0, "t1", 1.5, "action values must be exact rationals, got 1.5", ".t1"),
     (3, "target", 3, "expected a string", ".target"),
-    (4, "unit", True, "scalars must be integers or rational strings",
-     ".unit"),
-    (5, "x", ["u", "1"], "expected an integer", ".x[1]"),
+    (4, "unit", True, "booleans are not scalars", ".unit"),
+    (5, "x", ["u", "1"], "degree must be an integer, got '1'", ".x[1]"),
     (5, "y", ["v"], "birth endpoints are [id, degree]", ""),
     (6, "y", ["a"], "expected a string", ".y"),
     (7, "id", 7, "expected a string", ".id"),
-    (8, "time", 0.5, "numbers must be integers or rational strings",
+    (8, "time", 0.5, "action values must be exact rationals, got 0.5",
      ".time"),
-    (9, "degree", "0", "expected an integer", ".degree"),
+    (9, "degree", "0", "degree must be an integer, got '0'", ".degree"),
     (10, "couplings", ["b"], "expected an object", ".couplings"),
-    (12, "boundary", {"a": 1.5},
-     "scalars must be integers or rational strings", ".boundary['a']"),
+    (12, "boundary", {"a": 1.5}, "cannot coerce 1.5 into F2",
+     ".boundary['a']"),
     # ids of new generators must be nonempty
-    (5, "x", ["", 1], "expected a nonempty string", ".x[0]"),
-    (5, "y", ["", 0], "expected a nonempty string", ".y[0]"),
-    (9, "id", "", "expected a nonempty string", ".id"),
-    (11, "id", "", "expected a nonempty string", ".id"),
+    (5, "x", ["", 1], "generator id must be a nonempty string, got ''",
+     ".x[0]"),
+    (5, "y", ["", 0], "generator id must be a nonempty string, got ''",
+     ".y[0]"),
+    (9, "id", "", "generator id must be a nonempty string, got ''", ".id"),
+    (11, "id", "", "generator id must be a nonempty string, got ''", ".id"),
 ])
 def test_item_field_errors_carry_json_paths(index, key, value, message,
                                             where):
@@ -233,7 +234,7 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
                         "c": "5"},
             "window_a": [["0", "0"], ["1/3", "0"], ["1", "1/2"]]}
     calls = count_calls(monkeypatch, schemas, "_action")
-    seg = schemas.parse_timeline_item(item, "x")
+    seg = schemas.parse_timeline_item(item, F2, "x")
     knots = [where for _value, where in calls if where.endswith("][0]")]
     assert len(knots) == len({"0", "1/2", "1", "1/3"})
     paths = [seg.actions["a"], seg.actions["b"], seg.window_a]
@@ -245,14 +246,14 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
     bad = dict(item, actions=dict(item["actions"],
                                   c=[["0", "5"], ["1/2x", "5"], ["1", "5"]]))
     with pytest.raises(ParseError) as info:
-        schemas.parse_timeline_item(bad, "x")
+        schemas.parse_timeline_item(bad, F2, "x")
     assert str(info.value).endswith("(at x.actions['c'][1][0])")
     # only a string is looked up: true and 1.0 are refused after "1" and 1
     for knot in (True, 1.0):
         bad = dict(item, actions=dict(item["actions"],
                                       c=[[0, "5"], [1, "5"], [knot, "5"]]))
         with pytest.raises(ParseError) as info:
-            schemas.parse_timeline_item(bad, "x")
+            schemas.parse_timeline_item(bad, F2, "x")
         assert str(info.value).endswith("(at x.actions['c'][2][0])")
 
 
@@ -307,7 +308,7 @@ _FALLS = "breakpoint times must strictly increase (1 then 1/2)"
     ({"a": _UNORDERED, "b": _KNOTS}, {"window_a": [["0", "x"]]},
      ("ParseError", "cannot read action value 'x' (at x.window_a[0][1])")),
     ({"a": _KNOTS, "b": [["0", 1.5], ["1", "1"]]}, {"t0": "1"},
-     ("ParseError", "numbers must be integers or rational strings "
+     ("ParseError", "action values must be exact rationals, got 1.5 "
                     "(at x.actions['b'][0][1])")),
     # t0 < t1 is checked before any path
     ({"a": _UNORDERED, "b": _KNOTS}, {"t0": "1", "t1": "0"},
@@ -353,7 +354,7 @@ def test_drift_item_reports_its_first_fault(actions, extra, error):
     item = dict({"type": "drift", "t0": "0", "t1": "1", "actions": actions},
                 **extra)
     with pytest.raises(ChordbarsError) as info:
-        schemas.parse_timeline_item(item, "x")
+        schemas.parse_timeline_item(item, F2, "x")
     assert (type(info.value).__name__, str(info.value)) == error
 
 

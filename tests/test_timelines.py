@@ -631,7 +631,7 @@ def test_crossing_check_reads_only_the_pairs_that_change(monkeypatch):
 def test_a_new_frame_is_reduced_afresh():
     # same actions, same order, another differential: the pairing is not
     # carried over from the previous sample
-    trace = timelines.FamilyTrace(F2)
+    trace = timelines.FamilyTrace()
     actions, window = {"x": q(1), "g": q(2)}, (q(0), INF)
     degrees = {"x": 0, "g": 1}
     keys = [(0, 1, "x"), (1, 2, "g")]
