@@ -391,13 +391,20 @@ def barcode_table_lines(B):
             for b in B.bars]
 
 
-def barcode_diagram_lines(B, width=48):
-    """Plain-text bar diagram, one row per bar, columns scaled to width.
-
-    A width below 2 leaves no column to scale to and is refused."""
+def _diagram_width(width):
+    """Refuse a width below 2 (no column to scale to) or above 10,000."""
     if width < 2:
         raise ValidationError("diagram width must be at least 2, got %r"
                               % (width,))
+    if width > 10000:
+        raise ValidationError("diagram width must be at most 10000, got %r"
+                              % (width,))
+    return width
+
+
+def barcode_diagram_lines(B, width=48):
+    """Plain-text bar diagram, one row per bar, columns scaled to width."""
+    _diagram_width(width)
     if not B.bars:
         return ["(empty barcode)"]
     starts = [b.start for b in B.bars]

@@ -173,17 +173,19 @@ class SigmaProfile:
         return len(self.values)
 
 
+def as_rank(value):  # a bool is not an int here
+    if type(value) is not int or value < 0:
+        raise ValidationError("ranks must be non-negative integers")
+    return value
+
+
 class BettiProfile:
     """Homology ranks indexed by degree 0..n (non-negative integers)."""
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = []
-        for v in values:
-            if type(v) is not int or v < 0:
-                raise ValidationError("ranks must be non-negative integers")
-            vals.append(v)
+        vals = [as_rank(v) for v in values]
         if not vals:
             raise ValidationError("profile must cover degrees 0..n")
         self.values = tuple(vals)

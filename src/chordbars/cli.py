@@ -13,8 +13,8 @@ import sys
 from fractions import Fraction
 
 from . import schemas
-from .barcodes import (barcode_csv_rows, barcode_diagram_lines, barcode_of,
-                       barcode_table_lines, format_action)
+from .barcodes import (_diagram_width, barcode_csv_rows, barcode_diagram_lines,
+                       barcode_of, barcode_table_lines, format_action)
 from .bounds import oscillation, theorem_bound
 from .complexes import INF
 from .dga import partial_linearization, validate_dga
@@ -156,12 +156,7 @@ def cmd_linearize(args, out):
 def cmd_bound(args, out):
     sigma = schemas.parse_rational_array(_load_json(args.sigma), args.sigma,
                                          allow_inf=True)
-    betti_raw = _load_json(args.betti)
-    if not isinstance(betti_raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0
-            for v in betti_raw):
-        raise ParseError("expected an array of non-negative integers",
-                         args.betti)
+    betti = schemas.parse_rank_array(_load_json(args.betti), args.betti)
     reach = schemas._action(args.reach, "--reach", allow_inf=True)
     if args.profile is not None:
         prof = schemas.parse_profile_csv(_read_text(args.profile),
@@ -170,7 +165,7 @@ def cmd_bound(args, out):
     else:
         osc = schemas._action(args.oscillation, "--oscillation",
                               allow_inf=True)
-    report = theorem_bound(sigma, betti_raw, reach, osc)
+    report = theorem_bound(sigma, betti, reach, osc)
     for line in _stamp_lines(args):
         print(line, file=out)
     for line in report.format_lines():
@@ -251,16 +246,15 @@ def cmd_fixtures(args, out):
 # ---------------------------------------------------------------------------
 
 def _width(text):
-    """A diagram width of at least 2, checked at parse time so that a
-    narrower one is a usage error."""
+    """A diagram width, checked at parse time by the diagram's own rule so
+    that a bad one is a usage error."""
     try:
-        width = int(text)
+        return _diagram_width(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r"
                                          % text) from None
-    if width < 2:
-        raise argparse.ArgumentTypeError("must be at least 2, got %d" % width)
-    return width
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_format_args(p):

@@ -17,7 +17,7 @@ from functools import partial
 from operator import attrgetter, itemgetter
 
 from .barcodes import format_action
-from .bounds import OscillationProfile
+from .bounds import OscillationProfile, as_rank
 from .complexes import INF, FilteredComplex, as_action, as_degree, as_id
 from .dga import Augmentation, Chord, ChordDGA
 from .errors import ChordbarsError, ParseError
@@ -463,6 +463,11 @@ def parse_profile_csv(text, source="<profile>"):
 
 def parse_rational_array(obj, where, allow_inf=False):
     return [_action(v, "%s[%d]" % (where, i), allow_inf=allow_inf)
+            for i, v in enumerate(_list(obj, where))]
+
+
+def parse_rank_array(obj, where):
+    return [_read(as_rank, v, "%s[%d]" % (where, i))
             for i, v in enumerate(_list(obj, where))]
 
 

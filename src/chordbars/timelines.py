@@ -74,8 +74,8 @@ class SingularEvent:
     the :mod:`chordbars.schemas` item table.  ``apply(state)`` checks its
     preconditions and edits the family state; it alone enforces what the
     actions are at the event time (shared generators keep theirs, newcomers
-    and leavers sit where the rule says) and refuses every zero gap or top
-    touch the event does not resolve, read from those actions.
+    and leavers sit where the rule says) and, in one check, refuses every
+    zero gap, top touch or tie it does not resolve at those actions.
     ``admissible(pairs)`` lists the admissible (post-event pairing,
     description) pairs, none if the bar it acts on is missing.  ``edge`` is
     the window edge (0 bottom, 1 top) an exit or entry crosses.
@@ -105,7 +105,6 @@ class HandleSlide(SingularEvent):
     def apply(self, state):
         field, tau = state.field, self.time
         _require_resolved(state, self)
-        _check_no_tie(state, tau)
         if self.target not in state.degrees:
             raise EventPreconditionViolated("slide target %r not present"
                                             % self.target)
@@ -163,7 +162,6 @@ class Birth(SingularEvent):
 
     def apply(self, state):
         _require_resolved(state, self)
-        _check_no_tie(state, self.time)
         for gid in (self.x_id, self.y_id):
             if gid in state.degrees:
                 raise EventPreconditionViolated("birth id %r already in use" % gid)
@@ -221,7 +219,6 @@ class Death(SingularEvent):
             raise EventPreconditionViolated(
                 "death pair actions differ at t = %s: %s vs %s"
                 % (self.time, state.actions[x], state.actions[y]))
-        _check_no_tie(state, self.time, exempt=frozenset({x, y}))
         _remove(state, x, y)
 
     def admissible(self, pairs):
@@ -280,7 +277,6 @@ class _Exit(_WindowEdgeEvent):
                     self.kind.replace("_", " "), g,
                     ("bottom", "top")[self.edge], at, self.time,
                     state.actions[g]))
-        _check_no_tie(state, self.time)
         # the quotient drops a bottom leaver's terms; nothing hits a top one
         _remove(state, g)
 
@@ -347,7 +343,6 @@ class EntryBelow(_Entry):
         if g in state.degrees:
             raise EventPreconditionViolated("entering id %r already in use" % g)
         _require_resolved(state, self)
-        _check_no_tie(state, self.time)
         couplings = {}
         for z, c in self.couplings.items():
             if z not in state.degrees:
@@ -358,15 +353,11 @@ class EntryBelow(_Entry):
             cc = field.coerce(c)
             if cc:
                 couplings[z] = cc
-        # ∂² stays zero iff the coupling row annihilates the image two up
+        # ∂² stays zero iff the coupling row annihilates the image two up;
+        # only a row two degrees up can name a coupling
+        up = {z: {g: c} for z, c in couplings.items()}
         for w, row in state.diff.items():
-            if state.degrees.get(w) != self.degree + 2:
-                continue
-            acc = field.zero_raw
-            for z, c in couplings.items():
-                if z in row:
-                    acc = field.add(acc, field.mul(row[z], c))
-            if acc:
+            if boundary_raw(field, up, row):
                 raise EventPreconditionViolated(
                     "couplings break ∂² = 0 (witness %r)" % w)
         if any(act == at for act in state.actions.values()):
@@ -395,7 +386,6 @@ class EntryAbove(_Entry):
         if g in state.degrees:
             raise EventPreconditionViolated("entering id %r already in use" % g)
         _require_resolved(state, self)
-        _check_no_tie(state, self.time)
         boundary = {}
         for y, c in self.boundary.items():
             if y not in state.degrees:
@@ -792,16 +782,6 @@ def _run_segment(trace, state, seg, entered):
     state.b = INF if b_path == INF else b_path.end_value
 
 
-def _check_no_tie(state, tau, exempt=frozenset()):
-    seen = {}
-    for gid, act in sorted(state.actions.items()):
-        if act in seen and not ({gid, seen[act]} <= exempt):
-            raise NonGenericCrossing(
-                "generators %r and %r share action %s exactly at the singular "
-                "time t = %s" % (seen[act], gid, act, tau))
-        seen[act] = gid
-
-
 def _degeneracies(state):
     """The sorted differential edges whose two actions are equal, and the
     sorted generators on a finite window top."""
@@ -813,8 +793,9 @@ def _degeneracies(state):
 
 
 def _require_resolved(state, ev, gap_ok=None, top_ok=None):
-    """Refuse a zero edge gap or a generator on the top other than
-    ``gap_ok`` / ``top_ok``, the one the event resolves."""
+    """The one genericity check at an event: refuse a zero edge gap, a
+    generator on the top or two generators at one action, except the edge
+    ``gap_ok`` (its ends may tie) or the generator ``top_ok`` it resolves."""
     gaps, tops = _degeneracies(state)
     stray = [e for e in gaps if e != gap_ok]
     if stray:
@@ -827,6 +808,13 @@ def _require_resolved(state, ev, gap_ok=None, top_ok=None):
         raise ActionOutsideWindow(
             "generator %r reaches the window top at t = %s and the %s event "
             "does not resolve it" % (stray[0], ev.time, ev.kind))
+    seen = {}
+    for gid, act in sorted(state.actions.items()):
+        if act in seen and not {gid, seen[act]} <= set(gap_ok or ()):
+            raise NonGenericCrossing(
+                "generators %r and %r share action %s exactly at the singular "
+                "time t = %s" % (seen[act], gid, act, ev.time))
+        seen[act] = gid
 
 
 # ---------------------------------------------------------------------------

@@ -328,3 +328,10 @@ def test_diagram_refuses_widths_below_two():
             barcode_diagram_lines(B, width=width)
         assert str(info.value) == ("diagram width must be at least 2, got %d"
                                    % width)
+    # a row holds width characters: more than 10,000 is refused too
+    assert barcode_diagram_lines(B, width=10000)[1].endswith("=|")
+    for width in (10001, 2 ** 32, 10 ** 20):
+        with pytest.raises(ValidationError) as info:
+            barcode_diagram_lines(B, width=width)
+        assert str(info.value) == ("diagram width must be at most 10000, "
+                                   "got %d" % width)

@@ -249,7 +249,58 @@ def test_usage_errors_exit_two(capsys):
         assert main(["barcode", "c.json", "--format", "diagram",
                      "--width", width]) == 2
         assert "argument --width" in capsys.readouterr().err
+    # nor more columns than a row can hold, however large the number
+    for width in ("10001", "4294967296", "99999999999999999999"):
+        assert main(["barcode", "c.json", "--format", "diagram",
+                     "--width", width]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --width: diagram width must be at most 10000, "
+            "got %s\n" % width)
     capsys.readouterr()
+
+
+def test_bound_reads_betti_entries_at_their_path(fixture_dir, monkeypatch,
+                                                 capsys):
+    # each rank is read by BettiProfile's rule, at its JSON path; an empty
+    # profile is well-formed JSON the bound refuses
+    monkeypatch.chdir(fixture_dir)
+    for text, code, message in [
+            ("[1, -1, 1]", 2,
+             "ranks must be non-negative integers (at b.json[1])"),
+            ("[1, true]", 2,
+             "ranks must be non-negative integers (at b.json[1])"),
+            ("{}", 2, "expected an array (at b.json)"),
+            ("[]", 1, "profile must cover degrees 0..n")]:
+        (fixture_dir / "b.json").write_text(text)
+        assert _run(capsys, ["bound", "sigma.json", "b.json",
+                             "--oscillation", "1"]) == (
+            code, "", "error: %s\n" % message), text
+
+
+_ODD_VALUES = ["0", "-1", "1/0", "inf", "-inf", "nan", "1e400", "1e-400",
+               "2", "99999999999999999999", "1_0", " 3 ", "", "0x10", "1/3",
+               "-0", "\u0661\u0662"]
+
+
+def test_option_values_keep_the_exit_contract(fixture_dir, monkeypatch,
+                                              capsys):
+    # every option that takes a number answers each odd value with an exit
+    # code of the contract, never an escaping exception
+    monkeypatch.chdir(fixture_dir)
+    lin = ["linearize", "two_copy.dga.json", "two_copy.augmentation.json"]
+    bound = ["bound", "sigma.json", "betti.json"]
+    slots = [
+        lambda v: ["barcode", "demo_complex.json", "--format", "diagram",
+                   "--width", v],
+        lambda v: lin + ["--window", v, "12"],
+        lambda v: lin + ["--window", "9", v],
+        lambda v: lin + ["--window", "9", "12", "--reach", v],
+        lambda v: bound + ["--oscillation", v],
+        lambda v: bound + ["--oscillation", "1", "--reach", v]]
+    for slot in slots:
+        for value in _ODD_VALUES:
+            assert main(slot(value)) in (0, 1, 2), slot(value)
+            capsys.readouterr()
 
 
 def _crossing_family(path, seed=11, n=8, knots=6):

@@ -765,6 +765,18 @@ _REFUSALS = [
                      {"w": {"z": 1}}),
      EntryBelow(T, "g", 0, couplings={"z": 1}), EventPreconditionViolated,
      "couplings break ∂² = 0 (witness 'w')"),
+    # both rows two degrees up break ∂²: the first in differential order
+    # (by action) is the witness
+    (FilteredComplex(F2, (0, INF), [("z", 2, 1), ("w2", 3, 2), ("w1", 4, 2)],
+                     {"w1": {"z": 1}, "w2": {"z": 1}}),
+     EntryBelow(T, "g", 0, couplings={"z": 1}), EventPreconditionViolated,
+     "couplings break ∂² = 0 (witness 'w2')"),
+    # over F2 the couplings cancel on w's row, not on u's
+    (FilteredComplex(F2, (0, INF), [("y", 2, 1), ("z", q(5, 2), 1),
+                                    ("w", 3, 2), ("u", 4, 2)],
+                     {"w": {"y": 1, "z": 1}, "u": {"z": 1}}),
+     EntryBelow(T, "g", 0, couplings={"y": 1, "z": 1}),
+     EventPreconditionViolated, "couplings break ∂² = 0 (witness 'u')"),
     (FilteredComplex(F2, (0, INF), [("x", 0, 0)], {}),
      EntryBelow(T, "g", 0), NonGenericCrossing,
      "entry at the bottom collides with a generator at action 0"),
@@ -873,9 +885,18 @@ def _one_event_of_each_kind():
             EntryBelow(1, "n", 0), EntryAbove(1, "n", 1)]
 
 
+# g falls onto x; each event's own generators sit where its rule says
+_TIES = [(HandleSlide(1, "x", {}), {}),
+         (Birth(1, ("p", 1), ("n", 0), q(1, 2)), {}),
+         (Death(1, "v", "w"), {"v": [(0, q(7, 2)), (1, 3)]}),
+         (ExitBelow(1, "w"), {"w": [(0, 3), (1, 0)]}),
+         (ExitAbove(1, "v"), {"v": [(0, q(7, 2)), (1, 4)]}),
+         (EntryBelow(1, "n", 0), {}), (EntryAbove(1, "n", 1), {})]
+
+
 def test_one_event_of_each_kind_covers_the_kinds():
     assert sorted(ev.kind for ev in _one_event_of_each_kind()) \
-        == sorted(schemas._EVENT_ITEMS)
+        == sorted(ev.kind for ev, _ in _TIES) == sorted(schemas._EVENT_ITEMS)
 
 
 @pytest.mark.parametrize("event", _one_event_of_each_kind(),
@@ -903,6 +924,46 @@ def test_every_event_refuses_a_top_touch_it_does_not_resolve(event):
     assert type(info.value) is ActionOutsideWindow and str(info.value) == (
         "generator 'g' reaches the window top at t = 1 and the %s event "
         "does not resolve it" % event.kind)
+
+
+def _refused_tie(event, paths):
+    items = [DriftSegment(0, 1, {**_HOLD, "g": [(0, q(15, 4)), (1, 2)],
+                                 **paths}), event, DriftSegment(1, 2, {})]
+    with pytest.raises(NonGenericCrossing) as info:
+        simulate(_DEGENERATE, items)
+    assert type(info.value) is NonGenericCrossing and str(info.value) == (
+        "generators 'g' and 'x' share action 2 exactly at the singular "
+        "time t = 1")
+
+
+@pytest.mark.parametrize("event, paths", _TIES,
+                         ids=[ev.kind for ev, _ in _TIES])
+def test_every_event_refuses_a_tie_it_does_not_resolve(event, paths):
+    # a death's own pair may tie (v falls onto w), no other two generators
+    _refused_tie(event, paths)
+
+
+@pytest.mark.parametrize("event", [Death(1, "v", "w"), ExitBelow(1, "w"),
+                                   ExitAbove(1, "v")],
+                         ids=lambda ev: ev.kind)
+def test_a_tie_is_refused_before_the_events_own_checks(event):
+    # the pair's actions (7/2 and 3) differ, and the leaver is off its
+    # edge, but the tie elsewhere is the genericity fault reported first
+    _refused_tie(event, {})
+
+
+def test_two_ties_name_the_first_pair_in_id_order():
+    # a = c = 2 and b = d = 1 at the slide: ids are walked in order
+    cx = FilteredComplex(F2, (0, INF), [("a", 2, 0), ("b", 1, 0),
+                                        ("c", 3, 0), ("d", 4, 0)], {})
+    items = [DriftSegment(0, 1, {"a": 2, "b": 1, "c": [(0, 3), (1, 2)],
+                                 "d": [(0, 4), (1, 1)]}),
+             HandleSlide(1, "a", {}), DriftSegment(1, 2, {})]
+    with pytest.raises(NonGenericCrossing) as info:
+        simulate(cx, items)
+    assert type(info.value) is NonGenericCrossing and str(info.value) == (
+        "generators 'a' and 'c' share action 2 exactly at the singular "
+        "time t = 1")
 
 
 def test_death_and_exit_above_resolve_only_their_own_degeneracy():
