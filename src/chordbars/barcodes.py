@@ -22,7 +22,6 @@ They share no reduction code; agreement between them is the core oracle test
 of the package.
 """
 
-from . import linalg
 from .complexes import INF, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
 from .fields import _format_rational
@@ -100,13 +99,13 @@ class Barcode:
 class BarannikovForm:
     """Result of the pairing reduction.
 
-    ``order`` lists generator ids sorted by (action, id); ``base_change`` is
-    an upper-triangular matrix G over that order (new basis vectors as
-    columns, raw field values) with a nonzero diagonal, read off R = D V;
-    after the change of basis the differential maps each killer to its
-    killed partner with coefficient exactly 1 and every other basis vector
-    to 0.  G is one valid such base change, not a unique one; the pairs are
-    unique.
+    ``order`` lists generator ids sorted by (action, id); ``base_change``
+    holds the new basis vectors, one sparse column {row index: raw} each,
+    of an upper-triangular G over that order with a nonzero diagonal, read
+    off R = D V; after the change of basis the differential maps each killer
+    to its killed partner with coefficient exactly 1 and every other basis
+    vector to 0.  G is one valid such base change, not a unique one; the
+    pairs are unique.
     """
 
     __slots__ = ("field", "order", "base_change", "pairs", "unpaired")
@@ -161,10 +160,7 @@ def canonical_form(C):
     R, V, killer_of = _reduce(field, order,
                               [C.differential_raw(gid) for gid in order])
     n = len(order)
-    G = linalg.zeros(n, n, field)
-    for m in range(n):
-        for k, c in (R[killer_of[m]] if m in killer_of else V[m]).items():
-            G[k][m] = c
+    G = [R[killer_of[m]] if m in killer_of else V[m] for m in range(n)]
     pairs = [(order[j], order[i]) for i, j in killer_of.items()]
     unpaired = [order[m] for m in range(n) if not R[m] and m not in killer_of]
     return BarannikovForm(field, order, G, pairs, unpaired)
@@ -174,10 +170,11 @@ def check_canonical_form(C, F):
     """Raise EngineMismatch unless F is a killer/killed normal form of C.
 
     Checks that F pairs or leaves unpaired each generator of C exactly once,
-    that G = ``F.base_change`` is upper-triangular with a nonzero diagonal
-    (so action-preserving and invertible), and the conjugation D G = G T
-    column by column: D g_m, applied sparsely through ``differential_raw``,
-    is g_i when m kills i and 0 otherwise.  The error names the generator.
+    that each sparse column g_m of G = ``F.base_change`` has its largest key
+    at m with a nonzero entry (G is upper-triangular with a nonzero
+    diagonal: action-preserving and invertible), and D G = G T column by
+    column: D g_m, summed over g_m's entries, is g_i when m kills i and 0
+    otherwise.  The error names the generator.
     """
     field, G, order = F.field, F.base_change, F.order
     n = len(order)
@@ -191,16 +188,15 @@ def check_canonical_form(C, F):
                              "each generator exactly once")
     partner = {index[k]: index[d] for k, d in F.pairs}
     for m, gid in enumerate(order):
-        if not G[m][m] or any(G[r][m] for r in range(m + 1, n)):
+        col = G[m]
+        if not col.get(m) or max(col) != m:
             raise EngineMismatch("base change column of %r is not upper-"
                                  "triangular with a nonzero diagonal" % (gid,))
         image = {}
-        for r in range(m + 1):
-            if G[r][m]:
-                field.add_scaled(image, C.differential_raw(order[r]), G[r][m])
+        for r, c in col.items():
+            field.add_scaled(image, C.differential_raw(order[r]), c)
         p = partner.get(m)
-        want = {} if p is None else {order[r]: G[r][p]
-                                     for r in range(n) if G[r][p]}
+        want = {} if p is None else {order[r]: c for r, c in G[p].items()}
         if image != want:
             raise EngineMismatch("base change breaks D G = G T at generator %r" % (gid,))
 
@@ -241,9 +237,9 @@ def barcode_definitional(C):
     field = C.field
     bars = []
     for d in C.degrees():
-        Md, _, cols_d = C.boundary_matrix(d)
-        Mup, rows_up, cols_up = C.boundary_matrix(d + 1)
-        assert rows_up == cols_d  # invariant: both are C's degree-d generators
+        # degree-d and degree-(d+1) generators, in action order
+        cols_d = [g for g in C.generators if g.degree == d]
+        cols_up = [g for g in C.generators if g.degree == d + 1]
         crit = sorted({g.action for g in cols_d} | {g.action for g in cols_up})
         k = len(crit)
         level = {a: i for i, a in enumerate(crit)}
@@ -251,15 +247,17 @@ def barcode_definitional(C):
         d_lv = [level[g.action] for g in cols_d]
         up_lv = [level[g.action] for g in cols_up]
         nd, nup = len(d_lv), len(up_lv)
-        # boundary columns (vectors over the degree-d basis) in action order
-        up_cols = [[row[j] for row in Mup] for j in range(nup)]
+        # boundary columns from degree d + 1, rows keyed by index in cols_d
+        row_of = {g.id: i for i, g in enumerate(cols_d)}
+        up_cols = [{row_of[t]: c for t, c in C.differential_raw(g.id).items()}
+                   for g in cols_up]
 
         def ranks_from_row(m):
             """rank ∂[rows >= m, <= e] for every critical level e."""
             acc, ranks, p = RankAccumulator(field), [], 0
             for e in range(k):
                 while p < nup and up_lv[p] <= e:
-                    acc.add(up_cols[p][m:])
+                    acc.add({i: c for i, c in up_cols[p].items() if i >= m})
                     p += 1
                 ranks.append(acc.rank)
             return ranks
@@ -271,7 +269,7 @@ def barcode_definitional(C):
             if m == nd or d_lv[m] != j:
                 continue  # no degree-d generator starts at level j
             while m < nd and d_lv[m] == j:
-                accZ.add([row[m] for row in Md])
+                accZ.add(C.differential_raw(cols_d[m].id))
                 m += 1
             W = [m - accZ.rank - b + r
                  for b, r in zip(dimB, ranks_from_row(m))]

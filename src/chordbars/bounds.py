@@ -13,7 +13,7 @@ with a float sample carries a declared comparison tolerance.
 import math
 from fractions import Fraction
 
-from .complexes import as_action
+from .complexes import as_action, as_reach
 from .errors import (NonMonotoneTime, RatesExceedProfile, ValidationError)
 from .piecewise import PLPath
 
@@ -246,9 +246,7 @@ def theorem_bound(sigma, betti, l, osc):
         raise ValidationError(
             "profiles disagree on dimension: %d vs %d entries"
             % (len(sigma), len(betti)))
-    l = as_action(l, allow_inf=True)
-    if not l > 0:
-        raise ValidationError("window length must be positive")
+    l = as_reach(l)
     osc = as_action(osc)
     if osc < 0:
         raise ValidationError("oscillation cannot be negative")

@@ -163,8 +163,7 @@ def cmd_bound(args, out):
                                          source=args.profile)
         osc = oscillation(prof)
     else:
-        osc = schemas._action(args.oscillation, "--oscillation",
-                              allow_inf=True)
+        osc = schemas._action(args.oscillation, "--oscillation")
     report = theorem_bound(sigma, betti, reach, osc)
     for line in _stamp_lines(args):
         print(line, file=out)

@@ -49,6 +49,15 @@ def as_action(value, allow_inf=False):
         raise ValidationError("cannot read action value %r" % (value,))
 
 
+def as_reach(value):
+    """Read an augmentation reach: a positive action or inf."""
+    l = as_action(value, allow_inf=True)
+    if not l > 0:
+        raise ValidationError("augmentation reach must be positive, got %s"
+                              % (l,))
+    return l
+
+
 def as_degree(value):
     """Check an integer degree; a bool or any other type is rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -175,29 +184,9 @@ class FilteredComplex:
     def degrees(self):
         return sorted({g.degree for g in self.generators})
 
-    def generators_of_degree(self, d):
-        return [g for g in self.generators if g.degree == d]
-
     def differential_raw(self, gid):
         """Raw sparse boundary row of one generator ({} if zero)."""
         return dict(self._diff.get(gid, ()))
-
-    # linear algebra views ------------------------------------------------------------
-
-    def boundary_matrix(self, degree):
-        """Dense raw matrix of ∂ from degree to degree-1, action-ordered columns.
-
-        Returns (matrix rows-by-cols, row generators, column generators);
-        rows are the degree-1 generators, also in action order.
-        """
-        cols = self.generators_of_degree(degree)
-        rows = self.generators_of_degree(degree - 1)
-        row_index = {g.id: i for i, g in enumerate(rows)}
-        M = linalg.zeros(len(rows), len(cols), self.field)
-        for j, g in enumerate(cols):
-            for tgt, c in self._diff.get(g.id, {}).items():
-                M[row_index[tgt]][j] = c
-        return M, rows, cols
 
     def __repr__(self):
         a, b = self.window

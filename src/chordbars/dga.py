@@ -15,7 +15,7 @@ arithmetic; nothing here ever touches floats.
 
 from fractions import Fraction
 
-from .complexes import INF, FilteredComplex, as_action, as_degree
+from .complexes import INF, FilteredComplex, as_action, as_degree, as_reach
 from .errors import (ActionIncrease, AugmentationInvalid, CheckEntry,
                      CheckReport, DegreeMismatch, DuplicateId,
                      ForeignGenerator, MixedOutputViolation, NotChainMap,
@@ -256,7 +256,7 @@ def sub_dga(D, l):
     closed, so rows carry over unchanged, and so do a validated D's report
     entries: each reads only its chord's row and the rows of its letters.
     """
-    l = as_action(l, allow_inf=True)
+    l = as_reach(l)
     if l == INF:
         return D
     keep = [c for c in D.chords if c.length < l]
@@ -615,7 +615,7 @@ def partial_linearization(D, eps, window, l=INF):
     b = as_action(window[1], allow_inf=True)
     if not a < b:
         raise ValidationError("window needs a < b")
-    l = as_action(l, allow_inf=True)
+    l = as_reach(l)
     if b - a > l:
         raise WindowTooWide("window width %s exceeds the augmentation reach %s"
                             % (b - a, l))

@@ -1,12 +1,11 @@
-"""Dense exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-Matrices are plain lists of row lists holding *raw* field values (see
-``fields``).  Sizes here are tiny (tens of generators), so clarity beats
-asymptotics; everything is straight Gaussian elimination, kept exact.
-
-:func:`kernel` is the one place a kernel of sparse columns (boundary rows,
-chord-word images) is computed; callers never build the dense matrix
-themselves.  Sparse sums live in :meth:`fields.Field.add_scaled`.
+Dense matrices are plain lists of row lists holding *raw* field values (see
+``fields``), reduced by straight Gaussian elimination, kept exact, for
+:func:`kernel` and the tests' reference oracles.  :func:`kernel` is the one
+place a kernel of sparse columns (boundary rows, chord-word images) is
+computed, and :class:`RankAccumulator` reduces sparse ``{key: raw}``
+vectors as they are.  Sparse sums live in :meth:`fields.Field.add_scaled`.
 """
 
 from .errors import ValidationError
@@ -120,9 +119,9 @@ def kernel(columns, field):
 
 
 class RankAccumulator:
-    """Incremental rank of a growing list of vectors.
+    """Incremental rank of a growing list of sparse ``{key: raw}`` vectors.
 
-    Rows are kept reduced and keyed by leading index, so each vector costs
+    Rows are kept reduced and keyed by their least key, so each vector costs
     one elimination pass and the rank after every prefix of the stream is
     read off for free.  The definitional barcode oracle feeds one column
     stream per projection of a boundary matrix, in action order.
@@ -132,33 +131,23 @@ class RankAccumulator:
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # leading index -> row with leading coefficient 1
+        self.rows = {}  # least key -> row with coefficient 1 there
 
     @property
     def rank(self):
         return len(self.rows)
 
     def add(self, vec):
-        """Reduce vec against the stored rows; return True if rank grew."""
+        """Reduce a copy of vec by the stored rows; True if the rank grew."""
         field = self.field
-        v = list(vec)
-        n = len(v)
-        j = 0
-        while j < n:
-            if not v[j]:
-                j += 1
-                continue
+        v = dict(vec)
+        while v:
+            j = min(v)
             row = self.rows.get(j)
             if row is None:
-                c = v[j]
-                if c != field.one_raw:
-                    inv = field.inv(c)
-                    v = [field.mul(inv, x) if x else x for x in v]
-                self.rows[j] = v
+                inv = field.inv(v[j])
+                self.rows[j] = {k: field.mul(inv, x) for k, x in v.items()}
                 return True
-            coef = v[j]
-            v = [field.sub(x, field.mul(coef, y)) if y else x
-                 for x, y in zip(v, row)]
-            assert not v[j]  # invariant: stored rows lead with 1 at j
-            j += 1
+            # row's keys are j and larger ones, so v's least key grows
+            field.add_scaled(v, row, field.neg(v[j]))
         return False

@@ -469,8 +469,8 @@ class FamilyTrace:
         self._order = None  # the last sample's (degree, action, id) order
 
     def add_sample(self, t, actions, window, frame, keys):
-        """Append a sample; ``keys`` holds (degree, numerator, id) for each
-        generator, every action over one positive denominator."""
+        """Append a sample; ``keys`` holds (degree, action, id) for each
+        generator, its actions possibly all scaled by one positive factor."""
         field, degrees, diff = frame
         # the (degree, action, id) order gives the (action, id) pairs (see
         # _reduce) and changes only where two generators of one degree
@@ -523,12 +523,7 @@ class _State:
                 {src: dict(row) for src, row in self.diff.items()})
 
     def add_sample(self, trace, t, frame):
-        # every action over the lcm of the denominators
-        ratios = [(gid, a.as_integer_ratio())
-                  for gid, a in self.actions.items()]
-        lcm = math.lcm(*[d for _, (_, d) in ratios])
-        keys = [(frame[1][gid], n * (lcm // d), gid)
-                for gid, (n, d) in ratios]
+        keys = [(frame[1][gid], a, gid) for gid, a in self.actions.items()]
         trace.add_sample(t, dict(self.actions), (self.a, self.b), frame, keys)
 
 

@@ -28,6 +28,17 @@ def _degree_d_prefix(cx, d, cut):
     return [g for g in cx.generators if g.degree == d and g.action < cut]
 
 
+def dense_boundary(cx, rows, cols):
+    """Dense raw matrix of the differential from the generators ``cols`` to
+    the generators ``rows``, read from ``differential_raw``."""
+    index = {g.id: i for i, g in enumerate(rows)}
+    M = zeros(len(rows), len(cols), cx.field)
+    for j, g in enumerate(cols):
+        for tgt, c in cx.differential_raw(g.id).items():
+            M[index[tgt]][j] = c
+    return M
+
+
 def rank_phi(cx, c, s):
     """Rank of the inclusion-induced map H(C^{<c}) -> H(C^{<s}), c <= s.
 
@@ -48,11 +59,7 @@ def rank_phi(cx, c, s):
         cycles = []
         if cols_c:
             rows = [g for g in cx.generators if g.degree == d - 1]
-            row_index = {g.id: i for i, g in enumerate(rows)}
-            M = [[field.zero_raw] * len(cols_c) for _ in rows]
-            for j, g in enumerate(cols_c):
-                for tgt, q in cx.differential_raw(g.id).items():
-                    M[row_index[tgt]][j] = q
+            M = dense_boundary(cx, rows, cols_c)
             from chordbars.linalg import nullspace
             for v in nullspace(M, field, ncols=len(cols_c)):
                 vec = [field.zero_raw] * len(cols_s)

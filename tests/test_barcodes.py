@@ -79,11 +79,9 @@ def test_base_change_is_action_preserving():
         check_canonical_form(cx, form)
         gens = {qq.id: qq for qq in cx.generators}
         acts = [gens[gid].action for gid in form.order]
-        G = form.base_change
-        for i in range(len(form.order)):
-            for j in range(len(form.order)):
-                if G[i][j]:
-                    assert acts[i] <= acts[j]
+        for m, col in enumerate(form.base_change):
+            for r in col:
+                assert acts[r] <= acts[m]
 
 
 def test_check_canonical_form_rejects_scaled_killer():
@@ -91,10 +89,16 @@ def test_check_canonical_form_rejects_scaled_killer():
         cx = _crossing_fixture(field, {"x1": 1, "x2": 1}, {"x1": 1})
         form = canonical_form(cx)
         check_canonical_form(cx, form)
-        m = form.order.index("y1")
-        for row in form.base_change:  # scale the killer column by 2
-            row[m] = field.mul(row[m], field.coerce(2))
+        col = form.base_change[form.order.index("y1")]
+        for r in col:  # scale the killer column by 2
+            col[r] = field.mul(col[r], field.coerce(2))
         with pytest.raises(EngineMismatch, match="'y1'"):
+            check_canonical_form(cx, form)
+        # an entry below the diagonal: x1's column reaches x2's row
+        form = canonical_form(cx)
+        form.base_change[0][1] = field.one_raw
+        with pytest.raises(EngineMismatch,
+                           match="column of 'x1' is not upper-triangular"):
             check_canonical_form(cx, form)
     cx = FilteredComplex(QQ, (0, INF), [("c", 2, 1)], {})
     form = canonical_form(cx)
@@ -103,7 +107,7 @@ def test_check_canonical_form_rejects_scaled_killer():
         check_canonical_form(cx, form)
     # a singular base change satisfies D G = G T trivially
     form = canonical_form(cx)
-    form.base_change[0][0] = QQ.zero_raw
+    del form.base_change[0][0]
     with pytest.raises(EngineMismatch, match="'c'"):
         check_canonical_form(cx, form)
 
@@ -117,8 +121,9 @@ from chordbars.errors import EngineMismatch
 real = bc.canonical_form
 def broken(C):
     form = real(C)
-    for row in form.base_change:  # double the killer column of y
-        row[1] *= 2
+    col = form.base_change[1]  # double the killer column of y
+    for r in col:
+        col[r] *= 2
     return form
 bc.canonical_form = broken
 cx = FilteredComplex(QQ, (0, INF), [("x", 0, 0), ("y", 1, 1)], {"y": {"x": 1}})

@@ -500,8 +500,9 @@ def test_unreadable_scalars_exit_two_at_their_path(fixture_dir):
 
 
 def test_window_values_read_inf_in_any_case(fixture_dir, capsys):
-    # --window, --reach and --oscillation read "inf" in any case and
-    # spacing; anything else that is no rational exits 2 at the option
+    # --window and --reach read "inf" in any case and spacing; anything
+    # else that is no rational exits 2 at the option, and so does any inf
+    # at --oscillation, which is finite
     dga = str(fixture_dir / "two_copy.dga.json")
     eps = str(fixture_dir / "two_copy.augmentation.json")
     barcode = "[9, 41/4) deg -2\n[11, inf) deg 1\n"
@@ -516,7 +517,22 @@ def test_window_values_read_inf_in_any_case(fixture_dir, capsys):
     assert _run(capsys, [
         "bound", str(fixture_dir / "sigma.json"),
         str(fixture_dir / "betti.json"), "--oscillation", " Inf "]) == (
-        1, "", "error: action values must be exact rationals, got inf\n")
+        2, "", "error: cannot read action value ' Inf ' (at --oscillation)\n")
+
+
+def test_a_reach_must_be_positive(fixture_dir):
+    # linearize and bound read --reach through one rule, before the width
+    # gate, the same under -O
+    linearize = ["linearize", "two_copy.dga.json",
+                 "two_copy.augmentation.json", "--window", "9", "12"]
+    bound = ["bound", "sigma.json", "betti.json", "--oscillation", "1"]
+    for argv in (linearize, bound):
+        for reach in ("0", "-1"):
+            for flags in ([], ["-O"]):
+                proc = _cli(flags, argv + ["--reach", reach], str(fixture_dir))
+                assert (proc.returncode, proc.stdout, proc.stderr) == (
+                    1, "", "error: augmentation reach must be positive, "
+                    "got %s\n" % reach), (argv, reach, flags)
 
 
 _TL = ("validate", "simulate")  # a timeline's two commands

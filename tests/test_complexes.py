@@ -141,16 +141,6 @@ def test_boundary_of_chain():
     assert boundary_raw(cx.field, diff, out) == {}
 
 
-def test_boundary_matrix_shape():
-    cx = FilteredComplex(QQ, (0, INF),
-                         [("x1", 1, 0), ("x2", 2, 0), ("y", 3, 1)],
-                         {"y": {"x1": q(1, 2), "x2": -1}})
-    M, rows, cols = cx.boundary_matrix(1)
-    assert [g.id for g in rows] == ["x1", "x2"]
-    assert [g.id for g in cols] == ["y"]
-    assert M == [[q(1, 2)], [q(-1)]]
-
-
 def test_random_complex_always_valid():
     for seed in range(40):
         rng = random.Random(seed)
@@ -212,9 +202,14 @@ _INF_PINS = [
     (lambda: SigmaProfile([0]),
      (ValidationError, "gap values must be positive, got 0")),
     (lambda: theorem_bound([1], [1], 0, 0),
-     (ValidationError, "window length must be positive")),
+     (ValidationError, "augmentation reach must be positive, got 0")),
     (lambda: [sub_dga(_MIXED, l) is _MIXED for l in ("inf", INF)],
      [True, True]),
+    (lambda: sub_dga(_MIXED, 0),
+     (ValidationError, "augmentation reach must be positive, got 0")),
+    # the reach is read before the width gate compares it to the window
+    (lambda: _linearize_mixed("-1/2"),
+     (ValidationError, "augmentation reach must be positive, got -1/2")),
 ]
 
 

@@ -1,10 +1,8 @@
 """Invariants of the code base itself.
 
 Input-reachable checks raise typed errors, the same under ``python -O``.
-An ``assert`` vanishes under ``-O``, so any condition user input can reach
-must be an explicit check raising a :class:`ChordbarsError`.  The asserts
-left in the package guard true internal invariants, and each says why on
-its own line with an ``# invariant:`` comment.
+An ``assert`` vanishes under ``-O``, so the package has none: every
+invariant is an explicit check raising a :class:`ChordbarsError`.
 
 The definitional barcode engine shares no code with the reduction engine,
 the pytest configuration still reports a failing hypothesis example,
@@ -27,18 +25,6 @@ import chordbars
 from chordbars import dga
 
 PACKAGE = Path(chordbars.__file__).resolve().parent
-
-
-def test_every_assert_is_a_commented_invariant():
-    bare = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        for node in ast.walk(ast.parse(text, str(path))):
-            if isinstance(node, ast.Assert) and \
-                    "# invariant:" not in lines[node.lineno - 1]:
-                bare.append("%s:%d" % (path.name, node.lineno))
-    assert not bare, "asserts without an '# invariant:' comment: %s" % bare
 
 
 # Fraction internals that may change between Python versions; the exact
@@ -287,6 +273,16 @@ def test_no_unread_private_names():
                          "B._of_raw()\n_X = 1\n")
     assert _private_names([("m.py", leftover)]) == [
         (None, "_X", "m.py:6"), ("A", "_of_raw", "m.py:2")]
+
+
+def test_no_assert_in_the_library():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(ast.parse(text, str(path)))
+                  if isinstance(node, ast.Assert)]
+    assert not found, "asserts vanish under -O: %s" % found
 
 
 _SCRIPT = """

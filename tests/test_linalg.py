@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chordbars import F2, FP, QQ
+from chordbars import F2, FP, QQ, random_complex
 from chordbars.errors import ValidationError
 from chordbars.linalg import (RankAccumulator, kernel, matmul, nullspace, rank,
                               rref, zeros)
@@ -132,11 +132,31 @@ def test_rank_accumulator_matches_rank(fv, data):
     for stream in (vecs, data.draw(st.permutations(vecs))):
         acc = RankAccumulator(F)
         for i, v in enumerate(stream):
-            fed = list(v)
-            grew = acc.add(v)
-            assert v == fed  # the caller's vector is left alone
+            sparse = {j: x for j, x in enumerate(v) if x}
+            fed = dict(sparse)
+            grew = acc.add(sparse)
+            assert sparse == fed  # the caller's vector is left alone
             assert acc.rank == rank(stream[:i + 1], F)
             assert grew == (acc.rank > rank(stream[:i], F))
+
+
+def test_rank_accumulator_reads_id_keyed_rows():
+    # the oracle feeds ``differential_raw`` rows keyed by generator id; the
+    # ids' string order is not the action order the rows came in
+    for seed in range(40):
+        rng = random.Random(seed)
+        F = rng.choice(FIELDS)
+        cx = random_complex(rng, F, max_generators=16)
+        for d in cx.degrees():
+            ids = [g.id for g in cx.generators if g.degree == d - 1]
+            rows = [cx.differential_raw(g.id) for g in cx.generators
+                    if g.degree == d]
+            dense = [[row.get(gid, F.zero_raw) for gid in ids]
+                     for row in rows]
+            acc = RankAccumulator(F)
+            for i, row in enumerate(rows):
+                acc.add(row)
+                assert acc.rank == rank(dense[:i + 1], F)
 
 
 def test_matmul_shape_is_a_typed_error():
