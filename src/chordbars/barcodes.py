@@ -22,6 +22,8 @@ They share no reduction code; agreement between them is the core oracle test
 of the package.
 """
 
+from itertools import accumulate
+
 from .complexes import INF, as_action
 from .errors import EngineMismatch, InconsistentTable, ValidationError
 from .fields import _format_rational
@@ -231,36 +233,48 @@ def barcode_definitional(C):
     Differences of W over consecutive start levels count the bars born
     exactly at s and alive past each e; the table reader behind
     :func:`recover` checks that table and reads the bars back.  Levels are
-    indices into the sorted critical values, so "alive just past e" is a
-    comparison of ints, with no probe between two actions.
+    indices into the critical values, numbered in one walk of the generators
+    in (action, id) order, so "alive just past e" is a comparison of ints,
+    with no probe between two actions.  Each projection's rank stream stops
+    at full row rank.
     """
     field = C.field
     bars = []
     for d in C.degrees():
-        # degree-d and degree-(d+1) generators, in action order
-        cols_d = [g for g in C.generators if g.degree == d]
-        cols_up = [g for g in C.generators if g.degree == d + 1]
-        crit = sorted({g.action for g in cols_d} | {g.action for g in cols_up})
-        k = len(crit)
-        level = {a: i for i, a in enumerate(crit)}
-        # level indices of the columns, in action order
-        d_lv = [level[g.action] for g in cols_d]
-        up_lv = [level[g.action] for g in cols_up]
-        nd, nup = len(d_lv), len(up_lv)
+        # degree-d and degree-(d+1) generators and their level indices, in
+        # action order, and the critical values of the two degrees
+        cols_d, cols_up, d_lv, up_lv, crit = [], [], [], [], []
+        for g in C.generators:
+            if g.degree == d:
+                cols, lv = cols_d, d_lv
+            elif g.degree == d + 1:
+                cols, lv = cols_up, up_lv
+            else:
+                continue
+            if not crit or g.action != crit[-1]:
+                crit.append(g.action)
+            cols.append(g)
+            lv.append(len(crit) - 1)
+        k, nd = len(crit), len(cols_d)
         # boundary columns from degree d + 1, rows keyed by index in cols_d
         row_of = {g.id: i for i, g in enumerate(cols_d)}
         up_cols = [{row_of[t]: c for t, c in C.differential_raw(g.id).items()}
                    for g in cols_up]
+        # nonzero columns with their level and last row; a column whose last
+        # row is below m meets no row >= m
+        stream = [(col, e, max(col)) for col, e in zip(up_cols, up_lv) if col]
 
         def ranks_from_row(m):
             """rank ∂[rows >= m, <= e] for every critical level e."""
-            acc, ranks, p = RankAccumulator(field), [], 0
-            for e in range(k):
-                while p < nup and up_lv[p] <= e:
-                    acc.add({i: c for i, c in up_cols[p].items() if i >= m})
-                    p += 1
-                ranks.append(acc.rank)
-            return ranks
+            acc, grew, free = RankAccumulator(field), [0] * k, nd - m
+            for col, e, last in stream:
+                if not free:
+                    break  # full row rank: no later column adds to it
+                if last >= m and acc.add({i: c for i, c in col.items()
+                                          if i >= m}):
+                    grew[e] += 1
+                    free -= 1
+            return list(accumulate(grew))
 
         dimB = ranks_from_row(0)
         accZ, m, W_prev = RankAccumulator(field), 0, [0] * k
@@ -271,8 +285,8 @@ def barcode_definitional(C):
             while m < nd and d_lv[m] == j:
                 accZ.add(C.differential_raw(cols_d[m].id))
                 m += 1
-            W = [m - accZ.rank - b + r
-                 for b, r in zip(dimB, ranks_from_row(m))]
+            z = m - accZ.rank
+            W = [z - b + r for b, r in zip(dimB, ranks_from_row(m))]
             # row j: bars born exactly at level j, alive past level e >= j
             table[j][j:] = [w - wp for w, wp in zip(W[j:], W_prev[j:])]
             W_prev = W
@@ -333,7 +347,7 @@ def recover(critical_values, table):
     raise InconsistentTable.
     """
     crit = [as_action(c) for c in critical_values]
-    if sorted(crit) != crit or len(set(crit)) != len(crit):
+    if not all(a < b for a, b in zip(crit, crit[1:])):
         raise InconsistentTable("critical values must be strictly increasing")
     return Barcode(Bar(s, e) for s, e in _table_bars(crit, table))
 
@@ -344,31 +358,34 @@ def _table_bars(crit, table):
 
     Raises InconsistentTable for a table that is not k x k, a count that is
     not an int (bool included), a negative count, a count below its start's
-    level, or a count that increases along a row.
+    level, or a count that increases along a row.  Each row is checked
+    whole; a row that fails is walked entry by entry for the first error.
     """
     k = len(crit)
     if len(table) != k or any(len(row) != k for row in table):
         raise InconsistentTable("table must be %d x %d" % (k, k))
     for j in range(k):
         row = table[j]
-        for i in range(k):
-            v = row[i]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InconsistentTable(
-                    "count at (%d, %d) must be an integer, got %r" % (j, i, v))
-            if v < 0:
-                raise InconsistentTable("negative count at (%d, %d)" % (j, i))
-            if i < j and v != 0:
-                raise InconsistentTable(
-                    "bars starting at %s cannot be alive below it (entry (%d, %d))"
-                    % (crit[j], j, i))
-        for i in range(j, k - 1):
-            died = row[i] - row[i + 1]
-            if died < 0:
+        if not ({int}.issuperset(map(type, row)) and min(row) >= 0
+                and not any(row[:j])):
+            for i, v in enumerate(row):
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise InconsistentTable(
+                        "count at (%d, %d) must be an integer, got %r" % (j, i, v))
+                if v < 0:
+                    raise InconsistentTable("negative count at (%d, %d)" % (j, i))
+                if i < j and v != 0:
+                    raise InconsistentTable(
+                        "bars starting at %s cannot be alive below it (entry (%d, %d))"
+                        % (crit[j], j, i))
+        for i, (a, b) in enumerate(zip(row[j:], row[j + 1:]), j):
+            if a == b:
+                continue
+            if a < b:
                 raise InconsistentTable(
                     "persisting counts increased from probe %d to %d for start %s"
                     % (i, i + 1, crit[j]))
-            for _ in range(died):
+            for _ in range(a - b):
                 yield crit[j], crit[i + 1]
         for _ in range(row[k - 1]):
             yield crit[j], INF

@@ -95,7 +95,7 @@ def _is_prime(n):
 class Field:
     """A coefficient field: characteristic 0 means Q, a prime p means F_p."""
 
-    __slots__ = ("char",)
+    __slots__ = ("char", "zero_raw", "one_raw")
     _cache = {}
 
     def __new__(cls, char=0):
@@ -105,6 +105,7 @@ class Field:
             raise BadCharacteristic("characteristic must be 0 or a prime, got %r" % (char,))
         self = object.__new__(cls)
         self.char = char
+        self.zero_raw, self.one_raw = (Fraction(0), Fraction(1)) if char == 0 else (0, 1)
         cls._cache[char] = self
         return self
 
@@ -162,14 +163,6 @@ class Field:
     def format(self, raw):
         """Canonical string form of a raw value ("3", "-3/4")."""
         return _format_rational(raw)
-
-    @property
-    def zero_raw(self):
-        return Fraction(0) if self.char == 0 else 0
-
-    @property
-    def one_raw(self):
-        return Fraction(1) if self.char == 0 else 1
 
     def add(self, x, y):
         return (x + y) % self.char if self.char else x + y

@@ -16,6 +16,7 @@ from chordbars import (F2, FP, INF, QQ, Bar, Barcode, FilteredComplex,
                        check_canonical_form, extract_table, random_complex,
                        recover)
 from chordbars.barcodes import barcode_csv_rows, barcode_diagram_lines
+from chordbars.complexes import Generator, random_differential
 from chordbars.errors import (EngineMismatch, InconsistentTable,
                               ValidationError)
 
@@ -211,6 +212,53 @@ def test_recover_rejects_inconsistent_tables():
             recover([0, 1], [[1, 0], [0, bad]])
 
 
+def _refusal(crit, table):
+    with pytest.raises(InconsistentTable) as info:
+        recover(crit, table)
+    return str(info.value)
+
+
+def test_table_reader_names_the_first_bad_entry():
+    # entries are read in row-major order, each through its checks in
+    # order: an int (bool excluded), then non-negative, then zero below
+    # its start's level; a bad row after a good one is read too
+    rows = [
+        ([0, 1], [[1.5, -1], [0, 0]],
+         "count at (0, 0) must be an integer, got 1.5"),
+        ([0, 1], [[-1, True], [0, 0]], "negative count at (0, 0)"),
+        ([0, 1], [[0, 0], [True, -1]],
+         "count at (1, 0) must be an integer, got True"),
+        ([0, 1], [[0, 0], [-1, "x"]], "negative count at (1, 0)"),
+        ([0, q(1, 2), 2], [[0, 0, 0], [0, 0, 0], [0, 2, -1]],
+         "bars starting at 2 cannot be alive below it (entry (2, 1))"),
+        ([0, 1], [[1, 1], [0, "1"]],
+         "count at (1, 1) must be an integer, got '1'"),
+        ([0, q(1, 2)], [[1, 0], [0, None]],
+         "count at (1, 1) must be an integer, got None"),
+        ([0, 1], [[0, 1], [0, None]],
+         "persisting counts increased from probe 0 to 1 for start 0"),
+        ([0, q(1, 2), 1], [[1, 1, 0], [0, 0, 1], [0, 0, 0]],
+         "persisting counts increased from probe 1 to 2 for start 1/2"),
+        ([0, 1], [[0, 0], [0, 0], [0, 0]], "table must be 2 x 2"),
+        ([0, 1], [[0, 0], [0]], "table must be 2 x 2"),
+        ([1, 0], [[0, 0], [0, 0]], "critical values must be strictly increasing"),
+        ([0, 0], [[0, 0], [0, 0]], "critical values must be strictly increasing"),
+        ([0, 1, 1], [[0] * 3] * 3, "critical values must be strictly increasing"),
+    ]
+    for crit, table, message in rows:
+        assert _refusal(crit, table) == message, (crit, table)
+
+
+def test_table_reader_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    B = recover([0, 1], [[Count(2), Count(1)], [Count(0), Count(1)]])
+    assert bars_as_tuples(B) == [(0, 1, None), (0, INF, None), (1, INF, None)]
+    assert _refusal([0, 1], [[Count(0), Count(1)], [0, 0]]) == (
+        "persisting counts increased from probe 0 to 1 for start 0")
+
+
 def test_bars_and_tables_stay_exact():
     # ends and critical values go through as_action: no float ever turns
     # into a binary fraction, and unreadable values are typed errors
@@ -256,6 +304,23 @@ def test_engine_agreement_random():
     for seed in range(60):
         rng = random.Random(2000 + seed)
         cx = random_complex(rng, rng.choice(FIELDS))
+        barcode_of(cx, engine="both")  # raises EngineMismatch on failure
+
+
+def test_engine_agreement_with_tied_actions():
+    # two to four distinct actions: generators one degree apart share
+    # levels, and the oracle's rank streams reach full row rank before
+    # their last column
+    for seed in range(90):
+        rng = random.Random(7000 + seed)
+        field = FIELDS[seed % 3]
+        values = rng.sample(range(8), rng.randint(2, 4))
+        gens = sorted((Generator("g%02d" % i, q(rng.choice(values), 2),
+                                 rng.randint(0, 2))
+                       for i in range(rng.randint(2, 14))),
+                      key=lambda g: g.sort_key)
+        cx = FilteredComplex(field, (0, INF), gens,
+                             random_differential(rng, field, gens, 0.9))
         barcode_of(cx, engine="both")  # raises EngineMismatch on failure
 
 

@@ -6,13 +6,15 @@ invariant is an explicit check raising a :class:`ChordbarsError`.
 
 The definitional barcode engine shares no code with the reduction engine,
 the pytest configuration still reports a failing hypothesis example,
-every library function the benchmark hooks still exists, every
+every library function the benchmark hooks still exists, the
+benchmark's engines documents keep their pinned output digests, every
 exported name is there to import, and no module, test or demo imports a
 name it never reads.
 """
 
 import ast
 import gzip
+import hashlib
 import importlib.util
 import json
 import os
@@ -179,6 +181,21 @@ def test_benchmark_documents_are_the_generators_output():
         built = make_inputs.BUILDERS[name]()
         assert [text for text, _ in built] == docs, name
         assert [meta for _, meta in built] == expected[name]["meta"], name
+
+
+def test_engines_documents_keep_their_digests():
+    # the benchmark's engines operation on its 100 pinned documents gives
+    # the output digests pinned with them (sha256, first 16 hex digits, as
+    # bench/checks.py computes them); only those files are read
+    ops = _bench_module("ops")
+    with gzip.open(ROOT / "bench" / "inputs" / "engines.json.gz") as fh:
+        docs = json.load(fh)["docs"]
+    expected = json.loads(
+        (ROOT / "bench" / "inputs" / "expected.json").read_text())
+    got = [hashlib.sha256(ops.engines(text).output.encode()).hexdigest()[:16]
+           for text in docs]
+    assert len(docs) == 100
+    assert got == expected["engines"]["digests"]
 
 
 def test_every_export_exists():
