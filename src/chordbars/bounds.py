@@ -12,6 +12,7 @@ with a float sample carries a declared comparison tolerance.
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .complexes import as_action, as_reach
 from .errors import (NonMonotoneTime, RatesExceedProfile, ValidationError)
@@ -137,8 +138,10 @@ def chord_drift(profile, rate_end, rate_start, initial_length=0):
                 "%s rate leaves the profile envelope" % name)
     diff = re - rs
     l0 = as_action(initial_length)
-    trajectory = PLPath([(t, l0 + diff.integral(0, t))
-                         for t in diff.breakpoint_times()])
+    # one running trapezoid sum over the breakpoints
+    steps = ((va + vb) * (b - a) / 2 for a, va, b, vb in diff.pieces())
+    trajectory = PLPath(zip(diff.breakpoint_times(),
+                            accumulate(steps, initial=l0)))
     return trajectory.end_value - l0, trajectory
 
 

@@ -319,9 +319,9 @@ _EVENT_ITEMS = {
     "exit_below": (ExitBelow, (_GID,)),
     "exit_above": (ExitAbove, (_GID,)),
     "entry_below": (EntryBelow, (_NEW_GID, _DEGREE, _field(
-        "couplings", "couplings", _scalar_map, _scalar_map_json, {}))),
+        "couplings", "chain", _scalar_map, _scalar_map_json, {}))),
     "entry_above": (EntryAbove, (_NEW_GID, _DEGREE, _field(
-        "boundary", "boundary", _scalar_map, _scalar_map_json, {}))),
+        "boundary", "chain", _scalar_map, _scalar_map_json, {}))),
 }
 
 

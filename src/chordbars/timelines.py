@@ -78,7 +78,8 @@ class SingularEvent:
     zero gap, top touch or tie it does not resolve at those actions.
     ``admissible(pairs)`` lists the admissible (post-event pairing,
     description) pairs, none if the bar it acts on is missing.  ``edge`` is
-    the window edge (0 bottom, 1 top) an exit or entry crosses.
+    the window edge (0 bottom, 1 top) an exit or entry crosses; both exits
+    share one rule and both entries another, each read at that edge.
     """
 
     kind = "event"
@@ -305,11 +306,56 @@ class ExitAbove(_Exit):
 
 
 class _Entry(_WindowEdgeEvent):
-    """Comes in on its edge: a fresh infinite bar, or that end of one."""
+    """Comes in on its edge with a ``chain`` and starts a fresh infinite
+    bar or that end of one; the edge reads the chain's rule and texts."""
 
     exits = False
     _joined = ("an infinite bar now starts at the bottom (killed by {!r})",
                "an infinite bar is now cut off at the top")
+    _refused = (("coupling id {!r} not present",
+                 "coupling {!r} must be one degree above the newcomer",
+                 "couplings break ∂² = 0 (witness {!r})"),
+                ("boundary id {!r} not present",
+                 "boundary of the newcomer must live one degree down",
+                 "entry boundary is not a cycle (witness {!r})"))
+
+    def __init__(self, time, gid, degree, chain):
+        super().__init__(time, as_id(gid))
+        self.degree = as_degree(degree)
+        self.chain = dict(chain or {})
+
+    def apply(self, state):
+        g, field, at = self.gid, state.field, _edge_at(state, self)
+        if g in state.degrees:
+            raise EventPreconditionViolated("entering id %r already in use" % g)
+        _require_resolved(state, self)
+        absent, off_degree, not_closed = self._refused[self.edge]
+        chain = {}
+        for z, c in self.chain.items():
+            if z not in state.degrees:
+                raise EventPreconditionViolated(absent.format(z))
+            if state.degrees[z] != self.degree + (1, -1)[self.edge]:
+                raise EventPreconditionViolated(off_degree.format(z))
+            cc = field.coerce(c)
+            if cc:
+                chain[z] = cc
+        up = {z: {g: c} for z, c in chain.items()}
+        bad = (sorted(boundary_raw(field, state.diff, chain)) if self.edge
+               else [w for w, row in state.diff.items()
+                     if boundary_raw(field, up, row)])
+        if bad:
+            raise EventPreconditionViolated(not_closed.format(bad[0]))
+        # vacuous above: _require_resolved refused a generator on the top
+        if any(act == at for act in state.actions.values()):
+            raise NonGenericCrossing(
+                "entry at the bottom collides with a generator at action %s"
+                % at)
+        state.degrees[g], state.actions[g] = self.degree, at
+        if not self.edge:
+            for z, c in chain.items():
+                state.diff.setdefault(z, {})[g] = c
+        elif chain:
+            state.diff[g] = chain
 
     def admissible(self, pairs):
         g = self.gid
@@ -325,85 +371,29 @@ class _Entry(_WindowEdgeEvent):
 class EntryBelow(_Entry):
     """Generator enters at the bottom edge.
 
-    ``couplings`` maps existing generator ids (one degree up) to the
-    coefficient with which the newcomer appears in their differential; the
-    row must annihilate the image from two degrees up so ∂² stays zero.
+    ``couplings`` (kept as ``chain``) maps existing generator ids, one
+    degree up, to the coefficient with which the newcomer appears in their
+    differential; the row must annihilate the image from two degrees up so
+    ∂² stays zero, and the first row in differential order it does not
+    annihilate is the witness.
     """
 
     kind = "entry_below"
     edge = 0
 
     def __init__(self, time, gid, degree, couplings=None):
-        super().__init__(time, as_id(gid))
-        self.degree = as_degree(degree)
-        self.couplings = dict(couplings or {})
-
-    def apply(self, state):
-        g, field, at = self.gid, state.field, _edge_at(state, self)
-        if g in state.degrees:
-            raise EventPreconditionViolated("entering id %r already in use" % g)
-        _require_resolved(state, self)
-        couplings = {}
-        for z, c in self.couplings.items():
-            if z not in state.degrees:
-                raise EventPreconditionViolated("coupling id %r not present" % z)
-            if state.degrees[z] != self.degree + 1:
-                raise EventPreconditionViolated(
-                    "coupling %r must be one degree above the newcomer" % z)
-            cc = field.coerce(c)
-            if cc:
-                couplings[z] = cc
-        # ∂² stays zero iff the coupling row annihilates the image two up;
-        # only a row two degrees up can name a coupling
-        up = {z: {g: c} for z, c in couplings.items()}
-        for w, row in state.diff.items():
-            if boundary_raw(field, up, row):
-                raise EventPreconditionViolated(
-                    "couplings break ∂² = 0 (witness %r)" % w)
-        if any(act == at for act in state.actions.values()):
-            raise NonGenericCrossing(
-                "entry at the bottom collides with a generator at action %s"
-                % at)
-        state.degrees[g] = self.degree
-        state.actions[g] = at
-        for z, c in couplings.items():
-            state.diff.setdefault(z, {})[g] = c
+        super().__init__(time, gid, degree, couplings)
 
 
 class EntryAbove(_Entry):
-    """Generator enters at the top edge carrying its own boundary chain."""
+    """Generator enters at the top edge carrying its own ``boundary`` (kept
+    as ``chain``), a cycle one degree down, else its least target witnesses."""
 
     kind = "entry_above"
     edge = 1
 
     def __init__(self, time, gid, degree, boundary=None):
-        super().__init__(time, as_id(gid))
-        self.degree = as_degree(degree)
-        self.boundary = dict(boundary or {})
-
-    def apply(self, state):
-        g, field, at = self.gid, state.field, _edge_at(state, self)
-        if g in state.degrees:
-            raise EventPreconditionViolated("entering id %r already in use" % g)
-        _require_resolved(state, self)
-        boundary = {}
-        for y, c in self.boundary.items():
-            if y not in state.degrees:
-                raise EventPreconditionViolated("boundary id %r not present" % y)
-            if state.degrees[y] != self.degree - 1:
-                raise EventPreconditionViolated(
-                    "boundary of the newcomer must live one degree down")
-            cc = field.coerce(c)
-            if cc:
-                boundary[y] = cc
-        acc = boundary_raw(field, state.diff, boundary)
-        if acc:
-            raise EventPreconditionViolated(
-                "entry boundary is not a cycle (witness %r)" % sorted(acc)[0])
-        state.degrees[g] = self.degree
-        state.actions[g] = at
-        if boundary:
-            state.diff[g] = boundary
+        super().__init__(time, gid, degree, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,15 +1177,15 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
         t1 = t + 1
         forced = _resolve_forced(rng, state, last_ev)
         cap = state.b if state.b != INF else Fraction(16)
-        kinds = ["handle_slide", "birth", "death", "exit_below", "entry_below",
-                 "exit_above", "entry_above", None]
+        kinds = [HandleSlide, Birth, Death, ExitBelow, EntryBelow, ExitAbove,
+                 EntryAbove, None]
         rng.shuffle(kinds)
         ev = None
         for kind in kinds:
             try:
                 if kind is None:
                     targ = _random_targets(rng, state, forced)
-                elif kind == "handle_slide":
+                elif kind is HandleSlide:
                     targ = _random_targets(rng, state, forced)
                     by_deg = {}
                     for gid in targ:
@@ -1207,7 +1197,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     lo = rng.choice(group[:-1])
                     hi = rng.choice([g for g in group if targ[g] > targ[lo]])
                     ev = HandleSlide(t1, target=hi, addend={lo: field.random_unit_raw(rng)})
-                elif kind == "birth":
+                elif kind is Birth:
                     if len(state.degrees) + 2 > max_gen:
                         continue
                     targ = _random_targets(rng, state, forced)
@@ -1218,7 +1208,7 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     c = rng.choice(free)
                     d = rng.randrange(0, 3)
                     ev = Birth(t1, (new_id(), d + 1), (new_id(), d), c)
-                elif kind == "death":
+                elif kind is Death:
                     split = []
                     for x, row in state.diff.items():
                         if len(row) != 1:
@@ -1237,57 +1227,41 @@ def _random_timeline_once(rng, field, max_gen, max_ev):
                     targ = _random_targets(rng, state, {**forced, x: c, y: c},
                                            equal_ok={(x, y)})
                     ev = Death(t1, x=x, y=y)
-                elif kind == "exit_below":
-                    cyc = [g for g in state.degrees
-                           if not state.diff.get(g) and g not in forced]
-                    if not cyc:
-                        continue
-                    g = rng.choice(sorted(cyc))
-                    targ = _random_targets(rng, state, {**forced, g: state.a})
-                    ev = ExitBelow(t1, g)
-                elif kind == "entry_below":
-                    if len(state.degrees) + 1 > max_gen:
-                        continue
-                    d = rng.randrange(0, 4)
-                    # couplings: combinations of the degree d + 1 generators
-                    # that every degree d + 2 boundary misses
-                    cols = sorted(g for g, e in state.degrees.items()
-                                  if e == d + 1)
-                    ups = [row for w, row in state.diff.items()
-                           if state.degrees.get(w) == d + 2]
-                    basis = linalg.kernel([{k: row[z] for k, row in enumerate(ups)
-                                            if z in row} for z in cols], field)
-                    couplings = field.random_combination(
-                        rng, cols, (v for v in basis if rng.random() < 0.5),
-                        field.random_raw)
-                    targ = _random_targets(rng, state, forced)
-                    ev = EntryBelow(t1, new_id(), d, couplings)
-                elif kind == "exit_above":
-                    if state.b == INF:
-                        continue
-                    targets_of = {tgt for row in state.diff.values()
-                                  for tgt in row}
+                elif (state.a, state.b)[kind.edge] == INF:
+                    continue
+                elif kind.exits:
+                    # a bottom leaver bounds nothing, a top one is in no
+                    # boundary
+                    busy = (state.diff, {tgt for row in state.diff.values()
+                                         for tgt in row})[kind.edge]
                     free = [g for g in state.degrees
-                            if g not in targets_of and g not in forced]
+                            if g not in busy and g not in forced]
                     if not free:
                         continue
                     g = rng.choice(sorted(free))
-                    targ = _random_targets(rng, state, {**forced, g: state.b})
-                    ev = ExitAbove(t1, g)
-                elif kind == "entry_above":
-                    if state.b == INF or len(state.degrees) + 1 > max_gen:
-                        continue
+                    at = (state.a, state.b)[kind.edge]
+                    targ = _random_targets(rng, state, {**forced, g: at})
+                    ev = kind(t1, g)
+                elif len(state.degrees) + 1 > max_gen:
+                    continue
+                else:  # an entry
                     d = rng.randrange(0, 4)
-                    # a boundary: a combination of the degree d - 1 cycles
+                    # the chain: a random combination of the kernel of the
+                    # transposed degree d + 2 rows (couplings) or of the
+                    # degree d - 1 rows (a boundary)
                     cols = sorted(g for g, e in state.degrees.items()
-                                  if e == d - 1)
-                    basis = linalg.kernel([state.diff.get(g, {}) for g in cols],
-                                          field)
-                    boundary = field.random_combination(
+                                  if e == d + (1, -1)[kind.edge])
+                    ups = [row for w, row in state.diff.items()
+                           if state.degrees.get(w) == d + 2]
+                    basis = linalg.kernel(
+                        [state.diff.get(z, {}) for z in cols] if kind.edge
+                        else [{k: row[z] for k, row in enumerate(ups)
+                               if z in row} for z in cols], field)
+                    chain = field.random_combination(
                         rng, cols, (v for v in basis if rng.random() < 0.5),
                         field.random_raw)
                     targ = _random_targets(rng, state, forced)
-                    ev = EntryAbove(t1, new_id(), d, boundary)
+                    ev = kind(t1, new_id(), d, chain)
             except ValidationError:
                 continue
             break

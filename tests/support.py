@@ -199,6 +199,78 @@ def extract_table_by_probes(B):
 
 
 # ---------------------------------------------------------------------------
+# bottleneck distance by brute force
+# ---------------------------------------------------------------------------
+
+def bottleneck_distance(A, B):
+    """Bottleneck distance of two barcodes, degree by degree.
+
+    Infinite bars pair in order of their starts, and a different count of
+    them in one degree is ∞.  Finite bars take the least candidate cost at
+    which a perfect matching exists, where any bar may instead match the
+    diagonal at half its length.
+    """
+    worst = 0
+    for d in {b.degree for b in A.bars} | {b.degree for b in B.bars}:
+        finite, infinite = [], []
+        for X in (A, B):
+            bars = [b for b in X.bars if b.degree == d]
+            finite.append([(b.start, b.end) for b in bars
+                           if not b.is_infinite])
+            infinite.append(sorted(b.start for b in bars if b.is_infinite))
+        if len(infinite[0]) != len(infinite[1]):
+            return INF
+        worst = max([worst, _finite_bottleneck(*finite)]
+                    + [abs(s - t) for s, t in zip(*infinite)])
+    return worst
+
+
+def _finite_bottleneck(xs, ys):
+    # rows: xs, then a diagonal slot for each y; columns: ys, then a
+    # diagonal slot for each x; two slots match at no cost
+    n, m = len(xs), len(ys)
+    size = n + m
+    cost = [[INF] * size for _ in range(size)]
+    for i, (s, e) in enumerate(xs):
+        for j, (u, v) in enumerate(ys):
+            cost[i][j] = max(abs(s - u), abs(e - v))
+        cost[i][m + i] = (e - s) / 2
+    for j, (u, v) in enumerate(ys):
+        cost[n + j][j] = (v - u) / 2
+        for i in range(n):
+            cost[n + j][m + i] = 0
+    candidates = sorted({c for row in cost for c in row} - {INF})
+    lo, hi = 0, len(candidates) - 1
+    if hi < 0:
+        return 0
+    while lo < hi:  # the least candidate with a perfect matching
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return candidates[lo]
+
+
+def _perfect_matching(cost, delta):
+    """Whether the rows match the columns one to one along entries at most
+    ``delta`` (augmenting paths)."""
+    size = len(cost)
+    owner = [None] * size
+
+    def augment(i, seen):
+        for j in range(size):
+            if cost[i][j] <= delta and j not in seen:
+                seen.add(j)
+                if owner[j] is None or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(size))
+
+
+# ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 

@@ -20,8 +20,8 @@ from chordbars.complexes import Generator, random_differential
 from chordbars.errors import (EngineMismatch, InconsistentTable,
                               ValidationError)
 
-from support import (bars_as_tuples, extract_table_by_probes,
-                     persisting_count, rank_phi)
+from support import (bars_as_tuples, bottleneck_distance,
+                     extract_table_by_probes, persisting_count, rank_phi)
 
 q = Fraction
 FIELDS = [F2, FP(5), QQ]
@@ -405,3 +405,31 @@ def test_diagram_refuses_widths_below_two():
             barcode_diagram_lines(B, width=width)
         assert str(info.value) == ("diagram width must be at most 10000, "
                                    "got %d" % width)
+
+
+_BOTTLENECK = [
+    ([], [], 0),
+    # a lone bar matches the diagonal at half its length, and so do two
+    # short bars far apart; bars of two degrees never match each other
+    ([(0, 2, 0)], [], 1),
+    ([(0, 2, 0)], [(5, 6, 0)], 1),
+    ([(0, 4, 0)], [(0, 4, 1)], 2),
+    ([(0, 10, 0), (1, 3, 0)], [(0, 11, 0)], 1),
+    # infinite bars: unequal counts in a degree are infinitely far apart,
+    # equal counts pair in order of their starts
+    ([(0, INF, 0)], [], INF),
+    ([(0, INF, 0)], [(0, INF, 1)], INF),
+    ([(0, 10, 0)], [(0, INF, 0)], INF),
+    ([(0, INF, 0), (10, INF, 0)], [(9, INF, 0), (1, INF, 0)], 1),
+    # ties: equal bars on one side go to different partners
+    ([(0, 10, 0), (0, 10, 0)], [(1, 10, 0), (0, 12, 0)], 2),
+    ([(0, INF, 0), (0, INF, 0)], [(1, INF, 0), (3, INF, 0)], 3),
+    ([(0, 4, 0), (0, 4, 0)], [(0, 4, 0), (0, 4, 0)], 0),
+]
+
+
+def test_bottleneck_reference_on_hand_cases():
+    for xs, ys, want in _BOTTLENECK:
+        A, B = (Barcode(Bar(*b) for b in bars) for bars in (xs, ys))
+        assert bottleneck_distance(A, B) == want, (xs, ys)
+        assert bottleneck_distance(B, A) == want, (ys, xs)

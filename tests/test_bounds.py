@@ -119,8 +119,12 @@ def test_chord_drift_random_rates_within_oscillation():
                 pts.append((t, lo + (hi - lo) * q(rng.randint(0, 8), 8)))
             return PLPath(pts)
 
-        d, _ = chord_drift(_PROFILE, rnd_rate(), rnd_rate())
+        re, rs = rnd_rate(), rnd_rate()
+        d, traj = chord_drift(_PROFILE, re, rs, initial_length=q(7, 3))
         assert abs(d) <= cap
+        # the running sum is the integral from 0 at every breakpoint
+        diff = re - rs
+        assert all(v == q(7, 3) + diff.integral(0, t) for t, v in traj.points)
 
 
 def test_long_bar_witness_threshold_is_inclusive():

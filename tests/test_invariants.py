@@ -6,10 +6,11 @@ invariant is an explicit check raising a :class:`ChordbarsError`.
 
 The definitional barcode engine shares no code with the reduction engine,
 the pytest configuration still reports a failing hypothesis example,
-every library function the benchmark hooks still exists, the
-benchmark's engines documents keep their pinned output digests, every
-exported name is there to import, and no module, test or demo imports a
-name it never reads.
+every library function the benchmark hooks still exists, every
+workload's benchmark documents keep their pinned output digests, every
+exported name is there to import, no module, test or demo imports a
+name it never reads, and refusals no other test reaches keep their class
+and text.
 """
 
 import ast
@@ -18,13 +19,22 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import chordbars
-from chordbars import dga
+from chordbars import (F2, FP, INF, Bar, DGAMorphism, Field, FilteredComplex,
+                       OscillationProfile, canonical_form, chord_drift,
+                       check_canonical_form, constant_width_schedule, dga,
+                       stabilized_unknot_shape, standard_unknot_shape,
+                       two_cluster_complex, two_copy_template)
+from chordbars.errors import BadCharacteristic, EngineMismatch, ValidationError
 
 PACKAGE = Path(chordbars.__file__).resolve().parent
 
@@ -183,19 +193,21 @@ def test_benchmark_documents_are_the_generators_output():
         assert [meta for _, meta in built] == expected[name]["meta"], name
 
 
-def test_engines_documents_keep_their_digests():
-    # the benchmark's engines operation on its 100 pinned documents gives
-    # the output digests pinned with them (sha256, first 16 hex digits, as
+@pytest.mark.parametrize("workload, count", [
+    ("replay", 100), ("drift", 40), ("engines", 100), ("chords", 210)])
+def test_bench_documents_keep_their_digests(workload, count):
+    # each benchmark operation on its pinned documents gives the output
+    # digests pinned with them (sha256, first 16 hex digits, as
     # bench/checks.py computes them); only those files are read
     ops = _bench_module("ops")
-    with gzip.open(ROOT / "bench" / "inputs" / "engines.json.gz") as fh:
+    with gzip.open(ROOT / "bench" / "inputs" / (workload + ".json.gz")) as fh:
         docs = json.load(fh)["docs"]
     expected = json.loads(
         (ROOT / "bench" / "inputs" / "expected.json").read_text())
-    got = [hashlib.sha256(ops.engines(text).output.encode()).hexdigest()[:16]
-           for text in docs]
-    assert len(docs) == 100
-    assert got == expected["engines"]["digests"]
+    got = [hashlib.sha256(ops.run(workload, text).output.encode())
+           .hexdigest()[:16] for text in docs]
+    assert len(docs) == count
+    assert got == expected[workload]["digests"]
 
 
 def test_every_export_exists():
@@ -350,3 +362,62 @@ def test_typed_errors_under_optimize():
     assert outputs[0].splitlines() == [
         "compose ValidationError", "matmul ValidationError",
         "slide ValidationError", "birth ValidationError", "drift 7/2"]
+
+
+def _check_another_complexs_form():
+    one, other = (FilteredComplex(F2, (0, INF), [(gid, 1, 0)], {})
+                  for gid in "ab")
+    check_canonical_form(one, canonical_form(other))
+
+
+_LIBRARY_REFUSALS = [
+    (lambda: Bar(1, 1), ValidationError, "bar needs start < end, got [1, 1)"),
+    (_check_another_complexs_form, EngineMismatch,
+     "canonical form order ('b',) is not the complex's"),
+    (lambda: OscillationProfile([]), ValidationError,
+     "profile needs at least one sample"),
+    (lambda: constant_width_schedule(0), ValidationError,
+     "width must be positive"),
+    (lambda: chord_drift(OscillationProfile.constant(1, -1),
+                         [(0, 0), (2, 0)], [(0, 0), (1, 0)]),
+     ValidationError, "end rate must be defined on [0, 1]"),
+    (lambda: FilteredComplex("F2", (0, INF), [("a", 1, 0)], {}),
+     ValidationError, "field must be a Field, got 'F2'"),
+    (lambda: DGAMorphism(standard_unknot_shape(F2),
+                         standard_unknot_shape(F2), {}).compose(
+        DGAMorphism(stabilized_unknot_shape(F2),
+                    stabilized_unknot_shape(F2), {})),
+     ValidationError, "cannot compose: the inner morphism's target chords "
+     "are not this morphism's source chords"),
+    (lambda: FP(0), BadCharacteristic, "characteristic 0 is Q, use QQ"),
+    (lambda: stabilized_unknot_shape(F2, 5, 1, 4), ValidationError,
+     "lengths must satisfy 0 < l1, l2 < l0"),
+    (lambda: two_copy_template(F2, 3, [("a", 2, 0)]), ValidationError,
+     "separation 3 must exceed twice the longest chord"),
+    (lambda: two_copy_template(F2, 10, [("a", 2, 0)], [("m", 2, 0)]),
+     ValidationError, "offset of 'm' reaches into the side clusters"),
+    (lambda: two_copy_template(F2, 0, []), ValidationError,
+     "separation must be positive"),
+    (lambda: two_cluster_complex(random.Random(0), F2, 4, bottom_count=4),
+     ValidationError, "the parity argument needs an odd bottom count"),
+    (lambda: two_cluster_complex(random.Random(0), F2, Fraction(1, 8)),
+     ValidationError, "cluster geometry must satisfy 0 < spread < gap"),
+    # 1 fails before the trial divisions, 41·43 and 3215031751 (a strong
+    # pseudoprime to the bases 2, 3, 5 and 7) only in Miller-Rabin
+    (lambda: Field(1), BadCharacteristic,
+     "characteristic must be 0 or a prime, got 1"),
+    (lambda: Field(1763), BadCharacteristic,
+     "characteristic must be 0 or a prime, got 1763"),
+    (lambda: Field(3215031751), BadCharacteristic,
+     "characteristic must be 0 or a prime, got 3215031751"),
+]
+
+
+def test_library_refusals_name_what_they_refuse():
+    for build, error, message in _LIBRARY_REFUSALS:
+        with pytest.raises(error) as info:
+            build()
+        assert type(info.value) is error and str(info.value) == message
+    # primes past the trial divisions pass every Miller-Rabin round
+    for p in (1009, 2 ** 61 - 1):
+        assert Field(p).char == p

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               ValidationError)
 from chordbars.timelines import SingularEvent
 
-from support import count_calls
+from support import bottleneck_distance, count_calls
 
 q = Fraction
 
@@ -1166,6 +1167,23 @@ def test_event_apply_keeps_the_action_rules(seed, field):
         pre = [s for s in trace.samples if s.t < ev.time][-1]
         assert ev.admissible(pre.pairs)
     assert check_transitions(trace).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]))
+def test_samples_of_one_segment_obey_stability(seed, field):
+    # inside a segment the complex is fixed and only the actions move, so
+    # two samples' barcodes lie within the largest move of one generator
+    # between them in bottleneck distance (the stability theorem)
+    trace = simulate(*random_timeline(random.Random(seed), field))
+    for seg in trace.segments:
+        samples = [trace.samples[i] for i in seg.sample_indices]
+        for s1, s2 in combinations(samples, 2):
+            assert s1.frame is s2.frame
+            move = max([abs(v - s2.actions[g]) for g, v in s1.actions.items()],
+                       default=0)
+            assert bottleneck_distance(s1.barcode, s2.barcode) <= move, \
+                (seed, field.tag, s1.t, s2.t)
 
 
 def test_random_timelines_all_pass():
