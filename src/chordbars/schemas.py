@@ -223,24 +223,31 @@ def parse_augmentation(obj, field, where="augmentation"):
 def _path_spec(value, where, times, allow_inf=False):
     """A rational constant (``allow_inf``: or inf) or a [[t, v], ...]
     polyline.  ``times`` maps each knot-time string read so far in the item
-    to its value, so the item's paths read a time once and share it."""
-    if isinstance(value, list):
-        pts = []
-        for i, pair in enumerate(value):
-            pw = "%s[%d]" % (where, i)
-            pair = _list(pair, pw)
-            if len(pair) != 2:
-                raise ParseError("expected [t, value]", pw)
-            t = pair[0]
-            if type(t) is str:
-                if t not in times:
-                    times[t] = _action(t, pw + "[0]")
+    to its value, so the item's paths read a time once and share it.  A
+    knot's JSON path is formatted only if the knot is refused."""
+    if not isinstance(value, list):
+        return _action(value, where, allow_inf=allow_inf)
+    pts = []
+    for pair in value:
+        if not isinstance(pair, list) or len(pair) != 2:
+            pw = "%s[%d]" % (where, len(pts))
+            _list(pair, pw)
+            raise ParseError("expected [t, value]", pw)
+        t, v = pair
+        slot = 0
+        try:
+            if type(t) is not str:
+                t = as_action(t)
+            elif t in times:
                 t = times[t]
-            else:
-                t = _action(t, pw + "[0]")
-            pts.append((t, _action(pair[1], pw + "[1]")))
-        return pts
-    return _action(value, where, allow_inf=allow_inf)
+            else:  # keyed by the string, then t becomes its value
+                times[t] = t = as_action(t)
+            slot = 1
+            pts.append((t, as_action(v)))
+        except ChordbarsError as exc:
+            pw = "%s[%d][%d]" % (where, len(pts), slot)
+            raise ParseError(str(exc), pw) from None
+    return pts
 
 
 def _polylines(specs):

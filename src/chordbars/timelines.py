@@ -460,13 +460,16 @@ class FamilyTrace:
 
     def add_sample(self, t, actions, window, frame, keys):
         """Append a sample; ``keys`` holds (degree, action, id) for each
-        generator, its actions possibly all scaled by one positive factor."""
+        generator, its actions possibly all scaled by one positive factor.
+        ``keys=None`` means the caller vouches that no two generators of one
+        degree met since the last sample, which shares ``frame``."""
         field, degrees, diff = frame
         # the (degree, action, id) order gives the (action, id) pairs (see
         # _reduce) and changes only where two generators of one degree
         # cross, so while it and the frame stand the last sample's pairing
         # stands too
-        order = [key[2] for key in sorted(keys)]
+        order = (self._order if keys is None
+                 else [key[2] for key in sorted(keys)])
         last = self.samples[-1] if self.samples else None
         if last and last.frame is frame and order == self._order:
             pairs = last.pairs
@@ -649,33 +652,52 @@ def _run_segment(trace, state, seg, entered):
         y0, y1 = x0 * L[k + 1], x1 * L[k]
         return Fraction(c * b * y0 - a * e * y1, b * e * (y0 - y1))
 
-    # 3. exact crossings, pair by pair in sorted-id order: a zero at a grid
-    # time or a sign change inside a grid interval; two zeros in a row mean
-    # coincidence on an interval, which is never generic
-    ties, inner = set(), set()  # grid indices; (grid interval, time) inside
-    for i, g1 in enumerate(ids):
-        x1 = at[g1]
-        for g2 in ids[i + 1:]:
-            d = list(map(sub, x1, at[g2]))
-            if min(d) > 0 or max(d) < 0:
-                continue
-            for k, x in enumerate(d):
-                if x == 0:
-                    if k < last and d[k + 1] == 0:
-                        raise NonGenericCrossing(
-                            "trajectories of %r and %r coincide on an "
-                            "interval" % (g1, g2))
-                    ties.add(k)
-                elif k < last and (x < 0 < d[k + 1] or d[k + 1] < 0 < x):
-                    inner.add((k, root(k, x, d[k + 1])))
+    # 3. exact crossings by one sweep in value order (a family reorders its
+    # generators only by neighbour swaps, as in vineyards).  At grid time k
+    # they sort by (x_k, x_k+1, index): equal values at k tie, a run equal
+    # at both coincides on the interval, never generic (the least such pair
+    # in id order is named), and the pairs an insertion pass by x_k+1 moves
+    # past each other change sign inside (k, k+1).  ``moved``: where two
+    # generators of one degree meet, so the pairing may change
+    gens = len(ids)
+    degs = [state.degrees[gid] for gid in ids]
+    by_time = list(zip(*ints[:gens]))
+    ties, inner, moved, coincide = set(), {}, {0}, []
+    for k, now in enumerate(by_time):
+        tie = len(set(now)) < gens
+        if tie:
+            ties.add(k)
+            if len(set(zip(now, degs))) < gens:
+                moved.add(k)
+        if k == last:
+            break
+        rows = sorted(zip(now, by_time[k + 1], range(gens)))
+        if tie:
+            coincide += [(ids[i], ids[j]) for (a0, a1, i), (b0, b1, j)
+                         in zip(rows, rows[1:]) if a0 == b0 and a1 == b1]
+        after = [row[1] for row in rows]
+        if coincide or after == sorted(after):
+            continue
+        run = []  # the rows passed, by x_k+1
+        for row in rows:
+            j = len(run)
+            while j and run[j - 1][1] > row[1]:
+                j -= 1
+                a0, a1, i = run[j]
+                t = root(k, a0 - row[0], a1 - row[1])
+                inner[k, t] = inner.get((k, t)) or degs[i] == degs[row[2]]
+            run.insert(j, row)
+    if coincide:
+        raise NonGenericCrossing("trajectories of %r and %r coincide on an "
+                                 "interval" % min(coincide))
 
     # critical times (the grid plus the inner crossings) only drive sampling
     # and the crossing checks; an inner crossing (k, 1, t) sorts after grid
     # time (k, 0, grid[k]), so grid times are never compared
-    keyed = sorted([(k, 0, t) for k, t in enumerate(grid)]
-                   + [(k, 1, t) for k, t in inner])
-    critical = [t for _, _, t in keyed]
-    crossings = [t for k, kind, t in keyed if kind or k in ties]
+    keyed = sorted([(k, 0, t, k in moved) for k, t in enumerate(grid)]
+                   + [(k, 1, t, m) for (k, t), m in inner.items()])
+    critical = [key[2] for key in keyed]
+    crossings = [t for k, kind, t, _ in keyed if kind or k in ties]
 
     def first_bad(gap):
         # the first time the gap is not > 0 (a piece going negative: its
@@ -731,33 +753,32 @@ def _run_segment(trace, state, seg, entered):
     # The stretch after critical time (k, ...) lies in grid interval k, where
     # every path and edge is affine: at the midpoint s its value is
     # (u·x0 + v·x1) / D from its grid ints x0, x1 at k and k + 1, with the
-    # weights u, v and the denominator D > 0 shared by the whole sample.
+    # weights u, v and the denominator D > 0 shared by the whole sample (one
+    # constant on the interval keeps its grid Fraction).  Only the stretch
+    # after a ``moved`` time, the segment's first among them, passes keys.
     # ids, degrees and ∂² need no complex here: the initial one was
     # validated, and each event's ``apply`` checks what it changes
+    still = list(zip(*[[vs[k] if x[k] * L[k + 1] == x[k + 1] * L[k] else None
+                        for k in range(last)]
+                       for vs, x in zip(on_grid, ints)]))
     frame = state.frame()
-    degs = [frame[1][gid] for gid in ids]
-    xs = ints[:len(ids)]
     first = len(trace.samples)
     rs = [t.as_integer_ratio() for t in critical]
-    for (k, *_), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
+    for (k, _, _, fresh), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
         n, m = a * e + b * d, 2 * d * e  # s = n / m
         (p, q), (r, w) = grid_ratios[k:k + 2]
         u = (r * m - n * w) * q * L[k + 1]
         v = (n * q - p * m) * w * L[k]
         D = m * (r * q - p * w) * L[k] * L[k + 1]
-        nums = [u * x[k] + v * x[k + 1] for x in xs]
-        lo = u * bottom[k] + v * bottom[k + 1]
-        if b_path == INF:
-            win = (Fraction(lo, D), INF)
-        else:
-            hi = u * top[k] + v * top[k + 1]
-            win = (Fraction(lo, D), Fraction(hi, D))
-            # the gap checks cover this unless no generator is left
-            if not lo < hi:
-                raise ValidationError("empty window [%s, %s)" % win)
-        trace.add_sample(Fraction(n, m),
-                         dict(zip(ids, [Fraction(x, D) for x in nums])),
-                         win, frame, list(zip(degs, nums, ids)))
+        nums = [u * x[k] + v * x[k + 1] for x in ints]
+        vals = [Fraction(x, D) if f is None else f
+                for f, x in zip(still[k], nums)]
+        win = (vals[gens], INF if b_path == INF else vals[-1])
+        # the gap checks cover this unless no generator is left
+        if b_path != INF and not nums[gens] < nums[-1]:
+            raise ValidationError("empty window [%s, %s)" % win)
+        trace.add_sample(Fraction(n, m), dict(zip(ids, vals)), win, frame,
+                         list(zip(degs, nums, ids)) if fresh else None)
     trace.segments.append(SegmentTrace(
         crossings, list(range(first, len(trace.samples))), critical, paths))
 

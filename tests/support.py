@@ -271,6 +271,38 @@ def _perfect_matching(cost, delta):
 
 
 # ---------------------------------------------------------------------------
+# segment crossings by brute force
+# ---------------------------------------------------------------------------
+
+def pairwise_crossings(paths, times):
+    """Crossings of a segment's action paths ``paths[gid]``, pair by pair.
+
+    ``times`` are the sorted breakpoints of every path and window edge of
+    the segment, so each pair's difference, read exactly at them, is affine
+    in between.  A zero at a time is a crossing there, two zeros in a row a
+    coincidence, and a sign change between two times a crossing at the zero
+    of the line through them.  Returns the first coincident pair in sorted
+    id order (None if there is none), the critical times (``times`` and the
+    crossings) and the crossing times, both sorted.
+    """
+    ids = sorted(paths)
+    values = {gid: [paths[gid].value(t) for t in times] for gid in ids}
+    first, crossings = None, set()
+    for i, g1 in enumerate(ids):
+        for g2 in ids[i + 1:]:
+            d = [u - v for u, v in zip(values[g1], values[g2])]
+            for k in range(len(times)):
+                if d[k] == 0:
+                    crossings.add(times[k])
+                    if k + 1 < len(d) and d[k + 1] == 0 and first is None:
+                        first = (g1, g2)
+                elif k + 1 < len(d) and d[k] * d[k + 1] < 0:
+                    crossings.add(times[k] + (times[k + 1] - times[k])
+                                  * d[k] / (d[k] - d[k + 1]))
+    return first, sorted(set(times) | crossings), sorted(crossings)
+
+
+# ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 

@@ -11,11 +11,14 @@ digests.
 """
 
 import csv
+import gzip
 import hashlib
 import io
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from chordbars import (F2, FP, INF, QQ, DriftSegment, PLPath, barcode_of,
                        canonical_form, check_transitions, random_timeline,
                        schemas, simulate, timelines, vineyard_rows)
 from chordbars.barcodes import format_action
+from chordbars.errors import ChordbarsError
 from chordbars.piecewise import merge_times
 from chordbars.schemas import vineyard_csv
 
@@ -75,21 +79,26 @@ def test_replay_counts_are_pinned(monkeypatch):
     # timelines, recorded before segment replay moved to one integer grid;
     # the reductions replay runs: a sample keeps the last one's pairing
     # while the frame and every degree's (action, id) order stand; and, for
-    # the timelines read from their JSON documents, the values read (a drift
-    # item reads each knot-time string once) and the paths evaluated (only
-    # a path off its segment's full grid, none here, and never at a sample)
+    # the timelines read from their JSON documents, the values the library
+    # reader reads (a drift item reads each knot-time string once; the
+    # births' common actions are taken off, as the count was pinned by a
+    # hook on schemas._action, which the item table calls unhooked) and the
+    # paths evaluated (only a path off its segment's full grid, none here,
+    # and never at a sample)
     docs = [schemas.serialize_timeline(*t) for t in _timelines()]
     reductions = count_calls(monkeypatch, timelines, "_reduce")
-    reads = count_calls(monkeypatch, schemas, "_action")
+    reads = count_calls(monkeypatch, schemas, "as_action")
     evaluations = count_calls(monkeypatch, PLPath, "values_at")
     traces = [simulate(*schemas.parse_timeline(doc)) for doc in docs]
     segments = [st for trace in traces for st in trace.segments]
+    births = sum(ev.kind == "birth" for trace in traces
+                 for ev in trace.events)
     assert (sum(len(trace.samples) for trace in traces),
             sum(len(st.critical) for st in segments),
             sum(len(st.crossings) for st in segments),
             len(segments),
             sum(len(trace.events) for trace in traces),
-            len(reductions), len(reads), len(evaluations)) == \
+            len(reductions), len(reads) - births, len(evaluations)) == \
         (3841, 4351, 3051, 710, 529, 1665, 10634, 0)
 
 
@@ -306,5 +315,88 @@ def test_knot_times_read_apart_share_the_grid(monkeypatch, y_knot, unions):
         == [1]
 
 
+# ---------------------------------------------------------------------------
+# a regression net of mutated drift documents
+# ---------------------------------------------------------------------------
+
+MUTATIONS = 600
+MUTATIONS_PINNED = (
+    "127c92b8b8d522a0b5d497a2828352892e91db2c858fb2bfd4d7e92f93ac44f6")
+
+
+def _degrees(doc):
+    """Every generator id of a timeline document with its degree."""
+    out = {g["id"]: g["degree"] for g in doc["initial"]["generators"]}
+    for it in doc["items"]:
+        if it["type"] == "birth":
+            out.update([it["x"], it["y"]])
+        elif it["type"].startswith("entry"):
+            out[it["id"]] = it["degree"]
+    return out
+
+
+def _mutate(rng, doc):
+    """One seeded degeneracy in one drift item of ``doc``, on the interior
+    knots of paths that share their knot times: a knot value copied to one
+    path (two in a row: a coincidence), to two paths (three-way), across
+    degrees, or two paths' values swapped at a knot."""
+    degrees = _degrees(doc)
+    drifts = [it for it in doc["items"] if it["type"] == "drift"]
+    paths = rng.choice(drifts)["actions"]
+    ids = sorted(g for g, p in paths.items() if isinstance(p, list))
+    g1 = rng.choice(ids)
+    times = [t for t, _ in paths[g1]]
+    ids = [g for g in ids if g != g1 and [t for t, _ in paths[g]] == times]
+    kind = rng.choice(["shared", "copy", "three", "cross", "swap"])
+    if kind == "cross":
+        ids = [g for g in ids if degrees[g] != degrees[g1]]
+    if not ids or len(times) < 3 or (kind in ("copy", "three")
+                                     and len(times) < 4):
+        return kind + " (none)"
+    k = rng.randrange(1, len(times) - (2 if kind in ("copy", "three") else 1))
+    others = rng.sample(ids, min(len(ids), 2 if kind == "three" else 1))
+    for g2 in others:
+        for i in ([k, k + 1] if kind in ("copy", "three") else [k]):
+            if kind == "swap":
+                paths[g1][i][1], paths[g2][i][1] = \
+                    paths[g2][i][1], paths[g1][i][1]
+            else:
+                paths[g2][i][1] = paths[g1][i][1]
+    return "%s %s %s %d" % (kind, g1, others, k)
+
+
+def mutation_digest(docs, count=MUTATIONS):
+    """One sha256 over ``count`` seeded mutations of ``docs``: each adds its
+    error class and message, or its output digests, every sample's pairs
+    and every segment's critical times and crossings."""
+    h = hashlib.sha256()
+    for m in range(count):
+        rng = random.Random(m)
+        doc = json.loads(docs[m % len(docs)])
+        h.update(_mutate(rng, doc).encode())
+        try:
+            trace = simulate(*schemas.parse_timeline(doc))
+            out = (replay_digests([trace]),
+                   [sorted(s.pairs, key=repr) for s in trace.samples],
+                   [(st.critical, st.crossings) for st in trace.segments])
+        except ChordbarsError as exc:
+            out = (type(exc).__name__, str(exc))
+        h.update(repr(out).encode())
+    return h.hexdigest()
+
+
+def _drift_docs():
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs"
+    with gzip.open(path / "drift.json.gz") as fh:
+        return json.load(fh)["docs"]
+
+
+def test_drift_mutations_are_pinned():
+    # seeded degeneracies in the drift benchmark documents: coincidences,
+    # ties, cross-degree meetings and swaps; refusals and outputs alike
+    assert mutation_digest(_drift_docs()) == MUTATIONS_PINNED
+
+
 if __name__ == "__main__":
     print(replay_digests(trace for _items, trace in _replays()))
+    print(mutation_digest(_drift_docs()))

@@ -233,10 +233,13 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
                         "b": [["0", "3"], ["1/3", "4"], ["1", "3"]],
                         "c": "5"},
             "window_a": [["0", "0"], ["1/3", "0"], ["1", "1/2"]]}
-    calls = count_calls(monkeypatch, schemas, "_action")
+    calls = count_calls(monkeypatch, schemas, "as_action")
     seg = schemas.parse_timeline_item(item, F2, "x")
-    knots = [where for _value, where in calls if where.endswith("][0]")]
-    assert len(knots) == len({"0", "1/2", "1", "1/3"})
+    # the library reader sees each distinct knot time, each knot value, the
+    # constant path and t0 and t1 once
+    values = [v for p in (*item["actions"].values(), item["window_a"])
+              if isinstance(p, list) for _t, v in p]
+    assert len(calls) == len({"0", "1/2", "1", "1/3"}) + len(values) + 3
     paths = [seg.actions["a"], seg.actions["b"], seg.window_a]
     assert paths[0].points[0][0] is paths[1].points[0][0] \
         is paths[2].points[0][0]

@@ -22,9 +22,10 @@ from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
                               ChordbarsError, EventPreconditionViolated,
                               NonGenericCrossing, SimultaneousBifurcations,
                               ValidationError)
+from chordbars.piecewise import merge_times
 from chordbars.timelines import SingularEvent
 
-from support import bottleneck_distance, count_calls
+from support import bottleneck_distance, count_calls, pairwise_crossings
 
 q = Fraction
 
@@ -1186,6 +1187,121 @@ def test_samples_of_one_segment_obey_stability(seed, field):
                 (seed, field.tag, s1.t, s2.t)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]))
+def test_families_without_edge_events_obey_stability(seed, field):
+    # slides, births and deaths leave the barcode where it was (a pair born
+    # or dying is a bar of length 0), so from a family's first sample to its
+    # last the bottleneck distance is at most the sum of the largest moves
+    # of one generator along each segment: t0, its samples, t1.  The family
+    # is a random one up to its first exit or entry
+    initial, items = random_timeline(random.Random(seed), field)
+    cut = [i for i, it in enumerate(items) if getattr(it, "edge", None)
+           is not None]
+    if cut and isinstance(items[cut[0]], ExitAbove):
+        return  # up to it, the leaver would end the family on the top
+    trace = simulate(initial, items[:cut[0]] if cut else items)
+    budget = 0
+    for seg in trace.segments:
+        acts = [{g: p.start_value for g, p in seg.paths.items()},
+                *[trace.samples[i].actions for i in seg.sample_indices],
+                {g: p.end_value for g, p in seg.paths.items()}]
+        budget += sum(max([abs(v - s2[g]) for g, v in s1.items()], default=0)
+                      for s1, s2 in zip(acts, acts[1:]))
+    first, last = trace.samples[0], trace.samples[-1]
+    assert bottleneck_distance(first.barcode, last.barcode) <= budget, \
+        (seed, field.tag)
+
+
+def _copy_knots(seg, source, target, fractions):
+    """``target``'s path on ``seg`` made to pass through ``source``'s values
+    at the given fractions of the segment, its ends kept."""
+    t0, t1 = seg.t0, seg.t1
+    inner = [t0 + (t1 - t0) * f for f in fractions]
+    path = seg.actions[target]
+    seg.actions[target] = PLPath(
+        [(t0, path.start_value)]
+        + list(zip(inner, seg.actions[source].values_at(inner)))
+        + [(t1, path.end_value)])
+
+
+def _degenerate(rng, trace, items, kind):
+    """Make one drift segment of a random family degenerate in place:
+    interior knots copied onto generators with no differential edge, so
+    only crossings change (no gap, window or event check sees them).
+    ``shared`` and ``cross`` (across degrees) tie two generators at the
+    midpoint; ``copy`` makes two coincide on the middle third, ``three``
+    three, and ``two`` two pairs on different thirds.  Returns the
+    generators a coincidence names, in the order they were picked."""
+    need = {"none": 0, "shared": 1, "cross": 1, "copy": 1, "three": 2,
+            "two": 2}[kind]
+    segments = [it for it in items if isinstance(it, DriftSegment)]
+    j = rng.randrange(len(segments))
+    seg, st_ = segments[j], trace.segments[j]
+    _field, degrees, diff = trace.samples[st_.sample_indices[0]].frame
+    busy = set(diff).union(*diff.values())
+    free = sorted(set(degrees) - busy)
+    if not need or len(free) < need or len(degrees) < need + 2:
+        return []
+    targets = rng.sample(free, need)
+    g2 = targets[0]
+    sources = [g for g in sorted(degrees) if g not in targets]
+    g1 = rng.choice([g for g in sources if kind != "cross"
+                     or degrees[g] != degrees[g2]] or [None])
+    if g1 is None:
+        return []
+    if kind in ("shared", "cross"):
+        _copy_knots(seg, g1, g2, [Fraction(1, 2)])
+        return []
+    thirds = [Fraction(1, 3), Fraction(2, 3)]
+    _copy_knots(seg, g1, g2, thirds)
+    if kind == "copy":
+        return [g1, g2]
+    g3 = targets[1]
+    if kind == "three":
+        _copy_knots(seg, g1, g3, thirds)
+        return [g1, g2, g3]
+    g4 = rng.choice([g for g in sources if g != g1])
+    _copy_knots(seg, g4, g3, [Fraction(1, 6), Fraction(1, 3)])
+    return [g1, g2, g3, g4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]),
+       st.sampled_from(["none", "shared", "cross", "copy", "three", "two"]))
+def test_segment_crossings_match_the_pairwise_reference(seed, field, kind):
+    # every segment's critical times and crossings are the brute-force
+    # pairwise ones, on random families with one segment made degenerate;
+    # a coincidence is refused in its first segment, naming the least pair
+    # in id order (a three-way one: its first two ids)
+    rng = random.Random(seed)
+    initial, items = random_timeline(rng, field)
+    named = _degenerate(rng, simulate(initial, items), items, kind)
+    want, first = [], None
+    for seg in (it for it in items if isinstance(it, DriftSegment)):
+        first, critical, crossings = pairwise_crossings(
+            seg.actions, merge_times([seg.t0, seg.t1], *[
+                p.breakpoint_times() for p in seg.actions.values()]))
+        if first:
+            break
+        want.append((critical, crossings))
+    try:
+        trace = simulate(initial, items)
+    except NonGenericCrossing as exc:
+        assert first, (seed, field.tag, kind)
+        assert str(exc) == ("trajectories of %r and %r coincide on an "
+                            "interval" % first)
+        if kind == "three":
+            assert first == tuple(sorted(named)[:2])
+        if kind == "two":
+            assert first == min(tuple(sorted(named[:2])),
+                                tuple(sorted(named[2:])))
+    else:
+        assert first is None and not named, (seed, field.tag, kind)
+        assert [(st_.critical, st_.crossings)
+                for st_ in trace.segments] == want
+
+
 def test_random_timelines_all_pass():
     for seed in range(40):
         rng = random.Random(seed)
@@ -1207,15 +1323,12 @@ def _segment_reference(seg, diff, zero_edges, zero_tops, a, b):
     the window edges are ``a`` and ``b`` (a path or INF)."""
     t0, t1, paths = seg.t0, seg.t1, seg.actions
     ids = sorted(paths)
-    crossings = set()
-    for i, g1 in enumerate(ids):
-        for g2 in ids[i + 1:]:
-            roots, flats = (paths[g1] - paths[g2]).zeros()
-            if flats:
-                return NonGenericCrossing, (
-                    "trajectories of %r and %r coincide on an interval"
-                    % (g1, g2))
-            crossings.update(roots)
+    edges = [p for p in (a, b) if p != INF]
+    first, _critical, crossings = pairwise_crossings(paths, merge_times(
+        *[p.breakpoint_times() for p in [*paths.values(), *edges]]))
+    if first:
+        return NonGenericCrossing, (
+            "trajectories of %r and %r coincide on an interval" % first)
 
     def first_bad(gap, zero_at_start):
         ok = {t1, t0} if zero_at_start else {t1}
@@ -1265,7 +1378,7 @@ def _segment_reference(seg, diff, zero_edges, zero_tops, a, b):
         return ActionOutsideWindow, (
             "generator %r sits on the window top at the end of the timeline"
             % min(pending_tops))
-    return None, sorted(crossings)
+    return None, crossings
 
 
 QUARTERS = st.integers(0, 24).map(lambda k: q(k, 4))
