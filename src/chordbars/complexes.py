@@ -49,6 +49,16 @@ def as_action(value, allow_inf=False):
         raise ValidationError("cannot read action value %r" % (value,))
 
 
+def as_window(window):
+    """Read a window [a, b): a pair of actions, b possibly inf."""
+    try:
+        a, b = window
+    except (TypeError, ValueError):
+        raise ValidationError("window must be a pair (a, b), got %r"
+                              % (window,)) from None
+    return as_action(a), as_action(b, allow_inf=True)
+
+
 def as_reach(value):
     """Read an augmentation reach: a positive action or inf."""
     l = as_action(value, allow_inf=True)
@@ -114,8 +124,7 @@ class FilteredComplex:
         if not isinstance(field, Field):
             raise ValidationError("field must be a Field, got %r" % (field,))
         self.field = field
-        a = as_action(window[0])
-        b = as_action(window[1], allow_inf=True)
+        a, b = as_window(window)
         if not a < b:
             raise ValidationError("empty window [%s, %s)" % (a, b))
         self.window = (a, b)

@@ -15,7 +15,8 @@ arithmetic; nothing here ever touches floats.
 
 from fractions import Fraction
 
-from .complexes import INF, FilteredComplex, as_action, as_degree, as_reach
+from .complexes import (INF, FilteredComplex, as_action, as_degree, as_reach,
+                        as_window)
 from .errors import (ActionIncrease, AugmentationInvalid, CheckEntry,
                      CheckReport, DegreeMismatch, DuplicateId,
                      ForeignGenerator, MixedOutputViolation, NotChainMap,
@@ -611,8 +612,7 @@ def partial_linearization(D, eps, window, l=INF):
     """
     D.require_valid()
     field = D.field
-    a = as_action(window[0])
-    b = as_action(window[1], allow_inf=True)
+    a, b = as_window(window)
     if not a < b:
         raise ValidationError("window needs a < b")
     l = as_reach(l)

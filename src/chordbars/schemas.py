@@ -344,9 +344,10 @@ def parse_timeline_item(item, field, where):
         times = {}
         paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid), times)
                  for gid, p in actions.items()}
-        # t0 and t1 are read, then shared with the knots they equal
-        t0 = times.get(item["t0"], _action(item["t0"], where + ".t0"))
-        t1 = times.get(item["t1"], _action(item["t1"], where + ".t1"))
+        # t0 and t1 share the value of a knot time read from the same string,
+        # else are read (only a str is looked up: a list is unhashable)
+        t0, t1 = (times[item[k]] if type(item[k]) is str and item[k] in times
+                  else _action(item[k], where + "." + k) for k in ("t0", "t1"))
         wa = item.get("window_a")
         wb = item.get("window_b")
         wa = None if wa is None else _path_spec(wa, where + ".window_a", times)

@@ -69,6 +69,25 @@ class DriftSegment:
                 raise ValidationError("window path does not span the segment")
 
 
+def _mapping(ev, name, value):
+    """``value`` as a dict, or refused naming the event and the field."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):
+        raise ValidationError("%s %s must map ids to coefficients, got %r"
+                              % (ev.kind, name, value)) from None
+
+
+def _id_degree(ev, name, value):
+    """``value`` as (id, degree), or refused naming the event and field."""
+    try:
+        gid, degree = value
+    except (TypeError, ValueError):
+        raise ValidationError("%s %s must be an (id, degree) pair, got %r"
+                              % (ev.kind, name, value)) from None
+    return as_id(gid), as_degree(degree)
+
+
 class SingularEvent:
     """A bifurcation at one time.  A new kind is one subclass plus one row in
     the :mod:`chordbars.schemas` item table.  ``apply(state)`` checks its
@@ -100,7 +119,7 @@ class HandleSlide(SingularEvent):
     def __init__(self, time, target, addend, unit=1):
         super().__init__(time)
         self.target = target
-        self.addend = dict(addend)
+        self.addend = _mapping(self, "addend", addend)
         self.unit = unit
 
     def apply(self, state):
@@ -156,9 +175,8 @@ class Birth(SingularEvent):
 
     def __init__(self, time, x, y, common_action):
         super().__init__(time)
-        (x_id, x_degree), (y_id, y_degree) = x, y
-        self.x_id, self.y_id = as_id(x_id), as_id(y_id)
-        self.x_degree, self.y_degree = as_degree(x_degree), as_degree(y_degree)
+        self.x_id, self.x_degree = _id_degree(self, "x", x)
+        self.y_id, self.y_degree = _id_degree(self, "y", y)
         self.common_action = as_action(common_action)
 
     def apply(self, state):
@@ -322,7 +340,8 @@ class _Entry(_WindowEdgeEvent):
     def __init__(self, time, gid, degree, chain):
         super().__init__(time, as_id(gid))
         self.degree = as_degree(degree)
-        self.chain = dict(chain or {})
+        self.chain = _mapping(self, ("couplings", "boundary")[self.edge],
+                              chain or {})
 
     def apply(self, state):
         g, field, at = self.gid, state.field, _edge_at(state, self)
@@ -419,9 +438,7 @@ class Sample:
 
     @property
     def barcode(self):
-        acts, degrees = self.actions, self.frame[1]
-        return Barcode(Bar(acts[s], INF if e is None else acts[e], degrees[s])
-                       for s, e in self.pairs)
+        return Barcode(_bars(self.pairs, self.actions, self.frame[1]))
 
 
 def _complex_at(frame, actions, window):
@@ -460,16 +477,13 @@ class FamilyTrace:
 
     def add_sample(self, t, actions, window, frame, keys):
         """Append a sample; ``keys`` holds (degree, action, id) for each
-        generator, its actions possibly all scaled by one positive factor.
-        ``keys=None`` means the caller vouches that no two generators of one
-        degree met since the last sample, which shares ``frame``."""
+        generator, its actions possibly all scaled by one positive factor."""
         field, degrees, diff = frame
         # the (degree, action, id) order gives the (action, id) pairs (see
         # _reduce) and changes only where two generators of one degree
         # cross, so while it and the frame stand the last sample's pairing
         # stands too
-        order = (self._order if keys is None
-                 else [key[2] for key in sorted(keys)])
+        order = [key[2] for key in sorted(keys)]
         last = self.samples[-1] if self.samples else None
         if last and last.frame is frame and order == self._order:
             pairs = last.pairs
@@ -484,12 +498,11 @@ class FamilyTrace:
         self.samples.append(Sample(t, actions, window, pairs, frame))
 
 
-def _pairing_bars_at(pairs, actions, degrees):
-    """Value-level bars of an id-pairing at given action values (a Counter)."""
-    out = Counter()
-    for s, e in pairs:
-        out[(actions[s], INF if e is None else actions[e], degrees[s])] += 1
-    return out
+def _bars(pairs, actions, degrees):
+    """The bars of an id-pairing at given actions: (s, e) is the bar
+    [a_s, a_e) in degree d_s, and e = None means an infinite bar."""
+    return [Bar(actions[s], INF if e is None else actions[e], degrees[s])
+            for s, e in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -657,18 +670,15 @@ def _run_segment(trace, state, seg, entered):
     # they sort by (x_k, x_k+1, index): equal values at k tie, a run equal
     # at both coincides on the interval, never generic (the least such pair
     # in id order is named), and the pairs an insertion pass by x_k+1 moves
-    # past each other change sign inside (k, k+1).  ``moved``: where two
-    # generators of one degree meet, so the pairing may change
+    # past each other change sign inside (k, k+1)
     gens = len(ids)
     degs = [state.degrees[gid] for gid in ids]
     by_time = list(zip(*ints[:gens]))
-    ties, inner, moved, coincide = set(), {}, {0}, []
+    ties, inner, coincide = set(), set(), []
     for k, now in enumerate(by_time):
         tie = len(set(now)) < gens
         if tie:
             ties.add(k)
-            if len(set(zip(now, degs))) < gens:
-                moved.add(k)
         if k == last:
             break
         rows = sorted(zip(now, by_time[k + 1], range(gens)))
@@ -683,9 +693,8 @@ def _run_segment(trace, state, seg, entered):
             j = len(run)
             while j and run[j - 1][1] > row[1]:
                 j -= 1
-                a0, a1, i = run[j]
-                t = root(k, a0 - row[0], a1 - row[1])
-                inner[k, t] = inner.get((k, t)) or degs[i] == degs[row[2]]
+                a0, a1, _ = run[j]
+                inner.add((k, root(k, a0 - row[0], a1 - row[1])))
             run.insert(j, row)
     if coincide:
         raise NonGenericCrossing("trajectories of %r and %r coincide on an "
@@ -694,10 +703,10 @@ def _run_segment(trace, state, seg, entered):
     # critical times (the grid plus the inner crossings) only drive sampling
     # and the crossing checks; an inner crossing (k, 1, t) sorts after grid
     # time (k, 0, grid[k]), so grid times are never compared
-    keyed = sorted([(k, 0, t, k in moved) for k, t in enumerate(grid)]
-                   + [(k, 1, t, m) for (k, t), m in inner.items()])
+    keyed = sorted([(k, 0, t) for k, t in enumerate(grid)]
+                   + [(k, 1, t) for k, t in inner])
     critical = [key[2] for key in keyed]
-    crossings = [t for k, kind, t, _ in keyed if kind or k in ties]
+    crossings = [t for k, kind, t in keyed if kind or k in ties]
 
     def first_bad(gap):
         # the first time the gap is not > 0 (a piece going negative: its
@@ -754,8 +763,8 @@ def _run_segment(trace, state, seg, entered):
     # every path and edge is affine: at the midpoint s its value is
     # (u·x0 + v·x1) / D from its grid ints x0, x1 at k and k + 1, with the
     # weights u, v and the denominator D > 0 shared by the whole sample (one
-    # constant on the interval keeps its grid Fraction).  Only the stretch
-    # after a ``moved`` time, the segment's first among them, passes keys.
+    # constant on the interval keeps its grid Fraction).  Each sample's keys
+    # hold these numerators, which share D > 0 and so sort as its actions.
     # ids, degrees and ∂² need no complex here: the initial one was
     # validated, and each event's ``apply`` checks what it changes
     still = list(zip(*[[vs[k] if x[k] * L[k + 1] == x[k + 1] * L[k] else None
@@ -764,7 +773,7 @@ def _run_segment(trace, state, seg, entered):
     frame = state.frame()
     first = len(trace.samples)
     rs = [t.as_integer_ratio() for t in critical]
-    for (k, _, _, fresh), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
+    for (k, _, _), (a, d), (b, e) in zip(keyed, rs, rs[1:]):
         n, m = a * e + b * d, 2 * d * e  # s = n / m
         (p, q), (r, w) = grid_ratios[k:k + 2]
         u = (r * m - n * w) * q * L[k + 1]
@@ -778,7 +787,7 @@ def _run_segment(trace, state, seg, entered):
         if b_path != INF and not nums[gens] < nums[-1]:
             raise ValidationError("empty window [%s, %s)" % win)
         trace.add_sample(Fraction(n, m), dict(zip(ids, vals)), win, frame,
-                         list(zip(degs, nums, ids)) if fresh else None)
+                         list(zip(degs, nums, ids)))
     trace.segments.append(SegmentTrace(
         crossings, list(range(first, len(trace.samples))), critical, paths))
 
@@ -840,8 +849,8 @@ def _step_entry(s1, s2, t, crossing, st, k):
     if not ok:
         gone, new = s1.pairs - s2.pairs, s2.pairs - s1.pairs
         acts = st.critical_actions(k, set().union(*gone, *new) - {None})
-        ok = (_pairing_bars_at(gone, acts, s1.frame[1])
-              == _pairing_bars_at(new, acts, s1.frame[1]))
+        ok = (Counter(_bars(gone, acts, s1.frame[1]))
+              == Counter(_bars(new, acts, s1.frame[1])))
     return CheckEntry("crossing", None, t, ok, "" if ok else
                       "bar endpoint values jump across the crossing")
 

@@ -270,6 +270,40 @@ def _perfect_matching(cost, delta):
     return all(augment(i, set()) for i in range(size))
 
 
+def edge_free_family(items):
+    """A family's items up to its first exit or entry, so its events are
+    slides, births and deaths; None if that is an exit above, as up to it
+    the leaver would end the family on the top."""
+    cut = next((i for i, it in enumerate(items)
+                if getattr(it, "edge", None) is not None), len(items))
+    if cut < len(items) and items[cut].kind == "exit_above":
+        return None
+    return items[:cut]
+
+
+def move_budgets(trace):
+    """For each sample, the sum of the largest moves of one generator
+    between consecutive stops from the first sample to it, the stops being
+    each segment's t0, samples and t1 in turn.  Slides, births and deaths
+    leave the barcode where it was (a bar born or dying has length 0), so
+    on such a family this bounds the bottleneck distance of the first
+    sample and that one (the stability theorem, segment by segment)."""
+
+    def step(s1, s2):
+        return max([abs(v - s2[g]) for g, v in s1.items()], default=0)
+
+    budgets, total = [0], 0
+    for seg in trace.segments:
+        stops = [{g: p.start_value for g, p in seg.paths.items()},
+                 *[trace.samples[i].actions for i in seg.sample_indices]]
+        for s1, s2 in zip(stops, stops[1:]):
+            total += step(s1, s2)
+            budgets.append(total)
+        total += step(stops[-1], {g: p.end_value
+                                  for g, p in seg.paths.items()})
+    return budgets + [total]
+
+
 # ---------------------------------------------------------------------------
 # segment crossings by brute force
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight binding criteria, one verdict line each.
+"""Acceptance gate: the nine binding criteria, one verdict line each.
 
 Every test computes its criterion end to end, then records a single
 PASS/FAIL verdict through :func:`support.record`; the terminal summary
@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 
 from chordbars import (F2, FP, INF, QQ, Augmentation,
-                       BettiProfile, Chord, ChordDGA, FilteredComplex,
-                       PLPath, SigmaProfile, barcode_of, birth_morphism,
-                       chord_drift, check_transitions,
-                       constant_width_schedule, extract_table,
-                       find_augmentations, handle_slide_morphism,
+                       BettiProfile, Chord, ChordDGA, DriftSegment,
+                       FilteredComplex, PLPath, SigmaProfile, barcode_of,
+                       birth_morphism, chord_drift, check_transitions,
+                       constant_width_schedule, drift_speed_audit,
+                       extract_table, find_augmentations,
+                       handle_slide_morphism,
                        long_bar_witness, oscillation, partial_linearization,
                        random_complex, random_timeline,
                        random_two_component_dga, recover, simulate,
@@ -24,7 +25,8 @@ from chordbars.barcodes import barcode_definitional
 from chordbars.errors import SearchBudgetExceeded, WindowTooWide
 from chordbars.linalg import matmul, zeros
 
-from support import (bars_as_tuples, dense_boundary, identity, inverse,
+from support import (bars_as_tuples, bottleneck_distance, dense_boundary,
+                     edge_free_family, identity, inverse, move_budgets,
                      persisting_count, rank_phi, record)
 
 q = Fraction
@@ -95,6 +97,45 @@ def test_timeline_transition_rules():
     elapsed = time.perf_counter() - t0
     record("event transition rules (500 random timelines, <120s)",
            failures == 0 and elapsed < 120)
+
+
+def test_long_bars_outlast_the_drift():
+    # a random family up to its first exit or entry, so its events are
+    # slides, births and deaths.  Every generator drifts slower than a rate
+    # r that drift_speed_audit passes, so the move budget is at most
+    # r·(t1 - t0); from the first sample to each later one the bottleneck
+    # distance is at most the budget b so far, so a bar of length L > 2b at
+    # the start leaves one of length at least L - 2b (stability)
+    families = failures = compared = 0
+    for i in range(300):
+        rng = random.Random(80_000 + i)
+        initial, items = random_timeline(rng, FIELDS[i % 3])
+        items = edge_free_family(items)
+        if items is None:
+            continue
+        trace = simulate(initial, items)
+        segments = [it for it in items if isinstance(it, DriftSegment)]
+        speed = max([abs((v1 - v0) / (t1 - t0)) for seg in segments
+                     for p in seg.actions.values()
+                     for (t0, v0), (t1, v1) in zip(p.points, p.points[1:])],
+                    default=0)
+        rate, span = 2 * speed, segments[-1].t1 - segments[0].t0
+        budgets = move_budgets(trace)
+        ok = drift_speed_audit(items, rate).ok and budgets[-1] <= rate * span
+        first = trace.samples[0].barcode
+        for sample, b in zip(trace.samples, budgets):
+            later = sample.barcode
+            long = {bar.length for bar in first
+                    if not bar.is_infinite and bar.length > 2 * b}
+            ok &= bottleneck_distance(first, later) <= b and all(
+                len(long_bar_witness(later, L - 2 * b))
+                >= len(long_bar_witness(first, L)) for L in long)
+            compared += len(long)
+        families += 1
+        failures += not ok
+    record("bars longer than twice the drift outlast slides, births and "
+           "deaths (300 random families, stability)",
+           failures == 0 and families >= 200 and compared >= 200)
 
 
 def _conjugated(rng, cx):

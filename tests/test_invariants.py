@@ -29,9 +29,11 @@ from pathlib import Path
 import pytest
 
 import chordbars
-from chordbars import (F2, FP, INF, Bar, DGAMorphism, Field, FilteredComplex,
-                       OscillationProfile, canonical_form, chord_drift,
-                       check_canonical_form, constant_width_schedule, dga,
+from chordbars import (F2, FP, INF, Augmentation, Bar, Birth, DGAMorphism,
+                       EntryAbove, EntryBelow, Field, FilteredComplex,
+                       HandleSlide, OscillationProfile, canonical_form,
+                       chord_drift, check_canonical_form,
+                       constant_width_schedule, dga, partial_linearization,
                        stabilized_unknot_shape, standard_unknot_shape,
                        two_cluster_complex, two_copy_template)
 from chordbars.errors import BadCharacteristic, EngineMismatch, ValidationError
@@ -217,10 +219,10 @@ def test_every_export_exists():
     assert not missing, "names in __all__ that the package lacks: %s" % missing
 
 
-def _unused_imports(path):
-    """Names ``path`` imports and never reads; a name listed in ``__all__``
-    counts as read."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+def _unused_imports(where, text):
+    """``where:line name`` for each name the module ``text`` imports and
+    never reads; a name listed in ``__all__`` counts as read."""
+    tree = ast.parse(text, where)
     bound, read = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -236,7 +238,7 @@ def _unused_imports(path):
                    for t in targets):
                 read |= {c.value for c in ast.walk(node.value)
                          if isinstance(c, ast.Constant)}
-    return ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+    return ["%s:%d %s" % (where, line, name)
             for name, line in bound.items() if name not in read]
 
 
@@ -244,8 +246,14 @@ def test_no_unused_imports():
     # bench/ is left out: it changes only with the benchmark
     unused = [u for d in (PACKAGE, ROOT / "tests", ROOT / "demos")
               for path in sorted(d.glob("*.py"))
-              for u in _unused_imports(path)]
+              for u in _unused_imports(str(path.relative_to(ROOT)),
+                                       path.read_text(encoding="utf-8"))]
     assert not unused, "imported and never read: %s" % unused
+    # an import left behind by a deleted helper is found, in any form
+    left = ("import os.path\nfrom collections import Counter, deque\n"
+            "from .x import (a as b,\n    c)\n__all__ = ['c']\n"
+            "def f():\n    return os.path.sep, deque\n")
+    assert _unused_imports("m.py", left) == ["m.py:2 Counter", "m.py:3 b"]
 
 
 def _private_names(trees):
@@ -410,6 +418,23 @@ _LIBRARY_REFUSALS = [
      "characteristic must be 0 or a prime, got 1763"),
     (lambda: Field(3215031751), BadCharacteristic,
      "characteristic must be 0 or a prime, got 3215031751"),
+    # malformed event fields, which schemas refuses before a constructor
+    (lambda: Birth(1, ("a",), ("b", 0), 2), ValidationError,
+     "birth x must be an (id, degree) pair, got ('a',)"),
+    (lambda: Birth(1, ("a", 1), 5, 2), ValidationError,
+     "birth y must be an (id, degree) pair, got 5"),
+    (lambda: HandleSlide(1, "a", 5), ValidationError,
+     "handle_slide addend must map ids to coefficients, got 5"),
+    (lambda: EntryBelow(1, "n", 0, couplings=5), ValidationError,
+     "entry_below couplings must map ids to coefficients, got 5"),
+    (lambda: EntryAbove(1, "n", 0, boundary=["b"]), ValidationError,
+     "entry_above boundary must map ids to coefficients, got ['b']"),
+    # a window is a pair, not cut to its first two values
+    (lambda: FilteredComplex(F2, (0, 1, 2), [], {}), ValidationError,
+     "window must be a pair (a, b), got (0, 1, 2)"),
+    (lambda: partial_linearization(standard_unknot_shape(F2),
+                                   Augmentation(F2), (0, 20, 99)),
+     ValidationError, "window must be a pair (a, b), got (0, 20, 99)"),
 ]
 
 
@@ -421,3 +446,10 @@ def test_library_refusals_name_what_they_refuse():
     # primes past the trial divisions pass every Miller-Rabin round
     for p in (1009, 2 ** 61 - 1):
         assert Field(p).char == p
+    # what the event constructors accepted before they refused the rest
+    assert HandleSlide(1, "a", [("b", 1)]).addend == {"b": 1}
+    assert EntryBelow(1, "n", 0, couplings=[("m", 1)]).chain == {"m": 1}
+    assert EntryAbove(1, "n", 0).chain == {}
+    birth = Birth(1, ["x", 1], ("y", 0), 2)
+    assert (birth.x_id, birth.x_degree, birth.y_id, birth.y_degree) == \
+        ("x", 1, "y", 0)

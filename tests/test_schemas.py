@@ -226,7 +226,7 @@ def test_item_field_errors_carry_json_paths(index, key, value, message,
 
 def test_knot_times_are_read_once_per_item(monkeypatch):
     # a drift item reads each distinct knot-time string once: its paths,
-    # the window edges too, share the Fraction; t0 and t1 are read as ever
+    # the window edges, t0 and t1 too, share the Fraction
     from chordbars import schemas
     item = {"type": "drift", "t0": "0", "t1": "1",
             "actions": {"a": [["0", "1"], ["1/2", "2"], ["1", "1"]],
@@ -235,14 +235,15 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
             "window_a": [["0", "0"], ["1/3", "0"], ["1", "1/2"]]}
     calls = count_calls(monkeypatch, schemas, "as_action")
     seg = schemas.parse_timeline_item(item, F2, "x")
-    # the library reader sees each distinct knot time, each knot value, the
-    # constant path and t0 and t1 once
+    # the library reader sees each distinct knot time, each knot value and
+    # the constant path once
     values = [v for p in (*item["actions"].values(), item["window_a"])
               if isinstance(p, list) for _t, v in p]
-    assert len(calls) == len({"0", "1/2", "1", "1/3"}) + len(values) + 3
+    assert len(calls) == len({"0", "1/2", "1", "1/3"}) + len(values) + 1
     paths = [seg.actions["a"], seg.actions["b"], seg.window_a]
-    assert paths[0].points[0][0] is paths[1].points[0][0] \
+    assert seg.t0 is paths[0].points[0][0] is paths[1].points[0][0] \
         is paths[2].points[0][0]
+    assert seg.t1 is paths[0].points[-1][0]
     assert paths[1].points[1][0] is paths[2].points[1][0]
     assert paths[0].points[-1][0] is paths[1].points[-1][0]
     # a bad knot in a later path raises at that path's JSON path
@@ -258,6 +259,13 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
         with pytest.raises(ParseError) as info:
             schemas.parse_timeline_item(bad, F2, "x")
         assert str(info.value).endswith("(at x.actions['c'][2][0])")
+    # an unhashable t0 or t1 is refused at its path, not looked up
+    for key in ("t0", "t1"):
+        for bad in ([], {}):
+            with pytest.raises(ParseError) as info:
+                schemas.parse_timeline_item(dict(item, **{key: bad}), F2, "x")
+            assert str(info.value) == \
+                "cannot read action value %r (at x.%s)" % (bad, key)
 
 
 def test_barcode_json_shape():

@@ -25,7 +25,8 @@ from chordbars.errors import (ActionIncrease, ActionOutsideWindow,
 from chordbars.piecewise import merge_times
 from chordbars.timelines import SingularEvent
 
-from support import bottleneck_distance, count_calls, pairwise_crossings
+from support import (bottleneck_distance, count_calls, edge_free_family,
+                     move_budgets, pairwise_crossings)
 
 q = Fraction
 
@@ -1190,27 +1191,17 @@ def test_samples_of_one_segment_obey_stability(seed, field):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, FP(5), QQ]))
 def test_families_without_edge_events_obey_stability(seed, field):
-    # slides, births and deaths leave the barcode where it was (a pair born
-    # or dying is a bar of length 0), so from a family's first sample to its
-    # last the bottleneck distance is at most the sum of the largest moves
-    # of one generator along each segment: t0, its samples, t1.  The family
-    # is a random one up to its first exit or entry
+    # from a family's first sample to its last the bottleneck distance is
+    # at most the move budget; the family is a random one up to its first
+    # exit or entry
     initial, items = random_timeline(random.Random(seed), field)
-    cut = [i for i, it in enumerate(items) if getattr(it, "edge", None)
-           is not None]
-    if cut and isinstance(items[cut[0]], ExitAbove):
-        return  # up to it, the leaver would end the family on the top
-    trace = simulate(initial, items[:cut[0]] if cut else items)
-    budget = 0
-    for seg in trace.segments:
-        acts = [{g: p.start_value for g, p in seg.paths.items()},
-                *[trace.samples[i].actions for i in seg.sample_indices],
-                {g: p.end_value for g, p in seg.paths.items()}]
-        budget += sum(max([abs(v - s2[g]) for g, v in s1.items()], default=0)
-                      for s1, s2 in zip(acts, acts[1:]))
+    items = edge_free_family(items)
+    if items is None:
+        return
+    trace = simulate(initial, items)
     first, last = trace.samples[0], trace.samples[-1]
-    assert bottleneck_distance(first.barcode, last.barcode) <= budget, \
-        (seed, field.tag)
+    assert bottleneck_distance(first.barcode, last.barcode) \
+        <= move_budgets(trace)[-1], (seed, field.tag)
 
 
 def _copy_knots(seg, source, target, fractions):
