@@ -15,8 +15,9 @@ arithmetic; nothing here ever touches floats.
 
 from fractions import Fraction
 
-from .complexes import (INF, FilteredComplex, as_action, as_degree, as_reach,
-                        as_window)
+from .barcodes import format_action
+from .complexes import (INF, FilteredComplex, as_action, as_degree, as_id,
+                        as_reach, as_window)
 from .errors import (ActionIncrease, AugmentationInvalid, CheckEntry,
                      CheckReport, DegreeMismatch, DuplicateId,
                      ForeignGenerator, MixedOutputViolation, NotChainMap,
@@ -31,7 +32,7 @@ class Chord:
     __slots__ = ("label", "length", "degree", "ends")
 
     def __init__(self, label, length, degree, ends=(0, 0)):
-        self.label = str(label)
+        self.label = as_id(label)
         self.length = as_action(length)
         if not self.length > 0:
             raise ValidationError("chord %r needs positive length" % label)
@@ -228,7 +229,8 @@ def validate_dga(D):
             "length", c.label, None, not bad_len,
             "" if not bad_len else
             "word %s has length %s, not below %s"
-            % ("*".join(bad_len[0]) or "1", D.word_length(bad_len[0]), c.length)))
+            % ("*".join(bad_len[0]) or "1",
+               format_action(D.word_length(bad_len[0])), c.length)))
         if c.kind == "mixed":
             mixed = {w: [x for x in w if D.chord(x).kind == "mixed"]
                      for w in elem}
@@ -285,7 +287,7 @@ class Augmentation:
         for label, v in (values or {}).items():
             c = field.coerce(v)
             if c:
-                self.values[str(label)] = c
+                self.values[as_id(label)] = c
 
     @classmethod
     def _of_raw(cls, field, values):
@@ -504,7 +506,8 @@ def _check_length_bound(phi, slack=0):
         n = phi.target.element_length(phi.images[c.label])
         if n > c.length + slack:
             raise ValidationError("image of %r has length %s, above %s + %s"
-                                  % (c.label, n, c.length, slack))
+                                  % (c.label, format_action(n), c.length,
+                                     format_action(slack)))
 
 
 def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
@@ -523,7 +526,8 @@ def handle_slide_morphism(D_minus, D_plus, a, word, unit=1):
         if not D.chord(a).length >= D.word_length(word):
             raise ValidationError(
                 "slide word is longer than the chord it corrects "
-                "(%s > %s)" % (D.word_length(word), D.chord(a).length))
+                "(%s > %s)" % (format_action(D.word_length(word)),
+                               D.chord(a).length))
     field = D_plus.field
     img = {(a,): field.one_raw}
     field.add_scaled(img, {word: field.one_raw}, field.coerce(unit))
@@ -618,7 +622,7 @@ def partial_linearization(D, eps, window, l=INF):
     l = as_reach(l)
     if b - a > l:
         raise WindowTooWide("window width %s exceeds the augmentation reach %s"
-                            % (b - a, l))
+                            % (format_action(b - a), l))
 
     # the augmentation must be lawful on the pure chords it will be used on;
     # a degree-0 chord of D at or beyond the reach is not one of them

@@ -9,9 +9,12 @@ it and :meth:`Field.parse` own their rules, and :mod:`chordbars.schemas`
 only adds the JSON path.  Everything is exact; floats never appear.
 Scalar and action strings (:func:`chordbars.complexes.as_action`) share
 one reader, which refuses a value with more digits than ``int()`` reads
-and ``str()`` prints, and printed values (:meth:`Field.format`,
+and ``str()`` prints; every id (a generator, a reference, a chord label
+or letter, a key) has one reader too, :func:`chordbars.complexes.as_id`.
+Printed values (:meth:`Field.format`,
 :func:`chordbars.barcodes.format_action`) share one writer, which refuses
-a computed value with more digits than ``str()`` prints.
+a computed value with more digits than ``str()`` prints; every message
+and check detail prints a computed rational through it.
 
 Sparse chains are ``{key: raw}`` dicts that never store a zero: boundaries
 of filtered complexes, words of chord algebras, reduction columns.

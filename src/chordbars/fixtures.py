@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import (INF, FilteredComplex, Generator, as_action, as_degree,
-                        random_differential)
+                        as_id, random_differential)
 from .dga import Chord, ChordDGA
 from .errors import ValidationError
 
@@ -61,8 +61,8 @@ def two_copy_template(field, separation, base_chords, morse_chords=(),
     labels, lengths, degrees and components.
     """
     sep = as_action(separation)
-    base = [(str(n), as_action(l), as_degree(d)) for n, l, d in base_chords]
-    morse = [(str(n), as_action(off), as_degree(d))
+    base = [(as_id(n), as_action(l), as_degree(d)) for n, l, d in base_chords]
+    morse = [(as_id(n), as_action(off), as_degree(d))
              for n, off, d in morse_chords]
     if base:
         lengths = [l for _, l, _ in base]

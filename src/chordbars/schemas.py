@@ -63,15 +63,16 @@ def _obj(value, where, required=(), optional=()):
     return value
 
 
+def _keyed(value, where):
+    """(id, JSON path, value) per key of an object, the key read as an id."""
+    for key, item in _dict(value, where).items():
+        kw = "%s[%r]" % (where, key)
+        yield _id(key, kw), kw, item
+
+
 def _list(value, where):
     if not isinstance(value, list):
         raise ParseError("expected an array", where)
-    return value
-
-
-def _str(value, where):
-    if not isinstance(value, str):
-        raise ParseError("expected a string", where)
     return value
 
 
@@ -96,8 +97,11 @@ def _action(value, where, allow_inf=False):
                  allow_inf and type(value) is not float)
 
 
+def _id(value, where):  # every id, new or a reference, JSON key or value
+    return _read(as_id, value, where)
+
+
 _degree = partial(_read, as_degree)
-_new_id = partial(_read, as_id)
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +121,17 @@ def parse_complex(obj, where="complex"):
     for i, g in enumerate(_list(obj["generators"], where + ".generators")):
         gw = "%s.generators[%d]" % (where, i)
         g = _obj(g, gw, required=("id", "action", "degree"))
-        gens.append((_new_id(g["id"], gw + ".id"),
+        gens.append((_id(g["id"], gw + ".id"),
                      _action(g["action"], gw + ".action"),
                      _degree(g["degree"], gw + ".degree")))
     diff = {}
-    for gid, row in _dict(obj.get("differential", {}),
-                          where + ".differential").items():
-        rw = "%s.differential[%r]" % (where, gid)
+    for gid, rw, row in _keyed(obj.get("differential", {}),
+                               where + ".differential"):
         terms = {}
         for j, entry in enumerate(_list(row, rw)):
             ew = "%s[%d]" % (rw, j)
             entry = _obj(entry, ew, required=("id", "coeff"))
-            tid = _str(entry["id"], ew + ".id")
+            tid = _id(entry["id"], ew + ".id")
             if tid in terms:
                 raise ParseError("target %r repeated" % tid, ew + ".id")
             terms[tid] = _raw(entry["coeff"], ew + ".coeff", field)
@@ -169,7 +172,7 @@ def parse_dga(obj, where="dga"):
         ends = _list(c["ends"], cw + ".ends")
         if len(ends) != 2:
             raise ParseError("ends must be [start, end]", cw + ".ends")
-        chord = Chord(_str(c["label"], cw + ".label"),
+        chord = Chord(_id(c["label"], cw + ".label"),
                       _action(c["length"], cw + ".length"),
                       _degree(c["degree"], cw + ".degree"),
                       (_int(ends[0], cw + ".ends[0]"),
@@ -182,14 +185,13 @@ def parse_dga(obj, where="dga"):
             raise ParseError("component contradicts ends", cw + ".component")
         chords.append(chord)
     diff = {}
-    for label, row in _dict(obj.get("differential", {}),
-                            where + ".differential").items():
-        rw = "%s.differential[%r]" % (where, label)
+    for label, rw, row in _keyed(obj.get("differential", {}),
+                                 where + ".differential"):
         terms = []
         for j, entry in enumerate(_list(row, rw)):
             ew = "%s[%d]" % (rw, j)
             entry = _obj(entry, ew, required=("coeff", "word"))
-            word = [_str(x, "%s.word[%d]" % (ew, k))
+            word = [_id(x, "%s.word[%d]" % (ew, k))
                     for k, x in enumerate(_list(entry["word"], ew + ".word"))]
             terms.append((_raw(entry["coeff"], ew + ".coeff", field), word))
         diff[label] = terms
@@ -275,8 +277,7 @@ def _scalar(value, where, field):
 
 
 def _scalar_map(obj, where, field, read=_scalar):
-    return {key: read(v, "%s[%r]" % (where, key), field)
-            for key, v in _dict(obj, where).items()}
+    return {key: read(v, kw, field) for key, kw, v in _keyed(obj, where)}
 
 
 def _scalar_map_json(values):
@@ -290,7 +291,7 @@ def _endpoint(value, where):
     if len(pair) != 2:
         raise ParseError("birth endpoints are [id, degree]",
                          where.rpartition(".")[0])
-    return _new_id(pair[0], where + "[0]"), _degree(pair[1], where + "[1]")
+    return _id(pair[0], where + "[0]"), _degree(pair[1], where + "[1]")
 
 
 def _field(key, attrs, parse, fmt=None, *default):
@@ -305,16 +306,15 @@ def _plain(parse):  # parse(value, where) of a slot that reads no scalar
     return lambda value, where, _: parse(value, where)
 
 
-_REF = _plain(_str)  # an existing generator's id: the event checks it
-_GID = _field("id", "gid", _REF)
-_NEW_GID = _field("id", "gid", _plain(_new_id))
+_ID = _plain(_id)
+_GID = _field("id", "gid", _ID)
 _DEGREE = _field("degree", "degree", _plain(_degree))
 
 # every event item has a "type" and a "time"; this lists the rest, in the
 # order of the class's constructor arguments
 _EVENT_ITEMS = {
     "handle_slide": (HandleSlide, (
-        _field("target", "target", _REF),
+        _field("target", "target", _ID),
         _field("addend", "addend", _scalar_map, _scalar_map_json),
         _field("unit", "unit", _scalar, str, 1))),
     "birth": (Birth, (
@@ -322,12 +322,12 @@ _EVENT_ITEMS = {
         _field("y", "y_id y_degree", _plain(_endpoint), list),
         _field("common_action", "common_action", _plain(_action),
                format_action))),
-    "death": (Death, (_field("x", "x_id", _REF), _field("y", "y_id", _REF))),
+    "death": (Death, (_field("x", "x_id", _ID), _field("y", "y_id", _ID))),
     "exit_below": (ExitBelow, (_GID,)),
     "exit_above": (ExitAbove, (_GID,)),
-    "entry_below": (EntryBelow, (_NEW_GID, _DEGREE, _field(
+    "entry_below": (EntryBelow, (_GID, _DEGREE, _field(
         "couplings", "chain", _scalar_map, _scalar_map_json, {}))),
-    "entry_above": (EntryAbove, (_NEW_GID, _DEGREE, _field(
+    "entry_above": (EntryAbove, (_GID, _DEGREE, _field(
         "boundary", "chain", _scalar_map, _scalar_map_json, {}))),
 }
 
@@ -340,10 +340,9 @@ def parse_timeline_item(item, field, where):
     if kind == "drift":
         _obj(item, where, required=("type", "t0", "t1", "actions"),
              optional=("window_a", "window_b"))
-        actions = _dict(item["actions"], where + ".actions")
         times = {}
-        paths = {gid: _path_spec(p, "%s.actions[%r]" % (where, gid), times)
-                 for gid, p in actions.items()}
+        paths = {gid: _path_spec(p, pw, times) for gid, pw, p
+                 in _keyed(item["actions"], where + ".actions")}
         # t0 and t1 share the value of a knot time read from the same string,
         # else are read (only a str is looked up: a list is unhashable)
         t0, t1 = (times[item[k]] if type(item[k]) is str and item[k] in times

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import sub
 
 from . import linalg
-from .barcodes import Bar, Barcode, _reduce
+from .barcodes import Bar, Barcode, _reduce, format_action
 from .complexes import (INF, FilteredComplex, as_action, as_degree, as_id,
                         boundary_raw)
 from .errors import (ActionIncrease, ActionOutsideWindow, CheckEntry,
@@ -55,7 +55,7 @@ class DriftSegment:
         self.t1 = as_action(t1)
         if not self.t0 < self.t1:
             raise ValidationError("drift segment needs t0 < t1")
-        self.actions = {gid: _as_path(p, self.t0, self.t1)
+        self.actions = {as_id(gid): _as_path(p, self.t0, self.t1)
                         for gid, p in actions.items()}
         self.window_a = _as_path(window_a, self.t0, self.t1)
         self.window_b = (INF if window_b == INF
@@ -69,10 +69,16 @@ class DriftSegment:
                 raise ValidationError("window path does not span the segment")
 
 
+def _printed(*values):
+    """Rationals as the one guarded writer prints them, for a message."""
+    return tuple(map(format_action, values))
+
+
 def _mapping(ev, name, value):
     """``value`` as a dict, or refused naming the event and the field."""
-    try:
-        return dict(value)
+    try:  # from a dict or pairs, so as_id reads a key before it is hashed
+        return {as_id(k): c for k, c in
+                (value.items() if isinstance(value, dict) else value)}
     except (TypeError, ValueError):
         raise ValidationError("%s %s must map ids to coefficients, got %r"
                               % (ev.kind, name, value)) from None
@@ -118,7 +124,7 @@ class HandleSlide(SingularEvent):
 
     def __init__(self, time, target, addend, unit=1):
         super().__init__(time)
-        self.target = target
+        self.target = as_id(target)
         self.addend = _mapping(self, "addend", addend)
         self.unit = unit
 
@@ -215,8 +221,7 @@ class Death(SingularEvent):
 
     def __init__(self, time, x, y):
         super().__init__(time)
-        self.x_id = x
-        self.y_id = y
+        self.x_id, self.y_id = as_id(x), as_id(y)
 
     def apply(self, state):
         x, y = self.x_id, self.y_id
@@ -267,7 +272,7 @@ class _WindowEdgeEvent(SingularEvent):
 
     def __init__(self, time, gid):
         super().__init__(time)
-        self.gid = gid
+        self.gid = as_id(gid)
 
 
 def _edge_at(state, ev):
@@ -338,7 +343,7 @@ class _Entry(_WindowEdgeEvent):
                  "entry boundary is not a cycle (witness {!r})"))
 
     def __init__(self, time, gid, degree, chain):
-        super().__init__(time, as_id(gid))
+        super().__init__(time, gid)
         self.degree = as_degree(degree)
         self.chain = _mapping(self, ("couplings", "boundary")[self.edge],
                               chain or {})
@@ -734,7 +739,7 @@ def _run_segment(trace, state, seg, entered):
             if witness is not None:
                 raise ActionIncrease(
                     "differential edge %r -> %r loses strict action decrease "
-                    "at t = %s" % (src, tgt, witness))
+                    "at t = %s" % (src, tgt, format_action(witness)))
 
     # 4b. window containment (bottom is closed, top is open)
     bottom, top = ints[len(ids)], ints[-1]  # top is read only if b is finite
@@ -755,7 +760,7 @@ def _run_segment(trace, state, seg, entered):
             if witness is not None:
                 raise ActionOutsideWindow(
                     "generator %r reaches the window top at t = %s"
-                    % (gid, witness))
+                    % (gid, format_action(witness)))
 
     # 5. sampling at the midpoint of every stretch between critical times —
     # in particular just after an event at t0 and just before one at t1.
@@ -785,7 +790,7 @@ def _run_segment(trace, state, seg, entered):
         win = (vals[gens], INF if b_path == INF else vals[-1])
         # the gap checks cover this unless no generator is left
         if b_path != INF and not nums[gens] < nums[-1]:
-            raise ValidationError("empty window [%s, %s)" % win)
+            raise ValidationError("empty window [%s, %s)" % _printed(*win))
         trace.add_sample(Fraction(n, m), dict(zip(ids, vals)), win, frame,
                          list(zip(degs, nums, ids)))
     trace.segments.append(SegmentTrace(
@@ -1026,7 +1031,8 @@ def drift_speed_audit(timeline, oscillation_rate):
 
         for gid in ids:
             bad = next(("|slope| = %s is not strictly below the rate %s on "
-                        "[%s, %s]" % (abs(s), low[k], cut[k], cut[k + 1])
+                        "[%s, %s]"
+                        % _printed(abs(s), low[k], cut[k], cut[k + 1])
                         for k, s in enumerate(slopes(vals[gid]))
                         if s and not abs(s) < low[k]), None)
             entries.append(CheckEntry("generator-speed", gid, span,
@@ -1036,7 +1042,7 @@ def drift_speed_audit(timeline, oscillation_rate):
             # audit only declares on pieces where the size actually changes
             size = b if a is None else list(map(sub, b, a))
             bad = next(("window size drifts at %s instead of -rate (%s) on "
-                        "[%s, %s]" % (s, r[k], cut[k], cut[k + 1])
+                        "[%s, %s]" % _printed(s, r[k], cut[k], cut[k + 1])
                         for k, s in enumerate(slopes(size))
                         if s and not (r[k] == r[k + 1] and s == -r[k])), None)
             entries.append(CheckEntry("window-shrink", None, span,
@@ -1056,8 +1062,8 @@ def drift_speed_audit(timeline, oscillation_rate):
                 closing = -slope if x0 > 0 or (x0 == 0 and x1 > 0) else slope
                 if closing > rate_min:
                     return ("gap between %r and %r closes at speed %s > rate "
-                            "%s on [%s, %s]" % (g1, g2, closing, rate_min,
-                                                cut[k], tb))
+                            "%s on [%s, %s]" % ((g1, g2) + _printed(
+                                closing, rate_min, cut[k], tb)))
             return None
 
         bad = next(filter(None, (gap_flag(g1, g2) for i, g1 in enumerate(ids)
@@ -1082,8 +1088,8 @@ def drift_speed_audit(timeline, oscillation_rate):
                                 ("top", "falls", "above"))[ev.edge]
         detail = ("" if ok else
                   "%s edge %s at %s, at least the rate %s: nothing %s the "
-                  "window can catch it" % (side, moves, inward, rate_at,
-                                           outside))
+                  "window can catch it" % (side, moves, *_printed(
+                                               inward, rate_at), outside))
         entries.append(CheckEntry("entry-feasible", ev.gid, ev.time, ok,
                                   detail))
     return CheckReport(entries)

@@ -6,10 +6,13 @@ they check (plain Gaussian elimination on stacked spans, truncated formal
 substitution) so that agreement is evidence, not tautology.
 """
 
+import itertools
 from fractions import Fraction
 
-from chordbars import INF
-from chordbars.errors import NotInvertible
+from chordbars import (INF, Augmentation, ChordDGA, barcode_of,
+                       find_augmentations, handle_slide_morphism,
+                       partial_linearization, random_two_component_dga)
+from chordbars.errors import NotInvertible, SearchBudgetExceeded
 from chordbars.linalg import rank, rref, zeros
 
 VERDICTS = []
@@ -334,6 +337,138 @@ def pairwise_crossings(paths, times):
                     crossings.add(times[k] + (times[k + 1] - times[k])
                                   * d[k] / (d[k] - d[k + 1]))
     return first, sorted(set(times) | crossings), sorted(crossings)
+
+
+# ---------------------------------------------------------------------------
+# slid chord algebras: the reference for the slide half of the invariance
+# ---------------------------------------------------------------------------
+
+def _substitute(field, images, chain):
+    """A raw chain under the algebra map sending each letter in ``images``
+    to its image and fixing every other letter."""
+    out = {}
+    for word, coeff in chain.items():
+        acc = {(): coeff}
+        for letter in word:
+            img = images.get(letter, {(letter,): field.one_raw})
+            nxt = {}
+            for w1, c1 in acc.items():
+                for w2, c2 in img.items():
+                    field.add_scaled(nxt, {w1 + w2: field.mul(c1, c2)},
+                                     field.one_raw)
+            acc = nxt
+        field.add_scaled(out, acc, field.one_raw)
+    return out
+
+
+def _leibniz(D, chain):
+    """∂ of a raw chain from D's generator rows: each letter is replaced by
+    its row, with the sign (-1)^(degree of the letters before it)."""
+    field, out = D.field, {}
+    for word, coeff in chain.items():
+        for i, letter in enumerate(word):
+            prefix = sum(D.chord(x).degree for x in word[:i])
+            terms = {word[:i] + w + word[i + 1:]: x
+                     for w, x in D.diff_of(letter).items()}
+            field.add_scaled(out, terms,
+                             field.neg(coeff) if prefix % 2 else coeff)
+    return out
+
+
+def slid_dga(D, slides):
+    """The algebra after the handle slides ``[(a, word, unit), ...]``
+    applied to D in turn, and the library's morphism to it from D (the
+    slides' morphisms composed).  A slide is φ(a) = a + unit·word, fixing
+    every other chord, and the new differential is ∂⁺ = φ∘∂⁻∘φ⁻¹ on the
+    generators, with φ⁻¹(a) = a − unit·word (the word is not ``(a,)``)."""
+    phi = None
+    for a, word, unit in slides:
+        field, word = D.field, tuple(word)
+        u = field.coerce(unit)
+        back = {a: {(a,): field.one_raw, word: field.neg(u)}}
+        there = {a: {(a,): field.one_raw, word: u}}
+        rows = {}
+        for c in D.chords:
+            row = _substitute(field, there, _leibniz(
+                D, _substitute(field, back, {(c.label,): field.one_raw})))
+            if row:
+                rows[c.label] = row
+        slid = ChordDGA(field, D.chords, rows)
+        step = handle_slide_morphism(D, slid, a, word, unit)
+        phi = step if phi is None else step.compose(phi)
+        D = slid
+    return D, phi
+
+
+def slide_words(D, a):
+    """The words chord ``a`` of a two-component algebra can slide over:
+    of its degree, no longer than it, not ``(a,)``, and of its shape (one
+    to three pure letters of a pure chord's component; one forward-mixed
+    letter with at most two pure letters around it, those of component 0
+    before it and of component 1 after it, for a forward-mixed chord)."""
+    chord = D.chord(a)
+    if chord.kind == "pure":
+        pool = D.pure_chords(chord.component)
+        shapes = [(pool,) * n for n in range(1, 4)]
+    else:
+        left, mid, right = D.pure_chords(0), D.forward_mixed(), D.pure_chords(1)
+        shapes = [(left,) * n0 + (mid,) + (right,) * n1
+                  for n0 in range(3) for n1 in range(3 - n0)]
+    return sorted({tuple(c.label for c in letters)
+                   for shape in shapes
+                   for letters in itertools.product(*shape)
+                   if sum(c.length for c in letters) <= chord.length
+                   and sum(c.degree for c in letters) == chord.degree
+                   and [c.label for c in letters] != [a]},
+                  key=lambda w: (len(w), w))
+
+
+def an_augmentation(rng, D):
+    """A random augmentation of D from the search (over Q among 0 and ±1),
+    or the zero one if the search finds none or runs out of budget."""
+    field = D.field
+    if field.char:
+        try:
+            epss = find_augmentations(D, budget=5000)
+        except SearchBudgetExceeded:
+            epss = [Augmentation(field)]
+    else:
+        epss = find_augmentations(D, candidates=[0, 1, -1], budget=5000)
+    return rng.choice(epss) if epss else Augmentation(field)
+
+
+def slid_case(rng, field, count):
+    """A random two-component algebra D⁻ and ``count`` random slides of it,
+    the slid algebra D⁺, an augmentation ε⁺ of D⁺ and its pullback
+    ε⁻ = ε⁺∘Φ along the slides' morphism Φ (read off ``phi.images``), as
+    (D⁻, ε⁻, D⁺, ε⁺, slides); None if no chord of D⁻ can slide.  A slide
+    is drawn among the (chord, word) pairs whose word has a letter with a
+    boundary after its first, if any: there ∂⁺ carries Koszul signs."""
+    D = random_two_component_dga(rng, field)
+    pairs = [(c.label, w) for c in D.chords for w in slide_words(D, c.label)]
+    if not pairs:
+        return None
+    busy = [(a, w) for a, w in pairs if any(D.diff_of(x) for x in w[1:])]
+    slides = [rng.choice(busy or pairs) + (field.random_unit_raw(rng),)
+              for _ in range(count)]
+    slid, phi = slid_dga(D, slides)
+    eps = an_augmentation(rng, slid)
+    pulled = Augmentation(field, {label: eps.of_element(img)
+                                  for label, img in phi.images.items()})
+    return D, pulled, slid, eps, slides
+
+
+def slide_windows(D):
+    """Windows over D's forward-mixed lengths: all of them, and two that
+    cut the shortest or the longest off."""
+    lengths = sorted(c.length for c in D.forward_mixed())
+    lo, hi, eighth = lengths[0], lengths[-1], Fraction(1, 8)
+    return [(a, b) for a, b in [(eighth, INF), (lo + eighth, hi + 1),
+                                (eighth, hi)] if a < b]
+
+
+def linearized_bars(D, eps, window):
+    return bars_as_tuples(barcode_of(partial_linearization(D, eps, window)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,25 @@ import random
 import time
 from fractions import Fraction
 
-from chordbars import (F2, FP, INF, QQ, Augmentation,
+from chordbars import (F2, FP, INF, QQ,
                        BettiProfile, Chord, ChordDGA, DriftSegment,
                        FilteredComplex, PLPath, SigmaProfile, barcode_of,
                        birth_morphism, chord_drift, check_transitions,
                        constant_width_schedule, drift_speed_audit,
-                       extract_table, find_augmentations,
+                       extract_table,
                        handle_slide_morphism,
                        long_bar_witness, oscillation, partial_linearization,
                        random_complex, random_timeline,
                        random_two_component_dga, recover, simulate,
                        theorem_bound, two_cluster_complex, validate_dga)
 from chordbars.barcodes import barcode_definitional
-from chordbars.errors import SearchBudgetExceeded, WindowTooWide
+from chordbars.errors import WindowTooWide
 from chordbars.linalg import matmul, zeros
 
-from support import (bars_as_tuples, bottleneck_distance, dense_boundary,
-                     edge_free_family, identity, inverse, move_budgets,
-                     persisting_count, rank_phi, record)
+from support import (an_augmentation, bars_as_tuples, bottleneck_distance,
+                     dense_boundary, edge_free_family, identity, inverse,
+                     linearized_bars, move_budgets, persisting_count,
+                     rank_phi, record, slid_case, slide_windows)
 
 q = Fraction
 F5 = FP(5)
@@ -206,17 +207,6 @@ def _square_is_zero(cx):
     return True
 
 
-def _an_augmentation(rng, D, field):
-    if field.char:
-        try:
-            epss = find_augmentations(D, budget=5000)
-        except SearchBudgetExceeded:
-            epss = [Augmentation(field)]
-    else:
-        epss = find_augmentations(D, candidates=[0, 1, -1], budget=5000)
-    return rng.choice(epss) if epss else Augmentation(field)
-
-
 def test_linearized_differentials_square_to_zero():
     square_failures = 0
     gate_failures = 0
@@ -227,7 +217,7 @@ def test_linearized_differentials_square_to_zero():
         if not validate_dga(D).ok:
             square_failures += 1
             continue
-        eps = _an_augmentation(rng, D, field)
+        eps = an_augmentation(rng, D)
         lengths = sorted(c.length for c in D.forward_mixed())
         lo, hi = lengths[0], lengths[-1]
         windows = [(lo, hi + 1), (q(1, 8), INF),
@@ -303,6 +293,31 @@ def test_morphism_fixtures_are_chain_maps():
         ok &= DpK.element_length(img) <= c.length + slack
     record("slide and birth morphisms are chain maps within the length "
            "slack", ok)
+
+
+def test_slides_leave_linearized_barcodes_equal():
+    # the paper's invariance, slide half: a slide has length slack 0, so on
+    # random two-component algebras, one slide or two composed, the
+    # linearized barcodes (ε pulled back along the slides) are equal in
+    # every window; some windows' linearized differentials do change
+    def rows(D, eps, window):
+        cx = partial_linearization(D, eps, window)
+        return {g.id: cx.differential_raw(g.id) for g in cx.generators}
+
+    unequal = changed = cases = 0
+    for i in range(300):
+        case = slid_case(random.Random(70_000 + i), FIELDS[i % 3], 1 + i % 2)
+        if case is None:
+            continue
+        Dm, eps_m, Dp, eps_p, _slides = case
+        cases += 1
+        for window in slide_windows(Dm):
+            unequal += linearized_bars(Dm, eps_m, window) != \
+                linearized_bars(Dp, eps_p, window)
+            changed += rows(Dm, eps_m, window) != rows(Dp, eps_p, window)
+    record("linearized barcodes are equal across handle slides (%d random "
+           "chord algebras, single and composed slides)" % cases,
+           unequal == 0 and changed > 0)
 
 
 def test_displacement_arithmetic():

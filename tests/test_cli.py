@@ -557,7 +557,8 @@ _VALUE_SLOTS = [
      "degree must be an integer, got '0' (at bad.json.generators[0].degree)"),
     ("demo_complex.json", [(("differential", "b", 0, "id"), 3)],
      ("validate",),
-     "expected a string (at bad.json.differential['b'][0].id)"),
+     "generator id must be a nonempty string, got 3 "
+     "(at bad.json.differential['b'][0].id)"),
     ("demo_complex.json", [(("field",), "F5"),
                            (("differential", "b", 0, "coeff"), "1/5")],
      ("barcode",),
@@ -565,7 +566,8 @@ _VALUE_SLOTS = [
     ("two_copy.dga.json", [(("field",), True)], ("validate",),
      "field tag must be a string, got True (at bad.json.field)"),
     ("two_copy.dga.json", [(("chords", 0, "label"), 5)], ("validate",),
-     "expected a string (at bad.json.chords[0].label)"),
+     "generator id must be a nonempty string, got 5 "
+     "(at bad.json.chords[0].label)"),
     ("two_copy.dga.json", [(("chords", 0, "length"), None)], ("validate",),
      "cannot read action value None (at bad.json.chords[0].length)"),
     ("two_copy.dga.json", [(("chords", 0, "degree"), True)], ("validate",),
@@ -577,7 +579,8 @@ _VALUE_SLOTS = [
      "division by zero in F5 (at bad.json.differential['e'][0].coeff)"),
     ("two_copy.dga.json", [(("differential", "e", 0, "word", 0), 3)],
      ("validate",),
-     "expected a string (at bad.json.differential['e'][0].word[0])"),
+     "generator id must be a nonempty string, got 3 "
+     "(at bad.json.differential['e'][0].word[0])"),
     ("two_copy.augmentation.json", [(("c@0",), "1/5")], ("linearize",),
      "division by zero in F5 (at bad.json['c@0'])"),
     ("two_copy.augmentation.json", [(("c@0",), 1.5)], ("linearize",),
@@ -602,7 +605,8 @@ _VALUE_SLOTS = [
      "action values must be exact rationals, got 1.5 "
      "(at bad.json.items[1].time)"),
     ("demo_timeline.json", [(_ITEM + ("target",), 3)], _TL,
-     "expected a string (at bad.json.items[1].target)"),
+     "generator id must be a nonempty string, got 3 "
+     "(at bad.json.items[1].target)"),
     ("demo_timeline.json", [_F5, (_ITEM + ("addend", "b"), "1/5")], _TL,
      "division by zero in F5 (at bad.json.items[1].addend['b'])"),
     ("demo_timeline.json", [_F5, (_ITEM + ("unit",), "1/5")], _TL,
@@ -616,16 +620,20 @@ _VALUE_SLOTS = [
     ("demo_timeline.json", [(("items", 7, "common_action"), {})], _TL,
      "cannot read action value {} (at bad.json.items[7].common_action)"),
     ("demo_timeline.json", [(("items", 5, "x"), 5)], _TL,
-     "expected a string (at bad.json.items[5].x)"),
+     "generator id must be a nonempty string, got 5 "
+     "(at bad.json.items[5].x)"),
     ("demo_timeline.json", [(("items", 5, "y"), None)], _TL,
-     "expected a string (at bad.json.items[5].y)"),
+     "generator id must be a nonempty string, got None "
+     "(at bad.json.items[5].y)"),
     # the window-edge events, in the slide's place
     ("demo_timeline.json", [(_ITEM, {"type": "exit_below", "time": "1/4",
                                      "id": 7})], _TL,
-     "expected a string (at bad.json.items[1].id)"),
+     "generator id must be a nonempty string, got 7 "
+     "(at bad.json.items[1].id)"),
     ("demo_timeline.json", [(_ITEM, {"type": "exit_above", "time": "1/4",
                                      "id": []})], _TL,
-     "expected a string (at bad.json.items[1].id)"),
+     "generator id must be a nonempty string, got [] "
+     "(at bad.json.items[1].id)"),
     ("demo_timeline.json", [(_ITEM, {"type": "entry_below", **_ENTRY,
                                      "id": ""})], _TL,
      "generator id must be a nonempty string, got '' "
@@ -648,6 +656,37 @@ _VALUE_SLOTS = [
      "division by zero in F5 (at bad.json.items[1].boundary['c'])"),
     ("sigma.json", [((1,), 1.5)], ("bound",),
      "action values must be exact rationals, got 1.5 (at bad.json[1])"),
+    # an empty id, as a reference, a target, a label, a letter or a key
+    ("demo_complex.json", [(("differential", "b", 0, "id"), "")],
+     ("validate",), "generator id must be a nonempty string, got '' "
+                    "(at bad.json.differential['b'][0].id)"),
+    ("demo_complex.json", [(("differential", ""), [])], ("validate",),
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.differential[''])"),
+    ("demo_timeline.json", [(("items", 5, "y"), "")], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[5].y)"),
+    ("demo_timeline.json", [(_ITEM + ("target",), "")], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[1].target)"),
+    ("two_copy.dga.json", [(("chords", 0, "label"), "")], ("validate",),
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.chords[0].label)"),
+    ("two_copy.dga.json", [(("differential", "e", 0, "word", 0), "")],
+     ("validate",), "generator id must be a nonempty string, got '' "
+                    "(at bad.json.differential['e'][0].word[0])"),
+    ("demo_timeline.json", [(_ITEM + ("addend", ""), "1")], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[1].addend[''])"),
+    ("demo_timeline.json", [(_ITEM, {"type": "entry_below", **_ENTRY,
+                                     "couplings": {"": "1"}})], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[1].couplings[''])"),
+    ("demo_timeline.json", [(("items", 0, "actions", ""), "1")], _TL,
+     "generator id must be a nonempty string, got '' "
+     "(at bad.json.items[0].actions[''])"),
+    ("two_copy.augmentation.json", [(("",), "1")], ("linearize",),
+     "generator id must be a nonempty string, got '' (at bad.json[''])"),
 ]
 _DGA_EPS = ["two_copy.dga.json", "two_copy.augmentation.json"]
 _OPTION_SLOTS = [
@@ -728,6 +767,41 @@ def test_overlong_printed_values_exit_one(fixture_dir):
             assert proc.stderr.splitlines() == [
                 "error: cannot print a value with more than %d digits"
                 % sys.get_int_max_str_digits()]
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _LIMIT, reason="no digit limit on int strings")
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_overlong_computed_witnesses_exit_one(fixture_dir, flags):
+    # every value reads with about half the digit limit; the replay edge
+    # witness, a word length and the window width built from them have
+    # more digits than str() prints, and each command refuses to print one
+    n = _LIMIT // 2 + 50
+    P, Q = 10 ** n + 1, 10 ** n + 3
+    y0 = str(Fraction(1, 2) + Fraction(1, P))
+    y1 = str(Fraction(1, 3) + Fraction(1, Q))
+    edge = {  # y above x, then below it: the edge y -> x loses its decrease
+        "initial": {"field": "Q", "window": ["0", "inf"], "generators": [
+            {"id": "x", "action": "0", "degree": 0},
+            {"id": "y", "action": y0, "degree": 1}],
+            "differential": {"y": [{"id": "x", "coeff": "1"}]}},
+        "items": [{"type": "drift", "t0": "0", "t1": "1", "actions": {
+            "x": [["0", "0"], ["1", "1"]], "y": [["0", y0], ["1", y1]]}}]}
+    word = {"field": "Q", "chords": [
+        {"label": lab, "length": "1/%d" % den, "degree": deg, "ends": [0, 0]}
+        for lab, den, deg in [("a", P, 0), ("b", Q, 0), ("x", P, 1)]],
+        "differential": {"x": [{"coeff": "1", "word": ["a", "b"]}]}}
+    (fixture_dir / "edge.json").write_text(json.dumps(edge))
+    (fixture_dir / "word.json").write_text(json.dumps(word))
+    for argv in (["simulate", "edge.json"], ["validate", "word.json"],
+                 ["linearize", *_DGA_EPS, "--window", "1/%d" % P,
+                  "%d/%d" % (Q + 1, Q), "--reach", "1/2"]):
+        proc = _cli(flags, argv, str(fixture_dir))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: cannot print a value with more than %d digits\n"
+            % _LIMIT), argv
 
 
 def test_square_failure_names_the_chain(fixture_dir, capsys):

@@ -27,7 +27,8 @@ from chordbars.errors import (ActionIncrease, AugmentationInvalid,
 from chordbars.fields import FP
 from chordbars.schemas import dumps, serialize_dga
 
-from support import bars_as_tuples, linearized_rows_oracle
+from support import (bars_as_tuples, linearized_bars, linearized_rows_oracle,
+                     slid_case, slide_windows)
 
 F2 = FP(2)
 F5 = FP(5)
@@ -342,6 +343,24 @@ def test_slide_composition_is_chain_map():
 
 _BIRTH_CHORDS = [Chord("x", 1, 0), Chord("b", 2, 0),
                  Chord("a", q(5, 2), 1), Chord("c", 4, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([F2, F5, QQ]),
+       st.integers(1, 2))
+def test_slides_leave_the_linearized_barcode_equal(seed, field, count):
+    # the invariance, slide half: one slide or two composed, each with
+    # length slack 0, so the linearized barcodes of the two algebras, with
+    # ε pulled back along the slides, are equal in every window
+    case = slid_case(random.Random(seed), field, count)
+    if case is None:
+        return
+    Dm, eps_m, Dp, eps_p, slides = case
+    if all(Dm.chord(a).kind == "mixed" for a, _word, _unit in slides):
+        assert eps_m == eps_p  # ε is 0 on the mixed word a slide adds
+    for window in slide_windows(Dm):
+        assert linearized_bars(Dm, eps_m, window) == \
+            linearized_bars(Dp, eps_p, window), (seed, field.tag, window)
 
 
 def test_birth_morphism():

@@ -29,13 +29,16 @@ from pathlib import Path
 import pytest
 
 import chordbars
-from chordbars import (F2, FP, INF, Augmentation, Bar, Birth, DGAMorphism,
-                       EntryAbove, EntryBelow, Field, FilteredComplex,
-                       HandleSlide, OscillationProfile, canonical_form,
-                       chord_drift, check_canonical_form,
-                       constant_width_schedule, dga, partial_linearization,
-                       stabilized_unknot_shape, standard_unknot_shape,
-                       two_cluster_complex, two_copy_template)
+from chordbars import (F2, FP, INF, QQ, Augmentation, Bar, Birth, Chord,
+                       ChordDGA, Death, DGAMorphism, DriftSegment, EntryAbove,
+                       EntryBelow, ExitAbove, ExitBelow, Field,
+                       FilteredComplex, HandleSlide, OscillationProfile,
+                       birth_morphism, canonical_form, chord_drift,
+                       check_canonical_form, constant_width_schedule, dga,
+                       drift_speed_audit, handle_slide_morphism,
+                       partial_linearization, stabilized_unknot_shape,
+                       standard_unknot_shape, two_cluster_complex,
+                       two_copy_template)
 from chordbars.errors import BadCharacteristic, EngineMismatch, ValidationError
 
 PACKAGE = Path(chordbars.__file__).resolve().parent
@@ -438,11 +441,42 @@ _LIBRARY_REFUSALS = [
 ]
 
 
+# every constructor that keeps an id, fed an unreadable one; a dict cannot
+# hold ["b"] as a key, so the slots keyed only by dict get ("b",)
+_ID_SLOTS = [
+    lambda gid: Death(1, gid, "a"),
+    lambda gid: Death(1, "a", gid),
+    lambda gid: HandleSlide(1, gid, {}),
+    lambda gid: HandleSlide(1, "a", [(gid, 1)]),
+    lambda gid: ExitBelow(1, gid),
+    lambda gid: ExitAbove(1, gid),
+    lambda gid: EntryBelow(1, gid, 0),
+    lambda gid: EntryBelow(1, "n", 0, couplings=[(gid, 1)]),
+    lambda gid: EntryAbove(1, "n", 0, boundary=[(gid, 1)]),
+    lambda gid: Birth(1, (gid, 1), ("y", 0), 2),
+    lambda gid: Chord(gid, 1, 0),
+]
+_ID_KEY_SLOTS = [
+    lambda gid: DriftSegment(0, 1, {gid: 1}),
+    lambda gid: Augmentation(F2, {gid: 1}),
+]
+
+
 def test_library_refusals_name_what_they_refuse():
     for build, error, message in _LIBRARY_REFUSALS:
         with pytest.raises(error) as info:
             build()
         assert type(info.value) is error and str(info.value) == message
+    # one id rule: as_id's refusal, no TypeError and no str() of the id
+    for slots, ids in ((_ID_SLOTS, (["b"], "", 5)),
+                       (_ID_KEY_SLOTS, (("b",), "", 5))):
+        for build in slots:
+            for gid in ids:
+                with pytest.raises(ValidationError) as info:
+                    build(gid)
+                assert type(info.value) is ValidationError
+                assert str(info.value) == \
+                    "generator id must be a nonempty string, got %r" % (gid,)
     # primes past the trial divisions pass every Miller-Rabin round
     for p in (1009, 2 ** 61 - 1):
         assert Field(p).char == p
@@ -453,3 +487,44 @@ def test_library_refusals_name_what_they_refuse():
     birth = Birth(1, ["x", 1], ("y", 0), 2)
     assert (birth.x_id, birth.x_degree, birth.y_id, birth.y_degree) == \
         ("x", 1, "y", 0)
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _LIMIT, reason="no digit limit on int strings")
+def test_overlong_computed_values_in_messages_are_refused():
+    # inputs with about half the digit limit each, so every one prints;
+    # the slope, gap speed, edge speed, word length or length slack a
+    # message would print is over the limit and is refused as unprintable
+    n = _LIMIT // 2 + 50
+    P, Q = 10 ** n + 1, 10 ** n + 3
+    t0, small = Fraction(1, Q), Fraction(1, P)
+    rises = [(t0, 0), (1, small)]  # slope Q / (P (Q - 1)), 2n digits
+
+    def audit(actions, rate, window_a=None, window_b=None, *events):
+        seg = DriftSegment(t0, 1, actions, window_a, window_b)
+        return lambda: drift_speed_audit([seg, *events], rate)
+
+    refused = [
+        audit({"x": rises}, 0),  # generator-speed
+        audit({"x": 0}, 0, None, [(t0, 5), (1, 5 + small)]),  # window-shrink
+        # each moves below the rate, the gap closes faster: pair-gap
+        audit({"x": rises, "y": [(t0, 1), (1, 1 - small)]}, 3 * small / 2),
+        # the bottom rises too fast for an entry below: entry-feasible
+        audit({"x": 1}, 0, rises, None, EntryBelow(1, "n", 0)),
+        # the slide word b*c, of length 1/P + 1/Q, is longer than a
+        lambda: handle_slide_morphism(*[ChordDGA(QQ, [
+            Chord("b", small, 0), Chord("c", t0, 0), Chord("a", small, 0)])]
+            * 2, "a", ("b", "c")),
+        # the slack 1 + 1/P - 1/Q of the pair, which x's image overruns
+        lambda: birth_morphism(*[ChordDGA(F2, [
+            Chord("b", 1 + t0, 0), Chord("a", 2 + small, 1),
+            Chord("x", length, 0)], diff) for length, diff in
+            [(1, {"a": {("b",): 1}}), (9, {})]], "a", "b", ["x"]),
+    ]
+    for build in refused:
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == \
+            "cannot print a value with more than %d digits" % _LIMIT

@@ -1,5 +1,7 @@
 """Strict text formats: JSON schemas, CSV, locators, determinism."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -193,12 +195,14 @@ def test_every_item_kind_roundtrips():
 
 @pytest.mark.parametrize("index, key, value, message, where", [
     (0, "t1", 1.5, "action values must be exact rationals, got 1.5", ".t1"),
-    (3, "target", 3, "expected a string", ".target"),
+    (3, "target", 3, "generator id must be a nonempty string, got 3",
+     ".target"),
     (4, "unit", True, "booleans are not scalars", ".unit"),
     (5, "x", ["u", "1"], "degree must be an integer, got '1'", ".x[1]"),
     (5, "y", ["v"], "birth endpoints are [id, degree]", ""),
-    (6, "y", ["a"], "expected a string", ".y"),
-    (7, "id", 7, "expected a string", ".id"),
+    (6, "y", ["a"], "generator id must be a nonempty string, got ['a']",
+     ".y"),
+    (7, "id", 7, "generator id must be a nonempty string, got 7", ".id"),
     (8, "time", 0.5, "action values must be exact rationals, got 0.5",
      ".time"),
     (9, "degree", "0", "degree must be an integer, got '0'", ".degree"),
@@ -266,6 +270,59 @@ def test_knot_times_are_read_once_per_item(monkeypatch):
                 schemas.parse_timeline_item(dict(item, **{key: bad}), F2, "x")
             assert str(info.value) == \
                 "cannot read action value %r (at x.%s)" % (bad, key)
+
+
+def _ids_in(doc):
+    """Every id-valued value and key of a document, found by its schema."""
+    def complex_ids(cx):
+        yield from (g["id"] for g in cx["generators"])
+        for gid, row in cx.get("differential", {}).items():
+            yield gid
+            yield from (entry["id"] for entry in row)
+
+    if "chords" in doc:
+        yield from (c["label"] for c in doc["chords"])
+        for label, row in doc.get("differential", {}).items():
+            yield label
+            for entry in row:
+                yield from entry["word"]
+    elif "initial" in doc:
+        yield from complex_ids(doc["initial"])
+        for it in doc["items"]:
+            yield from it.get("actions", ())
+            for key in ("target", "id", "x", "y"):
+                if key in it:
+                    yield it[key][0] if it["type"] == "birth" else it[key]
+            for key in ("addend", "couplings", "boundary"):
+                yield from it.get(key, ())
+    elif "generators" in doc:
+        yield from complex_ids(doc)
+    else:  # an augmentation
+        yield from doc
+
+
+def test_every_id_is_read_once(monkeypatch):
+    # schemas reads each id-valued JSON value and key of the fixture
+    # documents (and of every item kind) once, with the one id reader
+    from chordbars.cli import _fixture_files
+    docs = [json.loads(text) for name, text in sorted(_fixture_files().items())
+            if name.endswith(".json")]
+    docs += [_ALL_ITEMS_DOC, {"c@0": "1", "c@1": "2"}]
+    calls = count_calls(monkeypatch, schemas, "as_id")
+    read = 0
+    for doc in filter(lambda doc: isinstance(doc, dict), docs):
+        del calls[:]
+        if "chords" in doc:
+            schemas.parse_dga(doc)
+        elif "initial" in doc:
+            schemas.parse_timeline(doc)
+        elif "generators" in doc:
+            schemas.parse_complex(doc)
+        else:
+            schemas.parse_augmentation(doc, F2)
+        assert Counter(args[0] for args in calls) == Counter(_ids_in(doc))
+        read += len(calls)
+    assert read == 74
 
 
 def test_barcode_json_shape():
